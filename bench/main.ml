@@ -534,6 +534,9 @@ let e12 () =
   let phi_hard = parse "exists x y. (R(x) & S(y)) | (R(y) & !S(x))" in
   let small = make_wide_ti 6 in
   let large = make_wide_ti 60 in
+  let large_space =
+    Mc_eval.Ti (Countable_ti.create (Fact_source.of_ti_table large))
+  in
   let open Bechamel in
   run_bechamel
     (Test.make_grouped ~name:"engines"
@@ -552,7 +555,8 @@ let e12 () =
            (Staged.stage (fun () -> Query_eval.boolean_safe large phi_safe));
          Test.make ~name:"mc-1000 k=60"
            (Staged.stage (fun () ->
-                Query_eval.boolean_mc ~samples:1000 large phi_safe));
+                Mc_eval.boolean ~seed:0xC0FFEE ~samples:1000 large_space
+                  phi_safe));
          Test.make ~name:"karp-luby-1000 k=60"
            (Staged.stage (fun () ->
                 Query_eval.boolean_karp_luby ~samples:1000 large phi_safe));
@@ -618,9 +622,10 @@ let e15 () =
   let exact = Rational.to_float (Query_eval.boolean ti phi) in
   row "  exact P(Q) (lineage+BDD)      = %.8f
 " exact;
+  let space = Mc_eval.Ti (Countable_ti.create (Fact_source.of_ti_table ti)) in
   List.iter
     (fun samples ->
-      let mc = Query_eval.boolean_mc ~seed:1 ~samples ti phi in
+      let mc = Mc_eval.boolean ~seed:1 ~samples space phi in
       let kl =
         match Query_eval.boolean_karp_luby ~seed:1 ~samples ti phi with
         | Some r -> r
@@ -630,15 +635,20 @@ let e15 () =
       row
         "  n=%-7d plain-MC est %.6f (rel err %5.1f%%)   Karp-Luby est %.6f          (rel err %5.1f%%)
 "
-        samples mc.Query_eval.estimate
-        (100. *. rel mc.Query_eval.estimate)
+        samples mc.Mc_eval.estimate
+        (100. *. rel mc.Mc_eval.estimate)
         kl.Query_eval.estimate
         (100. *. rel kl.Query_eval.estimate))
     [ 100; 1000; 10000 ];
-  let ad = Query_eval.boolean_mc_adaptive ~seed:2 ~eps:0.005 ~delta:0.05 ti phi in
-  row "  adaptive MC (eps 0.005, delta 0.05): %d samples, est %.6f
+  (* An a-priori (eps, delta) additive guarantee: the Hoeffding count
+     ln(2/delta) / (2 eps^2) fixes the sample size up front. *)
+  let hoeffding =
+    int_of_float (Float.ceil (log (2.0 /. 0.05) /. (2.0 *. 0.005 *. 0.005)))
+  in
+  let ad = Mc_eval.boolean ~seed:2 ~samples:hoeffding space phi in
+  row "  Hoeffding MC (eps 0.005, delta 0.05): %d samples, est %.6f
 "
-    ad.Query_eval.samples ad.Query_eval.estimate;
+    ad.Mc_eval.samples ad.Mc_eval.estimate;
   row "  shape: KL relative error ~ 1/sqrt(n) regardless of P(Q); plain MC
 ";
   row "  needs ~1/P(Q) samples per hit (FPRAS vs additive-only sampling)
@@ -659,25 +669,26 @@ let e16 () =
      previous step's lineage. *)
   let queries =
     [
-      ("exists x. R(x)", "delta path");
-      ("(exists x. R(x)) & !(forall y. R(y))", "recompile path");
+      ("exists x. R(x)", "delta path", "chain");
+      ("(exists x. R(x)) & !(forall y. R(y))", "recompile path", "opaque");
     ]
   in
   let sources =
     [
-      ((geo_source : unit -> Fact_source.t), 0.001);
+      ((geo_source : unit -> Fact_source.t), 0.001, "geometric");
       (* Tighter eps on the quadratic source sends the exact-rational
          batch engine into huge-denominator territory; the anytime side
          would not mind (interval carrier), but the comparison must run
          both. *)
-      (telescoping_source, 0.01);
-      (log_slow_source, 0.05);  (* log decay: eps 0.001 needs n ~ e^300 *)
+      (telescoping_source, 0.01, "telescoping");
+      (log_slow_source, 0.05, "log_slow");
+      (* log decay: eps 0.001 needs n ~ e^300 *)
     ]
   in
   List.iter
-    (fun (mk, eps) ->
+    (fun (mk, eps, skey) ->
       List.iter
-        (fun (qtext, mode) ->
+        (fun (qtext, mode, qkey) ->
           let phi = parse qtext in
           let bsrc = mk () in
           let r = Approx_eval.boolean ~max_n:(1 lsl 22) bsrc ~eps phi in
@@ -688,8 +699,10 @@ let e16 () =
             (Rational.to_float r.Approx_eval.estimate)
             (Interval.lo r.Approx_eval.bounds)
             (Interval.hi r.Approx_eval.bounds);
+          let t0 = Unix.gettimeofday () in
           let sess = Anytime.create ~eps ~max_n:(1 lsl 22) (mk ()) phi in
           let reason, steps = Anytime.run sess in
+          let anytime_s = Unix.gettimeofday () -. t0 in
           row "    %-5s %-8s %-10s %-10s %-6s %-10s %s\n" "step" "n" "width"
             "bdd-size" "mode" "apply-hit" "nodes-alloc";
           List.iter
@@ -713,6 +726,25 @@ let e16 () =
             | Some s -> s.Anytime.width
             | None -> nan
           in
+          (* Recorded for the baseline gate: the step count and final
+             width pin the anytime answers, the incremental-step count
+             and the recompiles after the first step pin the delta path
+             (on the chain query every step after the first must be
+             incremental). *)
+          let key k = Printf.sprintf "%s.%s.%s" skey qkey k in
+          metric "E16" (key "steps") (float_of_int (List.length steps));
+          metric "E16" (key "incremental_steps")
+            (float_of_int
+               (List.length
+                  (List.filter (fun s -> s.Anytime.incremental) steps)));
+          metric "E16" (key "recompiled_after_first")
+            (float_of_int
+               (List.length
+                  (List.filter
+                     (fun s -> s.Anytime.index > 1 && not s.Anytime.incremental)
+                     steps)));
+          metric "E16" (key "final_width") final_width;
+          metric "E16" (key "anytime_seconds") anytime_s;
           row
             "    anytime: stopped (%s) at n=%d, width %.2e (target %.2e), \
              %d manager nodes, %.0f apply-cache hits carried past step 1\n"

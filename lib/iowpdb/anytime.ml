@@ -2,57 +2,46 @@
    Proposition 6.1 step by step, reusing lineage/BDD work across steps
    instead of recompiling from scratch at each precision level.
 
-   Reuse mechanisms, all resting on the fact that [Lineage.alphabet]
-   assigns variable [i] to the [i]-th enumerated fact — so the alphabet of
-   a longer prefix literally extends the alphabet of a shorter one:
+   The compilation side is a certified delta session
+   ({!Delta_eval.Certified}) over the growing prefix table: each step
+   hands the newly enumerated facts to [Delta_eval.Certified.extend] as
+   one batch.  The session owns one BDD manager for its whole lifetime,
+   appends the new facts to its alphabet (variable [i] is the [i]-th
+   enumerated fact at every step), orders variables newest-first so that
+   joins only build nodes above the old root, delta-joins the fresh
+   ground instances of a quantifier chain, and recompiles in the warm
+   manager when it must.  Its memoized interval fold re-counts only the
+   nodes a step added.  This module is the stepping policy on top:
+   growth, certification, interval intersection and stop reasons.
 
-   - the session owns one {!Bdd.manager} for its whole lifetime, so even a
-     full recompile of the grown lineage replays against warm unique /
-     apply / negation caches;
-
-   - variables are ordered newest-first ([order v = -v]): joining the
-     lineage of fresh ground instances then only builds nodes above the
-     old root instead of rewriting every suffix of the diagram (for the
-     common existential chain this turns the per-step node growth from
-     O(n) into O(delta));
-
-   - when the sentence is a pure quantifier chain [Q x1...xk. psi] with a
-     quantifier-free matrix, a step compiles only the {e delta} lineage —
-     the ground instances that mention a fresh domain value — and
-     disjoins/conjoins it onto the previous BDD.  When a fact added this
-     step lies entirely inside the old evaluation domain, a ground atom
-     that previously compiled to [False] ("holds in no world over this
-     alphabet") would now name an alphabet variable, invalidating the old
-     ground instances; we detect that and fall back to a recompile, which
-     is always sound.
+   Per-step model counts use the certified interval carrier, not exact
+   rationals: on slowly-decaying sources the prefix probabilities have
+   pairwise-coprime denominators, so exact WMC costs a huge-integer gcd
+   per BDD node and goes cubic in the prefix length — fatal for an engine
+   whose whole point is cheap re-evaluation at every depth.  Outward
+   rounding keeps every emitted enclosure sound.
 
    Certification across steps needs care: the classical engines evaluate
    over the active domain of the truncated table, and that semantics
    *moves* as the prefix deepens — over a 1-element domain
    [exists x. R(x) & !(forall y. R(y))] is identically false, so its
    step-1 enclosure says nothing about the limit and must not be
-   intersected with later ones.  We therefore evaluate every step over
-   the prefix domain padded with [quantifier_rank phi] fresh inert
-   values, realizing the r-equivalence argument behind Proposition 6.1:
-   by an Ehrenfeucht-Fraissé argument, a world whose support lies inside
-   the prefix evaluates identically over every larger domain (inert
-   values satisfy no relation atom and are pairwise interchangeable, and
-   r rounds can touch at most r of them).  Every per-step enclosure then
-   bounds the same limit probability, so intersecting them — the
-   monotone-narrowing interval we report — is sound.  The one query
-   feature that breaks interchangeability is the built-in order [Cmp];
-   for such queries we skip the intersection and report each step's
-   enclosure of its own truncated-semantics value. *)
+   intersected with later ones.  The session therefore evaluates every
+   step over the prefix domain padded with [quantifier_rank phi] fresh
+   inert values, realizing the r-equivalence argument behind
+   Proposition 6.1: by an Ehrenfeucht-Fraissé argument, a world whose
+   support lies inside the prefix evaluates identically over every larger
+   domain (inert values satisfy no relation atom and are pairwise
+   interchangeable, and r rounds can touch at most r of them).  Every
+   per-step enclosure then bounds the same limit probability, so
+   intersecting them — the monotone-narrowing interval we report — is
+   sound.  The one query feature that breaks interchangeability is the
+   built-in order [Cmp]: such queries are evaluated unpadded over the
+   prefix's active domain (as in {!Approx_eval}), each step's enclosure
+   certifies that step's truncated-semantics value only, and no
+   intersection is performed. *)
 
-module VSet = Set.Make (Value)
-
-(* Per-step model counts use the certified interval carrier, not exact
-   rationals: on slowly-decaying sources the prefix probabilities have
-   pairwise-coprime denominators, so exact WMC costs a huge-integer gcd
-   per BDD node and goes cubic in the prefix length — fatal for an engine
-   whose whole point is cheap re-evaluation at every depth.  Outward
-   rounding keeps every emitted enclosure sound. *)
-module W = Wmc.Make (Prob.Interval_carrier)
+module S = Delta_eval.Certified
 
 let c_steps = Stats.counter "anytime.steps"
 let c_delta = Stats.counter "anytime.delta_steps"
@@ -87,76 +76,22 @@ type step = {
   stats : Stats.snapshot;
 }
 
-type chain_kind = Ch_exists | Ch_forall
-
-(* [Chain (kind, xs, matrix)]: the sentence is [Q xs. matrix] with a
-   quantifier-free matrix and pairwise-distinct bound names (shadowed
-   names would make the tuple/binding correspondence ambiguous). *)
-type shape =
-  | Chain of chain_kind * string list * Fo.t
-  | Opaque
-
-let shape_of phi =
-  let rec strip kind acc = function
-    | Fo.Exists (x, f) when kind = Ch_exists -> strip kind (x :: acc) f
-    | Fo.Forall (x, f) when kind = Ch_forall -> strip kind (x :: acc) f
-    | f -> (List.rev acc, f)
-  in
-  let chain kind =
-    let xs, matrix = strip kind [] phi in
-    if
-      Fo.is_quantifier_free matrix
-      && List.length xs = List.length (List.sort_uniq String.compare xs)
-    then Chain (kind, xs, matrix)
-    else Opaque
-  in
-  match phi with
-  | Fo.Exists _ -> chain Ch_exists
-  | Fo.Forall _ -> chain Ch_forall
-  | _ -> if Fo.is_quantifier_free phi then Chain (Ch_exists, [], phi) else Opaque
-
 type t = {
   src : Fact_source.t;
   budget : Budget.t option;
-  phi : Fo.t;
-  shape : shape;
   intersectable : bool;  (* Cmp-free: padded enclosures share one limit *)
-  pad_count : int;  (* quantifier_rank phi *)
   eps : float;
   max_n : int;
   max_steps : int;
   max_nodes : int;
   growth : int -> int;
-  mgr : Bdd.manager;
+  session : S.t option;  (* None only when the budget tripped in [create] *)
   mutable n : int;  (* current truncation depth *)
-  mutable bdd : Bdd.t;  (* lineage of phi over the first n facts *)
-  mutable probs : Rational.t array;  (* marginals of the first n facts *)
-  mutable adom : VSet.t;  (* adom(prefix) ∪ constants(phi), no padding *)
-  mutable padding : VSet.t;  (* the inert padding values *)
-  mutable pad_attempt : int;  (* bumped when a fact collides with padding *)
   mutable best_tail : float option;  (* min certified tail seen so far *)
   mutable bounds : Interval.t;  (* running enclosure *)
   mutable steps_rev : step list;
   mutable stopped : stop_reason option;
 }
-
-(* Padding values live in the string sort under a name no sane dataset
-   uses; collisions with actual source values are detected anyway (at
-   choice time against the current active domain, and per step for
-   incoming facts) and resolved by re-choosing and recompiling. *)
-let rec choose_padding ~avoid ~attempt k =
-  let cand =
-    List.init k (fun i -> Value.Str (Printf.sprintf "\x00pad.%d.%d" attempt i))
-  in
-  if List.exists (fun v -> VSet.mem v avoid) cand then
-    choose_padding ~avoid ~attempt:(attempt + 1) k
-  else (VSet.of_list cand, attempt)
-
-let eval_domain t = VSet.union t.adom t.padding
-
-let compile_full t alpha =
-  Bdd.of_expr t.mgr
-    (Lineage.of_sentence ~extra:(VSet.elements t.padding) alpha t.phi)
 
 let create ?(eps = 0.01) ?(max_n = 1 lsl 20) ?(max_steps = 64)
     ?(max_nodes = max_int) ?growth ?budget ?cache_size
@@ -174,177 +109,68 @@ let create ?(eps = 0.01) ?(max_n = 1 lsl 20) ?(max_steps = 64)
      the wrapper and every fresh BDD node charges one Bdd_nodes unit;
      either may raise [Budget.Exhausted] mid-step, which [step] converts
      into an [Interrupted] stop with the last completed step's bounds
-     still standing. *)
+     still standing.  Nodes the kernel's GC reclaims are refunded, so the
+     Bdd_nodes cap governs the live diagram. *)
   let src =
     match budget with Some b -> Fact_source.with_budget b src | None -> src
   in
   let tick =
     Option.map (fun b () -> Budget.charge b Budget.Bdd_nodes 1) budget
   in
-  (* Nodes the kernel's GC reclaims are refunded, so the Bdd_nodes cap
-     governs the live diagram, not every node the session ever built. *)
   let on_free =
     Option.map (fun b n -> Budget.refund b Budget.Bdd_nodes n) budget
   in
-  (* Newest-first order: later facts sit closer to the root, so joining
-     delta lineage extends the diagram at the top. *)
-  let mgr =
-    Bdd.manager ~order:(fun v -> -v) ?tick ?on_free ?cache_size
-      ~gc_threshold ()
+  (* Depth 0: empty table, domain = constants ∪ padding.  Every atom
+     compiles to [False] there, so this settles e.g. a universal sentence
+     to its padded (stable) value rather than the vacuous empty-domain
+     [True].  A budget already exhausted at creation stops the session
+     immediately instead of raising out of [create]. *)
+  let session, stopped =
+    match
+      S.create ?tick ?on_free ?cache_size ~gc_threshold Ti_table.empty phi
+    with
+    | s -> (Some s, None)
+    | exception Budget.Exhausted e -> (None, Some (Interrupted e))
   in
-  let adom = VSet.of_list (Fo.constants phi) in
-  let pad_count = Fo.quantifier_rank phi in
-  let padding, pad_attempt =
-    choose_padding ~avoid:adom ~attempt:0 pad_count
-  in
-  let t =
-    {
-      src;
-      budget;
-      phi;
-      shape = shape_of phi;
-      intersectable = not (Fo.has_cmp phi);
-      pad_count;
-      eps;
-      max_n;
-      max_steps;
-      max_nodes;
-      growth;
-      mgr;
-      n = 0;
-      bdd = Bdd.fls mgr;
-      probs = [||];
-      adom;
-      padding;
-      pad_attempt;
-      best_tail = None;
-      bounds = Interval.make 0.0 1.0;
-      steps_rev = [];
-      stopped = None;
-    }
-  in
-  (* Depth-0 lineage: empty alphabet, domain = constants ∪ padding.  Every
-     atom compiles to [False] there, so this settles e.g. a universal
-     sentence to its padded (stable) value rather than the vacuous
-     empty-domain [True].  A budget already exhausted at creation stops
-     the session immediately instead of raising out of [create].  The
-     session root-protects whatever diagram it currently holds — the GC
-     invariant maintained at every publish point below. *)
-  (match compile_full t (Lineage.alphabet []) with
-  | bdd -> t.bdd <- bdd
-  | exception Budget.Exhausted e -> t.stopped <- Some (Interrupted e));
-  Bdd.protect t.bdd;
-  t
+  {
+    src;
+    budget;
+    intersectable = not (Fo.has_cmp phi);
+    eps;
+    max_n;
+    max_steps;
+    max_nodes;
+    growth;
+    session;
+    n = 0;
+    best_tail = None;
+    bounds = Interval.make 0.0 1.0;
+    steps_rev = [];
+    stopped;
+  }
 
 let eps t = t.eps
 let current_n t = t.n
 let history t = List.rev t.steps_rev
 let last_step t = match t.steps_rev with [] -> None | s :: _ -> Some s
 let stop_reason t = t.stopped
-let node_count t = Bdd.node_count t.mgr
-let allocated_nodes t = Bdd.allocated_count t.mgr
+let node_count t = Option.fold ~none:0 ~some:S.live_nodes t.session
 let bounds t = t.bounds
 
-let fact_args f = Array.to_list f.Fact.args
-
-(* All k-tuples over [dom] that use at least one value outside [old_dom]
-   — exactly the ground instances absent from the previous step's
-   quantifier expansion. *)
-let fresh_tuples k dom old_dom =
-  let rec go k =
-    if k = 0 then Seq.return ([], false)
-    else
-      Seq.concat_map
-        (fun (rest, has_fresh) ->
-          Seq.map
-            (fun v -> (v :: rest, has_fresh || not (VSet.mem v old_dom)))
-            (List.to_seq dom))
-        (go (k - 1))
-  in
-  Seq.filter_map
-    (fun (vals, has_fresh) -> if has_fresh then Some vals else None)
-    (go k)
-
-(* The body of one deepening step; mutates [t] and returns the data the
-   step record needs. *)
-let advance t =
+(* The body of one deepening step: the new facts go to the session as
+   one batch, then the step is certified.  Only the final assignments
+   publish, so a budget that trips anywhere before them leaves [t.n] and
+   [t.bounds] at the last completed step. *)
+let advance t s =
   let target = Stdlib.min t.max_n (t.growth t.n) in
   let prefix = Fact_source.prefix t.src target in
   let n' = List.length prefix in
-  let facts = List.map fst prefix in
-  let alpha = Lineage.alphabet facts in
-  let delta_facts = List.filteri (fun i _ -> i >= t.n) facts in
-  let old_dom = eval_domain t in
-  let stable =
-    (* Sound to keep the old BDD iff every fact added this step mentions
-       a value the old ground instances could not reach. *)
-    List.for_all
-      (fun f -> List.exists (fun v -> not (VSet.mem v old_dom)) (fact_args f))
-      delta_facts
-  in
-  t.adom <-
-    List.fold_left
-      (fun acc f ->
-        List.fold_left (fun acc v -> VSet.add v acc) acc (fact_args f))
-      t.adom delta_facts;
-  (* A fact naming one of our padding values turns it from inert to live:
-     re-choose the padding (the shape analysis will recompile, since such
-     a fact also fails the stability check). *)
-  if List.exists (fun f -> List.exists (fun v -> VSet.mem v t.padding) (fact_args f))
-       delta_facts
-  then begin
-    let padding, attempt =
-      choose_padding ~avoid:t.adom ~attempt:(t.pad_attempt + 1) t.pad_count
-    in
-    t.padding <- padding;
-    t.pad_attempt <- attempt
-  end;
-  let bdd', incremental =
-    if delta_facts = [] then (t.bdd, true)
-    else
-      match t.shape with
-      | Chain (kind, xs, matrix) when stable ->
-        Stats.incr c_delta;
-        let k = List.length xs in
-        let dom_list = VSet.elements (eval_domain t) in
-        let join =
-          match kind with Ch_exists -> Bdd.disj | Ch_forall -> Bdd.conj
-        in
-        (* Each [of_expr] below is a GC safe point, so the running
-           accumulator must be rooted while the next delta compiles; the
-           pin is transferred join by join and dropped on exit (the
-           session root on [t.bdd] itself stays untouched until the
-           publish point). *)
-        let bdd =
-          let acc = ref t.bdd in
-          Bdd.protect !acc;
-          Fun.protect
-            ~finally:(fun () -> Bdd.release !acc)
-            (fun () ->
-              Seq.iter
-                (fun vals ->
-                  let lin =
-                    Lineage.of_formula alpha (List.combine xs vals) matrix
-                  in
-                  let d = Bdd.of_expr t.mgr lin in
-                  let joined = join t.mgr !acc d in
-                  Bdd.protect joined;
-                  Bdd.release !acc;
-                  acc := joined)
-                (fresh_tuples k dom_list old_dom);
-              !acc)
-        in
-        (bdd, true)
-      | _ ->
-        Stats.incr c_recompile;
-        (compile_full t alpha, false)
-  in
-  let probs = Array.of_list (List.map snd prefix) in
-  let estimate =
-    W.probability
-      ~weight:(fun v -> Prob.Interval_carrier.of_rational probs.(v))
-      bdd'
-  in
+  let kind = S.extend s (List.filteri (fun i _ -> i >= t.n) prefix) in
+  (match kind with
+  | Delta_eval.Extended -> Stats.incr c_delta
+  | Delta_eval.Recompiled -> Stats.incr c_recompile
+  | Delta_eval.Noop | Delta_eval.Patched -> ());
+  let estimate = S.prob s in
   let tail_now = Fact_source.tail_mass t.src n' in
   let best =
     match (t.best_tail, tail_now) with
@@ -369,19 +195,15 @@ let advance t =
       | Some b -> b
       | None -> t.bounds
   in
-  let exhausted = n' < target in
   t.n <- n';
-  (* Publish: move the session's GC root from the old diagram to the new
-     one, then offer the kernel a collection so dead per-step garbage is
-     reclaimed (and refunded) before the next deepening. *)
-  Bdd.protect bdd';
-  Bdd.release t.bdd;
-  t.bdd <- bdd';
-  ignore (Bdd.maybe_gc t.mgr);
-  t.probs <- probs;
   t.best_tail <- best;
   t.bounds <- bounds;
-  (estimate, best, bounds, Bdd.size bdd', incremental, exhausted)
+  ( estimate,
+    best,
+    bounds,
+    S.diagram_size s,
+    kind <> Delta_eval.Recompiled,
+    n' < target )
 
 let step t =
   match t.stopped with
@@ -404,12 +226,12 @@ let step t =
   | None ->
     Stats.incr c_steps;
     let before = Stats.snapshot () in
-    match Stats.time step_timer (fun () -> advance t) with
+    match Stats.time step_timer (fun () -> advance t (Option.get t.session)) with
     | exception Budget.Exhausted e ->
       (* Cooperative cancellation fired inside the step (a source pull,
-         tail probe, or BDD allocation).  The partially advanced state is
-         not published: [t.n], [t.bdd] and [t.bounds] still hold the last
-         completed step, so the session's enclosure remains certified. *)
+         tail probe, or BDD allocation).  Nothing is published: [t.n]
+         and [t.bounds] still hold the last completed step, so the
+         session's enclosure remains certified. *)
       t.stopped <- Some (Interrupted e);
       None
     | estimate, tail, bounds, bdd_size, incremental, exhausted ->
@@ -435,7 +257,7 @@ let step t =
        else if exhausted then Some Exhausted
        else if t.n >= t.max_n then Some Prefix_budget
        else if index >= t.max_steps then Some Step_budget
-       else if Bdd.node_count t.mgr >= t.max_nodes then Some Node_budget
+       else if node_count t >= t.max_nodes then Some Node_budget
        else None);
     Some st
 

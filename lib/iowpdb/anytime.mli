@@ -5,15 +5,17 @@
     [n(eps)] from the tail certificate up front, builds the truncated
     table, and compiles one BDD from scratch — every tighter [eps] redoes
     all the work.  An {!t} session instead deepens the truncation prefix
-    step by step and {e reuses} the knowledge-compilation work between
-    steps:
+    step by step over one certified delta session
+    ({!Delta_eval.Certified}), so the knowledge-compilation work carries
+    over between steps:
 
-    - one shared {!Bdd.manager} lives for the whole session, so unique
+    - the session's one {!Bdd.manager} lives for the whole run, so unique
       table, apply cache and negation cache carry over — recompiling a
       grown lineage hits the caches for every sub-function already built;
-    - the fact alphabet of Proposition 6.1 is extended in place (variable
-      [i] is the [i]-th enumerated fact at every step) under a stable
-      first-use variable order;
+    - each step's new facts enter as one batch
+      ([Delta_eval.Certified.extend]): the fact alphabet of Proposition
+      6.1 is appended to (variable [i] is the [i]-th enumerated fact at
+      every step) under a stable newest-first variable order;
     - for sentences that are a pure quantifier chain over a
       quantifier-free matrix (the common [exists x1...xk. psi] /
       [forall x1...xk. psi] shapes), a step only compiles the {e delta}
@@ -34,9 +36,11 @@
     enclosures bound the {e same} limit probability and intersecting them
     is sound.  The reported interval is that running intersection, hence
     monotonically narrowing.  Queries using the built-in order [Cmp]
-    break the interchangeability of inert values; for them each step's
-    interval is a certificate about that step's truncated semantics only,
-    and no intersection is performed.
+    break the interchangeability of inert values; they are evaluated
+    unpadded over the prefix's active domain, exactly as
+    {!Approx_eval.boolean} evaluates them, each step's interval is a
+    certificate about that step's truncated semantics only, and no
+    intersection is performed.
 
     The session stops as soon as the width is at most [2 * eps], or a
     step / node / prefix budget is hit, or the enumeration is exhausted
@@ -136,10 +140,6 @@ val current_n : t -> int
 val node_count : t -> int
 (** Live nodes in the session's shared manager (allocated and not yet
     garbage-collected). *)
-
-val allocated_nodes : t -> int
-(** Total nodes ever hash-consed in the session's shared manager,
-    including ones the GC has since reclaimed. *)
 
 val bounds : t -> Interval.t
 (** The running certified enclosure of [P(Q)] — [\[0,1\]] before the

@@ -22,58 +22,6 @@ let truncation_point ?max_n src ~eps =
   check_eps eps;
   Fact_source.prefix_for_tail ?max_n src (required_tail eps)
 
-(* The truncation search returns both n and the certified tail bound it
-   observed there; threading the value through (instead of re-asking the
-   certificate afterwards) is what keeps [result.tail_mass] meaningful
-   even for certificates whose answers depend on mutable scan state. *)
-let truncate_or_fail ?max_n src ~eps =
-  check_eps eps;
-  match Fact_source.truncation ?max_n src (required_tail eps) with
-  | Some nt -> nt
-  | None ->
-    if not (Fact_source.converges ?max_n src) then
-      invalid_arg
-        (Printf.sprintf
-           "Approx_eval: source %s diverges; no tuple-independent PDB exists \
-            (Theorem 4.8), nothing to approximate"
-           (Fact_source.name src))
-    else
-      invalid_arg
-        (Printf.sprintf
-           "Approx_eval: source %s converges too slowly: no adequate \
-            truncation below the bound (cf. the closing remark of Section 6)"
-           (Fact_source.name src))
-
-(* The truncated table stands in for the countable limit space, so
-   quantifiers must not be decided on the accidentally small truncated
-   domain: a universal sentence that happens to hold on the prefix's
-   active domain can be false on every deeper truncation.  Padding the
-   evaluation domain with [quantifier_rank phi] inert values — occurring
-   in no fact and distinct from the query's constants — makes each
-   world's truth value stable under further truncation (the r-equivalence
-   device of Proposition 6.1); {!Anytime} applies the same device
-   incrementally.  [Cmp] atoms can distinguish inert values, so those
-   queries are evaluated unpadded (as {!Anytime} also refuses them). *)
-let padding table phi =
-  let rank = Fo.quantifier_rank phi in
-  if rank = 0 || Fo.has_cmp phi then []
-  else begin
-    let avoid =
-      Fo.constants phi
-      @ List.concat_map (fun f -> Fact.args f) (Ti_table.support table)
-    in
-    let rec choose attempt =
-      let cand =
-        List.init rank (fun i ->
-            Value.Str (Printf.sprintf "\x00pad.%d.%d" attempt i))
-      in
-      if List.exists (fun v -> List.exists (Value.equal v) avoid) cand then
-        choose (attempt + 1)
-      else cand
-    in
-    choose 0
-  end
-
 (* P(Omega_n) = prod_{i>=n} (1 - p_i): none of the truncated facts
    occurs.  Lower bound from claim (∗), upper bound trivially 1 minus
    nothing (each factor <= 1). *)
@@ -89,35 +37,25 @@ let enclosure_interval pf om =
 
 let enclosure p om = enclosure_interval (Prob.Interval_carrier.of_rational p) om
 
-let boolean ?max_n src ~eps phi =
-  let n, tail = truncate_or_fail ?max_n src ~eps in
-  let table = Fact_source.truncate src n in
-  (* If the enumeration turned out to end at or before n, the tail is
-     exactly 0 — sharper than whatever the certificate promised, and it
-     keeps nan out of [result] on sources whose certificate cannot answer
-     again after the search. *)
-  let tail =
-    match Fact_source.tail_mass src n with Some t -> Float.min t tail | None -> tail
-  in
-  let p = Query_eval.boolean ~extra_domain:(padding table phi) table phi in
-  let om = omega_bounds_of_tail tail in
-  {
-    estimate = p;
-    eps;
-    n_used = n;
-    tail_mass = tail;
-    omega_n_bounds = om;
-    bounds = enclosure p om;
-  }
+(* The enclosure a certified tail implies before anything is counted:
+   the degraded answer of a run whose budget ran out past the
+   truncation search. *)
+let partial_at tail =
+  Some (enclosure_interval (Interval.make 0.0 1.0) (omega_bounds_of_tail tail))
 
 (* ------------------------------------------------------------------ *)
-(* Result-returning entry points (structured errors, budgets) *)
+(* The certify step: truncate, re-ask the tail, evaluate, enclose *)
 (* ------------------------------------------------------------------ *)
 
 let fact_source_default_max_n = 1 lsl 20 (* = Fact_source's default *)
 
-let truncation_r ?max_n src ~eps =
-  let what = "Approx_eval(" ^ Fact_source.name src ^ ")" in
+let default_what src = "Approx_eval(" ^ Fact_source.name src ^ ")"
+
+(* The truncation search returns both n and the certified tail bound it
+   observed there; threading the value through (instead of re-asking the
+   certificate afterwards) is what keeps [result.tail_mass] meaningful
+   even for certificates whose answers depend on mutable scan state. *)
+let search ?max_n ~what src ~eps =
   match
     Errors.protect ~what (fun () ->
         check_eps eps;
@@ -132,36 +70,86 @@ let truncation_r ?max_n src ~eps =
     if not converged then
       Error
         (Errors.Divergent_source { source = Fact_source.name src; probed_to })
-    else begin
+    else
       (* The certificate exists but never drops below the bound within
          the probe budget: the "series may converge arbitrarily slowly"
          caveat of Section 6.  Recoverable: report the enclosure the
          deepest certified tail still implies. *)
-      let partial =
-        match Fact_source.tail_mass src probed_to with
-        | Some t ->
-          Some
-            (enclosure_interval
-               (Interval.make 0.0 1.0)
-               (omega_bounds_of_tail t))
-        | None | (exception _) -> None
-      in
       Error
         (Errors.Budget_exhausted
            {
              what =
                what
-               ^ ": no adequate truncation below max_n (source converges \
-                  too slowly)";
+               ^ ": tail does not certify eps below max_n (source converges \
+                  too slowly; cf. the closing remark of Section 6)";
              exhaustion = Budget.Cap Budget.Probes;
-             partial;
+             partial =
+               (match Fact_source.tail_mass src probed_to with
+               | Some t -> partial_at t
+               | None | (exception _) -> None);
            })
-    end
 
-let boolean_r ?max_n ?budget ?bdd_cache_size ?bdd_gc_threshold src ~eps phi =
+let truncation_r ?max_n src ~eps =
+  search ?max_n ~what:(default_what src) src ~eps
+
+(* Proposition 6.1 once: find n(eps), materialize the prefix, re-ask the
+   certificate at n, evaluate on the prefix, and hand back the result
+   builder for any estimate counted there.  The re-ask threads the
+   searched value as the fallback: a certificate that can still answer
+   may sharpen the bound (exactly 0 once the enumeration is exhausted at
+   n), one that cannot keeps the searched value instead of nan.  A budget
+   that trips after the search degrades to the enclosure the certified
+   tail implies. *)
+let certify ?max_n ?budget ?what src ~eps eval =
   let src =
     match budget with Some b -> Fact_source.with_budget b src | None -> src
   in
+  let what = Option.value what ~default:(default_what src) in
+  match search ?max_n ~what src ~eps with
+  | Error e -> Error e
+  | Ok (n, searched) -> (
+    match
+      Errors.protect ~what (fun () ->
+          let table = Fact_source.truncate src n in
+          let tail =
+            match Fact_source.tail_mass src n with
+            | Some t -> Float.min t searched
+            | None | (exception Budget.Exhausted _) -> searched
+          in
+          let om = omega_bounds_of_tail tail in
+          let result p =
+            {
+              estimate = p;
+              eps;
+              n_used = n;
+              tail_mass = tail;
+              omega_n_bounds = om;
+              bounds = enclosure p om;
+            }
+          in
+          (eval table, result))
+    with
+    | Error (Errors.Budget_exhausted { what; exhaustion; partial = _ }) ->
+      Error
+        (Errors.Budget_exhausted
+           { what; exhaustion; partial = partial_at searched })
+    | r -> r)
+
+(* The raising entry points report a failed certify step as the
+   [Invalid_argument] they always raised. *)
+let or_invalid_arg = function
+  | Ok v -> v
+  | Error (Errors.Model_invalid { msg; _ }) -> invalid_arg msg
+  | Error (Errors.Divergent_source { source; _ }) ->
+    invalid_arg
+      (Printf.sprintf
+         "Approx_eval: source %s diverges; no tuple-independent PDB exists \
+          (Theorem 4.8), nothing to approximate"
+         source)
+  | Error (Errors.Budget_exhausted { what; _ }) -> invalid_arg what
+  | Error e -> failwith (Errors.to_string e)
+
+let boolean_r ?max_n ?budget ?bdd_cache_size ?bdd_gc_threshold src ~eps phi =
   let tick =
     Option.map (fun b () -> Budget.charge b Budget.Bdd_nodes 1) budget
   in
@@ -171,109 +159,46 @@ let boolean_r ?max_n ?budget ?bdd_cache_size ?bdd_gc_threshold src ~eps phi =
   let on_free =
     Option.map (fun b n -> Budget.refund b Budget.Bdd_nodes n) budget
   in
-  match truncation_r ?max_n src ~eps with
-  | Error e -> Error e
-  | Ok (n, tail) -> (
-    let what = "Approx_eval(" ^ Fact_source.name src ^ ")" in
-    match
-      Errors.protect ~what (fun () ->
-          let table = Fact_source.truncate src n in
-          let tail =
-            match Fact_source.tail_mass src n with
-            | Some t -> Float.min t tail
-            | None | (exception Budget.Exhausted _) -> tail
-          in
-          let p =
-            Query_eval.boolean ~extra_domain:(padding table phi) ?tick
-              ?on_free ?cache_size:bdd_cache_size
-              ?gc_threshold:bdd_gc_threshold table phi
-          in
-          let om = omega_bounds_of_tail tail in
-          {
-            estimate = p;
-            eps;
-            n_used = n;
-            tail_mass = tail;
-            omega_n_bounds = om;
-            bounds = enclosure p om;
-          })
-    with
-    | Ok r -> Ok r
-    | Error (Errors.Budget_exhausted { what; exhaustion; partial = _ }) ->
-      (* The truncation point was certified before the budget ran out, so
-         the trivial conditional enclosure at that tail is still sound —
-         degrade with it instead of dropping to "no answer". *)
-      let partial =
-        Some
-          (enclosure_interval
-             (Interval.make 0.0 1.0)
-             (omega_bounds_of_tail tail))
+  certify ?max_n ?budget src ~eps (fun table ->
+      let extra_domain =
+        Query_eval.choose_padding (Ti_table.support table) [ phi ]
       in
-      Error (Errors.Budget_exhausted { what; exhaustion; partial })
-    | Error e -> Error e)
+      Query_eval.boolean ~extra_domain ?tick ?on_free
+        ?cache_size:bdd_cache_size ?gc_threshold:bdd_gc_threshold table phi)
+  |> Result.map (fun (p, result) -> result p)
 
-(* The lifted fast path: same truncation certificate, but the classical
-   engine is the safe-plan UCQ evaluator instead of lineage + BDD.  No
-   inert padding is needed — the lifted engine only answers for positive
+let boolean ?max_n src ~eps phi = or_invalid_arg (boolean_r ?max_n src ~eps phi)
+
+(* The lifted fast path: same certify step, but the classical engine is
+   the safe-plan UCQ evaluator instead of lineage + BDD.  No inert
+   padding is needed — the lifted engine only answers for positive
    existential UCQs, which cannot distinguish the truncated domain from
    any inert extension, so its answer already is the limit-semantics
    conditional probability.  Plan-rule applications are charged as
    [Steps], the cancellation hook of the robust ladder. *)
 let boolean_lifted_r ?max_n ?budget src ~eps phi =
-  let src =
-    match budget with Some b -> Fact_source.with_budget b src | None -> src
-  in
   let step = Option.map (fun b () -> Budget.charge b Budget.Steps 1) budget in
-  match truncation_r ?max_n src ~eps with
+  let what = "Approx_eval.lifted(" ^ Fact_source.name src ^ ")" in
+  match
+    certify ?max_n ?budget ~what src ~eps (fun table ->
+        Query_eval.boolean_safe ?step table phi)
+  with
+  | Ok (Some p, result) -> Ok (result p)
+  | Ok (None, _) ->
+    (* A query property, not a transient fault: the dichotomy routed
+       this query to the grounded engines. *)
+    Error
+      (Errors.Model_invalid
+         {
+           what;
+           msg =
+             "query has no polynomial-time lifted plan (hard side of the \
+              dichotomy); use a grounded engine";
+         })
   | Error e -> Error e
-  | Ok (n, tail) -> (
-    let what = "Approx_eval.lifted(" ^ Fact_source.name src ^ ")" in
-    match
-      Errors.protect ~what (fun () ->
-          let table = Fact_source.truncate src n in
-          let tail =
-            match Fact_source.tail_mass src n with
-            | Some t -> Float.min t tail
-            | None | (exception Budget.Exhausted _) -> tail
-          in
-          match Query_eval.boolean_safe ?step table phi with
-          | None -> `Unsafe
-          | Some p ->
-            let om = omega_bounds_of_tail tail in
-            `Safe
-              {
-                estimate = p;
-                eps;
-                n_used = n;
-                tail_mass = tail;
-                omega_n_bounds = om;
-                bounds = enclosure p om;
-              })
-    with
-    | Ok (`Safe r) -> Ok r
-    | Ok `Unsafe ->
-      (* A query property, not a transient fault: the dichotomy routed
-         this query to the grounded engines. *)
-      Error
-        (Errors.Model_invalid
-           {
-             what;
-             msg =
-               "query has no polynomial-time lifted plan (hard side of the \
-                dichotomy); use a grounded engine";
-           })
-    | Error (Errors.Budget_exhausted { what; exhaustion; partial = _ }) ->
-      let partial =
-        Some
-          (enclosure_interval
-             (Interval.make 0.0 1.0)
-             (omega_bounds_of_tail tail))
-      in
-      Error (Errors.Budget_exhausted { what; exhaustion; partial })
-    | Error e -> Error e)
 
 let marginals ?max_n src ~eps phi =
-  let n, _ = truncate_or_fail ?max_n src ~eps in
+  let n, _ = or_invalid_arg (truncation_r ?max_n src ~eps) in
   let table = Fact_source.truncate src n in
   Query_eval.marginals table phi
 

@@ -96,8 +96,33 @@ val truncation_r :
   Fact_source.t ->
   eps:float ->
   (int * float, Errors.t) Stdlib.result
-(** The classified truncation search shared by {!boolean_r} and
-    [Completion]'s result-returning entry points. *)
+(** The classified truncation search of {!certify}: the least [n]
+    certifying [eps] with the tail value observed there. *)
+
+val certify :
+  ?max_n:int ->
+  ?budget:Budget.t ->
+  ?what:string ->
+  Fact_source.t ->
+  eps:float ->
+  (Ti_table.t -> 'a) ->
+  ('a * (Rational.t -> result), Errors.t) Stdlib.result
+(** The certify step of Proposition 6.1, shared by every truncation
+    engine ({!boolean_r}, {!boolean_lifted_r}, [Completion],
+    [Robust_eval.query_batch]): run {!truncation_r}, materialize the
+    first [n] facts, re-ask the certificate at [n] (keeping the smaller
+    bound), evaluate the prefix table, and return the evaluation with
+    the {!result} builder for an estimate counted on that prefix.  Under
+    [budget] the source is charged [Facts]/[Probes]; a budget that trips
+    after the search becomes [Budget_exhausted] carrying the enclosure
+    the certified tail implies.  [what] names the caller in error
+    reports (default [Approx_eval(<source name>)]). *)
+
+val or_invalid_arg : ('a, Errors.t) Stdlib.result -> 'a
+(** How the raising entry points ({!boolean}, [Completion.query_prob])
+    report a failed certify step: the [Invalid_argument] they always
+    raised — the bad-[eps] message verbatim, a divergence or
+    slow-convergence explanation otherwise. *)
 
 (** {1 Certification primitives}
 

@@ -87,95 +87,25 @@ let omega_prob_bounds t ~n =
         Rational.one (Fact_source.prefix t.news n)
     in
     let pre = Prob.Interval_carrier.of_rational prefix in
-    let tail_iv =
-      if tail < 0.5 then Interval.make (exp (-1.5 *. tail)) 1.0
-      else Interval.make 0.0 1.0
-    in
-    Interval.clamp01 (Interval.mul pre tail_iv)
+    Interval.clamp01 (Interval.mul pre (Approx_eval.omega_bounds_of_tail tail))
 
-(* Shared core of the approximate query functions: truncation point for
-   the budget, then exact probability of a sentence on the truncated
-   completion via one BDD and per-original-world weighted model counts.
-   Returns the certified tail value observed during the search alongside
-   [n]: certificates may answer each depth only once (mutable scan
-   state), so re-asking afterwards is not an option — the same leak
-   [Approx_eval.boolean] plugs. *)
-let truncation_for_r t ~eps =
-  (* The recoverable form: a tail that never certifies [eps] within the
-     probe bound is a resource exhaustion, not a malformed model — the
-     run still owns a sound (if wide) enclosure from the deepest
-     certified tail, and a supervisor can degrade instead of dying. *)
-  match
-    Errors.protect ~what:"Completion" (fun () ->
-        Fact_source.truncation t.news (Approx_eval.required_tail eps))
-  with
-  | Error e -> Error e
-  | Ok (Some nt) -> Ok nt
-  | Ok None ->
-    let partial =
-      match Fact_source.tail_mass t.news (1 lsl 20) with
-      | Some tl ->
-        Some
-          (Approx_eval.enclosure_interval
-             (Interval.make 0.0 1.0)
-             (Approx_eval.omega_bounds_of_tail tl))
-      | None | (exception _) -> None
-    in
-    Error
-      (Errors.Budget_exhausted
-         {
-           what = "Completion: tail does not certify eps";
-           exhaustion = Budget.Cap Budget.Probes;
-           partial;
-         })
-
-(* The raising wrapper stays for compatibility with existing callers. *)
-let truncation_for t ~eps =
-  match Fact_source.truncation t.news (Approx_eval.required_tail eps) with
-  | Some nt -> nt
-  | None -> invalid_arg "Completion: tail does not certify eps"
-
-(* Same inert-padding device as Approx_eval / Anytime: the truncated
-   completion stands in for the limit space, so quantifiers get
-   [quantifier_rank phi] fresh values that occur in no fact.  Unpadded
-   for [Cmp] queries, which can distinguish inert values. *)
-let padding facts phi =
-  let rank = Fo.quantifier_rank phi in
-  if rank = 0 || Fo.has_cmp phi then []
-  else begin
-    let avoid = Fo.constants phi @ List.concat_map Fact.args facts in
-    let rec choose attempt =
-      let cand =
-        List.init rank (fun i ->
-            Value.Str (Printf.sprintf "\x00pad.%d.%d" attempt i))
-      in
-      if List.exists (fun v -> List.exists (Value.equal v) avoid) cand then
-        choose (attempt + 1)
-      else cand
-    in
-    choose 0
-  end
-
-let sentence_prob_truncated ?tick t ~n phi =
-  let news = Fact_source.prefix t.news n in
+(* Exact probability of a sentence on the truncated completion: one BDD
+   over the combined alphabet, weighted-model-counted under each original
+   world (original facts pinned to 0/1, new facts at their marginals).
+   The truncated completion stands in for the limit space, so the
+   quantifier domain gets the inert padding of Proposition 6.1. *)
+let sentence_prob_truncated ?tick t news phi =
   let new_prob =
     List.fold_left (fun m (f, p) -> Fact.Map.add f p m) Fact.Map.empty news
   in
-  let orig_facts = Finite_pdb.fact_universe t.original in
-  let all_facts = orig_facts @ List.map fst news in
+  let all_facts = Finite_pdb.fact_universe t.original @ List.map fst news in
   let alpha = Lineage.alphabet all_facts in
-  let lin = Lineage.of_sentence ~extra:(padding all_facts phi) alpha phi in
-  let order =
-    let tbl = Hashtbl.create 64 in
-    List.iteri (fun rank v -> Hashtbl.add tbl v rank)
-      (Bool_expr.occurrence_order lin);
-    fun v ->
-      match Hashtbl.find_opt tbl v with
-      | Some r -> r
-      | None -> v + Hashtbl.length tbl
+  let lin =
+    Lineage.of_sentence
+      ~extra:(Query_eval.choose_padding all_facts [ phi ])
+      alpha phi
   in
-  let mgr = Bdd.manager ~order ?tick () in
-  let bdd = Bdd.of_expr mgr lin in
+  let bdd = Wmc.compile ?tick lin in
   let module W = Wmc.Make (Prob.Rational_carrier) in
   List.fold_left
     (fun acc (w, pw) ->
@@ -200,7 +130,7 @@ let evaluation_domain_truncated t ~n phi =
   Fo_eval.evaluation_domain (Instance.of_list facts) phi []
 
 let marginals t ~eps phi =
-  let n, _ = truncation_for t ~eps in
+  let n, _ = Approx_eval.or_invalid_arg (Approx_eval.truncation_r t.news ~eps) in
   let fvs = Fo.free_vars phi in
   let k = List.length fvs in
   if k = 0 then invalid_arg "Completion.marginals: sentence has no free variables"
@@ -218,7 +148,9 @@ let marginals t ~eps phi =
     |> Seq.filter_map (fun vals ->
            let vals = List.rev vals in
            let grounded = Fo.substitute (List.combine fvs vals) phi in
-           let p = sentence_prob_truncated t ~n grounded in
+           let p =
+             sentence_prob_truncated t (Fact_source.prefix t.news n) grounded
+           in
            if Rational.is_zero p then None
            else Some (Array.of_list vals, p))
     |> List.of_seq
@@ -228,88 +160,28 @@ let marginals t ~eps phi =
 let expected_answer_count t ~eps phi =
   Rational.sum (List.map snd (marginals t ~eps phi))
 
-let query_prob t ~eps phi =
-  (* The completed PDB is the independent product of the original worlds
-     with the TI PDB on the new facts.  Evaluate by truncating the new
-     facts to tail mass certifying [eps], compiling the query's lineage
-     ONCE over the combined alphabet, and weighted-model-counting the
-     same BDD under each original world (original facts pinned to 0/1,
-     new facts at their marginals):
+(* The completed PDB is the independent product of the original worlds
+   with the TI PDB on the new facts.  Evaluate by truncating the new facts
+   to tail mass certifying [eps] (the certify step of [Approx_eval]),
+   compiling the query's lineage ONCE over the combined alphabet, and
+   weighted-model-counting the same BDD under each original world:
 
-       P(Q) = sum_w P(w) * WMC_w(lineage)
+     P(Q) = sum_w P(w) * WMC_w(lineage)
 
-     This keeps the cost at (#original worlds) x |BDD| instead of the
-     2^n explicit product. *)
-  let n, tail = truncation_for t ~eps in
-  let p = sentence_prob_truncated t ~n phi in
-  (* One re-ask, threading the searched value as the fallback: a
-     certificate that can still answer may sharpen the bound (exactly 0
-     once the enumeration is exhausted at n), one that cannot no longer
-     defaults the record to nan. *)
-  let tail =
-    match Fact_source.tail_mass t.news n with
-    | Some tl -> Float.min tl tail
-    | None -> tail
-  in
-  let om_n = Approx_eval.omega_bounds_of_tail tail in
-  {
-    Approx_eval.estimate = p;
-    eps;
-    n_used = n;
-    tail_mass = tail;
-    omega_n_bounds = om_n;
-    bounds = Approx_eval.enclosure p om_n;
-  }
-
+   This keeps the cost at (#original worlds) x |BDD| instead of the 2^n
+   explicit product.  Under [budget], tail probes and prefix pulls of the
+   new-fact source are charged as Probes/Facts, fresh BDD nodes as
+   Bdd_nodes; the original [t] is untouched, so its caches keep serving
+   unbudgeted callers. *)
 let query_prob_r ?budget t ~eps phi =
-  (* Budget view: tail probes and prefix pulls of the new-fact source are
-     charged as Probes/Facts, fresh BDD nodes as Bdd_nodes.  The original
-     [t] is untouched — its caches keep serving unbudgeted callers. *)
-  let t =
-    match budget with
-    | Some b -> { t with news = Fact_source.with_budget b t.news }
-    | None -> t
-  in
   let tick =
     Option.map (fun b () -> Budget.charge b Budget.Bdd_nodes 1) budget
   in
-  match truncation_for_r t ~eps with
-  | Error e -> Error e
-  | Ok (n, tail) -> (
-    match
-      Errors.protect ~what:"Completion" (fun () ->
-          let p = sentence_prob_truncated ?tick t ~n phi in
-          let tail =
-            match Fact_source.tail_mass t.news n with
-            | Some tl -> Float.min tl tail
-            | None | (exception Budget.Exhausted _) -> tail
-          in
-          let om_n = Approx_eval.omega_bounds_of_tail tail in
-          {
-            Approx_eval.estimate = p;
-            eps;
-            n_used = n;
-            tail_mass = tail;
-            omega_n_bounds = om_n;
-            bounds = Approx_eval.enclosure p om_n;
-          })
-    with
-    | Ok r -> Ok r
-    | Error (Errors.Budget_exhausted { what; exhaustion; partial = _ }) ->
-      (* The truncation was certified before exhaustion: the trivial
-         conditional enclosure at its tail is still a sound answer. *)
-      Error
-        (Errors.Budget_exhausted
-           {
-             what;
-             exhaustion;
-             partial =
-               Some
-                 (Approx_eval.enclosure_interval
-                    (Interval.make 0.0 1.0)
-                    (Approx_eval.omega_bounds_of_tail tail));
-           })
-    | Error e -> Error e)
+  Approx_eval.certify ?budget ~what:"Completion" t.news ~eps (fun table ->
+      sentence_prob_truncated ?tick t (Ti_table.facts table) phi)
+  |> Result.map (fun (p, result) -> result p)
+
+let query_prob t ~eps phi = Approx_eval.or_invalid_arg (query_prob_r t ~eps phi)
 
 let complete_countable_ti cti news =
   if not (Fact_source.converges news) then

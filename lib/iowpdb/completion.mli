@@ -52,8 +52,11 @@ val query_prob : t -> eps:float -> Fo.t -> Approx_eval.result
 (** Additive [eps]-approximation of a Boolean query on the completed PDB
     (Proposition 6.1 over the product measure: one lineage BDD, weighted
     model counts per original world).
-    @raise Invalid_argument when the tail never certifies [eps] within
-    the probe bound; see {!query_prob_r} for the recoverable form. *)
+    Runs the certify step of {!Approx_eval.certify} on the new-fact
+    source.
+    @raise Invalid_argument when [eps] is outside [(0, 1/2)] or the tail
+    never certifies [eps] within the probe bound; see {!query_prob_r}
+    for the recoverable form. *)
 
 val query_prob_r :
   ?budget:Budget.t ->
@@ -67,11 +70,6 @@ val query_prob_r :
     obtained so far}; malformed completions surface as [Model_invalid].
     When [budget] is given, new-fact accesses are charged as
     [Facts]/[Probes] and BDD allocations as [Bdd_nodes]. *)
-
-val truncation_for_r : t -> eps:float -> (int * float, Errors.t) result
-(** The classified truncation search behind {!query_prob_r}: least [n]
-    certifying [eps] with the observed tail value, or [Budget_exhausted]
-    with the enclosure the deepest certified tail still implies. *)
 
 val complete_r : Finite_pdb.t -> Fact_source.t -> (t, Errors.t) result
 (** {!complete} with classified failures ([Divergent_source] on a

@@ -455,30 +455,14 @@ let compile ~tail_cut ~max_facts = function
 (* Query entry points                                                 *)
 (* ------------------------------------------------------------------ *)
 
-module VSet = Set.Make (Value)
-
 (* The evaluation domain is fixed once per run: adom of the plan's full
-   support plus the query's constants, padded with [quantifier_rank phi]
-   fresh inert values so every sampled world contributes its limit truth
-   value (Proposition 6.1's r-equivalence argument, the same device as
-   [Anytime]).  [Cmp] breaks inert-value interchangeability; such queries
-   are evaluated unpadded, over the truncated-table semantics. *)
+   support plus the query's constants, padded by the shared chooser so
+   every sampled world contributes its limit truth value (Proposition
+   6.1's r-equivalence argument).  [Cmp] queries get no padding and are
+   evaluated over the truncated-table semantics. *)
 let eval_domain_for support phi =
-  let base = Fo_eval.evaluation_domain (Instance.of_list support) phi [] in
-  if Fo.has_cmp phi then base
-  else begin
-    let avoid = VSet.of_list base in
-    let k = Fo.quantifier_rank phi in
-    let rec choose attempt =
-      let cand =
-        List.init k (fun i ->
-            Value.Str (Printf.sprintf "\x00pad.%d.%d" attempt i))
-      in
-      if List.exists (fun v -> VSet.mem v avoid) cand then choose (attempt + 1)
-      else cand
-    in
-    base @ choose 0
-  end
+  Fo_eval.evaluation_domain (Instance.of_list support) phi []
+  @ Query_eval.choose_padding support [ phi ]
 
 let boolean ?budget ?domains ?batch_size ?(tail_cut = ldexp 1.0 (-20))
     ?(max_facts = 4096) ?confidence ~seed ~samples space phi =

@@ -10,6 +10,25 @@
     float answers, exact rational answers, or certified interval
     enclosures. *)
 
+val first_occurrence_order : Bool_expr.t list -> int -> int
+(** The variable order every lineage compiler shares: depth-first first
+    occurrence over the concatenated lineages (see
+    {!Bool_expr.occurrence_order}), variables outside them last.  Pass it
+    as [~order] to {!Bdd.manager}. *)
+
+val compile :
+  ?tick:(unit -> unit) ->
+  ?on_free:(int -> unit) ->
+  ?cache_size:int ->
+  ?gc_threshold:int ->
+  Bool_expr.t ->
+  Bdd.t
+(** Compile one lineage into a fresh manager under
+    {!first_occurrence_order}.  The optional arguments are forwarded to
+    {!Bdd.manager}: [tick] is called per fresh node and may raise to
+    abort a blowing-up compilation; [on_free] refunds nodes reclaimed by
+    GC when [gc_threshold] enables it. *)
+
 module Make (C : Prob.CARRIER) : sig
   val probability : weight:(int -> C.t) -> Bdd.t -> C.t
   (** [weight v] is the marginal probability of variable [v]; it is
@@ -23,11 +42,7 @@ module Make (C : Prob.CARRIER) : sig
     weight:(int -> C.t) ->
     Bool_expr.t ->
     C.t
-  (** Convenience: compile to a fresh BDD, then count.  [tick],
-      [on_free], [cache_size] and [gc_threshold] are forwarded to
-      {!Bdd.manager}: [tick] is called per fresh node and may raise to
-      abort a blowing-up compilation; [on_free] refunds nodes reclaimed
-      by GC when [gc_threshold] enables it. *)
+  (** Convenience: {!compile}, then count. *)
 end
 
 val float_probability : weight:(int -> float) -> Bool_expr.t -> float

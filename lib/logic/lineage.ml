@@ -6,15 +6,19 @@ type alphabet = {
   of_var : Fact.t array;
 }
 
-let alphabet fact_list =
+let extend a fact_list =
   let rec go to_var rev_facts next = function
     | [] -> (to_var, rev_facts)
     | f :: rest ->
       if Fact.Map.mem f to_var then go to_var rev_facts next rest
       else go (Fact.Map.add f next to_var) (f :: rev_facts) (next + 1) rest
   in
-  let to_var, rev_facts = go Fact.Map.empty [] 0 fact_list in
-  { to_var; of_var = Array.of_list (List.rev rev_facts) }
+  let to_var, rev_facts = go a.to_var [] (Array.length a.of_var) fact_list in
+  let added = Array.of_list (List.rev rev_facts) in
+  { to_var; of_var = Array.append a.of_var added }
+
+let alphabet fact_list =
+  extend { to_var = Fact.Map.empty; of_var = [||] } fact_list
 
 let alphabet_size a = Array.length a.of_var
 let facts a = Array.to_list a.of_var

@@ -15,6 +15,11 @@ val alphabet : Fact.t list -> alphabet
 (** Duplicates are collapsed; variable indices are assigned in list
     order (first occurrence). *)
 
+val extend : alphabet -> Fact.t list -> alphabet
+(** Append the facts not yet in the alphabet, keeping every existing
+    index: [extend (alphabet l) l' = alphabet (l @ l')].  Incremental
+    sessions grow their alphabet this way instead of rebuilding it. *)
+
 val alphabet_size : alphabet -> int
 val facts : alphabet -> Fact.t list
 val var_of_fact : alphabet -> Fact.t -> int option

@@ -267,6 +267,36 @@ let run_case ?(engines = all_engines) ?(mc_samples = 1500)
     if Rational.equal expected got then None
     else Some (Printf.sprintf "%s: expected %s, got %s" what (rs expected) (rs got))
   in
+  (* The anytime session's final enclosure.  For a [Cmp]-free query it
+     must bound the limit truth ([limit_ok]); a [Cmp] query is evaluated
+     unpadded,
+     so its last step certifies the truncated semantics at the session's
+     final depth: the step estimate must contain the oracle's exact
+     prefix-conditional probability there, and the bounds must meet the
+     oracle's enclosure. *)
+  let anytime_check src limit_ok =
+    let s = Anytime.create ~eps:eps_fine src phi in
+    let _ = Anytime.run s in
+    let iv = Anytime.bounds s in
+    if cmp_free then limit_ok iv
+    else begin
+      let n = Anytime.current_n s in
+      let e =
+        Oracle.enclosure ~semantics:Truncated (Oracle.of_fact_source src ~n) phi
+      in
+      match Anytime.last_step s with
+      | Some st when not (contains_iv st.Anytime.estimate e.Oracle.cond) ->
+        Some
+          (Printf.sprintf "anytime estimate %s misses truncated %s at n=%d"
+             (ivs st.Anytime.estimate) (rs e.Oracle.cond) n)
+      | _ when not (overlaps_iv iv e) ->
+        Some
+          (Printf.sprintf
+             "anytime bounds %s disjoint from truncated enclosure %s at n=%d"
+             (ivs iv) (encs e) n)
+      | _ -> None
+    end
+  in
   (match case.kind with
   | K_ti ->
     let u = lazy (Oracle.of_ti_table case.table) in
@@ -476,16 +506,14 @@ let run_case ?(engines = all_engines) ?(mc_samples = 1500)
             (Printf.sprintf "bounds %s miss exact %s"
                (ivs r.Approx_eval.bounds)
                (rs (Lazy.force truth_lim))));
+    check "anytime.bounds" (fun () ->
+        anytime_check (Lazy.force src) (fun iv ->
+            if contains_iv iv (Lazy.force truth_lim) then None
+            else
+              Some
+                (Printf.sprintf "anytime bounds %s miss exact %s" (ivs iv)
+                   (rs (Lazy.force truth_lim)))));
     if cmp_free then begin
-      check "anytime.bounds" (fun () ->
-          let s = Anytime.create ~eps:eps_fine (Lazy.force src) phi in
-          let _ = Anytime.run s in
-          let iv = Anytime.bounds s in
-          if contains_iv iv (Lazy.force truth_lim) then None
-          else
-            Some
-              (Printf.sprintf "anytime bounds %s miss exact %s" (ivs iv)
-                 (rs (Lazy.force truth_lim))));
       check "mc.bounds" (fun () ->
           let space = Mc_eval.Ti (Countable_ti.create (Lazy.force src)) in
           let r =
@@ -650,24 +678,21 @@ let run_case ?(engines = all_engines) ?(mc_samples = 1500)
             (Printf.sprintf "approx bounds %s and %s are disjoint"
                (ivs r1.Approx_eval.bounds) (ivs r2.Approx_eval.bounds))
         else None);
+    let deep_enclosure =
+      lazy
+        (let r = approx eps_fine in
+         Oracle.enclosure ~semantics:Limit (oracle_at r.Approx_eval.n_used) phi)
+    in
+    check "anytime.bounds" (fun () ->
+        anytime_check (Lazy.force src) (fun iv ->
+            let e = Lazy.force deep_enclosure in
+            if overlaps_iv iv e then None
+            else
+              Some
+                (Printf.sprintf
+                   "anytime bounds %s disjoint from oracle enclosure %s"
+                   (ivs iv) (encs e))));
     if cmp_free then begin
-      let deep_enclosure =
-        lazy
-          (let r = approx eps_fine in
-           Oracle.enclosure ~semantics:Limit (oracle_at r.Approx_eval.n_used)
-             phi)
-      in
-      check "anytime.bounds" (fun () ->
-          let s = Anytime.create ~eps:eps_fine (Lazy.force src) phi in
-          let _ = Anytime.run s in
-          let iv = Anytime.bounds s in
-          let e = Lazy.force deep_enclosure in
-          if overlaps_iv iv e then None
-          else
-            Some
-              (Printf.sprintf
-                 "anytime bounds %s disjoint from oracle enclosure %s" (ivs iv)
-                 (encs e)));
       check "mc.bounds" (fun () ->
           let space = Mc_eval.Ti (Countable_ti.create (Lazy.force src)) in
           let r =

@@ -42,38 +42,14 @@ module FactH = Hashtbl.Make (struct
   let hash = Fact.hash
 end)
 
-(* Once-per-batch inert padding at the maximum quantifier rank over the
-   padded members: k >= quantifier_rank phi inert values decide phi
-   exactly as quantifier_rank phi do (r-equivalence, Proposition 6.1),
-   so one padding serves every non-[Cmp] member.  The candidate values
-   live in their own "\x01batch.pad" namespace and retry on collision
-   with any support value, member constant, or caller-supplied extra. *)
+(* Once-per-batch inert padding: the shared chooser at the maximum rank
+   over the members, which serves every non-[Cmp] member (k >= rank inert
+   values decide a sentence exactly as rank of them do).  It also dodges
+   the caller-supplied extra values. *)
 let padding ?(extra = []) table queries =
-  let rank =
-    Array.fold_left
-      (fun acc phi ->
-        if Fo.has_cmp phi then acc
-        else Stdlib.max acc (Fo.quantifier_rank phi))
-      0 queries
-  in
-  if rank = 0 then []
-  else begin
-    let avoid =
-      extra
-      @ List.concat_map (fun f -> Fact.args f) (Ti_table.support table)
-      @ List.concat_map Fo.constants (Array.to_list queries)
-    in
-    let rec choose attempt =
-      let cand =
-        List.init rank (fun i ->
-            Value.Str (Printf.sprintf "\x01batch.pad.%d.%d" attempt i))
-      in
-      if List.exists (fun v -> List.exists (Value.equal v) avoid) cand then
-        choose (attempt + 1)
-      else cand
-    in
-    choose 0
-  end
+  Query_eval.choose_padding
+    ~avoid:(fun v -> List.exists (Value.equal v) extra)
+    (Ti_table.support table) (Array.to_list queries)
 
 module Make (C : Prob.CARRIER) = struct
   let batch ?(extra_domain = []) ?tick ?on_free ?cache_size ?gc_threshold
@@ -159,23 +135,7 @@ module Make (C : Prob.CARRIER) = struct
               Lineage.of_sentence ~extra a q)
             mine
         in
-        (* First-occurrence variable order over the shard's concatenated
-           lineages (the batch generalisation of Wmc.probability_expr's
-           per-query order). *)
-        let tbl = Hashtbl.create 64 in
-        Array.iter
-          (fun e ->
-            List.iter
-              (fun v ->
-                if not (Hashtbl.mem tbl v) then
-                  Hashtbl.add tbl v (Hashtbl.length tbl))
-              (Bool_expr.occurrence_order e))
-          exprs;
-        let order v =
-          match Hashtbl.find_opt tbl v with
-          | Some r -> r
-          | None -> v + Hashtbl.length tbl
-        in
+        let order = Wmc.first_occurrence_order (Array.to_list exprs) in
         let m = Bdd.manager ~order ?tick ?on_free ?cache_size ?gc_threshold () in
         (* Every compiled root is protected before the next member
            compiles, so a gc_threshold-triggered sweep at an of_expr

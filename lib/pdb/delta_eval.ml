@@ -83,10 +83,10 @@ let c_fold_nodes = Stats.counter "delta.wmc.nodes_recomputed"
 
 (* -------------------- shape analysis --------------------
 
-   Same quantifier-chain analysis as the anytime session: a sentence
-   [Q x1 ... xk. matrix] with a quantifier-free matrix and distinct
-   bound names can absorb a fact with a fresh constant by joining the
-   lineage of only the fresh ground instances onto the root. *)
+   A sentence [Q x1 ... xk. matrix] with a quantifier-free matrix and
+   distinct bound names (shadowed names would make the tuple/binding
+   correspondence ambiguous) can absorb facts with fresh constants by
+   joining the lineage of only the fresh ground instances onto the root. *)
 
 type chain_kind = Ch_exists | Ch_forall
 
@@ -113,20 +113,11 @@ let shape_of phi =
   | Fo.Forall _ -> chain Ch_forall
   | _ -> if Fo.is_quantifier_free phi then Chain (Ch_exists, [], phi) else Opaque
 
-(* Inert padding values under a name no dataset uses; collisions with
-   incoming facts are still detected and resolved by re-choosing (the
-   namespace differs from Anytime's so stacked sessions never share
-   padding identities). *)
-let rec choose_padding ~avoid ~attempt k =
-  let cand =
-    List.init k (fun i ->
-        Value.Str (Printf.sprintf "\x01delta.pad.%d.%d" attempt i))
-  in
-  if List.exists (fun v -> VSet.mem v avoid) cand then
-    choose_padding ~avoid ~attempt:(attempt + 1) k
-  else (VSet.of_list cand, attempt)
-
-let fact_args f = Fact.args f
+(* The session's padding over a grow-only domain: every value that ever
+   occurred is avoided, so a fact that turns a padding value live moves
+   the padding to the next free attempt. *)
+let padding_avoiding adom phi =
+  Query_eval.choose_padding ~avoid:(fun v -> VSet.mem v adom) [] [ phi ]
 
 (* All k-tuples over [dom] using at least one value outside [old_dom] —
    the ground instances the previous diagram could not mention. *)
@@ -148,7 +139,7 @@ let fresh_tuples k dom old_dom =
 let adom_union acc facts =
   List.fold_left
     (fun acc f ->
-      List.fold_left (fun acc v -> VSet.add v acc) acc (fact_args f))
+      List.fold_left (fun acc v -> VSet.add v acc) acc (Fact.args f))
     acc facts
 
 (* -------------------- TI sessions -------------------- *)
@@ -158,18 +149,15 @@ module Make (C : Prob.CARRIER) = struct
     phi : Fo.t;
     shape : shape;
     cmp_free : bool;
-    pad_count : int;
     tail : float;
     mgr : Bdd.manager;
     memo : C.t Bdd.prob_memo;
     gc_ran : bool ref;  (* set by the manager's on_free hook *)
     mutable tbl : Ti_table.t;
-    mutable afacts_rev : Fact.t list;  (* alphabet facts, newest first *)
     mutable alpha : Lineage.alphabet;
     mutable weights : C.t array;  (* variable -> current marginal *)
     mutable adom : VSet.t;  (* constants ∪ values ever seen (grow-only) *)
-    mutable padding : VSet.t;
-    mutable pad_attempt : int;
+    mutable padding : Value.t list;
     mutable bdd : Bdd.t;  (* the session root, always protected *)
     mutable dirty : ISet.t;  (* weight-patched vars since last fold *)
     mutable memo_valid : bool;  (* false after a variable rebind *)
@@ -177,16 +165,14 @@ module Make (C : Prob.CARRIER) = struct
     mutable epoch : int;
   }
 
-  let weight_of p = C.of_rational p
+  (* Marginals of the alphabet's variables from [first] on. *)
+  let weights_of ?(first = 0) tbl alpha =
+    Array.init (Lineage.alphabet_size alpha - first) (fun i ->
+        let f = Lineage.fact_of_var alpha (first + i) in
+        C.of_rational (Ti_table.prob tbl f))
 
-  let compile_full t =
-    Bdd.of_expr t.mgr
-      (Lineage.of_sentence ~extra:(VSet.elements t.padding) t.alpha t.phi)
-
-  let rebuild_weights t =
-    t.weights <-
-      Array.init (Lineage.alphabet_size t.alpha) (fun v ->
-          weight_of (Ti_table.prob t.tbl (Lineage.fact_of_var t.alpha v)))
+  let compile_full t alpha padding =
+    Bdd.of_expr t.mgr (Lineage.of_sentence ~extra:padding alpha t.phi)
 
   (* Publish a new root: protect-then-release keeps a GC between the two
      from sweeping the incoming diagram. *)
@@ -198,7 +184,8 @@ module Make (C : Prob.CARRIER) = struct
     end;
     ignore (Bdd.maybe_gc t.mgr)
 
-  let create ?(tail = 0.0) ?cache_size ?(gc_threshold = 1 lsl 16) tbl phi =
+  let create ?(tail = 0.0) ?tick ?on_free ?cache_size
+      ?(gc_threshold = 1 lsl 16) tbl phi =
     if Fo.free_vars phi <> [] then
       invalid_arg "Delta_eval: query must be a sentence";
     if not (tail >= 0.0 && tail < 1.0) then
@@ -210,34 +197,29 @@ module Make (C : Prob.CARRIER) = struct
     let mgr =
       Bdd.manager
         ~order:(fun v -> -v)
-        ~on_free:(fun n -> if n > 0 then gc_ran := true)
+        ?tick
+        ~on_free:(fun n ->
+          if n > 0 then gc_ran := true;
+          Option.iter (fun f -> f n) on_free)
         ?cache_size ~gc_threshold ()
     in
-    let cmp_free = not (Fo.has_cmp phi) in
     let facts = Ti_table.support tbl in
     let adom = adom_union (VSet.of_list (Fo.constants phi)) facts in
-    let pad_count = if cmp_free then Fo.quantifier_rank phi else 0 in
-    let padding, pad_attempt =
-      if pad_count = 0 then (VSet.empty, 0)
-      else choose_padding ~avoid:adom ~attempt:0 pad_count
-    in
+    let alpha = Lineage.alphabet facts in
     let t =
       {
         phi;
         shape = shape_of phi;
-        cmp_free;
-        pad_count;
+        cmp_free = not (Fo.has_cmp phi);
         tail;
         mgr;
         memo = Bdd.prob_memo ();
         gc_ran;
         tbl;
-        afacts_rev = List.rev facts;
-        alpha = Lineage.alphabet facts;
-        weights = [||];
+        alpha;
+        weights = weights_of tbl alpha;
         adom;
-        padding;
-        pad_attempt;
+        padding = padding_avoiding adom phi;
         bdd = Bdd.fls mgr;
         dirty = ISet.empty;
         memo_valid = true;
@@ -245,8 +227,7 @@ module Make (C : Prob.CARRIER) = struct
         epoch = 0;
       }
     in
-    rebuild_weights t;
-    let bdd = compile_full t in
+    let bdd = compile_full t t.alpha t.padding in
     Bdd.protect bdd;
     t.bdd <- bdd;
     t
@@ -255,103 +236,105 @@ module Make (C : Prob.CARRIER) = struct
   let table t = t.tbl
   let tail t = t.tail
   let epoch t = t.epoch
-  let padding t = VSet.elements t.padding
+  let padding t = t.padding
   let inverse t d = inverse_of t.tbl d
   let live_nodes t = Bdd.node_count t.mgr
   let diagram_size t = Bdd.size t.bdd
 
   let patch t v target =
-    t.weights.(v) <- weight_of target;
+    t.weights.(v) <- C.of_rational target;
     t.dirty <- ISet.add v t.dirty;
     Stats.incr c_patched;
     Patched
 
-  let recompile t =
-    (* Surviving node indices keep their memoized counts (weights of
-       existing variables are untouched on this path); a GC triggered by
-       the compilation itself is caught by [gc_ran] at the next fold. *)
-    set_root t (compile_full t);
-    Stats.incr c_recompiled;
-    Recompiled
+  (* Every [of_expr] is a GC safe point, so the running accumulator is
+     pinned join by join; the session root on [t.bdd] stays protected
+     until the publish. *)
+  let delta_join t alpha kind xs matrix dom old_dom =
+    let join = match kind with Ch_exists -> Bdd.disj | Ch_forall -> Bdd.conj in
+    let acc = ref t.bdd in
+    Bdd.protect !acc;
+    Fun.protect
+      ~finally:(fun () -> Bdd.release !acc)
+      (fun () ->
+        Seq.iter
+          (fun vals ->
+            let lin = Lineage.of_formula alpha (List.combine xs vals) matrix in
+            let joined = join t.mgr !acc (Bdd.of_expr t.mgr lin) in
+            Bdd.protect joined;
+            Bdd.release !acc;
+            acc := joined)
+          (fresh_tuples (List.length xs) (VSet.elements dom) old_dom);
+        !acc)
 
-  let delta_join t kind xs matrix old_dom =
-    let k = List.length xs in
-    let dom_list = VSet.elements (VSet.union t.adom t.padding) in
-    let join =
-      match kind with Ch_exists -> Bdd.disj | Ch_forall -> Bdd.conj
+  (* Facts outside the alphabet entering [tbl] at positive marginals, as
+     one delta: the alphabet is appended to, and a whole batch costs one
+     delta-join.  Keeping the old diagram is sound iff every new fact
+     names a value outside the old domain (adom ∪ padding); otherwise a
+     ground atom the old diagram compiled to [False] would now name an
+     alphabet variable, and only a recompile in the warm manager can
+     revive it.  A fact that turns a padding value live also recompiles,
+     under a re-chosen padding.  Either way surviving node indices keep
+     their memoized counts (weights of existing variables are untouched
+     here); a GC triggered by the compilation is caught by [gc_ran] at the
+     next fold.  Everything is built before anything is published, so a
+     [tick] that raises leaves the session untouched. *)
+  let absorb t tbl facts =
+    let old_dom = VSet.union t.adom (VSet.of_list t.padding) in
+    let alpha = Lineage.extend t.alpha facts in
+    let adom = adom_union t.adom facts in
+    let repad =
+      List.exists
+        (fun f ->
+          List.exists
+            (fun v -> List.exists (Value.equal v) t.padding)
+            (Fact.args f))
+        facts
     in
-    (* Every [of_expr] is a GC safe point, so the running accumulator is
-       pinned join by join; the session root on [t.bdd] stays protected
-       until the publish. *)
-    let bdd =
-      let acc = ref t.bdd in
-      Bdd.protect !acc;
-      Fun.protect
-        ~finally:(fun () -> Bdd.release !acc)
-        (fun () ->
-          Seq.iter
-            (fun vals ->
-              let lin =
-                Lineage.of_formula t.alpha (List.combine xs vals) matrix
-              in
-              let d = Bdd.of_expr t.mgr lin in
-              let joined = join t.mgr !acc d in
-              Bdd.protect joined;
-              Bdd.release !acc;
-              acc := joined)
-            (fresh_tuples k dom_list old_dom);
-          !acc)
-    in
-    set_root t bdd;
-    Stats.incr c_extended;
-    Extended
-
-  (* A fact outside the alphabet, being set to a positive marginal. *)
-  let absorb_new_atom t f =
-    let args = fact_args f in
-    let touches_padding = List.exists (fun v -> VSet.mem v t.padding) args in
-    let fresh = List.exists (fun v -> not (VSet.mem v t.adom)) args in
-    let old_dom = VSet.union t.adom t.padding in
-    t.afacts_rev <- f :: t.afacts_rev;
-    t.alpha <- Lineage.alphabet (List.rev t.afacts_rev);
-    t.adom <- adom_union t.adom [ f ];
-    let v =
-      match Lineage.var_of_fact t.alpha f with
-      | Some v -> v
-      | None -> assert false
-    in
-    t.weights <- Array.append t.weights [| C.zero |];
-    t.weights.(v) <- weight_of (Ti_table.prob t.tbl f);
-    if touches_padding then begin
-      (* The fact turns a padding value live: re-choose and recompile. *)
-      let padding, attempt =
-        choose_padding ~avoid:t.adom ~attempt:(t.pad_attempt + 1) t.pad_count
-      in
-      t.padding <- padding;
-      t.pad_attempt <- attempt;
-      recompile t
-    end
-    else if not fresh then
-      (* All its values were already in the domain, so the old diagram
-         compiled this ground atom to False: only a recompile (in the
-         warm manager) can revive it. *)
-      recompile t
-    else
+    let padding = if repad then padding_avoiding adom t.phi else t.padding in
+    let kind, bdd =
       match t.shape with
-      | Chain (kind, xs, matrix) -> delta_join t kind xs matrix old_dom
-      | Opaque -> recompile t
+      | Chain (kind, xs, matrix)
+        when (not repad)
+             && List.for_all
+                  (fun f ->
+                    List.exists
+                      (fun v -> not (VSet.mem v old_dom))
+                      (Fact.args f))
+                  facts ->
+        let dom = VSet.union adom (VSet.of_list padding) in
+        (Extended, delta_join t alpha kind xs matrix dom old_dom)
+      | _ -> (Recompiled, compile_full t alpha padding)
+    in
+    let first = Array.length t.weights in
+    t.weights <- Array.append t.weights (weights_of ~first tbl alpha);
+    t.alpha <- alpha;
+    t.adom <- adom;
+    t.padding <- padding;
+    set_root t bdd;
+    Stats.incr (if kind = Extended then c_extended else c_recompiled);
+    kind
 
   (* Comparison queries carry no padding and an exact active domain: any
      support change rebinds the alphabet and recompiles. *)
-  let rebuild_exact t =
-    let facts = Ti_table.support t.tbl in
-    t.afacts_rev <- List.rev facts;
-    t.alpha <- Lineage.alphabet facts;
+  let rebuild_exact t tbl =
+    let facts = Ti_table.support tbl in
+    let alpha = Lineage.alphabet facts in
+    let bdd = compile_full t alpha [] in
+    t.alpha <- alpha;
     t.adom <- adom_union (VSet.of_list (Fo.constants t.phi)) facts;
-    rebuild_weights t;
+    t.weights <- weights_of tbl alpha;
     t.memo_valid <- false;
     t.dirty <- ISet.empty;
-    recompile t
+    set_root t bdd;
+    Stats.incr c_recompiled;
+    Recompiled
+
+  let publish t tbl kind =
+    t.tbl <- tbl;
+    t.epoch <- t.epoch + 1;
+    t.cached <- None;
+    kind
 
   let apply t d =
     let f = delta_fact d in
@@ -362,24 +345,58 @@ module Make (C : Prob.CARRIER) = struct
       Noop
     end
     else begin
-      t.tbl <-
-        (if Rational.is_zero target then Ti_table.remove t.tbl f
-         else Ti_table.add t.tbl f target);
-      t.epoch <- t.epoch + 1;
-      t.cached <- None;
-      if t.cmp_free then
-        match Lineage.var_of_fact t.alpha f with
-        | Some v -> patch t v target
-        | None ->
+      let tbl =
+        if Rational.is_zero target then Ti_table.remove t.tbl f
+        else Ti_table.add t.tbl f target
+      in
+      (* Comparison queries patch only reweights of present facts; for
+         the others the alphabet is grow-only. *)
+      let patchable =
+        t.cmp_free || not (Rational.is_zero before || Rational.is_zero target)
+      in
+      publish t tbl
+        (match Lineage.var_of_fact t.alpha f with
+        | Some v when patchable -> patch t v target
+        | None when t.cmp_free ->
           (* [before = 0 <> target] here, so this is a genuine insert. *)
-          absorb_new_atom t f
-      else if
-        (not (Rational.is_zero before)) && not (Rational.is_zero target)
-      then
-        match Lineage.var_of_fact t.alpha f with
-        | Some v -> patch t v target
-        | None -> assert false (* present fact, exact alphabet *)
-      else rebuild_exact t
+          absorb t tbl [ f ]
+        | _ -> rebuild_exact t tbl)
+    end
+
+  let extend t entries =
+    List.iter
+      (fun (f, _) ->
+        if Ti_table.mem t.tbl f then
+          invalid_arg
+            ("Delta_eval.extend: " ^ Fact.to_string f ^ " is already present"))
+      entries;
+    if entries = [] then begin
+      Stats.incr c_noop;
+      Noop
+    end
+    else begin
+      let tbl =
+        List.fold_left
+          (fun tbl (f, p) -> Ti_table.add tbl f (check_target (Insert (f, p))))
+          t.tbl entries
+      in
+      let known, fresh =
+        List.partition
+          (fun (f, _) -> Lineage.var_of_fact t.alpha f <> None)
+          entries
+      in
+      publish t tbl
+        (if not t.cmp_free then rebuild_exact t tbl
+         else begin
+           let kind =
+             if fresh = [] then Patched else absorb t tbl (List.map fst fresh)
+           in
+           List.iter
+             (fun (f, p) ->
+               ignore (patch t (Option.get (Lineage.var_of_fact t.alpha f)) p))
+             known;
+           kind
+         end)
     end
 
   let prob t =
@@ -423,12 +440,10 @@ module Bid = struct
   type t = {
     phi : Fo.t;
     cmp_free : bool;
-    pad_count : int;
     tail : float;
     mutable tbl : Bid_table.t;
     mutable adom : VSet.t;  (* grow-only for cmp-free queries *)
-    mutable padding : VSet.t;
-    mutable pad_attempt : int;
+    mutable padding : Value.t list;
     mutable cached : Rational.t option;
     mutable epoch : int;
   }
@@ -442,20 +457,13 @@ module Bid = struct
     let adom =
       adom_union (VSet.of_list (Fo.constants phi)) (Bid_table.support tbl)
     in
-    let pad_count = if cmp_free then Fo.quantifier_rank phi else 0 in
-    let padding, pad_attempt =
-      if pad_count = 0 then (VSet.empty, 0)
-      else choose_padding ~avoid:adom ~attempt:0 pad_count
-    in
     {
       phi;
       cmp_free;
-      pad_count;
       tail;
       tbl;
       adom;
-      padding;
-      pad_attempt;
+      padding = padding_avoiding adom phi;
       cached = None;
       epoch = 0;
     }
@@ -464,7 +472,7 @@ module Bid = struct
   let table t = t.tbl
   let tail t = t.tail
   let epoch t = t.epoch
-  let padding t = VSet.elements t.padding
+  let padding t = t.padding
 
   (* Rebuild the block list with [fact]'s marginal set to [p] inside
      [block]; [None] rejections carry the reason. *)
@@ -523,14 +531,8 @@ module Bid = struct
     t.cached <- None;
     if t.cmp_free then begin
       t.adom <- adom_union t.adom (Bid_table.support tbl);
-      if not (VSet.is_empty (VSet.inter t.adom t.padding)) then begin
-        let padding, attempt =
-          choose_padding ~avoid:t.adom ~attempt:(t.pad_attempt + 1)
-            t.pad_count
-        in
-        t.padding <- padding;
-        t.pad_attempt <- attempt
-      end
+      if List.exists (fun v -> VSet.mem v t.adom) t.padding then
+        t.padding <- padding_avoiding t.adom t.phi
     end
     else
       t.adom <-
@@ -566,28 +568,13 @@ module Bid = struct
     | Some p -> p
     | None ->
       let domain =
-        if t.cmp_free then VSet.elements (VSet.union t.adom t.padding)
+        if t.cmp_free then VSet.elements t.adom @ t.padding
         else
           Fo_eval.evaluation_domain
             (Instance.of_list (Bid_table.support t.tbl))
             t.phi []
       in
-      let p =
-        Seq.fold_left
-          (fun acc (inst, w) ->
-            let extra =
-              List.filter
-                (fun v ->
-                  not
-                    (List.exists (Value.equal v)
-                       (Instance.active_domain inst)))
-                domain
-            in
-            if Fo_eval.models ~extra_domain:extra inst t.phi then
-              Rational.add acc w
-            else acc)
-          Rational.zero (Bid_table.worlds t.tbl)
-      in
+      let p = Query_eval.world_sum ~domain (Bid_table.worlds t.tbl) t.phi in
       t.cached <- Some p;
       p
 end

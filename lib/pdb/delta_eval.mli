@@ -15,7 +15,7 @@
     re-runs the carrier arithmetic on the slice of the DAG that can see
     a changed variable.  A genuinely new atom extends the diagram: by a
     delta-join at the root when the query is a quantifier chain and the
-    fact brings a fresh constant (the {!Anytime} device), and by a
+    fact brings a fresh constant (batched by {!Make.extend}), and by a
     recompilation in the shared warm manager otherwise.
 
     {b Domain semantics.}  For comparison-free queries the evaluation
@@ -81,6 +81,8 @@ module Make (C : Prob.CARRIER) : sig
 
   val create :
     ?tail:float ->
+    ?tick:(unit -> unit) ->
+    ?on_free:(int -> unit) ->
     ?cache_size:int ->
     ?gc_threshold:int ->
     Ti_table.t ->
@@ -90,7 +92,10 @@ module Make (C : Prob.CARRIER) : sig
       a private manager (newest-first variable order, so later inserts
       extend the diagram at the top).  [tail] is the certified tail
       mass of the truncation this table came from (default [0.], the
-      closed-world reading).
+      closed-world reading).  [tick], [on_free], [cache_size] and
+      [gc_threshold] go to the session's {!Bdd.manager}: a budget's
+      [Bdd_nodes] hooks, under which a [tick] that raises aborts the
+      compilation in progress without publishing any of it.
       @raise Invalid_argument if [phi] has free variables or [tail] is
       outside [\[0,1)]. *)
 
@@ -110,6 +115,16 @@ module Make (C : Prob.CARRIER) : sig
   val apply : t -> delta -> apply_kind
   (** Mutate the table and patch the diagram.
       @raise Invalid_argument on a marginal outside [\[0,1\]]. *)
+
+  val extend : t -> (Fact.t * Rational.t) list -> apply_kind
+  (** Insert a batch of facts absent from the table as one delta — the
+      prefix extension of an anytime session.  New atoms append to the
+      alphabet and the whole batch costs one delta-join ([Extended])
+      when the query is a quantifier chain and every new fact names a
+      fresh value, one recompilation ([Recompiled]) otherwise; [Noop] on
+      an empty batch.  Nothing is published if a [tick] raises.
+      @raise Invalid_argument if a fact is already present or a
+      marginal lies outside [\[0,1\]]. *)
 
   val inverse : t -> delta -> delta
   (** [inverse_of (table t) d]. *)

@@ -66,19 +66,61 @@ module Exact = Make (Prob.Rational_carrier)
 module Fast = Make (Prob.Float_carrier)
 module Certified = Make (Prob.Interval_carrier)
 
-let boolean_enum ti phi =
-  require_sentence phi;
-  let domain = eval_domain_ti ti phi in
+(* The reference world sum every enumeration engine shares: P(phi) is
+   the mass of the worlds that model phi, each world evaluated over the
+   same fixed [domain] (not over its own active domain), so all engines
+   share one semantics. *)
+let world_sum ~domain worlds phi =
   Seq.fold_left
     (fun acc (inst, p) ->
-      (* Evaluate against the fixed domain, not adom(world), so all
-         engines share one semantics. *)
-      let extra = List.filter (fun v ->
-          not (List.exists (Value.equal v) (Instance.active_domain inst))) domain
+      let adom = Instance.active_domain inst in
+      let extra =
+        List.filter (fun v -> not (List.exists (Value.equal v) adom)) domain
       in
       if Fo_eval.models ~extra_domain:extra inst phi then Rational.add acc p
       else acc)
-    Rational.zero (Ti_table.worlds ti)
+    Rational.zero worlds
+
+let boolean_enum ti phi =
+  require_sentence phi;
+  world_sum ~domain:(eval_domain_ti ti phi) (Ti_table.worlds ti) phi
+
+(* Proposition 6.1's r-equivalence device, shared by every engine that
+   evaluates a truncation as a stand-in for the countable limit space:
+   pad the quantifier domain with [quantifier_rank] values that occur in
+   no fact and differ from every query constant.  Quantifiers must not be
+   decided on the accidentally small truncated domain (a universal
+   sentence that holds on the prefix's active domain can be false on
+   every deeper truncation); with the padding, a world supported in the
+   truncation has the truth value it keeps on every deeper truncation,
+   and k >= rank inert values decide a sentence exactly as
+   rank of them do, so one padding at the maximum rank serves a whole
+   batch.  [Cmp] atoms can tell inert values apart, so [Cmp] queries
+   demand no padding.  A candidate set that meets a fact argument, a
+   query constant or [avoid] is re-chosen under the next attempt
+   number; sessions whose domain grows re-choose the same way. *)
+let choose_padding ?(avoid = fun _ -> false) facts queries =
+  let rank =
+    List.fold_left
+      (fun acc phi ->
+        if Fo.has_cmp phi then acc
+        else Stdlib.max acc (Fo.quantifier_rank phi))
+      0 queries
+  in
+  let constants = List.concat_map Fo.constants queries in
+  let taken v =
+    avoid v
+    || List.exists (Value.equal v) constants
+    || List.exists (fun f -> Array.exists (Value.equal v) f.Fact.args) facts
+  in
+  let rec choose attempt =
+    let cand =
+      List.init rank (fun i ->
+          Value.Str (Printf.sprintf "\x00pad.%d.%d" attempt i))
+    in
+    if List.exists taken cand then choose (attempt + 1) else cand
+  in
+  if rank = 0 then [] else choose 0
 
 let boolean_bdd_rational ti phi = Exact.boolean_bdd ti phi
 let boolean_bdd_float ti phi = Fast.boolean_bdd ti phi
@@ -86,38 +128,6 @@ let boolean_bdd_interval ti phi = Certified.boolean_bdd ti phi
 let boolean_safe ?step ti phi = Exact.boolean_safe ?step ti phi
 let safe phi = Safe_plan.is_safe phi
 let boolean = Exact.boolean
-
-let boolean_mc ?(seed = 0xC0FFEE) ~samples ti phi =
-  require_sentence phi;
-  if samples <= 0 then invalid_arg "Query_eval.boolean_mc: samples <= 0";
-  let g = Prng.create ~seed () in
-  let domain = eval_domain_ti ti phi in
-  let hits = ref 0 in
-  for _ = 1 to samples do
-    let world = Ti_table.sample ti g in
-    let extra =
-      List.filter
-        (fun v -> not (List.exists (Value.equal v) (Instance.active_domain world)))
-        domain
-    in
-    if Fo_eval.models ~extra_domain:extra world phi then incr hits
-  done;
-  let p = float_of_int !hits /. float_of_int samples in
-  {
-    estimate = p;
-    std_error = sqrt (p *. (1.0 -. p) /. float_of_int samples);
-    samples;
-  }
-
-let boolean_mc_adaptive ?seed ~eps ~delta ti phi =
-  if not (eps > 0.0 && eps < 1.0) then
-    invalid_arg "Query_eval.boolean_mc_adaptive: eps out of range";
-  if not (delta > 0.0 && delta < 1.0) then
-    invalid_arg "Query_eval.boolean_mc_adaptive: delta out of range";
-  let samples =
-    int_of_float (Float.ceil (log (2.0 /. delta) /. (2.0 *. eps *. eps)))
-  in
-  boolean_mc ?seed ~samples:(Stdlib.max 1 samples) ti phi
 
 let boolean_karp_luby ?seed ~samples ti phi =
   require_sentence phi;
@@ -141,17 +151,10 @@ let boolean_karp_luby ?seed ~samples ti phi =
 let boolean_finite pdb phi =
   require_sentence phi;
   let universe = Instance.of_list (Finite_pdb.fact_universe pdb) in
-  let domain = Fo_eval.evaluation_domain universe phi [] in
-  List.fold_left
-    (fun acc (inst, p) ->
-      let extra =
-        List.filter
-          (fun v -> not (List.exists (Value.equal v) (Instance.active_domain inst)))
-          domain
-      in
-      if Fo_eval.models ~extra_domain:extra inst phi then Rational.add acc p
-      else acc)
-    Rational.zero (Finite_pdb.worlds pdb)
+  world_sum
+    ~domain:(Fo_eval.evaluation_domain universe phi [])
+    (List.to_seq (Finite_pdb.worlds pdb))
+    phi
 
 (* Enumerate candidate valuations of the free variables over the domain. *)
 let valuations domain k =

@@ -12,8 +12,9 @@
     - {b Safe plan}: lifted inference for unions of conjunctive queries,
       polynomial; [None] on the hard side of the dichotomy, where the
       lineage engine takes over.
-    - {b Monte Carlo}: sample worlds; anytime estimate with a standard
-      error.
+    - {b Karp-Luby}: the FPRAS on monotone DNF lineages; relative error
+      independent of [P(Q)].  (Plain world sampling lives in
+      {!Mc_eval}, which also covers countable spaces.)
 
     Quantifiers in all engines range over the same fixed domain — the
     active domain of the table's support plus the query's constants — so
@@ -51,17 +52,6 @@ val safe : Fo.t -> bool
     {!boolean_safe} has a certified plan shape (evaluation can still
     fall back on instance-specific precondition failures). *)
 
-val boolean_mc : ?seed:int -> samples:int -> Ti_table.t -> Fo.t -> mc_result
-
-val boolean_mc_adaptive :
-  ?seed:int -> eps:float -> delta:float -> Ti_table.t -> Fo.t -> mc_result
-(** Monte Carlo with an a-priori (eps, delta) additive guarantee: the
-    Hoeffding bound fixes the sample count at
-    [ceil (ln(2/delta) / (2 eps^2))], so
-    [P(|estimate - P(Q)| > eps) <= delta].  Pairs with Proposition 6.1:
-    truncation contributes eps_1, sampling eps_2, total additive error
-    eps_1 + eps_2 with confidence 1 - delta. *)
-
 val boolean_karp_luby :
   ?seed:int -> samples:int -> Ti_table.t -> Fo.t -> mc_result option
 (** The Karp-Luby FPRAS on the query's monotone DNF lineage: the relative
@@ -92,6 +82,26 @@ val boolean :
     Proposition 6.1); see {!Anytime} and {!Approx_eval}.  Inert values
     occur in no fact, so the safe-plan fast path — which is only taken
     for positive existential plans — is unaffected by them. *)
+
+(** {1 Shared pieces of the truncation pipeline} *)
+
+val world_sum :
+  domain:Value.t list -> (Instance.t * Rational.t) Seq.t -> Fo.t -> Rational.t
+(** [world_sum ~domain worlds phi]: the mass of the worlds that model
+    [phi], every world evaluated over the fixed quantifier [domain] — the
+    reference sum behind {!boolean_enum}, {!boolean_finite} and the BID
+    delta sessions. *)
+
+val choose_padding :
+  ?avoid:(Value.t -> bool) -> Fact.t list -> Fo.t list -> Value.t list
+(** [choose_padding facts queries]: the inert padding of Proposition
+    6.1's r-equivalence device — [max quantifier_rank] fresh values over
+    the [Cmp]-free [queries] (none for [Cmp] queries, which can tell
+    inert values apart), occurring in no argument of [facts], among no
+    query constant and outside [avoid].  Passing them as
+    [~extra_domain] to {!boolean} decides each query as on the countable
+    limit space rather than on the bare truncation.  The one padding
+    chooser of every truncation-based engine. *)
 
 (** {1 Boolean queries on explicit world tables} *)
 

@@ -320,26 +320,13 @@ let query_batch ?budget ?(eps = 0.01) ?max_bdd_nodes ?max_facts
      degradation ladder below — still governed by the same parent, so
      the batch cannot overspend its way past the caller's caps. *)
   let batch_run () =
-    match Approx_eval.truncation_r src ~eps with
-    | Error e -> Error e
-    | Ok (n, tail) ->
-      Errors.protect ~what:"Robust_eval.query_batch" (fun () ->
-          let table = Fact_source.truncate src n in
-          let tail =
-            match Fact_source.tail_mass src n with
-            | Some t -> Float.min t tail
-            | None -> tail
-          in
-          let om = Approx_eval.omega_bounds_of_tail tail in
-          let b = Budget.child ?max_bdd_nodes ?max_facts parent in
-          let r =
-            Batch_eval.boolean
-              ~tick:(fun () -> Budget.charge b Budget.Bdd_nodes 1)
-              ~on_free:(fun k -> Budget.refund b Budget.Bdd_nodes k)
-              ?cache_size:bdd_cache_size ?gc_threshold:bdd_gc_threshold
-              ~domains table qs
-          in
-          (r, om))
+    Approx_eval.certify ~what:"Robust_eval.query_batch" src ~eps (fun table ->
+        let b = Budget.child ?max_bdd_nodes ?max_facts parent in
+        Batch_eval.boolean
+          ~tick:(fun () -> Budget.charge b Budget.Bdd_nodes 1)
+          ~on_free:(fun k -> Budget.refund b Budget.Bdd_nodes k)
+          ?cache_size:bdd_cache_size ?gc_threshold:bdd_gc_threshold ~domains
+          table qs)
   in
   let fallback i err =
     (* Per-member ladder under the same parent budget; the failed batch
@@ -358,11 +345,11 @@ let query_batch ?budget ?(eps = 0.01) ?max_bdd_nodes ?max_facts
     }
   in
   match batch_run () with
-  | Ok (r, om) ->
+  | Ok (r, result) ->
     List.mapi
       (fun i (_ : Fo.t) ->
         let m = r.Batch_eval.members.(i) in
-        let iv = Approx_eval.enclosure m.Batch_eval.prob om in
+        let iv = (result m.Batch_eval.prob).Approx_eval.bounds in
         let outcome = Certified iv in
         {
           enclosure = iv;

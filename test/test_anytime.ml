@@ -81,6 +81,23 @@ let test_delta_path_matches_exact_truncations () =
         (Interval.contains s.Anytime.estimate (Rational.to_float exact)))
     steps
 
+let test_cmp_query_agrees_with_batch () =
+  (* A [Cmp] query can tell inert padding values apart, so the session
+     must evaluate it unpadded, as the batch engine does: padding
+     [exists x. 100 < x] with string values (which sort above every
+     integer) would make it true at every depth, an enclosure disjoint
+     from the truncated-semantics answer 0. *)
+  let src () =
+    Fact_source.of_list
+      (List.init 20 (fun k -> (r_fact k, Rational.pow Rational.half (k + 1))))
+  in
+  let phi = parse "exists x. 100 < x" in
+  let batch = Approx_eval.boolean (src ()) ~eps:0.01 phi in
+  let sess = Anytime.create ~eps:0.01 (src ()) phi in
+  let _ = Anytime.run sess in
+  Alcotest.(check bool) "anytime and batch enclosures intersect" true
+    (Interval.intersect batch.Approx_eval.bounds (Anytime.bounds sess) <> None)
+
 (* ------------------------------------------------------------------ *)
 (* Cache reuse *)
 (* ------------------------------------------------------------------ *)
@@ -185,6 +202,8 @@ let () =
             test_contains_batch_estimate;
           Alcotest.test_case "delta path matches exact truncations" `Quick
             test_delta_path_matches_exact_truncations;
+          Alcotest.test_case "cmp query agrees with batch" `Quick
+            test_cmp_query_agrees_with_batch;
         ] );
       ( "reuse",
         [

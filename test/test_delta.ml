@@ -231,6 +231,39 @@ let test_known_value_recompiles () =
        (Delta_eval.Exact.apply s (Insert (fact "S" [ 0 ], Rational.half))));
   Alcotest.check check_rat "joined answer" (q 1 4) (Delta_eval.Exact.prob s)
 
+let test_batched_extend () =
+  (* A prefix extension enters as one delta: one delta-join, one epoch,
+     the from-scratch answer.  A [tick] that raises mid-batch (a budget
+     tripping) publishes nothing. *)
+  let armed = ref false in
+  let tick () = if !armed then raise Exit in
+  let ti = Ti_table.create [ (fact "R" [ 0 ], Rational.half) ] in
+  let phi = parse "exists x. R(x)" in
+  let s = Delta_eval.Exact.create ~tick ti phi in
+  let p0 = Delta_eval.Exact.prob s in
+  armed := true;
+  let batch = [ (fact "R" [ 1 ], q 1 4); (fact "R" [ 2 ], q 1 8) ] in
+  (match Delta_eval.Exact.extend s batch with
+  | _ -> Alcotest.fail "an armed tick must abort the batch"
+  | exception Exit -> ());
+  Alcotest.(check int) "no epoch published" 0 (Delta_eval.Exact.epoch s);
+  Alcotest.(check int) "table untouched" 1
+    (Ti_table.size (Delta_eval.Exact.table s));
+  Alcotest.check check_rat "answer untouched" p0 (Delta_eval.Exact.prob s);
+  armed := false;
+  Alcotest.(check string)
+    "one delta-join" "extended"
+    (Delta_eval.apply_kind_to_string (Delta_eval.Exact.extend s batch));
+  Alcotest.(check int) "one epoch" 1 (Delta_eval.Exact.epoch s);
+  Alcotest.check check_rat "from-scratch answer"
+    (from_scratch s phi (Delta_eval.Exact.table s))
+    (Delta_eval.Exact.prob s);
+  Alcotest.check check_rat "1 - 1/2 * 3/4 * 7/8" (q 43 64)
+    (Delta_eval.Exact.prob s);
+  Alcotest.check_raises "present facts are rejected"
+    (Invalid_argument "Delta_eval.extend: R(1) is already present")
+    (fun () -> ignore (Delta_eval.Exact.extend s [ (fact "R" [ 1 ], q 1 2) ]))
+
 let test_delta_string_roundtrip () =
   List.iter
     (fun d ->
@@ -291,6 +324,7 @@ let () =
             test_fresh_value_extends;
           Alcotest.test_case "known value recompiles" `Quick
             test_known_value_recompiles;
+          Alcotest.test_case "batched extend" `Quick test_batched_extend;
           Alcotest.test_case "delta text roundtrip" `Quick
             test_delta_string_roundtrip;
           Alcotest.test_case "bid rejections" `Quick test_bid_rejections;

@@ -161,16 +161,18 @@ let test_engine_karp_luby () =
 let test_engine_mc_adaptive () =
   let phi = parse "exists x. R(x)" in
   let exact = Rational.to_float (Query_eval.boolean ti phi) in
-  let r = Query_eval.boolean_mc_adaptive ~seed:11 ~eps:0.02 ~delta:0.01 ti phi in
-  (* Hoeffding sample count: ln(200)/(2*4e-4) ~ 6623 *)
+  (* An a-priori (eps, delta) additive guarantee from plain sampling:
+     the Hoeffding count ln(2/delta)/(2 eps^2) ~ 6623 worlds. *)
+  let eps = 0.02 and delta = 0.01 in
+  let samples =
+    int_of_float (Float.ceil (log (2.0 /. delta) /. (2.0 *. eps *. eps)))
+  in
+  let space = Mc_eval.Ti (Countable_ti.create (Fact_source.of_ti_table ti)) in
+  let r = Mc_eval.boolean ~seed:11 ~samples space phi in
   Alcotest.(check bool) "sample count from bound" true
-    (r.Query_eval.samples >= 6000 && r.Query_eval.samples <= 7000);
+    (r.Mc_eval.samples >= 6000 && r.Mc_eval.samples <= 7000);
   Alcotest.(check bool) "within eps (prob 99%)" true
-    (Float.abs (r.Query_eval.estimate -. exact) <= 0.02);
-  Alcotest.check_raises "eps range"
-    (Invalid_argument "Query_eval.boolean_mc_adaptive: eps out of range")
-    (fun () ->
-      ignore (Query_eval.boolean_mc_adaptive ~eps:0.0 ~delta:0.5 ti phi))
+    (Float.abs (r.Mc_eval.estimate -. exact) <= eps)
 
 (* ------------------------------------------------------------------ *)
 (* Properties *)

@@ -448,11 +448,15 @@ let test_engine_finite_agrees () =
 let test_monte_carlo () =
   let phi = parse "exists x. R(x)" in
   let exact = Rational.to_float (Query_eval.boolean ti phi) in
-  let r = Query_eval.boolean_mc ~samples:20_000 ti phi in
+  let space = Mc_eval.Ti (Countable_ti.create (Fact_source.of_ti_table ti)) in
+  let r = Mc_eval.boolean ~seed:0xC0FFEE ~samples:20_000 space phi in
+  let p = r.Mc_eval.estimate in
+  let std_error = sqrt (p *. (1.0 -. p) /. 20_000.0) in
   Alcotest.(check bool) "within 5 sigma" true
-    (Float.abs (r.Query_eval.estimate -. exact)
-     < Stdlib.max (5.0 *. r.Query_eval.std_error) 0.02);
-  Alcotest.(check int) "samples recorded" 20_000 r.Query_eval.samples
+    (Float.abs (p -. exact) < Stdlib.max (5.0 *. std_error) 0.02);
+  Alcotest.(check bool) "interval contains exact" true
+    (Interval.contains r.Mc_eval.bounds exact);
+  Alcotest.(check int) "samples recorded" 20_000 r.Mc_eval.samples
 
 let test_marginals () =
   let ms = Query_eval.marginals ti (parse "R(x)") in
