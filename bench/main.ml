@@ -543,14 +543,12 @@ let e12 () =
        [
          Test.make ~name:"enum k=6 (2^12 worlds)"
            (Staged.stage (fun () -> Query_eval.boolean_enum small phi_safe));
-         Test.make ~name:"bdd-rational k=6"
-           (Staged.stage (fun () -> Query_eval.boolean_bdd_rational small phi_safe));
-         Test.make ~name:"bdd-float k=6"
-           (Staged.stage (fun () -> Query_eval.boolean_bdd_float small phi_safe));
+         Test.make ~name:"bdd k=6"
+           (Staged.stage (fun () -> Query_eval.boolean_bdd small phi_safe));
          Test.make ~name:"safe-plan k=6"
            (Staged.stage (fun () -> Query_eval.boolean_safe small phi_safe));
-         Test.make ~name:"bdd-float k=60"
-           (Staged.stage (fun () -> Query_eval.boolean_bdd_float large phi_safe));
+         Test.make ~name:"bdd k=60"
+           (Staged.stage (fun () -> Query_eval.boolean_bdd large phi_safe));
          Test.make ~name:"safe-plan k=60"
            (Staged.stage (fun () -> Query_eval.boolean_safe large phi_safe));
          Test.make ~name:"mc-1000 k=60"
@@ -560,28 +558,39 @@ let e12 () =
          Test.make ~name:"karp-luby-1000 k=60"
            (Staged.stage (fun () ->
                 Query_eval.boolean_karp_luby ~samples:1000 large phi_safe));
-         Test.make ~name:"bdd-float k=6 non-hierarchical"
-           (Staged.stage (fun () -> Query_eval.boolean_bdd_float small phi_hard));
+         Test.make ~name:"bdd k=6 non-hierarchical"
+           (Staged.stage (fun () -> Query_eval.boolean_bdd small phi_hard));
        ]);
-  row "  expected shape: safe-plan < bdd-float << enum; safe-plan scales\n";
+  row "  expected shape: safe-plan < bdd << enum; safe-plan scales\n";
   row "  linearly in k while enumeration is infeasible past ~20 facts\n"
 
 let e13 () =
-  header "E13" "Carrier ablation (D1): float vs interval vs exact rational";
-  let ti = make_wide_ti 40 in
-  let phi = parse "exists x. R(x) & S(x)" in
+  header "E13" "Carrier ablation (D1): delta session, rational vs interval";
+  (* A delta session orders variables newest-first, which separates the
+     R(j)/S(j) pairs of [make_wide_ti] (an exponential diagram, see D4);
+     as E(j, 0)/E(j, 1) the pairs stay adjacent and the diagram linear. *)
+  let ti =
+    Ti_table.create
+      (List.concat
+         (List.init 40 (fun j ->
+              [ (Fact.make "E" [ i j; i 0 ], q 1 2);
+                (Fact.make "E" [ i j; i 1 ], q 1 3) ])))
+  in
+  let phi = parse "exists x. E(x, 0) & E(x, 1)" in
   let open Bechamel in
   run_bechamel
     (Test.make_grouped ~name:"carriers"
        [
-         Test.make ~name:"wmc float"
-           (Staged.stage (fun () -> Query_eval.boolean_bdd_float ti phi));
-         Test.make ~name:"wmc interval"
-           (Staged.stage (fun () -> Query_eval.boolean_bdd_interval ti phi));
-         Test.make ~name:"wmc rational (exact)"
-           (Staged.stage (fun () -> Query_eval.boolean_bdd_rational ti phi));
+         Test.make ~name:"session rational (exact)"
+           (Staged.stage (fun () ->
+                Delta_eval.Exact.prob (Delta_eval.Exact.create ti phi)));
+         Test.make ~name:"session interval (certified)"
+           (Staged.stage (fun () ->
+                Delta_eval.Certified.prob
+                  (Delta_eval.Certified.create ti phi)));
        ]);
-  row "  exactness cost: rational pays bignum gcd per op; interval ~2x float\n"
+  row "  exactness cost: rational pays a bignum gcd per op; the interval\n";
+  row "  carrier a few float ops and ulp steps per node\n"
 
 let ablate_bdd_order () =
   header "D4" "BDD variable order ablation: interleaved vs separated";
@@ -787,7 +796,7 @@ let e17 () =
       let same =
         r.Mc_eval.hits = base.Mc_eval.hits
         && Interval.equal r.Mc_eval.bounds base.Mc_eval.bounds
-        && Interval.equal r.Mc_eval.wilson base.Mc_eval.wilson
+        && Interval.equal r.Mc_eval.binomial base.Mc_eval.binomial
         && r.Mc_eval.width_trajectory = base.Mc_eval.width_trajectory
       in
       row "  %-8d %-10.3f %-9.2f %-12.6f %b\n" d t (base_t /. t)
@@ -962,13 +971,13 @@ let e19 () =
     in
     let r = Bdd.ite m parity (Bdd.neg m b) b in
     let p =
-      Bdd.fold_prob ~zero:0.0 ~one:1.0
+      Bdd.fold_prob_many ~zero:0.0 ~one:1.0
         ~node:(fun v plo phi ->
           let w = e19_weight v in
           (w *. phi) +. ((1.0 -. w) *. plo))
-        r
+        [| r |]
     in
-    (p, Bdd.node_count m)
+    (p.(0), Bdd.node_count m)
   in
   let timed reps f =
     let t0 = Unix.gettimeofday () in
@@ -1116,7 +1125,7 @@ let e21 () =
       in
       let t_lifted = Float.max (Unix.gettimeofday () -. t0) 1e-9 in
       let t0 = Unix.gettimeofday () in
-      let p_bdd = Query_eval.boolean_bdd_rational ti phi in
+      let p_bdd = Query_eval.boolean_bdd ti phi in
       let t_bdd = Float.max (Unix.gettimeofday () -. t0) 1e-9 in
       if not (Rational.equal p_lifted p_bdd) then
         failwith "E21: lifted and BDD engines disagree";

@@ -5,7 +5,8 @@
      batch    - many Boolean queries at once on one shared BDD store
      open     - open-world query: complete the table, approximate to eps
      anytime  - incremental evaluation with a narrowing certified interval
-     mc       - domain-parallel Monte-Carlo estimation with a Wilson CI
+     mc       - domain-parallel Monte-Carlo estimation with an exact
+                (Clopper-Pearson) binomial CI
      robust   - resource-governed supervisor: exact -> anytime -> MC
                 under one budget, with retries and provenance
      sample   - draw worlds from the (optionally completed) PDB
@@ -485,7 +486,7 @@ let mc_cmd =
   let doc =
     "Monte-Carlo query estimation: draw worlds from the (optionally \
      completed) PDB in parallel across domains and report a \
-     Wilson-score confidence interval widened by the truncation bound."
+     Clopper-Pearson confidence interval widened by the truncation bound."
   in
   Cmd.v (Cmd.info "mc" ~doc)
     Term.(

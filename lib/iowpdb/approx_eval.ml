@@ -35,7 +35,7 @@ let enclosure_interval pf om =
     (Interval.make (Interval.lo lower)
        (Interval.hi (Interval.add lower (Interval.compl om))))
 
-let enclosure p om = enclosure_interval (Prob.Interval_carrier.of_rational p) om
+let enclosure p om = enclosure_interval (Interval.of_rational p) om
 
 (* The enclosure a certified tail implies before anything is counted:
    the degraded answer of a run whose budget ran out past the

@@ -86,7 +86,7 @@ let omega_prob_bounds t ~n =
         (fun acc (_, p) -> Rational.mul acc (Rational.compl p))
         Rational.one (Fact_source.prefix t.news n)
     in
-    let pre = Prob.Interval_carrier.of_rational prefix in
+    let pre = Interval.of_rational prefix in
     Interval.clamp01 (Interval.mul pre (Approx_eval.omega_bounds_of_tail tail))
 
 (* Exact probability of a sentence on the truncated completion: one BDD
@@ -106,7 +106,6 @@ let sentence_prob_truncated ?tick t news phi =
       alpha phi
   in
   let bdd = Wmc.compile ?tick lin in
-  let module W = Wmc.Make (Prob.Rational_carrier) in
   List.fold_left
     (fun acc (w, pw) ->
       if Rational.is_zero pw then acc
@@ -117,7 +116,11 @@ let sentence_prob_truncated ?tick t news phi =
           | Some pf -> pf
           | None -> if Instance.mem f w then Rational.one else Rational.zero
         in
-        Rational.add acc (Rational.mul pw (W.probability ~weight bdd))
+        let p =
+          Bdd.fold_prob_many ~zero:Rational.zero ~one:Rational.one
+            ~node:(Wmc.shannon weight) [| bdd |]
+        in
+        Rational.add acc (Rational.mul pw p.(0))
       end)
     Rational.zero
     (Finite_pdb.worlds t.original)

@@ -59,7 +59,7 @@ let instance_prob_bounds t ~n inst =
     invalid_arg
       "Countable_ti.instance_prob_bounds: instance has facts beyond the first n";
   let prefix =
-    Prob.Interval_carrier.of_rational (instance_prob_prefix t ~n inst)
+    Interval.of_rational (instance_prob_prefix t ~n inst)
   in
   Interval.clamp01 (Interval.mul prefix (tail_product_bounds t ~n))
 

@@ -22,8 +22,9 @@
    law, which is within [tv] (the certified tail at the cut, plus any
    in-block alternatives dropped for BID) of the true law in total
    variation, so |P_plan(E) - P_true(E)| <= tv for every event.  The
-   Wilson interval covers P_plan(E) with the stated confidence; widening
-   it by [tv] covers P_true(E). *)
+   Clopper-Pearson interval covers P_plan(E) with at least the stated
+   confidence, whatever the sample count and P_plan(E); widening it by
+   [tv] covers P_true(E). *)
 
 type space =
   | Ti of Countable_ti.t
@@ -38,7 +39,7 @@ type result = {
   interrupted : bool;
   confidence : float;
   truncation_tv : float;
-  wilson : Interval.t;
+  binomial : Interval.t;
   bounds : Interval.t;
   domains_used : int;
   batches : int;
@@ -57,62 +58,106 @@ let t_batch = Stats.timer "mc.batch"
 (* Statistical primitives                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Acklam's rational approximation to the standard normal quantile;
-   relative error below 1.15e-9 over (0,1) — far inside the slack any
-   Monte-Carlo interval carries. *)
-let normal_quantile p =
-  if not (p > 0.0 && p < 1.0) then invalid_arg "Mc_eval.normal_quantile";
-  let a1 = -3.969683028665376e+01 and a2 = 2.209460984245205e+02 in
-  let a3 = -2.759285104469687e+02 and a4 = 1.383577518672690e+02 in
-  let a5 = -3.066479806614716e+01 and a6 = 2.506628277459239e+00 in
-  let b1 = -5.447609879822406e+01 and b2 = 1.615858368580409e+02 in
-  let b3 = -1.556989798598866e+02 and b4 = 6.680131188771972e+01 in
-  let b5 = -1.328068155288572e+01 in
-  let c1 = -7.784894002430293e-03 and c2 = -3.223964580411365e-01 in
-  let c3 = -2.400758277161838e+00 and c4 = -2.549732539343734e+00 in
-  let c5 = 4.374664141464968e+00 and c6 = 2.938163982698783e+00 in
-  let d1 = 7.784695709041462e-03 and d2 = 3.224671290700398e-01 in
-  let d3 = 2.445134137142996e+00 and d4 = 3.754408661907416e+00 in
-  let p_low = 0.02425 in
-  if p < p_low then
-    let q = sqrt (-2.0 *. log p) in
-    (((((c1 *. q +. c2) *. q +. c3) *. q +. c4) *. q +. c5) *. q +. c6)
-    /. ((((d1 *. q +. d2) *. q +. d3) *. q +. d4) *. q +. 1.0)
-  else if p <= 1.0 -. p_low then
-    let q = p -. 0.5 in
-    let r = q *. q in
-    (((((a1 *. r +. a2) *. r +. a3) *. r +. a4) *. r +. a5) *. r +. a6)
-    *. q
-    /. (((((b1 *. r +. b2) *. r +. b3) *. r +. b4) *. r +. b5) *. r +. 1.0)
+(* ln Gamma(x) for x >= 1: the Stirling series once x is shifted past
+   10, absolute error below 1e-12. *)
+let rec log_gamma x =
+  if x < 10.0 then log_gamma (x +. 1.0) -. log x
   else
-    let q = sqrt (-2.0 *. log (1.0 -. p)) in
-    -.((((((c1 *. q +. c2) *. q +. c3) *. q +. c4) *. q +. c5) *. q +. c6)
-       /. ((((d1 *. q +. d2) *. q +. d3) *. q +. d4) *. q +. 1.0))
+    let r = 1.0 /. x in
+    let r2 = r *. r in
+    ((x -. 0.5) *. log x) -. x
+    +. (0.5 *. log (2.0 *. Float.pi))
+    +. (r
+        *. ((1.0 /. 12.0)
+           -. (r2
+              *. ((1.0 /. 360.0) -. (r2 *. ((1.0 /. 1260.0) -. (r2 /. 1680.0))))
+              )))
 
-let z_of_confidence c =
-  if not (c > 0.0 && c < 1.0) then
-    invalid_arg "Mc_eval: confidence must lie in (0, 1)";
-  normal_quantile (1.0 -. ((1.0 -. c) /. 2.0))
+(* P(X <= k) when [le], else P(X >= k), for X ~ Bin(n, p) with 0 < p < 1.
+   A tail is summed outward from term k only when p lies on its far
+   side, where term k is the tail's largest and the terms fall off
+   geometrically; otherwise it is the complement of the opposite tail,
+   which then is the small one. *)
+let rec binomial_tail ~le ~n ~k p =
+  if k < 0 then if le then 0.0 else 1.0
+  else if k > n then if le then 1.0 else 0.0
+  else if le && p < float_of_int k /. float_of_int n then
+    1.0 -. binomial_tail ~le:false ~n ~k:(k + 1) p
+  else if (not le) && p > float_of_int k /. float_of_int n then
+    1.0 -. binomial_tail ~le:true ~n ~k:(k - 1) p
+  else begin
+    let fn = float_of_int n and q = 1.0 -. p in
+    let log_choose =
+      log_gamma (fn +. 1.0)
+      -. log_gamma (float_of_int k +. 1.0)
+      -. log_gamma (float_of_int (n - k) +. 1.0)
+    in
+    let term =
+      ref
+        (exp
+           (log_choose
+           +. (float_of_int k *. log p)
+           +. (float_of_int (n - k) *. Float.log1p (-.p))))
+    in
+    let sum = ref !term and i = ref k in
+    while !term > 1e-17 *. !sum && (if le then !i > 0 else !i < n) do
+      let fi = float_of_int !i in
+      if le then begin
+        term := !term *. fi *. q /. ((fn -. fi +. 1.0) *. p);
+        decr i
+      end
+      else begin
+        term := !term *. (fn -. fi) *. p /. ((fi +. 1.0) *. q);
+        incr i
+      end;
+      sum := !sum +. !term
+    done;
+    !sum
+  end
 
-let wilson_interval ~z ~hits ~samples =
-  if samples <= 0 then invalid_arg "Mc_eval.wilson_interval: samples <= 0";
-  if hits < 0 || hits > samples then
-    invalid_arg "Mc_eval.wilson_interval: hits outside [0, samples]";
-  let n = float_of_int samples in
-  let ph = float_of_int hits /. n in
-  let z2 = z *. z in
-  let denom = 1.0 +. (z2 /. n) in
-  let centre = (ph +. (z2 /. (2.0 *. n))) /. denom in
-  let half =
-    z /. denom *. sqrt (((ph *. (1.0 -. ph)) +. (z2 /. (4.0 *. n))) /. n)
+(* Bisection on (0, 1) for the p where a tail that is [decreasing] (or
+   increasing) in p crosses [target].  It returns the end of the final
+   bracket on the outer side of the interval being built — the upper end
+   for an upper bound, the lower end for a lower bound — so every
+   rounding widens the interval. *)
+let tail_root ~decreasing ~target tail =
+  let a = ref 0.0 and b = ref 1.0 in
+  let rec go steps =
+    let m = 0.5 *. (!a +. !b) in
+    if steps > 0 && m > !a && m < !b then begin
+      let root_above =
+        if decreasing then tail m > target else tail m <= target
+      in
+      if root_above then a := m else b := m;
+      go (steps - 1)
+    end
   in
-  (* At the boundaries the exact endpoints are 0 / 1 (centre and half
-     cancel algebraically), but the float evaluation leaves a residue of
-     order 1e-19 that would wrongly exclude a true probability of exactly
-     0 or 1 — pin them. *)
-  let lo = if hits = 0 then 0.0 else centre -. half in
-  let hi = if hits = samples then 1.0 else centre +. half in
-  Interval.clamp01 (Interval.make lo hi)
+  go 200;
+  if decreasing then !b else !a
+
+let check_confidence c =
+  if not (c > 0.0 && c < 1.0) then
+    invalid_arg "Mc_eval: confidence must lie in (0, 1)"
+
+let binomial_interval ~confidence ~hits ~samples =
+  check_confidence confidence;
+  if samples <= 0 then invalid_arg "Mc_eval.binomial_interval: samples <= 0";
+  if hits < 0 || hits > samples then
+    invalid_arg "Mc_eval.binomial_interval: hits outside [0, samples]";
+  let target = (1.0 -. confidence) /. 2.0 in
+  let lo =
+    if hits = 0 then 0.0
+    else
+      tail_root ~decreasing:false ~target
+        (binomial_tail ~le:false ~n:samples ~k:hits)
+  in
+  let hi =
+    if hits = samples then 1.0
+    else
+      tail_root ~decreasing:true ~target
+        (binomial_tail ~le:true ~n:samples ~k:hits)
+  in
+  Interval.make lo hi
 
 let widen_by_tv iv tv =
   if tv <= 0.0 then iv
@@ -128,6 +173,7 @@ let estimate_event ?budget ?domains ?(batch_size = 1024) ?(confidence = 0.99)
     ?(truncation_tv = 0.0) ~seed ~samples sampler pred =
   if samples <= 0 then invalid_arg "Mc_eval: samples must be positive";
   if batch_size <= 0 then invalid_arg "Mc_eval: batch_size must be positive";
+  check_confidence confidence;
   if not (truncation_tv >= 0.0) then
     invalid_arg "Mc_eval: truncation_tv must be nonnegative";
   let requested = samples in
@@ -158,7 +204,6 @@ let estimate_event ?budget ?domains ?(batch_size = 1024) ?(confidence = 0.99)
     in
     raise (Budget.Exhausted cause)
   end;
-  let z = z_of_confidence confidence in
   let nbatches = (samples + batch_size - 1) / batch_size in
   let domains =
     let d =
@@ -256,7 +301,8 @@ let estimate_event ?budget ?domains ?(batch_size = 1024) ?(confidence = 0.99)
       (fun b ->
         let s = Stdlib.min samples ((b + 1) * batch_size) in
         let iv =
-          widen_by_tv (wilson_interval ~z ~hits:prefix_hits.(b) ~samples:s)
+          widen_by_tv
+            (binomial_interval ~confidence ~hits:prefix_hits.(b) ~samples:s)
             truncation_tv
         in
         (s, Interval.width iv))
@@ -274,7 +320,7 @@ let estimate_event ?budget ?domains ?(batch_size = 1024) ?(confidence = 0.99)
       Stats.add_elapsed t_batch (Float.max 0.0 s))
     per_domain;
   Stats.add_elapsed t_run (Float.max 0.0 (Unix.gettimeofday () -. t0));
-  let wilson = wilson_interval ~z ~hits ~samples:samples_done in
+  let binomial = binomial_interval ~confidence ~hits ~samples:samples_done in
   {
     estimate = float_of_int hits /. float_of_int samples_done;
     hits;
@@ -283,8 +329,8 @@ let estimate_event ?budget ?domains ?(batch_size = 1024) ?(confidence = 0.99)
     interrupted;
     confidence;
     truncation_tv;
-    wilson;
-    bounds = widen_by_tv wilson truncation_tv;
+    binomial;
+    bounds = widen_by_tv binomial truncation_tv;
     domains_used = domains;
     batches = done_batches;
     batch_size;

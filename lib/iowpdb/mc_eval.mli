@@ -20,7 +20,7 @@
       work-stealing counter; per-domain counters (worlds drawn, batch
       latency) are accumulated locally and merged into {!Stats} after the
       join;
-    - the returned {!Interval.t} is a Wilson score interval at the
+    - the returned {!Interval.t} is a Clopper-Pearson interval at the
       requested confidence, {e widened by the truncation total-variation
       bound}: the plan samples a law within [tv] of the true one (the
       tail cut of the sampling plans), so the widened interval covers the
@@ -55,10 +55,10 @@ type result = {
   truncation_tv : float;
       (** certified total-variation distance between the sampled
           (truncated-plan) law and the true law; folded into [bounds] *)
-  wilson : Interval.t;
-      (** the Wilson score interval for the sampled law alone *)
+  binomial : Interval.t;
+      (** the Clopper-Pearson interval for the sampled law alone *)
   bounds : Interval.t;
-      (** [wilson] widened by [truncation_tv] on each side and clamped to
+      (** [binomial] widened by [truncation_tv] on each side and clamped to
           [\[0,1\]]: covers the true probability with probability at
           least [confidence] *)
   domains_used : int;
@@ -140,9 +140,11 @@ val estimate_event :
 
 (** {1 Statistical primitives} (exposed for tests and the bench) *)
 
-val z_of_confidence : float -> float
-(** Two-sided standard-normal critical value: [Phi^-1(1 - (1-c)/2)].
-    @raise Invalid_argument outside [(0,1)]. *)
-
-val wilson_interval : z:float -> hits:int -> samples:int -> Interval.t
-(** The Wilson score interval, clamped to [\[0,1\]]. *)
+val binomial_interval :
+  confidence:float -> hits:int -> samples:int -> Interval.t
+(** The Clopper-Pearson interval for a binomial proportion: its
+    coverage is at least [confidence] for every [samples] and every true
+    proportion, small counts near 0 and 1 included.  Each end is the
+    root of a binomial tail found by bisection and rounded outward.
+    @raise Invalid_argument if [confidence] is outside [(0,1)],
+    [samples <= 0] or [hits] is outside [\[0, samples\]]. *)

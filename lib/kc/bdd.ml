@@ -659,25 +659,6 @@ let restrict m t v b =
   in
   { mgr = m; idx = go i0 }
 
-let fold_prob ~zero ~one ~node t =
-  fold_dag t.mgr t.idx
-    ~leaf:(fun b -> if b then one else zero)
-    ~node:(fun v _ lo hi -> node v lo hi)
-
-let fold_prob_many ~zero ~one ~node roots =
-  if Array.length roots = 0 then [||]
-  else begin
-    let m = roots.(0).mgr in
-    let idxs = Array.map (fun t -> same m t "fold_prob_many") roots in
-    let memo = Hashtbl.create 64 in
-    Array.map
-      (fun i ->
-        fold_dag_shared m memo i
-          ~leaf:(fun b -> if b then one else zero)
-          ~node:(fun v _ lo hi -> node v lo hi))
-      idxs
-  end
-
 (* Persistent WMC memo: values survive across calls so a later fold can
    skip every subgraph whose variables kept their weights.  Keyed by node
    index, which is only stable between sweeps — the freelist reuses
@@ -689,35 +670,50 @@ let prob_memo () = { pm_vals = Hashtbl.create 256 }
 let prob_memo_clear pm = Hashtbl.reset pm.pm_vals
 let prob_memo_size pm = Hashtbl.length pm.pm_vals
 
-let fold_prob_memo ~memo ~dirty ~zero ~one ~node t =
-  let m = t.mgr in
-  (* Per-call state: node index -> (value, subtree-touches-a-dirty-var).
-     The dirty bit must be recomputed per call even for memoized nodes,
-     because dirtiness is a property of this delta, not of the node. *)
-  let state : (int, 'a * bool) Hashtbl.t = Hashtbl.create 64 in
-  let rec go i =
-    if i < 2 then ((if i = 1 then one else zero), false)
-    else
-      match Hashtbl.find_opt state i with
-      | Some r -> r
-      | None ->
-        let v = m.var_a.(i) in
-        let lo, lo_d = go m.lo_a.(i) in
-        let hi, hi_d = go m.hi_a.(i) in
-        let d = lo_d || hi_d || dirty v in
-        let value =
-          if d then node v lo hi
-          else
-            match Hashtbl.find_opt memo.pm_vals i with
-            | Some x -> x
-            | None -> node v lo hi
-        in
-        Hashtbl.replace memo.pm_vals i value;
-        let r = (value, d) in
-        Hashtbl.add state i r;
-        r
-  in
-  fst (go t.idx)
+let fold_prob_many ?memo ?(dirty = fun _ -> false) ~zero ~one ~node roots =
+  if Array.length roots = 0 then [||]
+  else begin
+    let m = roots.(0).mgr in
+    let idxs = Array.map (fun t -> same m t "fold_prob_many") roots in
+    match memo with
+    | None ->
+      let shared = Hashtbl.create 64 in
+      Array.map
+        (fun i ->
+          fold_dag_shared m shared i
+            ~leaf:(fun b -> if b then one else zero)
+            ~node:(fun v _ lo hi -> node v lo hi))
+        idxs
+    | Some memo ->
+      (* Per-call state: node index -> (value, subtree-touches-a-dirty-var).
+         The dirty bit must be recomputed per call even for memoized
+         nodes, because dirtiness is a property of this delta, not of the
+         node. *)
+      let state : (int, 'a * bool) Hashtbl.t = Hashtbl.create 64 in
+      let rec go i =
+        if i < 2 then ((if i = 1 then one else zero), false)
+        else
+          match Hashtbl.find_opt state i with
+          | Some r -> r
+          | None ->
+            let v = m.var_a.(i) in
+            let lo, lo_d = go m.lo_a.(i) in
+            let hi, hi_d = go m.hi_a.(i) in
+            let d = lo_d || hi_d || dirty v in
+            let value =
+              if d then node v lo hi
+              else
+                match Hashtbl.find_opt memo.pm_vals i with
+                | Some x -> x
+                | None -> node v lo hi
+            in
+            Hashtbl.replace memo.pm_vals i value;
+            let r = (value, d) in
+            Hashtbl.add state i r;
+            r
+      in
+      Array.map (fun i -> fst (go i)) idxs
+  end
 
 let pp fmt t =
   let m = t.mgr in

@@ -167,31 +167,18 @@ val any_sat : t -> (int * bool) list option
 val restrict : manager -> t -> int -> bool -> t
 (** Cofactor: fix one variable. *)
 
-val fold_prob : zero:'a -> one:'a -> node:(int -> 'a -> 'a -> 'a) -> t -> 'a
-(** Memoized bottom-up fold: each distinct node is visited once;
-    [node v lo hi] receives the results for the low and high children.
-    This is the single pass weighted model counting reduces to. *)
+(** {1 Weighted model counting}
 
-val fold_prob_many :
-  zero:'a -> one:'a -> node:(int -> 'a -> 'a -> 'a) -> t array -> 'a array
-(** {!fold_prob} over a batch of roots of {e one} manager, sharing a
-    single memo table across the whole sweep: a node reachable from
-    several roots contributes one [node] call total, so the cost of
-    counting a batch is the size of the {e union} of the DAGs, not the
-    sum.  Results are positionally aligned with the input.  Returns
-    [[||]] on the empty batch.
-    @raise Invalid_argument if the roots span different managers. *)
-
-(** {1 Incremental weighted counting}
-
-    A {!prob_memo} keeps per-node fold results alive {e across} calls,
-    so that re-counting after a small weight change only pays [node]
-    calls on the slice of the DAG that can see a changed variable —
-    clean subgraphs are served from the memo without touching the
-    (possibly expensive) value arithmetic.  Node indices are only
-    stable between sweeps: clear the memo after anything that may have
-    run {!gc}, and after any structural recompilation that rebinds what
-    a variable means. *)
+    One fold serves every count in the project: a fresh count of a batch
+    of roots, and the incremental re-count of a delta session.  A
+    {!prob_memo} keeps per-node fold results alive {e across} calls, so
+    that re-counting after a small weight change only pays [node] calls
+    on the slice of the DAG that can see a changed variable — clean
+    subgraphs are served from the memo without touching the (possibly
+    expensive) value arithmetic.  Node indices are only stable between
+    sweeps: clear the memo after anything that may have run {!gc}, and
+    after any structural recompilation that rebinds what a variable
+    means. *)
 
 type 'a prob_memo
 
@@ -201,20 +188,30 @@ val prob_memo_clear : 'a prob_memo -> unit
 val prob_memo_size : 'a prob_memo -> int
 (** Number of node entries currently held (diagnostics). *)
 
-val fold_prob_memo :
-  memo:'a prob_memo ->
-  dirty:(int -> bool) ->
+val fold_prob_many :
+  ?memo:'a prob_memo ->
+  ?dirty:(int -> bool) ->
   zero:'a ->
   one:'a ->
   node:(int -> 'a -> 'a -> 'a) ->
-  t ->
-  'a
-(** {!fold_prob} with a persistent memo: [node v lo hi] runs only for
-    nodes whose subtree mentions a variable with [dirty v = true], or
-    that have no memo entry yet (fresh nodes); every other node reuses
-    its stored value.  The traversal itself still visits the whole DAG
-    (cheap pointer walk) — what is skipped is the value arithmetic.
-    All freshly computed values replace their memo entries, so calling
-    with [dirty = fun _ -> false] after a full pass is a pure replay. *)
+  t array ->
+  'a array
+(** Memoized bottom-up fold over a batch of roots of {e one} manager:
+    [node v lo hi] receives the results for the low and high children,
+    and results are positionally aligned with the input ([[||]] on the
+    empty batch).  Without [memo], one table shared across the whole
+    sweep visits each distinct node once: a node reachable from several
+    roots contributes one [node] call total, so the cost of counting a
+    batch is the size of the {e union} of the DAGs, not the sum, and
+    [dirty] is ignored.
+
+    With a persistent [memo], [node v lo hi] runs only for nodes whose
+    subtree mentions a variable with [dirty v = true] (default: none),
+    or that have no memo entry yet (fresh nodes); every other node
+    reuses its stored value.  The traversal itself still visits the
+    whole DAG (cheap pointer walk) — what is skipped is the value
+    arithmetic.  All freshly computed values replace their memo entries,
+    so a call without [dirty] after a full pass is a pure replay.
+    @raise Invalid_argument if the roots span different managers. *)
 
 val pp : Format.formatter -> t -> unit

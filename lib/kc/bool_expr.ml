@@ -130,23 +130,24 @@ let model_count e =
   done;
   !count
 
-let brute_force_probability (type p) (module C : Prob.CARRIER with type t = p)
-    (weight : int -> p) e : p =
+let brute_force_probability weight e =
   let vs = Array.of_list (enumeration_guard e) in
   let n = Array.length vs in
-  let total = ref C.zero in
+  let total = ref Rational.zero in
   for mask = 0 to (1 lsl n) - 1 do
     let env i =
       let rec idx k = if vs.(k) = i then k else idx (k + 1) in
       mask land (1 lsl idx 0) <> 0
     in
     if eval env e then begin
-      let w = ref C.one in
+      let w = ref Rational.one in
       for k = 0 to n - 1 do
         let p = weight vs.(k) in
-        w := C.mul !w (if mask land (1 lsl k) <> 0 then p else C.compl p)
+        w :=
+          Rational.mul !w
+            (if mask land (1 lsl k) <> 0 then p else Rational.compl p)
       done;
-      total := C.add !total !w
+      total := Rational.add !total !w
     end
   done;
   !total

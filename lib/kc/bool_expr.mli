@@ -58,8 +58,7 @@ val model_count : t -> int
 (** Number of satisfying assignments over [vars t].  Exponential; for
     cross-checking only. @raise Invalid_argument beyond 20 variables. *)
 
-val brute_force_probability :
-  (module Prob.CARRIER with type t = 'p) -> (int -> 'p) -> t -> 'p
+val brute_force_probability : (int -> Rational.t) -> t -> Rational.t
 (** Weighted model count by truth-table enumeration: the probability that
     the expression holds when variable [i] is independently true with
     probability [weight i].  Exponential; the reference implementation the

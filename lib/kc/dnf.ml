@@ -59,9 +59,8 @@ let num_clauses = List.length
 let to_expr t =
   Bool_expr.disj (List.map (fun c -> Bool_expr.conj (List.map Bool_expr.var c)) t)
 
-let clause_weight (type p) (module C : Prob.CARRIER with type t = p) weight
-    clause : p =
-  List.fold_left (fun acc v -> C.mul acc (weight v)) C.one clause
+let clause_weight weight clause =
+  List.fold_left (fun acc v -> acc *. weight v) 1.0 clause
 
 type estimate = {
   value : float;
@@ -75,9 +74,7 @@ let karp_luby ?(seed = 0xBADA55) ~samples ~weight t =
   if t = [] then invalid_arg "Dnf.karp_luby: empty DNF (probability is 0)";
   let clauses = Array.of_list t in
   let m = Array.length clauses in
-  let weights =
-    Array.map (clause_weight (module Prob.Float_carrier) weight) clauses
-  in
+  let weights = Array.map (clause_weight weight) clauses in
   let union_bound = Array.fold_left ( +. ) 0.0 weights in
   if union_bound <= 0.0 then
     { value = 0.0; std_error = 0.0; samples; union_bound }

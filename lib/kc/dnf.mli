@@ -24,8 +24,7 @@ val num_clauses : t -> int
 
 val to_expr : t -> Bool_expr.t
 
-val clause_weight :
-  (module Prob.CARRIER with type t = 'p) -> (int -> 'p) -> clause -> 'p
+val clause_weight : (int -> float) -> clause -> float
 (** Product of the variables' marginals: the probability that the clause
     holds under independence. *)
 

@@ -22,26 +22,11 @@ let compile ?tick ?on_free ?cache_size ?gc_threshold e =
   let order = first_occurrence_order [ e ] in
   Bdd.of_expr (Bdd.manager ~order ?tick ?on_free ?cache_size ?gc_threshold ()) e
 
-module Make (C : Prob.CARRIER) = struct
-  let probability ~weight (t : Bdd.t) : C.t =
-    Bdd.fold_prob ~zero:C.zero ~one:C.one
-      ~node:(fun v plo phi ->
-        let p = weight v in
-        C.add (C.mul p phi) (C.mul (C.compl p) plo))
-      t
+let shannon weight v lo hi =
+  let p = weight v in
+  Rational.add (Rational.mul p hi) (Rational.mul (Rational.compl p) lo)
 
-  let probability_expr ?tick ?on_free ?cache_size ?gc_threshold ~weight e =
-    probability ~weight (compile ?tick ?on_free ?cache_size ?gc_threshold e)
-end
-
-let float_probability ~weight e =
-  let module M = Make (Prob.Float_carrier) in
-  M.probability_expr ~weight e
-
-let rational_probability ~weight e =
-  let module M = Make (Prob.Rational_carrier) in
-  M.probability_expr ~weight e
-
-let interval_probability ~weight e =
-  let module M = Make (Prob.Interval_carrier) in
-  M.probability_expr ~weight e
+let probability ?tick ?on_free ?cache_size ?gc_threshold ~weight e =
+  let t = compile ?tick ?on_free ?cache_size ?gc_threshold e in
+  (Bdd.fold_prob_many ~zero:Rational.zero ~one:Rational.one
+     ~node:(shannon weight) [| t |]).(0)

@@ -6,9 +6,9 @@
     function holds is computed in one linear pass over its BDD:
     [P(node) = p(var) * P(hi) + (1 - p(var)) * P(lo)].
 
-    Functorized over the probability carrier so the same code yields fast
-    float answers, exact rational answers, or certified interval
-    enclosures. *)
+    The count is exact, over rationals: {!shannon} is that node step,
+    folded by {!Bdd.fold_prob_many}.  (The interval-valued count of the
+    delta sessions applies the same step in [Delta_eval.Make].) *)
 
 val first_occurrence_order : Bool_expr.t list -> int -> int
 (** The variable order every lineage compiler shares: depth-first first
@@ -29,24 +29,20 @@ val compile :
     abort a blowing-up compilation; [on_free] refunds nodes reclaimed by
     GC when [gc_threshold] enables it. *)
 
-module Make (C : Prob.CARRIER) : sig
-  val probability : weight:(int -> C.t) -> Bdd.t -> C.t
-  (** [weight v] is the marginal probability of variable [v]; it is
-      consulted only on the support. *)
+val shannon :
+  (int -> Rational.t) -> int -> Rational.t -> Rational.t -> Rational.t
+(** [shannon weight v lo hi = p * hi + (1 - p) * lo] with [p = weight
+    v]: the node step of the count, to pass as
+    [~node:(shannon weight)] to {!Bdd.fold_prob_many}.  [weight] is
+    consulted only on the support. *)
 
-  val probability_expr :
-    ?tick:(unit -> unit) ->
-    ?on_free:(int -> unit) ->
-    ?cache_size:int ->
-    ?gc_threshold:int ->
-    weight:(int -> C.t) ->
-    Bool_expr.t ->
-    C.t
-  (** Convenience: {!compile}, then count. *)
-end
-
-val float_probability : weight:(int -> float) -> Bool_expr.t -> float
-val rational_probability :
-  weight:(int -> Rational.t) -> Bool_expr.t -> Rational.t
-val interval_probability :
-  weight:(int -> Interval.t) -> Bool_expr.t -> Interval.t
+val probability :
+  ?tick:(unit -> unit) ->
+  ?on_free:(int -> unit) ->
+  ?cache_size:int ->
+  ?gc_threshold:int ->
+  weight:(int -> Rational.t) ->
+  Bool_expr.t ->
+  Rational.t
+(** {!compile}, then count: the probability that the lineage holds when
+    variable [v] is independently true with probability [weight v]. *)

@@ -650,182 +650,182 @@ let is_hierarchical q =
 
 exception Unsafe
 
-module Make (C : Prob.CARRIER) = struct
-  (* Index the TI table per relation for candidate matching. *)
-  let index facts =
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun f ->
-        let cur = Option.value (Hashtbl.find_opt tbl (Fact.rel f)) ~default:[] in
-        Hashtbl.replace tbl (Fact.rel f) (f :: cur))
-      facts;
-    tbl
+(* Index the TI table per relation for candidate matching. *)
+let index facts =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun f ->
+      let cur = Option.value (Hashtbl.find_opt tbl (Fact.rel f)) ~default:[] in
+      Hashtbl.replace tbl (Fact.rel f) (f :: cur))
+    facts;
+  tbl
 
-  (* Does a ground-or-not atom pattern match a fact's argument list? *)
-  let matches atom fact =
-    Fact.arity fact = List.length atom.args
-    && List.for_all2
-         (fun t v ->
-           match t with
-           | Fo.Const c -> Value.equal c v
-           | Fo.Var _ -> true)
-         atom.args (Fact.args fact)
+(* Does a ground-or-not atom pattern match a fact's argument list? *)
+let matches atom fact =
+  Fact.arity fact = List.length atom.args
+  && List.for_all2
+       (fun t v ->
+         match t with
+         | Fo.Const c -> Value.equal c v
+         | Fo.Var _ -> true)
+       atom.args (Fact.args fact)
 
-  let candidate_values idx atoms x =
-    (* Values v such that substituting x := v keeps at least one atom
-       matchable; union over atoms containing x of the values at x's
-       positions in matching facts.  (A superset of the useful values is
-       sound: a value with no full match contributes a factor 1.) *)
-    List.fold_left
-      (fun acc a ->
-        if not (SSet.mem x (atom_vars a)) then acc
-        else begin
-          let facts = Option.value (Hashtbl.find_opt idx a.rel) ~default:[] in
-          List.fold_left
-            (fun acc f ->
-              if matches a f then begin
-                let acc = ref acc in
-                List.iteri
-                  (fun i t ->
-                    match t with
-                    | Fo.Var y when y = x ->
-                      acc := VSet.add (Fact.arg f i) !acc
-                    | _ -> ())
-                  a.args;
-                !acc
-              end
-              else acc)
-            acc facts
-        end)
-      VSet.empty atoms
-
-  (* The evaluator mirrors [plan_ucq] rule for rule, but recurses on the
-     concrete groundings instead of a placeholder; [Unsafe] aborts to the
-     [None] of [probability] (a precondition failed on this instance). *)
-  let rec eval_ucq step idx weight depth (ucq : ucq) : C.t =
-    step ();
-    if depth > max_depth then raise Unsafe;
-    match ucq with
-    | [] -> C.zero
-    | _ when List.exists (fun c -> c.datoms = []) ucq -> C.one
-    | [ c ] -> eval_cq step idx weight depth c.datoms
-    | _ -> (
-      match group_by (fun a b -> atom_lists_overlap a.datoms b.datoms) ucq with
-      | ([] | [ _ ]) -> eval_entangled step idx weight depth ucq
-      | groups ->
-        (* Independent union. *)
-        C.compl
-          (List.fold_left
-             (fun acc g ->
-               C.mul acc (C.compl (eval_ucq step idx weight (depth + 1) g)))
-             C.one groups))
-
-  and eval_entangled step idx weight depth ucq =
-    let try_separator choice =
-      let cands =
-        List.fold_left2
-          (fun acc c x -> VSet.union acc (candidate_values idx c.datoms x))
-          VSet.empty ucq choice
-      in
-      match
-        VSet.fold
-          (fun v acc ->
-            let grounded =
-              List.map2
-                (fun c x -> { datoms = dedup_atoms (subst_atoms x v c.datoms) })
-                ucq choice
-            in
-            C.mul acc
-              (C.compl (eval_ucq step idx weight (depth + 1) grounded)))
-          cands C.one
-      with
-      | miss_all -> Some (C.compl miss_all)
-      | exception Unsafe -> None
-    in
-    match List.find_map try_separator (separators ucq) with
-    | Some p -> p
-    | None -> eval_incl_excl step idx weight depth ucq
-
-  and eval_incl_excl step idx weight depth ucq =
-    let k = List.length ucq in
-    if k > max_incl_excl then raise Unsafe;
-    let arr = Array.of_list ucq in
-    let total = ref C.zero in
-    for s = 1 to (1 lsl k) - 1 do
-      let atoms = ref [] and bits = ref 0 in
-      for i = 0 to k - 1 do
-        if s land (1 lsl i) <> 0 then begin
-          incr bits;
-          atoms := arr.(i).datoms @ !atoms
-        end
-      done;
-      let p = eval_cq step idx weight (depth + 1) (dedup_atoms !atoms) in
-      total := if !bits mod 2 = 1 then C.add !total p else C.sub !total p
-    done;
-    !total
-
-  and eval_cq step idx weight depth atoms =
-    step ();
-    match atoms with
-    | [] -> C.one
-    | _ -> (
-      match components atoms with
-      | [ comp ] -> eval_component step idx weight depth comp
-      | comps ->
-        if not (cross_independent comps) then raise Unsafe;
-        (* Independent join. *)
-        List.fold_left
-          (fun acc comp ->
-            C.mul acc (eval_component step idx weight (depth + 1) comp))
-          C.one comps)
-
-  and eval_component step idx weight depth comp =
-    match comp with
-    | [ a ] when is_ground a ->
-      weight
-        (Fact.make a.rel
-           (List.map
-              (function Fo.Const v -> v | Fo.Var _ -> assert false)
-              a.args))
-    | _ ->
-      let try_root = function
-        | [ x ] -> (
-          let values = candidate_values idx comp x in
-          match
-            VSet.fold
-              (fun v acc ->
-                let grounded = dedup_atoms (subst_atoms x v comp) in
-                C.mul acc
-                  (C.compl (eval_cq step idx weight (depth + 1) grounded)))
-              values C.one
-          with
-          | miss_all -> Some (C.compl miss_all)
-          | exception Unsafe -> None)
-        | _ -> None
-      in
-      (match List.find_map try_root (separators [ { datoms = comp } ]) with
-      | Some p -> p
-      | None -> raise Unsafe)
-
-  let probability ?(step = fun () -> ()) ~weight ~facts phi =
-    match ucq_of_sentence phi with
-    | None -> None
-    | Some ucq ->
-      (* Degenerate-domain guard: with no values in any fact and no
-         constants in the query, the shared evaluation domain is empty,
-         where a quantified tautology (e.g. [exists x y. x = y]) is
-         false under active-domain semantics while the UCQ view says
-         true.  Punt to the grounded engines for that corner. *)
-      if
-        ucq <> []
-        && Fo.quantifier_rank phi > 0
-        && Fo.constants phi = []
-        && List.for_all (fun f -> Fact.args f = []) facts
-      then None
+let candidate_values idx atoms x =
+  (* Values v such that substituting x := v keeps at least one atom
+     matchable; union over atoms containing x of the values at x's
+     positions in matching facts.  (A superset of the useful values is
+     sound: a value with no full match contributes a factor 1.) *)
+  List.fold_left
+    (fun acc a ->
+      if not (SSet.mem x (atom_vars a)) then acc
       else begin
-        let idx = index facts in
-        match eval_ucq step idx weight 0 ucq with
-        | p -> Some p
-        | exception Unsafe -> None
+        let facts = Option.value (Hashtbl.find_opt idx a.rel) ~default:[] in
+        List.fold_left
+          (fun acc f ->
+            if matches a f then begin
+              let acc = ref acc in
+              List.iteri
+                (fun i t ->
+                  match t with
+                  | Fo.Var y when y = x ->
+                    acc := VSet.add (Fact.arg f i) !acc
+                  | _ -> ())
+                a.args;
+              !acc
+            end
+            else acc)
+          acc facts
+      end)
+    VSet.empty atoms
+
+(* The evaluator mirrors [plan_ucq] rule for rule, but recurses on the
+   concrete groundings instead of a placeholder; [Unsafe] aborts to the
+   [None] of [probability] (a precondition failed on this instance). *)
+let rec eval_ucq step idx weight depth (ucq : ucq) : Rational.t =
+  step ();
+  if depth > max_depth then raise Unsafe;
+  match ucq with
+  | [] -> Rational.zero
+  | _ when List.exists (fun c -> c.datoms = []) ucq -> Rational.one
+  | [ c ] -> eval_cq step idx weight depth c.datoms
+  | _ -> (
+    match group_by (fun a b -> atom_lists_overlap a.datoms b.datoms) ucq with
+    | ([] | [ _ ]) -> eval_entangled step idx weight depth ucq
+    | groups ->
+      (* Independent union. *)
+      Rational.compl
+        (List.fold_left
+           (fun acc g ->
+             Rational.mul acc
+               (Rational.compl (eval_ucq step idx weight (depth + 1) g)))
+           Rational.one groups))
+
+and eval_entangled step idx weight depth ucq =
+  let try_separator choice =
+    let cands =
+      List.fold_left2
+        (fun acc c x -> VSet.union acc (candidate_values idx c.datoms x))
+        VSet.empty ucq choice
+    in
+    match
+      VSet.fold
+        (fun v acc ->
+          let grounded =
+            List.map2
+              (fun c x -> { datoms = dedup_atoms (subst_atoms x v c.datoms) })
+              ucq choice
+          in
+          Rational.mul acc
+            (Rational.compl (eval_ucq step idx weight (depth + 1) grounded)))
+        cands Rational.one
+    with
+    | miss_all -> Some (Rational.compl miss_all)
+    | exception Unsafe -> None
+  in
+  match List.find_map try_separator (separators ucq) with
+  | Some p -> p
+  | None -> eval_incl_excl step idx weight depth ucq
+
+and eval_incl_excl step idx weight depth ucq =
+  let k = List.length ucq in
+  if k > max_incl_excl then raise Unsafe;
+  let arr = Array.of_list ucq in
+  let total = ref Rational.zero in
+  for s = 1 to (1 lsl k) - 1 do
+    let atoms = ref [] and bits = ref 0 in
+    for i = 0 to k - 1 do
+      if s land (1 lsl i) <> 0 then begin
+        incr bits;
+        atoms := arr.(i).datoms @ !atoms
       end
-end
+    done;
+    let p = eval_cq step idx weight (depth + 1) (dedup_atoms !atoms) in
+    total :=
+      if !bits mod 2 = 1 then Rational.add !total p else Rational.sub !total p
+  done;
+  !total
+
+and eval_cq step idx weight depth atoms =
+  step ();
+  match atoms with
+  | [] -> Rational.one
+  | _ -> (
+    match components atoms with
+    | [ comp ] -> eval_component step idx weight depth comp
+    | comps ->
+      if not (cross_independent comps) then raise Unsafe;
+      (* Independent join. *)
+      List.fold_left
+        (fun acc comp ->
+          Rational.mul acc (eval_component step idx weight (depth + 1) comp))
+        Rational.one comps)
+
+and eval_component step idx weight depth comp =
+  match comp with
+  | [ a ] when is_ground a ->
+    weight
+      (Fact.make a.rel
+         (List.map
+            (function Fo.Const v -> v | Fo.Var _ -> assert false)
+            a.args))
+  | _ ->
+    let try_root = function
+      | [ x ] -> (
+        let values = candidate_values idx comp x in
+        match
+          VSet.fold
+            (fun v acc ->
+              let grounded = dedup_atoms (subst_atoms x v comp) in
+              Rational.mul acc
+                (Rational.compl (eval_cq step idx weight (depth + 1) grounded)))
+            values Rational.one
+        with
+        | miss_all -> Some (Rational.compl miss_all)
+        | exception Unsafe -> None)
+      | _ -> None
+    in
+    (match List.find_map try_root (separators [ { datoms = comp } ]) with
+    | Some p -> p
+    | None -> raise Unsafe)
+
+let probability ?(step = fun () -> ()) ~weight ~facts phi =
+  match ucq_of_sentence phi with
+  | None -> None
+  | Some ucq ->
+    (* Degenerate-domain guard: with no values in any fact and no
+       constants in the query, the shared evaluation domain is empty,
+       where a quantified tautology (e.g. [exists x y. x = y]) is
+       false under active-domain semantics while the UCQ view says
+       true.  Punt to the grounded engines for that corner. *)
+    if
+      ucq <> []
+      && Fo.quantifier_rank phi > 0
+      && Fo.constants phi = []
+      && List.for_all (fun f -> Fact.args f = []) facts
+    then None
+    else begin
+      let idx = index facts in
+      match eval_ucq step idx weight 0 ucq with
+      | p -> Some p
+      | exception Unsafe -> None
+    end

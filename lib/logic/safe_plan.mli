@@ -71,20 +71,18 @@ val is_hierarchical : cq -> bool
 
 (** {1 Evaluation} *)
 
-module Make (C : Prob.CARRIER) : sig
-  val probability :
-    ?step:(unit -> unit) ->
-    weight:(Fact.t -> C.t) ->
-    facts:Fact.t list ->
-    Fo.t ->
-    C.t option
-  (** [probability ~weight ~facts q]: the probability of the Boolean
-      query [q] in the tuple-independent PDB whose possible facts are
-      [facts] with marginals [weight].  [None] when no safe plan applies.
-      Existential quantifiers range over the values occurring in [facts]
-      (plus the query's constants), matching the lineage engine's
-      domain; positive existential sentences cannot distinguish that
-      domain from any inert extension, so the answer is also the padded
-      (limit-semantics) one.  [step] is invoked once per rule
-      application and may raise to abort (budget cancellation). *)
-end
+val probability :
+  ?step:(unit -> unit) ->
+  weight:(Fact.t -> Rational.t) ->
+  facts:Fact.t list ->
+  Fo.t ->
+  Rational.t option
+(** [probability ~weight ~facts q]: the probability of the Boolean
+    query [q] in the tuple-independent PDB whose possible facts are
+    [facts] with marginals [weight].  [None] when no safe plan applies.
+    Existential quantifiers range over the values occurring in [facts]
+    (plus the query's constants), matching the lineage engine's
+    domain; positive existential sentences cannot distinguish that
+    domain from any inert extension, so the answer is also the padded
+    (limit-semantics) one.  [step] is invoked once per rule
+    application and may raise to abort (budget cancellation). *)

@@ -4,9 +4,9 @@
     the exact {!Oracle} universe, and runs the enabled engines against
     it:
 
-    - the exact closed-world path ({!Query_eval} BDD, enumeration,
-      interval carrier) must agree with the oracle {e exactly} —
-      rational equality, no tolerance;
+    - the exact closed-world path ({!Query_eval} BDD and enumeration)
+      must agree with the oracle {e exactly} — rational equality, no
+      tolerance;
     - the lifted safe-plan engine, on every query it accepts, must agree
       with both the oracle and the compiled BDD by rational equality
       (checks [lifted.oracle] / [lifted.bdd]);
@@ -30,7 +30,7 @@
       fact-probability increase, the completion condition (CC) of
       Definition 5.1, BID within-block exclusivity, Corollary 4.7
       expected size, and truncation-monotone narrowing of the oracle
-      enclosure.
+      enclosure (limit semantics, so [Cmp]-free queries only).
 
     A failing case is shrunk (fewer facts, structurally smaller query)
     while the same check keeps failing, and can be serialized to a

@@ -9,7 +9,6 @@ type config = {
   max_rank : int;
   max_connectives : int;
   allow_negation : bool;
-  allow_cmp : bool;
   denominator : int;
 }
 
@@ -23,7 +22,6 @@ let default =
     max_rank = 3;
     max_connectives = 7;
     allow_negation = true;
-    allow_cmp = false;
     denominator = 16;
   }
 
@@ -238,9 +236,9 @@ let random_atom g sch vars =
 let rec gen_formula cfg g sch vars ~rank ~budget ~positive =
   let leaf () =
     match Prng.int g 10 with
-    | 0 when vars <> [] || cfg.allow_cmp ->
+    | 0 ->
       let a = random_term g vars and b = random_term g vars in
-      if cfg.allow_cmp && Prng.bool g then
+      if Prng.bool g then
         let op =
           match Prng.int g 4 with
           | 0 -> Fo.Lt

@@ -15,9 +15,6 @@ type config = {
   max_rank : int;  (** quantifier rank of random queries (default 3) *)
   max_connectives : int;  (** size budget of random queries (default 7) *)
   allow_negation : bool;  (** default true *)
-  allow_cmp : bool;
-      (** default false: [Cmp] breaks inert-value interchangeability, so
-          cross-truncation interval checks only apply without it *)
   denominator : int;  (** probabilities are [k/denominator] (default 16) *)
 }
 

@@ -28,18 +28,18 @@
       copies are answered from the representative.
 
     {b Determinism.}  Results are a pure function of [(table, queries,
-    extra_domain)].  With the exact rational carrier they are moreover
-    {e bit-identical} at any [domains] setting: sharding is decided by
-    member index alone (never by runtime scheduling), each shard's
-    ROBDDs are canonical for its manager, and the rational model count
-    of a canonical function does not depend on which manager or variable
-    order produced it.  Worker domains follow the same discipline as
-    {!Mc_eval}: work is claimed through one atomic cursor, every result
-    lands in a per-member slot, and instrumentation uses the
-    [Atomic]-backed {!Stats} registry, so no increment is dropped.
+    extra_domain)], and {e bit-identical} at any [domains] setting:
+    sharding is decided by member index alone (never by runtime
+    scheduling), each shard's ROBDDs are canonical for its manager, and
+    the rational model count of a canonical function does not depend on
+    which manager or variable order produced it.  Worker domains follow
+    the same discipline as {!Mc_eval}: work is claimed through one
+    atomic cursor, every result lands in a per-member slot, and
+    instrumentation uses the [Atomic]-backed {!Stats} registry, so no
+    increment is dropped.
 
     {b Member-wise semantics} (the metamorphic law the fuzzer checks):
-    member [i] of [batch ~extra_domain ti qs] equals
+    member [i] of [boolean ~extra_domain ti qs] equals
     [Query_eval.boolean ~extra_domain:d ti qs.(i)] where [d] is
     [extra_domain] alone when [qs.(i)] contains a [Cmp] atom (inert
     values are distinguishable by order, so those members stay
@@ -52,6 +52,8 @@ type route =
   | Duplicate of int
       (** syntactically equal to member [j], answered from its slot *)
 
+(** [prob] is always a [Rational.t]; the parameter lets callers keep
+    writing [Rational.t member] and [Rational.t result]. *)
 type 'p member = { query : Fo.t; prob : 'p; route : route }
 
 type 'p result = {
@@ -74,28 +76,6 @@ val padding : ?extra:Value.t list -> Ti_table.t -> Fo.t array -> Value.t list
     Exposed so a sequential loop can reproduce the batch semantics
     member by member. *)
 
-module Make (C : Prob.CARRIER) : sig
-  val batch :
-    ?extra_domain:Value.t list ->
-    ?tick:(unit -> unit) ->
-    ?on_free:(int -> unit) ->
-    ?cache_size:int ->
-    ?gc_threshold:int ->
-    ?domains:int ->
-    Ti_table.t ->
-    Fo.t array ->
-    C.t result
-  (** Evaluate the whole batch.  [domains] (default 1) caps the worker
-      domains fanned over the compiled shards; with [domains = 1] the
-      whole batch shares a single store (maximal sharing), larger values
-      trade sharing for parallelism without changing exact-carrier
-      results.  [tick] / [on_free] are the {!Bdd.manager} budget hooks,
-      threaded to every shard manager — they may be called from worker
-      domains, so they must be thread-safe (the {!Budget} hooks are).
-      @raise Invalid_argument if [domains < 1], or some member has free
-      variables. *)
-end
-
 val boolean :
   ?extra_domain:Value.t list ->
   ?tick:(unit -> unit) ->
@@ -106,5 +86,13 @@ val boolean :
   Ti_table.t ->
   Fo.t array ->
   Rational.t result
-(** {!Make}[(Prob.Rational_carrier).batch]: the exact instance whose
-    results are bit-identical at any [domains] setting. *)
+(** Evaluate the whole batch exactly.  [domains] (default 1) caps the
+    worker domains fanned over the compiled shards; with [domains = 1]
+    the whole batch shares a single store (maximal sharing), larger
+    values trade sharing for parallelism without changing the
+    (bit-identical) results.  [tick] / [on_free] are the {!Bdd.manager}
+    budget hooks, threaded to every shard manager — they may be called
+    from worker domains, so they must be thread-safe (the {!Budget}
+    hooks are).
+    @raise Invalid_argument if [domains < 1], or some member has free
+    variables. *)

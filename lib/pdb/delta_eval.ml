@@ -411,12 +411,12 @@ module Make (C : Prob.CARRIER) = struct
       in
       let recomputed = ref 0 in
       let p =
-        Bdd.fold_prob_memo ~memo:t.memo ~dirty ~zero:C.zero ~one:C.one
-          ~node:(fun v lo hi ->
-            incr recomputed;
-            let w = t.weights.(v) in
-            C.add (C.mul w hi) (C.mul (C.compl w) lo))
-          t.bdd
+        (Bdd.fold_prob_many ~memo:t.memo ~dirty ~zero:C.zero ~one:C.one
+           ~node:(fun v lo hi ->
+             incr recomputed;
+             let w = t.weights.(v) in
+             C.add (C.mul w hi) (C.mul (C.compl w) lo))
+           [| t.bdd |]).(0)
       in
       Stats.add c_fold_nodes !recomputed;
       t.dirty <- ISet.empty;
@@ -427,7 +427,6 @@ module Make (C : Prob.CARRIER) = struct
 end
 
 module Exact = Make (Prob.Rational_carrier)
-module Fast = Make (Prob.Float_carrier)
 module Certified = Make (Prob.Interval_carrier)
 
 (* -------------------- BID sessions -------------------- *)

@@ -11,12 +11,13 @@
     comparison-free queries: a deleted fact keeps its BDD variable at
     weight zero, so delete / reweight / re-insert of a known fact is a
     pure weight patch — no lineage work at all.  The weighted model
-    count is then re-derived through {!Bdd.fold_prob_memo}, which only
-    re-runs the carrier arithmetic on the slice of the DAG that can see
-    a changed variable.  A genuinely new atom extends the diagram: by a
-    delta-join at the root when the query is a quantifier chain and the
-    fact brings a fresh constant (batched by {!Make.extend}), and by a
-    recompilation in the shared warm manager otherwise.
+    count is then re-derived through {!Bdd.fold_prob_many} under the
+    session's persistent memo, which only re-runs the carrier arithmetic
+    on the slice of the DAG that can see a changed variable.  A genuinely
+    new atom extends the diagram: by a delta-join at the root when the
+    query is a quantifier chain and the fact brings a fresh constant
+    (batched by {!Make.extend}), and by a recompilation in the shared
+    warm manager otherwise.
 
     {b Domain semantics.}  For comparison-free queries the evaluation
     domain is also grow-only — values of deleted facts stay as inert
@@ -74,7 +75,11 @@ type apply_kind =
 
 val apply_kind_to_string : apply_kind -> string
 
-(** {1 TI delta sessions, generic over the probability carrier} *)
+(** {1 TI delta sessions, generic over the probability carrier}
+
+    The one engine with two carriers: {!Exact} counts with rationals (the
+    fuzzer's from-scratch reference), {!Certified} with outward-rounded
+    intervals (the anytime and served sessions). *)
 
 module Make (C : Prob.CARRIER) : sig
   type t
@@ -138,7 +143,6 @@ module Make (C : Prob.CARRIER) : sig
 end
 
 module Exact : module type of Make (Prob.Rational_carrier)
-module Fast : module type of Make (Prob.Float_carrier)
 module Certified : module type of Make (Prob.Interval_carrier)
 
 (** {1 BID delta sessions}

@@ -24,47 +24,37 @@ let alphabet_of_ti ti = Lineage.alphabet (Ti_table.support ti)
 let c_safe_plan = Stats.counter "query.safe_plan"
 let c_bdd_fallback = Stats.counter "query.bdd_fallback"
 
-module Make (C : Prob.CARRIER) = struct
-  let weight_of_table ti f = C.of_rational (Ti_table.prob ti f)
+let boolean_bdd ?(extra_domain = []) ?tick ?on_free ?cache_size ?gc_threshold
+    ti phi =
+  require_sentence phi;
+  let a = alphabet_of_ti ti in
+  let lin = Lineage.of_sentence ~extra:extra_domain a phi in
+  Wmc.probability ?tick ?on_free ?cache_size ?gc_threshold
+    ~weight:(fun v -> Ti_table.prob ti (Lineage.fact_of_var a v))
+    lin
 
-  let boolean_bdd ?(extra_domain = []) ?tick ?on_free ?cache_size ?gc_threshold
-      ti phi =
-    require_sentence phi;
-    let a = alphabet_of_ti ti in
-    let lin = Lineage.of_sentence ~extra:extra_domain a phi in
-    let module W = Wmc.Make (C) in
-    W.probability_expr ?tick ?on_free ?cache_size ?gc_threshold
-      ~weight:(fun v -> weight_of_table ti (Lineage.fact_of_var a v))
-      lin
+let boolean_safe ?step ti phi =
+  require_sentence phi;
+  Safe_plan.probability ?step
+    ~weight:(Ti_table.prob ti)
+    ~facts:(Ti_table.support ti)
+    phi
 
-  let boolean_safe ?step ti phi =
-    require_sentence phi;
-    let module S = Safe_plan.Make (C) in
-    S.probability ?step
-      ~weight:(weight_of_table ti)
-      ~facts:(Ti_table.support ti)
-      phi
-
-  let boolean ?(extra_domain = []) ?tick ?on_free ?cache_size ?gc_threshold ti
-      phi =
-    (* Dichotomy-aware routing: the lifted UCQ engine first, lineage +
-       BDD for everything it rejects.  A safe plan quantifies over the
-       values occurring in facts; an extension by inert values (occurring
-       in no fact and not among the query's constants) cannot change the
-       truth of a positive existential UCQ on any world, so the plan's
-       answer is the padded answer and the fast path stays valid. *)
-    match boolean_safe ti phi with
-    | Some p ->
-      Stats.incr c_safe_plan;
-      p
-    | None ->
-      Stats.incr c_bdd_fallback;
-      boolean_bdd ~extra_domain ?tick ?on_free ?cache_size ?gc_threshold ti phi
-end
-
-module Exact = Make (Prob.Rational_carrier)
-module Fast = Make (Prob.Float_carrier)
-module Certified = Make (Prob.Interval_carrier)
+let boolean ?(extra_domain = []) ?tick ?on_free ?cache_size ?gc_threshold ti
+    phi =
+  (* Dichotomy-aware routing: the lifted UCQ engine first, lineage +
+     BDD for everything it rejects.  A safe plan quantifies over the
+     values occurring in facts; an extension by inert values (occurring
+     in no fact and not among the query's constants) cannot change the
+     truth of a positive existential UCQ on any world, so the plan's
+     answer is the padded answer and the fast path stays valid. *)
+  match boolean_safe ti phi with
+  | Some p ->
+    Stats.incr c_safe_plan;
+    p
+  | None ->
+    Stats.incr c_bdd_fallback;
+    boolean_bdd ~extra_domain ?tick ?on_free ?cache_size ?gc_threshold ti phi
 
 (* The reference world sum every enumeration engine shares: P(phi) is
    the mass of the worlds that model phi, each world evaluated over the
@@ -122,12 +112,7 @@ let choose_padding ?(avoid = fun _ -> false) facts queries =
   in
   if rank = 0 then [] else choose 0
 
-let boolean_bdd_rational ti phi = Exact.boolean_bdd ti phi
-let boolean_bdd_float ti phi = Fast.boolean_bdd ti phi
-let boolean_bdd_interval ti phi = Certified.boolean_bdd ti phi
-let boolean_safe ?step ti phi = Exact.boolean_safe ?step ti phi
 let safe phi = Safe_plan.is_safe phi
-let boolean = Exact.boolean
 
 let boolean_karp_luby ?seed ~samples ti phi =
   require_sentence phi;

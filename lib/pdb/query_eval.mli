@@ -35,9 +35,18 @@ val boolean_enum : Ti_table.t -> Fo.t -> Rational.t
 (** @raise Invalid_argument if the support exceeds 20 facts or the query
     has free variables. *)
 
-val boolean_bdd_rational : Ti_table.t -> Fo.t -> Rational.t
-val boolean_bdd_float : Ti_table.t -> Fo.t -> float
-val boolean_bdd_interval : Ti_table.t -> Fo.t -> Interval.t
+val boolean_bdd :
+  ?extra_domain:Value.t list ->
+  ?tick:(unit -> unit) ->
+  ?on_free:(int -> unit) ->
+  ?cache_size:int ->
+  ?gc_threshold:int ->
+  Ti_table.t ->
+  Fo.t ->
+  Rational.t
+(** The lineage engine alone: compile the query's lineage (over the
+    active domain plus [extra_domain]) and count it; see {!boolean} for
+    the optional arguments. *)
 
 val boolean_safe :
   ?step:(unit -> unit) -> Ti_table.t -> Fo.t -> Rational.t option
@@ -124,32 +133,3 @@ val marginals :
     safety valve). *)
 
 val marginals_finite : Finite_pdb.t -> Fo.t -> (Tuple.t * Rational.t) list
-
-(** {1 Generic engine over any carrier} *)
-
-module Make (C : Prob.CARRIER) : sig
-  val weight_of_table : Ti_table.t -> Fact.t -> C.t
-
-  val boolean_bdd :
-    ?extra_domain:Value.t list ->
-    ?tick:(unit -> unit) ->
-    ?on_free:(int -> unit) ->
-    ?cache_size:int ->
-    ?gc_threshold:int ->
-    Ti_table.t ->
-    Fo.t ->
-    C.t
-
-  val boolean_safe :
-    ?step:(unit -> unit) -> Ti_table.t -> Fo.t -> C.t option
-
-  val boolean :
-    ?extra_domain:Value.t list ->
-    ?tick:(unit -> unit) ->
-    ?on_free:(int -> unit) ->
-    ?cache_size:int ->
-    ?gc_threshold:int ->
-    Ti_table.t ->
-    Fo.t ->
-    C.t
-end

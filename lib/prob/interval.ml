@@ -12,6 +12,12 @@ let make lo hi =
 
 let point x = make x x
 
+(* [Rational.to_float] is off by less than one ulp, so the adjacent
+   floats bracket the exact value. *)
+let of_rational q =
+  let f = Rational.to_float q in
+  make (Float.pred f) (Float.succ f)
+
 let zero = point 0.0
 let one = point 1.0
 
@@ -85,6 +91,5 @@ let clamp01 x =
   | None -> if x.hi < 0.0 then zero else one
 
 let equal a b = a.lo = b.lo && a.hi = b.hi
-let compare_mid a b = Float.compare (mid a) (mid b)
 
 let pp fmt x = Format.fprintf fmt "[%.17g, %.17g]" x.lo x.hi

@@ -13,6 +13,11 @@ val make : float -> float -> t
 val point : float -> t
 (** The degenerate interval [[x, x]]. *)
 
+val of_rational : Rational.t -> t
+(** [[pred f, succ f]] around [f = Rational.to_float q]: contains [q]
+    because that conversion is off by less than one ulp at any
+    magnitude. *)
+
 val zero : t
 val one : t
 
@@ -53,5 +58,4 @@ val clamp01 : t -> t
     quantities known to be probabilities. *)
 
 val equal : t -> t -> bool
-val compare_mid : t -> t -> int
 val pp : Format.formatter -> t -> unit

@@ -4,38 +4,9 @@ module type CARRIER = sig
   val zero : t
   val one : t
   val of_rational : Rational.t -> t
-  val of_float : float -> t
-  val to_float : t -> float
   val add : t -> t -> t
-  val sub : t -> t -> t
   val mul : t -> t -> t
-  val div : t -> t -> t
   val compl : t -> t
-  val compare : t -> t -> int
-  val equal : t -> t -> bool
-  val pp : Format.formatter -> t -> unit
-  val name : string
-end
-
-module Float_carrier = struct
-  type t = float
-
-  let zero = 0.0
-  let one = 1.0
-  let of_rational = Rational.to_float
-  let of_float x = x
-  let to_float x = x
-  let add = ( +. )
-  let sub = ( -. )
-  let mul = ( *. )
-
-  let div a b = if b = 0.0 then raise Division_by_zero else a /. b
-
-  let compl p = 1.0 -. p
-  let compare = Float.compare
-  let equal (a : t) b = a = b
-  let pp fmt x = Format.fprintf fmt "%.12g" x
-  let name = "float"
 end
 
 module Rational_carrier = struct
@@ -44,17 +15,9 @@ module Rational_carrier = struct
   let zero = Rational.zero
   let one = Rational.one
   let of_rational x = x
-  let of_float = Rational.of_float_exn
-  let to_float = Rational.to_float
   let add = Rational.add
-  let sub = Rational.sub
   let mul = Rational.mul
-  let div = Rational.div
   let compl = Rational.compl
-  let compare = Rational.compare
-  let equal = Rational.equal
-  let pp = Rational.pp
-  let name = "rational"
 end
 
 module Interval_carrier = struct
@@ -62,23 +25,10 @@ module Interval_carrier = struct
 
   let zero = Interval.zero
   let one = Interval.one
-
-  let of_rational q =
-    (* Bracket the exact rational between adjacent floats. *)
-    let f = Rational.to_float q in
-    Interval.make (Float.pred f) (Float.succ f)
-
-  let of_float = Interval.point
-  let to_float = Interval.mid
+  let of_rational = Interval.of_rational
   let add = Interval.add
-  let sub = Interval.sub
   let mul = Interval.mul
-  let div = Interval.div
   let compl = Interval.compl
-  let compare = Interval.compare_mid
-  let equal = Interval.equal
-  let pp = Interval.pp
-  let name = "interval"
 end
 
 let kahan_sum_seq xs =
@@ -92,14 +42,7 @@ let kahan_sum_seq xs =
     xs;
   !sum
 
-let kahan_sum xs = kahan_sum_seq (List.to_seq xs)
-
 let close ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps
-
-let check_probability_float p =
-  if Float.is_nan p || p < 0.0 || p > 1.0 then
-    invalid_arg (Printf.sprintf "probability out of range: %g" p)
-  else p
 
 let check_probability_rational p =
   if Rational.is_probability p then p

@@ -1,19 +1,15 @@
 (** Probability carriers.
 
-    Every probabilistic computation in this project (world enumeration,
-    weighted model counting, completions, the truncation approximation of
-    Proposition 6.1) is written once against the {!CARRIER} signature and
-    instantiated at three precisions:
+    Proposition 6.1's closed-world count runs over exact rationals
+    everywhere in this project except one engine: the delta sessions
+    ({!Delta_eval.Make}) also run over outward-rounded intervals, so that
+    anytime and served sessions get machine-checked two-sided bounds at
+    float speed.  {!CARRIER} is the arithmetic those sessions use, and it
+    has exactly two implementations:
 
-    - {!Float_carrier} — fast IEEE doubles;
     - {!Rational_carrier} — exact arithmetic, letting the theorems of the
       paper be checked as identities;
-    - {!Interval_carrier} — outward-rounded enclosures: machine-checked
-      two-sided bounds at float speed.
-
-    The signature is deliberately a field-with-order rather than a
-    semiring: the inference algorithms need complements and conditioning
-    (division). *)
+    - {!Interval_carrier} — outward-rounded enclosures. *)
 
 module type CARRIER = sig
   type t
@@ -21,49 +17,25 @@ module type CARRIER = sig
   val zero : t
   val one : t
   val of_rational : Rational.t -> t
-  val of_float : float -> t
-
-  val to_float : t -> float
-  (** Best single-float view (midpoint for intervals). *)
-
   val add : t -> t -> t
-  val sub : t -> t -> t
   val mul : t -> t -> t
-
-  val div : t -> t -> t
-  (** @raise Division_by_zero when the divisor is (or contains) zero. *)
 
   val compl : t -> t
   (** [compl p = 1 - p]. *)
-
-  val compare : t -> t -> int
-  (** For intervals this compares midpoints: a total preorder sufficient
-      for sorting and thresholding heuristics. *)
-
-  val equal : t -> t -> bool
-  val pp : Format.formatter -> t -> unit
-
-  val name : string
-  (** Short human-readable carrier name, e.g. ["float"]. *)
 end
 
-module Float_carrier : CARRIER with type t = float
 module Rational_carrier : CARRIER with type t = Rational.t
 module Interval_carrier : CARRIER with type t = Interval.t
 
 (** {1 Float utilities} *)
 
-val kahan_sum : float list -> float
-(** Compensated summation. *)
-
 val kahan_sum_seq : float Seq.t -> float
+(** Compensated summation. *)
 
 val close : ?eps:float -> float -> float -> bool
 (** [close a b] holds when [|a - b| <= eps] (default [1e-9]). *)
 
 (** {1 Probability validation} *)
 
-val check_probability_float : float -> float
-(** Identity on [\[0,1\]]; @raise Invalid_argument otherwise. *)
-
 val check_probability_rational : Rational.t -> Rational.t
+(** Identity on [\[0,1\]]; @raise Invalid_argument otherwise. *)

@@ -81,17 +81,26 @@ let is_probability x = sign x >= 0 && compare x one <= 0
 
 let clamp01 x = if sign x < 0 then zero else if compare x one > 0 then one else x
 
-(* Conversion to float: compute (n * 2^80) / d as an integer, convert, and
-   scale back down.  The 80 guard bits dominate double precision, so the
-   result is the correctly rounded-to-nearest-or-adjacent double for all
-   practically occurring magnitudes. *)
-let guard_bits = 80
-
+(* Conversion to float with one rounding.  The shift [s] scales |x| so
+   that the integer quotient q = floor(|n| 2^s / d) has 61 or 62 bits (a
+   native int) whatever the operands' sizes; a nonzero remainder is
+   folded into q's last bit as a sticky bit, eight or nine bits below the
+   rounding point, so [float_of_int] rounds q to the double nearest |x|
+   2^s.  [ldexp] is exact except on subnormal results, where it rounds
+   once more, still within one ulp. *)
 let to_float x =
   if is_zero x then 0.0
   else begin
-    let q = B.div (B.shift_left x.n guard_bits) x.d in
-    B.to_float q *. ldexp 1.0 (-guard_bits)
+    let n = B.abs x.n in
+    let s = 61 - B.num_bits n + B.num_bits x.d in
+    let q, r =
+      if s >= 0 then B.ediv_rem (B.shift_left n s) x.d
+      else B.ediv_rem n (B.shift_left x.d (-s))
+    in
+    let q = B.to_int q in
+    let q = if B.is_zero r then q else q lor 1 in
+    let f = ldexp (float_of_int q) (-s) in
+    if sign x < 0 then -.f else f
   end
 
 let of_float_exn f =

@@ -43,8 +43,9 @@ val num : t -> Bigint.t
 val den : t -> Bigint.t
 
 val to_float : t -> float
-(** Rounds via a quotient with 80 extra bits of precision; exact when
-    representable. *)
+(** The nearest double (one rounding over a 61-62 bit quotient with a
+    sticky bit); subnormal results round twice but stay within one
+    ulp.  Exact when representable. *)
 
 val to_string : t -> string
 (** ["a/b"], or just ["a"] when the denominator is [1]. *)

@@ -167,8 +167,8 @@ val query_session : ?eps:float -> Delta_eval.Certified.t -> answer
     stop reason ([converged] versus [tail-limited]) — the enclosure is
     always the narrowest the session certifies.
 
-    This is the serving layer's streaming-update path: on an update the
-    resident service patches the session and re-answers here, paying
-    only for the changed slice instead of a fresh ladder run.
+    The served [Update] path does not use it yet: the resident service
+    re-runs the ladder after an update.  Bench E25 and perfbench's trace
+    call it to measure what patching a session costs against that.
 
     @raise Invalid_argument if [eps] lies outside [(0, 1/2)]. *)

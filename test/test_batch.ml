@@ -83,7 +83,7 @@ let test_batch_empty_and_validation () =
   Alcotest.(check int) "empty batch" 0 (Array.length r.Batch_eval.members);
   Alcotest.(check int) "no shards" 0 r.Batch_eval.shards;
   Alcotest.check_raises "domains must be positive"
-    (Invalid_argument "Batch_eval.batch: domains must be positive") (fun () ->
+    (Invalid_argument "Batch_eval.boolean: domains must be positive") (fun () ->
       ignore (Batch_eval.boolean ~domains:0 ti [| parse "exists x. R(x)" |]));
   Alcotest.check_raises "free variables rejected"
     (Invalid_argument "Batch_eval: query has free variables x") (fun () ->

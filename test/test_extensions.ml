@@ -87,7 +87,7 @@ let test_cmp_engines_agree () =
     (fun str ->
       let phi = parse str in
       let reference = Query_eval.boolean_enum ti phi in
-      check_q ("bdd " ^ str) reference (Query_eval.boolean_bdd_rational ti phi);
+      check_q ("bdd " ^ str) reference (Query_eval.boolean_bdd ti phi);
       check_q ("auto " ^ str) reference (Query_eval.boolean ti phi))
     [
       "exists x. T(x) & x > 15";

@@ -668,6 +668,27 @@ let test_approx_divergent_rejected () =
    | exception Invalid_argument _ -> ()
    | _ -> Alcotest.fail "divergent source must be rejected")
 
+let test_approx_tiny_exact_answer_enclosed () =
+  (* Regression: [Rational.to_float] shifted by a fixed 80 guard bits, so
+     below about 2^-27 its quotient kept fewer than 53 significant bits
+     and the one-ulp bracket around an exact answer missed it: 3^-30 got
+     the bounds [4.85693574885489e-15, 4.85693574885490e-15]. *)
+  let n = 30 in
+  let tbl = Ti_table.create (List.init n (fun k -> (r_fact k, q 1 3))) in
+  let phi =
+    parse (String.concat " & " (List.init n (Printf.sprintf "R(%d)")))
+  in
+  let r = Approx_eval.boolean (Fact_source.of_ti_table tbl) ~eps:0.01 phi in
+  let exact = Rational.pow (q 1 3) n in
+  check_q "estimate is exact" exact r.Approx_eval.estimate;
+  let lo = Interval.lo r.Approx_eval.bounds
+  and hi = Interval.hi r.Approx_eval.bounds in
+  Alcotest.(check bool)
+    (Printf.sprintf "[%.17g, %.17g] contains 3^-30" lo hi)
+    true
+    (Rational.compare (Rational.of_float_exn lo) exact <= 0
+    && Rational.compare exact (Rational.of_float_exn hi) <= 0)
+
 let test_approx_exhausted_tail_exact_zero () =
   (* Regression: [boolean] used to re-ask the tail certificate after the
      truncation search; with a certificate that answers each depth at most
@@ -873,6 +894,8 @@ let () =
             test_approx_divergent_rejected;
           Alcotest.test_case "exhausted tail is exact zero" `Quick
             test_approx_exhausted_tail_exact_zero;
+          Alcotest.test_case "tiny exact answer enclosed" `Quick
+            test_approx_tiny_exact_answer_enclosed;
           Alcotest.test_case "marginals" `Quick test_approx_marginals;
           Alcotest.test_case "prop 6.2 witness" `Quick test_prop62_witness_shape;
         ] );

@@ -44,13 +44,11 @@ let test_brute_force_probability () =
     | 0 -> Rational.half
     | _ -> Rational.of_ints 1 3
   in
-  let p = E.brute_force_probability (module Prob.Rational_carrier) weight (E.or2 x0 x1) in
+  let p = E.brute_force_probability weight (E.or2 x0 x1) in
   Alcotest.(check string) "or prob" "2/3" (Rational.to_string p);
-  let p = E.brute_force_probability (module Prob.Rational_carrier) weight (E.and2 x0 x1) in
+  let p = E.brute_force_probability weight (E.and2 x0 x1) in
   Alcotest.(check string) "and prob" "1/6" (Rational.to_string p);
-  let p =
-    E.brute_force_probability (module Prob.Rational_carrier) weight E.tru
-  in
+  let p = E.brute_force_probability weight E.tru in
   Alcotest.(check string) "true prob" "1" (Rational.to_string p)
 
 (* ------------------------------------------------------------------ *)
@@ -214,10 +212,8 @@ let test_wmc_matches_brute_force_exact () =
   let weight i = Rational.of_ints (i + 1) 10 in
   List.iter
     (fun e ->
-      let reference =
-        E.brute_force_probability (module Prob.Rational_carrier) weight e
-      in
-      let got = Wmc.rational_probability ~weight e in
+      let reference = E.brute_force_probability weight e in
+      let got = Wmc.probability ~weight e in
       Alcotest.(check string) ("wmc " ^ E.to_string e)
         (Rational.to_string reference) (Rational.to_string got))
     [
@@ -234,23 +230,37 @@ let test_wmc_matches_brute_force_exact () =
     ]
 
 let test_wmc_float_and_interval () =
+  (* The one fold is generic in its values: over floats it is a fast
+     estimate, over intervals (the certified delta sessions' carrier) an
+     enclosure of the exact count. *)
   let e = E.disj [ E.and2 x0 x1; E.and2 x1 x2; E.and2 x2 x0 ] in
-  let wf i = 0.1 *. float_of_int (i + 1) in
-  let f = Wmc.float_probability ~weight:wf e in
-  let iv = Wmc.interval_probability ~weight:(fun i -> Interval.point (wf i)) e in
+  let t = Bdd.of_expr (Bdd.manager ()) e in
+  let q i = Rational.of_ints (i + 1) 10 in
+  let fold ~zero ~one ~node =
+    (Bdd.fold_prob_many ~zero ~one ~node [| t |]).(0)
+  in
+  let f =
+    fold ~zero:0.0 ~one:1.0 ~node:(fun v lo hi ->
+        let p = Rational.to_float (q v) in
+        (p *. hi) +. ((1.0 -. p) *. lo))
+  in
+  let iv =
+    fold ~zero:Interval.zero ~one:Interval.one ~node:(fun v lo hi ->
+        let p = Interval.of_rational (q v) in
+        Interval.add (Interval.mul p hi) (Interval.mul (Interval.compl p) lo))
+  in
+  let exact = Wmc.probability ~weight:q e in
   Alcotest.(check bool) "float inside interval" true (Interval.contains iv f);
   Alcotest.(check bool) "interval narrow" true (Interval.width iv < 1e-12);
-  let q =
-    Wmc.rational_probability ~weight:(fun i -> Rational.of_ints (i + 1) 10) e
-  in
   Alcotest.(check bool) "exact inside interval" true
-    (Interval.contains iv (Rational.to_float q))
+    (Rational.compare (Rational.of_float_exn (Interval.lo iv)) exact <= 0
+    && Rational.compare exact (Rational.of_float_exn (Interval.hi iv)) <= 0)
 
 let test_wmc_large_conjunction () =
   (* P(AND of 40 independent vars each 1/2) = 2^-40; brute force would be
      hopeless, the BDD is a chain. *)
   let e = E.conj (List.init 40 E.var) in
-  let p = Wmc.rational_probability ~weight:(fun _ -> Rational.half) e in
+  let p = Wmc.probability ~weight:(fun _ -> Rational.half) e in
   Alcotest.(check string) "2^-40" (Rational.to_string (Rational.pow Rational.half 40))
     (Rational.to_string p)
 
@@ -279,34 +289,61 @@ let test_cache_size_exposure () =
     (Invalid_argument "Bdd.manager: gc_threshold must be positive") (fun () ->
       ignore (Bdd.manager ~gc_threshold:0 ()))
 
-let test_fold_prob_many_matches_fold_prob () =
+let test_fold_prob_many_memo () =
   let m = Bdd.manager () in
   let e1 = E.disj (List.init 6 (fun k -> E.and2 (E.var (2 * k)) (E.var ((2 * k) + 1)))) in
   let e2 = E.and2 (E.var 0) (E.var 1) in
   let roots = Array.map (Bdd.of_expr m) [| e1; e2; e1; E.tru; E.fls |] in
-  let w v = Rational.of_ints 1 (v + 2) in
+  let w = Array.init 12 (fun v -> Rational.of_ints 1 (v + 2)) in
+  let calls = ref 0 in
   let node v lo hi =
-    let p = w v in
-    Rational.add (Rational.mul p hi)
-      (Rational.mul (Rational.sub Rational.one p) lo)
+    incr calls;
+    Wmc.shannon (Array.get w) v lo hi
   in
-  let many =
-    Bdd.fold_prob_many ~zero:Rational.zero ~one:Rational.one ~node roots
+  let fold ?memo ?dirty () =
+    Bdd.fold_prob_many ?memo ?dirty ~zero:Rational.zero ~one:Rational.one
+      ~node roots
   in
+  let check_same what a b =
+    Array.iteri
+      (fun idx x ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s: root %d" what idx)
+          (Rational.to_string x) (Rational.to_string b.(idx)))
+      a
+  in
+  let fresh = fold () in
   Array.iteri
     (fun idx t ->
       Alcotest.(check string)
-        (Printf.sprintf "root %d agrees with fold_prob" idx)
+        (Printf.sprintf "root %d agrees with its own sweep" idx)
         (Rational.to_string
-           (Bdd.fold_prob ~zero:Rational.zero ~one:Rational.one ~node t))
-        (Rational.to_string many.(idx)))
+           (Bdd.fold_prob_many ~zero:Rational.zero ~one:Rational.one ~node
+              [| t |]).(0))
+        (Rational.to_string fresh.(idx)))
     roots;
   Alcotest.(check string) "shared roots share the answer"
-    (Rational.to_string many.(0))
-    (Rational.to_string many.(2));
+    (Rational.to_string fresh.(0))
+    (Rational.to_string fresh.(2));
   Alcotest.(check int) "empty batch" 0
     (Array.length
-       (Bdd.fold_prob_many ~zero:Rational.zero ~one:Rational.one ~node [||]))
+       (Bdd.fold_prob_many ~zero:Rational.zero ~one:Rational.one ~node [||]));
+  (* A persistent memo: the first pass computes every node, a clean
+     replay none, and a weight patch only the nodes that can see it. *)
+  let memo = Bdd.prob_memo () in
+  calls := 0;
+  check_same "first memo pass" (fold ~memo ()) fresh;
+  let full = !calls in
+  Alcotest.(check int) "one entry per node" full (Bdd.prob_memo_size memo);
+  calls := 0;
+  check_same "clean replay" (fold ~memo ()) fresh;
+  Alcotest.(check int) "clean replay computes nothing" 0 !calls;
+  w.(11) <- Rational.half;
+  calls := 0;
+  let patched = fold ~memo ~dirty:(fun v -> v = 11) () in
+  Alcotest.(check bool) "patch recomputes a slice" true
+    (!calls > 0 && !calls < full);
+  check_same "patched memo fold = fresh fold" patched (fold ())
 
 let test_fold_prob_many_rejects_foreign_roots () =
   let m1 = Bdd.manager () and m2 = Bdd.manager () in
@@ -351,9 +388,13 @@ let props =
           [ 0; 7; 21; 42; 63 ]);
     QCheck.Test.make ~name:"wmc = brute force (float)" ~count:200 arb_expr
       (fun e ->
-        let weight i = 0.1 +. (0.13 *. float_of_int i) in
-        let bf = E.brute_force_probability (module Prob.Float_carrier) weight e in
-        Prob.close ~eps:1e-9 bf (Wmc.float_probability ~weight e));
+        (* float marginals, counted exactly: finite floats are dyadic *)
+        let weight i =
+          Rational.of_float_exn (0.1 +. (0.13 *. float_of_int i))
+        in
+        Rational.equal
+          (E.brute_force_probability weight e)
+          (Wmc.probability ~weight e));
     QCheck.Test.make ~name:"sat_count = model_count" ~count:200 arb_expr
       (fun e ->
         let m = Bdd.manager () in
@@ -369,13 +410,14 @@ let props =
         Bdd.equal d (Bdd.neg m (Bdd.neg m d)));
     QCheck.Test.make ~name:"order independence of wmc" ~count:100 arb_expr
       (fun e ->
-        let weight i = 0.05 *. float_of_int (i + 3) in
-        let m1 = Bdd.manager () in
-        let m2 = Bdd.manager ~order:(fun v -> 100 - v) () in
-        let module W = Wmc.Make (Prob.Float_carrier) in
-        Prob.close ~eps:1e-9
-          (W.probability ~weight (Bdd.of_expr m1 e))
-          (W.probability ~weight (Bdd.of_expr m2 e)));
+        let count m =
+          (Bdd.fold_prob_many ~zero:Rational.zero ~one:Rational.one
+             ~node:(Wmc.shannon (fun i -> Rational.of_ints (i + 3) 20))
+             [| Bdd.of_expr m e |]).(0)
+        in
+        Rational.equal
+          (count (Bdd.manager ()))
+          (count (Bdd.manager ~order:(fun v -> 100 - v) ())));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -592,8 +634,8 @@ let () =
           Alcotest.test_case "large conjunction" `Quick test_wmc_large_conjunction;
           Alcotest.test_case "cache size exposure" `Quick
             test_cache_size_exposure;
-          Alcotest.test_case "fold_prob_many = fold_prob" `Quick
-            test_fold_prob_many_matches_fold_prob;
+          Alcotest.test_case "fold_prob_many memo = fresh" `Quick
+            test_fold_prob_many_memo;
           Alcotest.test_case "fold_prob_many manager check" `Quick
             test_fold_prob_many_rejects_foreign_roots;
         ] );

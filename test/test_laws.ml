@@ -183,13 +183,19 @@ let prop_wmc_total_probability =
       (* P(f) = p_v P(f|v) + (1-p_v) P(f|!v) for any v, via restrict *)
       let m = Bdd.manager () in
       let d = Bdd.of_expr m a in
-      let weight k = 0.1 +. (0.15 *. float_of_int k) in
-      let module W = Wmc.Make (Prob.Float_carrier) in
+      let weight k = Rational.of_ints (2 + (3 * k)) 20 in
+      let count t =
+        (Bdd.fold_prob_many ~zero:Rational.zero ~one:Rational.one
+           ~node:(Wmc.shannon weight) [| t |]).(0)
+      in
       let v = 2 in
-      let p = W.probability ~weight d in
-      let p_hi = W.probability ~weight (Bdd.restrict m d v true) in
-      let p_lo = W.probability ~weight (Bdd.restrict m d v false) in
-      Prob.close ~eps:1e-9 p ((weight v *. p_hi) +. ((1.0 -. weight v) *. p_lo)))
+      let p = count d in
+      let p_hi = count (Bdd.restrict m d v true) in
+      let p_lo = count (Bdd.restrict m d v false) in
+      Rational.equal p
+        (Rational.add
+           (Rational.mul (weight v) p_hi)
+           (Rational.mul (Rational.compl (weight v)) p_lo)))
 
 (* Countable-original completion (Remark 5.6). *)
 let test_complete_countable_ti () =

@@ -278,7 +278,7 @@ let test_plan_shapes () =
   Alcotest.(check string) "hard query has no plan" "<none>"
     (plan "exists x y. R(x) & S(x, y) & T(y)")
 
-module SP = Safe_plan.Make (Prob.Rational_carrier)
+module SP = Safe_plan
 
 let weight_of assoc f =
   Option.value (List.assoc_opt (Fact.to_string f) assoc) ~default:Rational.zero

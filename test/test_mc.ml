@@ -1,7 +1,7 @@
 (* Tests for the domain-parallel Monte-Carlo engine (Mc_eval):
-   determinism and bit-identity across domain counts, Wilson interval
-   sanity, and cross-engine agreement with the exact truncation engine
-   and the anytime evaluator. *)
+   determinism and bit-identity across domain counts, the coverage of
+   the Clopper-Pearson interval, and cross-engine agreement with the
+   exact truncation engine and the anytime evaluator. *)
 
 let i n = Value.Int n
 let q = Rational.of_ints
@@ -19,47 +19,120 @@ let geo_space () = Mc_eval.Ti (Countable_ti.create (geo_source ()))
 (* Statistical primitives *)
 (* ------------------------------------------------------------------ *)
 
-let test_z_of_confidence () =
-  let z95 = Mc_eval.z_of_confidence 0.95 in
-  Alcotest.(check bool) "z(0.95) ~ 1.95996" true (Float.abs (z95 -. 1.959964) < 1e-4);
-  let z99 = Mc_eval.z_of_confidence 0.99 in
-  Alcotest.(check bool) "z(0.99) ~ 2.57583" true (Float.abs (z99 -. 2.575829) < 1e-4);
-  Alcotest.(check bool) "monotone in confidence" true (z99 > z95);
-  Alcotest.check_raises "confidence 1"
-    (Invalid_argument "Mc_eval: confidence must lie in (0, 1)") (fun () ->
-      ignore (Mc_eval.z_of_confidence 1.0));
-  Alcotest.check_raises "confidence 0"
-    (Invalid_argument "Mc_eval: confidence must lie in (0, 1)") (fun () ->
-      ignore (Mc_eval.z_of_confidence 0.0))
-
-let test_wilson_interval () =
-  let z = Mc_eval.z_of_confidence 0.95 in
-  let iv = Mc_eval.wilson_interval ~z ~hits:50 ~samples:100 in
+let test_binomial_interval () =
+  let iv = Mc_eval.binomial_interval ~confidence:0.95 ~hits:50 ~samples:100 in
   Alcotest.(check bool) "contains p-hat" true (Interval.contains iv 0.5);
-  Alcotest.(check bool) "width sane" true
-    (Interval.width iv > 0.1 && Interval.width iv < 0.3);
+  (* the textbook 95% Clopper-Pearson interval for 50/100 *)
+  Alcotest.(check (float 1e-4)) "lo" 0.3983 (Interval.lo iv);
+  Alcotest.(check (float 1e-4)) "hi" 0.6017 (Interval.hi iv);
   (* width shrinks with more samples at the same rate *)
-  let iv10 = Mc_eval.wilson_interval ~z ~hits:5000 ~samples:10_000 in
+  let iv10 =
+    Mc_eval.binomial_interval ~confidence:0.95 ~hits:5000 ~samples:10_000
+  in
   Alcotest.(check bool) "100x samples, ~10x narrower" true
     (Interval.width iv10 < Interval.width iv /. 5.0);
-  (* extreme counts stay inside [0,1] and are nonempty *)
-  let iv0 = Mc_eval.wilson_interval ~z ~hits:0 ~samples:100 in
+  (* extreme counts: one end pinned, the other closed-form,
+     1 - (alpha/2)^(1/n) *)
+  let iv0 = Mc_eval.binomial_interval ~confidence:0.95 ~hits:0 ~samples:100 in
   Alcotest.(check bool) "0 hits: lo = 0" true (Interval.lo iv0 = 0.0);
-  Alcotest.(check bool) "0 hits: hi > 0 (never degenerate)" true
-    (Interval.hi iv0 > 0.0);
-  let iv1 = Mc_eval.wilson_interval ~z ~hits:100 ~samples:100 in
-  Alcotest.(check bool) "all hits: hi = 1" true (Interval.hi iv1 = 1.0);
-  Alcotest.(check bool) "all hits: lo < 1" true (Interval.lo iv1 < 1.0);
-  Alcotest.check_raises "hits out of range"
-    (Invalid_argument "Mc_eval.wilson_interval: hits outside [0, samples]")
-    (fun () -> ignore (Mc_eval.wilson_interval ~z ~hits:101 ~samples:100));
-  (* higher confidence widens the interval *)
-  let wide =
-    Mc_eval.wilson_interval ~z:(Mc_eval.z_of_confidence 0.999) ~hits:50
-      ~samples:100
+  Alcotest.(check (float 1e-12)) "0 hits: hi"
+    (1.0 -. (0.025 ** 0.01))
+    (Interval.hi iv0);
+  let iv1 =
+    Mc_eval.binomial_interval ~confidence:0.95 ~hits:100 ~samples:100
   in
-  Alcotest.(check bool) "confidence monotone" true
-    (Interval.width wide > Interval.width iv)
+  Alcotest.(check bool) "all hits: hi = 1" true (Interval.hi iv1 = 1.0);
+  Alcotest.(check (float 1e-12)) "all hits: lo" (0.025 ** 0.01)
+    (Interval.lo iv1);
+  Alcotest.check_raises "hits out of range"
+    (Invalid_argument "Mc_eval.binomial_interval: hits outside [0, samples]")
+    (fun () ->
+      ignore
+        (Mc_eval.binomial_interval ~confidence:0.95 ~hits:101 ~samples:100))
+
+let test_binomial_confidence_levels () =
+  let at confidence =
+    Mc_eval.binomial_interval ~confidence ~hits:50 ~samples:100
+  in
+  (* higher confidence widens the interval, nested around p-hat *)
+  let iv90 = at 0.9 and iv95 = at 0.95 and iv99 = at 0.99 and iv999 = at 0.999 in
+  List.iter
+    (fun (name, narrow, wide) ->
+      Alcotest.(check bool) name true
+        (Interval.width wide > Interval.width narrow
+        && Interval.lo wide <= Interval.lo narrow
+        && Interval.hi narrow <= Interval.hi wide))
+    [
+      ("0.9 inside 0.95", iv90, iv95);
+      ("0.95 inside 0.99", iv95, iv99);
+      ("0.99 inside 0.999", iv99, iv999);
+    ];
+  Alcotest.check_raises "confidence 1"
+    (Invalid_argument "Mc_eval: confidence must lie in (0, 1)") (fun () ->
+      ignore (Mc_eval.binomial_interval ~confidence:1.0 ~hits:1 ~samples:2));
+  Alcotest.check_raises "confidence 0"
+    (Invalid_argument "Mc_eval: confidence must lie in (0, 1)") (fun () ->
+      ignore (Mc_eval.binomial_interval ~confidence:0.0 ~hits:1 ~samples:2))
+
+(* The Bin(n, p) masses, by the ratio recursion out of the mode (whose
+   mass comes from a plain sum of logs). *)
+let binomial_masses n p =
+  let m = Stdlib.min n (int_of_float (float_of_int (n + 1) *. p)) in
+  let log_choose = ref 0.0 in
+  for i = 1 to m do
+    log_choose :=
+      !log_choose +. log (float_of_int (n - m + i) /. float_of_int i)
+  done;
+  let a = Array.make (n + 1) 0.0 in
+  a.(m) <-
+    exp
+      (!log_choose +. (float_of_int m *. log p)
+      +. (float_of_int (n - m) *. log (1.0 -. p)));
+  for k = m + 1 to n do
+    a.(k) <-
+      a.(k - 1) *. float_of_int (n - k + 1) *. p
+      /. (float_of_int k *. (1.0 -. p))
+  done;
+  for k = m - 1 downto 0 do
+    a.(k) <-
+      a.(k + 1) *. float_of_int (k + 1) *. (1.0 -. p)
+      /. (float_of_int (n - k) *. p)
+  done;
+  a
+
+(* The exact probability that the interval drawn from [n] samples covers
+   the true proportion [p]. *)
+let coverage ~confidence n p =
+  let masses = binomial_masses n p in
+  let c = ref 0.0 in
+  Array.iteri
+    (fun hits mass ->
+      if
+        Interval.contains
+          (Mc_eval.binomial_interval ~confidence ~hits ~samples:n)
+          p
+      then c := !c +. mass)
+    masses;
+  !c
+
+let test_binomial_coverage () =
+  (* The fuzz case that exposed the Wilson interval: 1500 samples of a
+     4095/4096 event at 0.999 — three or more misses, where Wilson
+     excluded the truth, occur with probability 0.62%. *)
+  let c = coverage ~confidence:0.999 1500 (4095.0 /. 4096.0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "coverage %.5f >= 0.999 near 1" c)
+    true (c >= 0.999);
+  List.iter
+    (fun (n, p, confidence) ->
+      let c = coverage ~confidence n p in
+      Alcotest.(check bool)
+        (Printf.sprintf "coverage %.5f >= %g at n=%d p=%g" c confidence n p)
+        true (c >= confidence))
+    [
+      (20, 0.001, 0.9); (20, 0.3, 0.99); (200, 0.002, 0.99);
+      (200, 0.5, 0.9); (200, 0.97, 0.999); (1000, 1.0 /. 4096.0, 0.999);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Determinism and bit-identity *)
@@ -153,7 +226,7 @@ let test_validation () =
   Alcotest.(check bool) "heavy tail folded into TV budget" true
     (heavy.Mc_eval.truncation_tv >= 0.2
     && Interval.width heavy.Mc_eval.bounds
-       > Interval.width heavy.Mc_eval.wilson)
+       > Interval.width heavy.Mc_eval.binomial)
 
 (* ------------------------------------------------------------------ *)
 (* Statistical correctness against the exact engines *)
@@ -277,15 +350,15 @@ let test_estimate_event_generic () =
     (Float.abs (r.Mc_eval.estimate -. 0.5) < 0.02);
   Alcotest.(check (float 0.0)) "no truncation tv by default" 0.0
     r.Mc_eval.truncation_tv;
-  (* the tv widening is folded into bounds but not wilson *)
+  (* the tv widening is folded into bounds but not binomial *)
   let w =
     Mc_eval.estimate_event ~truncation_tv:0.1 ~seed:1 ~samples:1000 Prng.float
       (fun u -> u < 0.5)
   in
-  Alcotest.(check bool) "bounds wider than wilson by 2*tv" true
+  Alcotest.(check bool) "bounds wider than binomial by 2*tv" true
     (Float.abs
        (Interval.width w.Mc_eval.bounds
-       -. (Interval.width w.Mc_eval.wilson +. 0.2))
+       -. (Interval.width w.Mc_eval.binomial +. 0.2))
     < 1e-9)
 
 let () =
@@ -293,8 +366,10 @@ let () =
     [
       ( "statistics",
         [
-          Alcotest.test_case "z of confidence" `Quick test_z_of_confidence;
-          Alcotest.test_case "wilson interval" `Quick test_wilson_interval;
+          Alcotest.test_case "binomial interval" `Quick test_binomial_interval;
+          Alcotest.test_case "binomial confidence levels" `Quick
+            test_binomial_confidence_levels;
+          Alcotest.test_case "binomial coverage" `Quick test_binomial_coverage;
         ] );
       ( "engine",
         [

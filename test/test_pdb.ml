@@ -422,17 +422,11 @@ let test_engines_agree () =
     (fun qs ->
       let phi = parse qs in
       let reference = Query_eval.boolean_enum ti phi in
-      check_q ("bdd " ^ qs) reference (Query_eval.boolean_bdd_rational ti phi);
+      check_q ("bdd " ^ qs) reference (Query_eval.boolean_bdd ti phi);
       check_q ("auto " ^ qs) reference (Query_eval.boolean ti phi);
-      (match Query_eval.boolean_safe ti phi with
-       | Some p -> check_q ("safe " ^ qs) reference p
-       | None -> ());
-      let iv = Query_eval.boolean_bdd_interval ti phi in
-      Alcotest.(check bool) ("interval " ^ qs) true
-        (Interval.contains iv (Rational.to_float reference));
-      let fl = Query_eval.boolean_bdd_float ti phi in
-      Alcotest.(check bool) ("float " ^ qs) true
-        (Prob.close ~eps:1e-9 fl (Rational.to_float reference)))
+      match Query_eval.boolean_safe ti phi with
+      | Some p -> check_q ("safe " ^ qs) reference p
+      | None -> ())
     queries_for_agreement
 
 let test_engine_finite_agrees () =
@@ -623,7 +617,7 @@ let props =
       (fun (t, phi) ->
         Rational.equal
           (Query_eval.boolean_enum t phi)
-          (Query_eval.boolean_bdd_rational t phi));
+          (Query_eval.boolean_bdd t phi));
     QCheck.Test.make ~name:"safe (when applicable) = enum" ~count:150
       QCheck.(pair arb_ti arb_query)
       (fun (t, phi) ->
@@ -635,7 +629,7 @@ let props =
       QCheck.(pair arb_ti3 arb_sentence)
       (fun (t, phi) ->
         let reference = Query_eval.boolean_enum t phi in
-        Rational.equal reference (Query_eval.boolean_bdd_rational t phi)
+        Rational.equal reference (Query_eval.boolean_bdd t phi)
         && (match Query_eval.boolean_safe t phi with
             | None -> true
             | Some p -> Rational.equal p reference)

@@ -1,8 +1,7 @@
-(* Tests for the probability carriers: Interval, Log_domain and the three
+(* Tests for the probability carriers: Interval and the two
    Prob.CARRIER implementations. *)
 
 module I = Interval
-module L = Log_domain
 module Q = Rational
 
 (* ------------------------------------------------------------------ *)
@@ -98,92 +97,67 @@ let test_interval_compl () =
 (* Log domain *)
 (* ------------------------------------------------------------------ *)
 
-let test_log_basic () =
-  Alcotest.(check (float 1e-12)) "one" 1.0 (L.to_float L.one);
-  Alcotest.(check (float 0.0)) "zero" 0.0 (L.to_float L.zero);
-  Alcotest.(check bool) "is_zero" true (L.is_zero L.zero);
-  Alcotest.(check (float 1e-12)) "mul" 0.06
-    (L.to_float (L.mul (L.of_float 0.2) (L.of_float 0.3)));
-  Alcotest.(check (float 1e-12)) "add" 0.5
-    (L.to_float (L.add (L.of_float 0.2) (L.of_float 0.3)));
-  Alcotest.(check (float 1e-12)) "sub" 0.1
-    (L.to_float (L.sub (L.of_float 0.3) (L.of_float 0.2)));
-  Alcotest.(check (float 1e-12)) "div" 1.5
-    (L.to_float (L.div (L.of_float 0.3) (L.of_float 0.2)))
-
-let test_log_extreme_products () =
-  (* 10^4 factors of 0.5: far below float underflow, fine in log space. *)
-  let p = List.init 10_000 (fun _ -> L.of_float 0.5) in
-  let prod = List.fold_left L.mul L.one p in
-  Alcotest.(check (float 1.0)) "log2 scale" (-10_000.0 *. log 2.0)
-    (L.to_log prod);
-  Alcotest.(check (float 0.0)) "underflows to 0 as float" 0.0 (L.to_float prod)
-
-let test_log_product_compl () =
-  (* prod (1 - 2^-i) for i = 1..30 ~ 0.288788... *)
-  let ps = List.init 30 (fun i -> 0.5 ** float_of_int (i + 1)) in
-  Alcotest.(check (float 1e-9)) "euler-ish product" 0.2887880951
-    (L.to_float (L.product_compl ps));
-  Alcotest.check_raises "bad p" (Invalid_argument "Log_domain.product_compl")
-    (fun () -> ignore (L.product_compl [ 1.5 ]))
-
-let test_log_errors () =
-  Alcotest.check_raises "neg" (Invalid_argument "Log_domain.of_float")
-    (fun () -> ignore (L.of_float (-1.0)));
-  Alcotest.check_raises "sub neg" (Invalid_argument "Log_domain.sub: negative result")
-    (fun () -> ignore (L.sub (L.of_float 0.1) (L.of_float 0.2)));
-  Alcotest.check_raises "div 0" Division_by_zero (fun () ->
-      ignore (L.div L.one L.zero))
-
 (* ------------------------------------------------------------------ *)
 (* Carriers *)
 (* ------------------------------------------------------------------ *)
 
-(* Shared laws, checked for each carrier on float-exact dyadic inputs. *)
-module Carrier_laws (C : Prob.CARRIER) = struct
+(* Shared laws, checked for each carrier on float-exact dyadic inputs
+   through a float view of the carrier's values. *)
+module Carrier_laws
+    (C : Prob.CARRIER) (V : sig
+      val name : string
+      val to_float : C.t -> float
+    end) =
+struct
   let dyadics = [ 0.0; 0.125; 0.25; 0.5; 0.75; 1.0 ]
+  let of_float f = C.of_rational (Q.of_float_exn f)
 
   let run () =
     List.iter
       (fun p ->
         List.iter
           (fun q ->
-            let cp = C.of_float p and cq = C.of_float q in
+            let cp = of_float p and cq = of_float q in
             Alcotest.(check (float 1e-12))
-              (Printf.sprintf "%s add %g %g" C.name p q)
+              (Printf.sprintf "%s add %g %g" V.name p q)
               (p +. q)
-              (C.to_float (C.add cp cq));
+              (V.to_float (C.add cp cq));
             Alcotest.(check (float 1e-12))
-              (Printf.sprintf "%s mul %g %g" C.name p q)
+              (Printf.sprintf "%s mul %g %g" V.name p q)
               (p *. q)
-              (C.to_float (C.mul cp cq)))
+              (V.to_float (C.mul cp cq)))
           dyadics;
         Alcotest.(check (float 1e-12))
-          (Printf.sprintf "%s compl %g" C.name p)
+          (Printf.sprintf "%s compl %g" V.name p)
           (1.0 -. p)
-          (C.to_float (C.compl (C.of_float p))))
+          (V.to_float (C.compl (of_float p))))
       dyadics;
-    Alcotest.(check (float 0.0)) (C.name ^ " zero") 0.0 (C.to_float C.zero);
-    Alcotest.(check (float 0.0)) (C.name ^ " one") 1.0 (C.to_float C.one);
-    Alcotest.(check bool) (C.name ^ " order") true
-      (C.compare C.zero C.one < 0);
-    Alcotest.(check (float 1e-12)) (C.name ^ " of_rational 1/4") 0.25
-      (C.to_float (C.of_rational (Q.of_ints 1 4)))
-
-  let dyadic p = p (* silence unused warnings if any *)
-  let _ = dyadic
+    Alcotest.(check (float 0.0)) (V.name ^ " zero") 0.0 (V.to_float C.zero);
+    Alcotest.(check (float 0.0)) (V.name ^ " one") 1.0 (V.to_float C.one);
+    Alcotest.(check (float 1e-12)) (V.name ^ " of_rational 1/4") 0.25
+      (V.to_float (C.of_rational (Q.of_ints 1 4)))
 end
 
-let test_carrier_float () =
-  let module M = Carrier_laws (Prob.Float_carrier) in
-  M.run ()
-
 let test_carrier_rational () =
-  let module M = Carrier_laws (Prob.Rational_carrier) in
+  let module M =
+    Carrier_laws
+      (Prob.Rational_carrier)
+      (struct
+        let name = "rational"
+        let to_float = Q.to_float
+      end)
+  in
   M.run ()
 
 let test_carrier_interval () =
-  let module M = Carrier_laws (Prob.Interval_carrier) in
+  let module M =
+    Carrier_laws
+      (Prob.Interval_carrier)
+      (struct
+        let name = "interval"
+        let to_float = I.mid
+      end)
+  in
   M.run ()
 
 let test_rational_carrier_exactness () =
@@ -191,21 +165,18 @@ let test_rational_carrier_exactness () =
   (* 10 additions of 1/10 equal exactly 1 in the rational carrier. *)
   let tenth = C.of_rational (Q.of_ints 1 10) in
   let sum = List.fold_left C.add C.zero (List.init 10 (fun _ -> tenth)) in
-  Alcotest.(check bool) "exact decimal sum" true (C.equal sum C.one)
+  Alcotest.(check bool) "exact decimal sum" true (Q.equal sum C.one)
 
 let test_kahan () =
   (* Summing 10^5 copies of 0.1 naively drifts; Kahan keeps it to one ulp. *)
-  let xs = List.init 100_000 (fun _ -> 0.1) in
-  Alcotest.(check (float 1e-9)) "kahan 1e5 * 0.1" 10_000.0 (Prob.kahan_sum xs);
-  Alcotest.(check (float 0.0)) "kahan empty" 0.0 (Prob.kahan_sum []);
+  let xs = Seq.init 100_000 (fun _ -> 0.1) in
+  Alcotest.(check (float 1e-9)) "kahan 1e5 * 0.1" 10_000.0
+    (Prob.kahan_sum_seq xs);
+  Alcotest.(check (float 0.0)) "kahan empty" 0.0 (Prob.kahan_sum_seq Seq.empty);
   Alcotest.(check bool) "close" true (Prob.close 1.0 (1.0 +. 1e-12));
   Alcotest.(check bool) "not close" false (Prob.close 1.0 1.1)
 
 let test_check_probability () =
-  Alcotest.(check (float 0.0)) "ok" 0.5 (Prob.check_probability_float 0.5);
-  Alcotest.check_raises "neg"
-    (Invalid_argument "probability out of range: -0.1") (fun () ->
-      ignore (Prob.check_probability_float (-0.1)));
   Alcotest.(check bool) "rational ok" true
     (Q.equal Q.half (Prob.check_probability_rational Q.half));
   Alcotest.check_raises "rational bad"
@@ -256,22 +227,21 @@ let props =
       (fun (a, b) ->
         let h = I.hull (I.point a) (I.point b) in
         I.width h >= 0.0 && I.contains h a && I.contains h b);
-    QCheck.Test.make ~name:"log mul = float mul" ~count:300
-      QCheck.(pair arb_unit arb_unit)
-      (fun (a, b) ->
-        Prob.close ~eps:1e-12 (a *. b)
-          (L.to_float (L.mul (L.of_float a) (L.of_float b))));
-    QCheck.Test.make ~name:"log add = float add" ~count:300
-      QCheck.(pair arb_unit arb_unit)
-      (fun (a, b) ->
-        Prob.close ~eps:1e-9 (a +. b)
-          (L.to_float (L.add (L.of_float a) (L.of_float b))));
+    QCheck.Test.make ~name:"interval of_rational encloses" ~count:1000
+      QCheck.(triple (int_range 1 1_000_000) (int_range 1 1_000_000)
+                (int_range 0 200))
+      (fun (a, b, e) ->
+        (* x = a / (b 2^e), down to about 2^-220, checked exactly. *)
+        let x = Q.div (Q.of_ints a b) (Q.pow (Q.of_int 2) e) in
+        let iv = I.of_rational x in
+        Q.compare (Q.of_float_exn (I.lo iv)) x <= 0
+        && Q.compare x (Q.of_float_exn (I.hi iv)) <= 0);
     QCheck.Test.make ~name:"rational carrier assoc exactly" ~count:200
       QCheck.(triple (int_range 0 100) (int_range 0 100) (int_range 0 100))
       (fun (a, b, c) ->
         let module C = Prob.Rational_carrier in
         let r n = C.of_rational (Q.of_ints n 101) in
-        C.equal (C.add (C.add (r a) (r b)) (r c))
+        Q.equal (C.add (C.add (r a) (r b)) (r c))
           (C.add (r a) (C.add (r b) (r c))));
   ]
 
@@ -290,16 +260,8 @@ let () =
           Alcotest.test_case "clamp01" `Quick test_interval_clamp;
           Alcotest.test_case "compl" `Quick test_interval_compl;
         ] );
-      ( "log-domain",
-        [
-          Alcotest.test_case "basic" `Quick test_log_basic;
-          Alcotest.test_case "extreme products" `Quick test_log_extreme_products;
-          Alcotest.test_case "product_compl" `Quick test_log_product_compl;
-          Alcotest.test_case "errors" `Quick test_log_errors;
-        ] );
       ( "carriers",
         [
-          Alcotest.test_case "float laws" `Quick test_carrier_float;
           Alcotest.test_case "rational laws" `Quick test_carrier_rational;
           Alcotest.test_case "interval laws" `Quick test_carrier_interval;
           Alcotest.test_case "rational exactness" `Quick

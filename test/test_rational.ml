@@ -163,6 +163,18 @@ let props =
       (fun (x, y) -> Q.compare x y = Q.sign (Q.sub x y));
     prop "to_float monotone-ish" 300 QCheck.(pair arb_q arb_q) (fun (x, y) ->
         if Q.compare x y < 0 then Q.to_float x <= Q.to_float y else true);
+    prop "to_float rounds to nearest at any magnitude" 500
+      QCheck.(
+        quad (int_range (-1_000_000) 1_000_000) (int_range 1 1_000_000)
+          (int_range (-100) 200) bool)
+      (fun (a, b, e, big_den) ->
+        (* x = a / (b 2^e), with a many-limb denominator half the time;
+           no float lies strictly closer to x than to_float x. *)
+        let b = if big_den then Q.pow (Q.of_int b) 9 else Q.of_int b in
+        let x = Q.div (Q.div (Q.of_int a) b) (Q.pow (Q.of_int 2) e) in
+        let f = Q.to_float x in
+        let dist g = Q.abs (Q.sub x (Q.of_float_exn g)) in
+        Q.(dist f <= dist (Float.pred f)) && Q.(dist f <= dist (Float.succ f)));
     prop "of_string . to_string roundtrip" 300 arb_q (fun x ->
         Q.equal x (Q.of_string (Q.to_string x)));
     prop "of_float_exn exact roundtrip" 300
