@@ -161,9 +161,9 @@ let e2 () =
       row "  %-12g" eps;
       List.iter
         (fun s ->
-          match Approx_eval.truncation_point ~max_n:(1 lsl 22) s ~eps with
-          | Some n -> row "%-20d" n
-          | None -> row "%-20s" ">2^22 (too slow)")
+          match Approx_eval.truncation_r ~max_n:(1 lsl 22) s ~eps with
+          | Ok (n, _) -> row "%-20d" n
+          | Error _ -> row "%-20s" ">2^22 (too slow)")
         sources;
       row "\n")
     [ 0.2; 0.1; 0.01; 0.001; 0.0001 ];
@@ -1246,7 +1246,7 @@ let e22 () =
      (informational in the baseline gate: wall-clock on a shared runner).
    - overload: 8 closed-loop client threads against 2 workers and a
      4-deep queue, each request a deliberately expensive open-world
-     query (tiny eps forces a deep tail truncation).  Every response
+     query (a three-variable grounding at tiny eps).  Every response
      must be a sound answer or a structured Overloaded — never a hang —
      and the shed rate (rejections + degraded-ladder answers) is the
      gated baseline key: it should sit near saturation regardless of
@@ -1321,7 +1321,10 @@ let e23 () =
     | _ -> failwith (Printf.sprintf "E23 %s: expected an answer" what)
   in
   let cheap = "exists x. R(x)" (* exact: P = 3/4 *)
-  and costly = "exists x. exists y. R(x) & N(y)" in
+  (* Three variables grounded over the ~30 open-world domain values
+     (negation keeps it off the lifted rung): tens of milliseconds of
+     lineage and BDD work at eps = 1e-6. *)
+  and costly = "exists x. exists y. exists z. N(x) & N(y) & N(z) & !R(y)" in
   (* --- capacity ----------------------------------------------------- *)
   let n_cap = if !smoke then 60 else 200 in
   let latencies = Array.make n_cap 0.0 in
@@ -1432,9 +1435,10 @@ let e23 () =
      mmap-loading its pack (header + whole-file checksum, zero facts
      decoded) and certifying a tail bound off the sidecar.  The ratio is
      the gated number: the pack must boot at least 20x faster.
-   - truncation: 1000 tail-mass truncation queries answered by binary
-     search over the precomputed sidecar vs the linear prefix scan a
-     text-loaded table needs.  Gated at 10x.
+   - truncation: 1000 tail-mass truncation queries answered by the one
+     truncation search (Fact_source.search) over the pack's fact source,
+     whose certificate is the precomputed sidecar, vs the linear prefix
+     scan a text-loaded table needs.  Gated at 10x.
    - warm restart: an in-process server booted from the pack with
      --warm-cache semantics: answer a costly open-world query, drain
      (persisting the epsilon-aware result cache tagged with the pack
@@ -1523,19 +1527,25 @@ let e24 () =
         Array.iter (fun eps -> s := !s + scan_for eps) targets;
         !s)
   in
+  (* The one truncation search over the pack's fact source, whose
+     certificate is the sidecar lookup. *)
+  let src = Store.fact_source st in
+  let search eps =
+    match Fact_source.search (Fact_source.tail_mass src) eps with
+    | Found (m, tail) -> (m, tail)
+    | Too_slow _ | Silent _ -> failwith "E24 slice: sidecar search found no n"
+  in
   let slice_sidecar_seconds, _ =
     best (fun () ->
         let s = ref 0 in
-        Array.iter
-          (fun eps -> s := !s + fst (Store.truncation_for_mass st ~eps))
-          targets;
+        Array.iter (fun eps -> s := !s + fst (search eps)) targets;
         !s)
   in
   (* Same answers up to float-rounding slack between the two
      accumulators: the sidecar result must certify its bound. *)
   Array.iter
     (fun eps ->
-      let m, tail = Store.truncation_for_mass st ~eps in
+      let m, tail = search eps in
       if tail > eps then failwith "E24 slice: sidecar answer not certified";
       if m > 0 && Store.tail_mass st (m - 1) <= eps then
         failwith "E24 slice: sidecar answer not minimal")

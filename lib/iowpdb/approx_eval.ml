@@ -18,10 +18,6 @@ let check_eps eps =
   if not (eps > 0.0 && eps < 0.5) then
     invalid_arg "Approx_eval: eps must lie in (0, 1/2)"
 
-let truncation_point ?max_n src ~eps =
-  check_eps eps;
-  Fact_source.prefix_for_tail ?max_n src (required_tail eps)
-
 (* P(Omega_n) = prod_{i>=n} (1 - p_i): none of the truncated facts
    occurs.  Lower bound from claim (∗), upper bound trivially 1 minus
    nothing (each factor <= 1). *)
@@ -47,47 +43,39 @@ let partial_at tail =
 (* The certify step: truncate, re-ask the tail, evaluate, enclose *)
 (* ------------------------------------------------------------------ *)
 
-let fact_source_default_max_n = 1 lsl 20 (* = Fact_source's default *)
-
 let default_what src = "Approx_eval(" ^ Fact_source.name src ^ ")"
 
-(* The truncation search returns both n and the certified tail bound it
-   observed there; threading the value through (instead of re-asking the
-   certificate afterwards) is what keeps [result.tail_mass] meaningful
-   even for certificates whose answers depend on mutable scan state. *)
+(* One truncation search classifies the source: the least n(eps) with
+   the certified tail observed there (threading that value through,
+   instead of re-asking the certificate afterwards, keeps
+   [result.tail_mass] meaningful even for certificates whose answers
+   depend on mutable scan state), a certificate too weak for [eps], or
+   none at all. *)
 let search ?max_n ~what src ~eps =
   match
     Errors.protect ~what (fun () ->
         check_eps eps;
-        let r = Fact_source.truncation ?max_n src (required_tail eps) in
-        let converged = r <> None || Fact_source.converges ?max_n src in
-        (r, converged))
+        Fact_source.search ?max_n (Fact_source.tail_mass src) (required_tail eps))
   with
   | Error e -> Error e
-  | Ok (Some nt, _) -> Ok nt
-  | Ok (None, converged) ->
-    let probed_to = Option.value max_n ~default:fact_source_default_max_n in
-    if not converged then
-      Error
-        (Errors.Divergent_source { source = Fact_source.name src; probed_to })
-    else
-      (* The certificate exists but never drops below the bound within
-         the probe budget: the "series may converge arbitrarily slowly"
-         caveat of Section 6.  Recoverable: report the enclosure the
-         deepest certified tail still implies. *)
-      Error
-        (Errors.Budget_exhausted
-           {
-             what =
-               what
-               ^ ": tail does not certify eps below max_n (source converges \
-                  too slowly; cf. the closing remark of Section 6)";
-             exhaustion = Budget.Cap Budget.Probes;
-             partial =
-               (match Fact_source.tail_mass src probed_to with
-               | Some t -> partial_at t
-               | None | (exception _) -> None);
-           })
+  | Ok (Fact_source.Found (n, t)) -> Ok (n, t)
+  | Ok (Fact_source.Silent probed_to) ->
+    Error (Errors.Divergent_source { source = Fact_source.name src; probed_to })
+  | Ok (Fact_source.Too_slow (_, t)) ->
+    (* The certificate exists but never drops below the bound within
+       the probe budget: the "series may converge arbitrarily slowly"
+       caveat of Section 6.  Recoverable: report the enclosure the
+       deepest certified tail still implies. *)
+    Error
+      (Errors.Budget_exhausted
+         {
+           what =
+             what
+             ^ ": tail does not certify eps below max_n (source converges \
+                too slowly; cf. the closing remark of Section 6)";
+           exhaustion = Budget.Cap Budget.Probes;
+           partial = partial_at t;
+         })
 
 let truncation_r ?max_n src ~eps =
   search ?max_n ~what:(default_what src) src ~eps

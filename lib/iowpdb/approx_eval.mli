@@ -7,7 +7,9 @@
     + finds the least truncation point [n] whose tail mass [alpha_n]
       satisfies [e^{alpha_n} <= 1 + eps] and [e^{-alpha_n} >= 1 - eps],
       using claim (∗) ([alpha_n = (3/2) * tail mass], sound once every
-      remaining probability is below 1/2);
+      remaining probability is below 1/2) — one call to the truncation
+      search {!Fact_source.search}, whose classification of the
+      certificate is also the error ({!truncation_r});
     + evaluates the query on the finite TI table of the first [n] facts
       with a classical closed-world engine ({!Query_eval});
     + returns that number [p], which satisfies
@@ -40,10 +42,6 @@ val boolean : ?max_n:int -> Fact_source.t -> eps:float -> Fo.t -> result
     Proposition 6.1), the source diverges, or no adequate truncation
     exists below [max_n] (default [2^20]) — the "series may converge
     arbitrarily slowly" caveat of Section 6. *)
-
-val truncation_point : ?max_n:int -> Fact_source.t -> eps:float -> int option
-(** The [n(eps)] the algorithm would use; exposed for experiment E2
-    (growth of [n(eps)] across decay regimes). *)
 
 (** {1 Result-returning entry points}
 
@@ -96,8 +94,12 @@ val truncation_r :
   Fact_source.t ->
   eps:float ->
   (int * float, Errors.t) Stdlib.result
-(** The classified truncation search of {!certify}: the least [n]
-    certifying [eps] with the tail value observed there. *)
+(** The classified truncation search of {!certify}: one
+    {!Fact_source.search} at [required_tail eps], giving the least [n]
+    certifying [eps] with the tail value observed there.  A silent
+    certificate is [Divergent_source] (probed to [max_n]); one that
+    answers but never within the bound is [Budget_exhausted] ("converges
+    too slowly") carrying the enclosure its deepest answer implies. *)
 
 val certify :
   ?max_n:int ->

@@ -3,41 +3,46 @@ type t = {
   news : Fact_source.t;
 }
 
-let complete original news =
+(* The new-fact source of both constructions, built once: convergence
+   certified by the truncation search (Theorems 4.8 / 5.5), and each
+   entry checked as consumers enumerate it — a probability-1 new fact
+   makes P'(Omega) = 0, and a fact of [orig] already belongs to the
+   completed PDB. *)
+let guarded ~what ~orig news =
   if not (Fact_source.converges news) then
-    invalid_arg
-      "Completion.complete: new-fact source diverges (Theorem 4.8 / 5.5)";
-  (* Reject probability-1 new facts (P'(Omega) would be 0) and overlaps
-     with F(D) eagerly on a bounded prefix; deeper entries are validated
-     as they are enumerated by consumers. *)
-  let orig_facts = Fact.Set.of_list (Finite_pdb.fact_universe original) in
-  let guarded =
-    Fact_source.make
-      ~name:(Fact_source.name news)
-      ~enum:
-        (Seq.unfold
-           (fun i ->
-             match Fact_source.nth news i with
-             | None -> None
-             | Some (f, p) ->
-               if Rational.is_one p then
-                 invalid_arg
-                   (Printf.sprintf
-                      "Completion: new fact %s has probability 1, so \
-                       P'(Omega) = 0 (forbidden by Definition 5.1)"
-                      (Fact.to_string f))
-               else if Fact.Set.mem f orig_facts then
-                 invalid_arg
-                   (Printf.sprintf
-                      "Completion: %s already occurs in the original PDB"
-                      (Fact.to_string f))
-               else Some ((f, p), i + 1))
-           0)
-      ~tail:(fun n -> Fact_source.tail_mass news n)
-      ()
-  in
-  ignore (Fact_source.prefix guarded 64);
-  { original; news = guarded }
+    invalid_arg (what ^ ": new-fact source diverges (Theorem 4.8 / 5.5)");
+  Fact_source.make
+    ~name:(Fact_source.name news)
+    ~enum:
+      (Seq.unfold
+         (fun i ->
+           match Fact_source.nth news i with
+           | None -> None
+           | Some (f, p) ->
+             if Rational.is_one p then
+               invalid_arg
+                 (Printf.sprintf
+                    "Completion: new fact %s has probability 1, so P'(Omega) \
+                     = 0 (forbidden by Definition 5.1)"
+                    (Fact.to_string f))
+             else if Fact.Set.mem f orig then
+               invalid_arg
+                 (Printf.sprintf
+                    "Completion: %s already occurs in the original PDB"
+                    (Fact.to_string f))
+             else Some ((f, p), i + 1))
+         0)
+    ~tail:(Fact_source.tail_mass news)
+    ()
+
+let complete original news =
+  let orig = Fact.Set.of_list (Finite_pdb.fact_universe original) in
+  let news = guarded ~what:"Completion.complete" ~orig news in
+  (* Reject probability-1 new facts and overlaps with F(D) eagerly on a
+     bounded prefix; deeper entries are validated as they are enumerated
+     by consumers. *)
+  ignore (Fact_source.prefix news 64);
+  { original; news }
 
 let complete_ti ti news = complete (Finite_pdb.of_ti ti) news
 
@@ -187,34 +192,12 @@ let query_prob_r ?budget t ~eps phi =
 let query_prob t ~eps phi = Approx_eval.or_invalid_arg (query_prob_r t ~eps phi)
 
 let complete_countable_ti cti news =
-  if not (Fact_source.converges news) then
-    invalid_arg
-      "Completion.complete_countable_ti: new-fact source diverges (Theorem \
-       4.8 / 5.5)";
-  let guarded =
-    Fact_source.make
-      ~name:(Fact_source.name news)
-      ~enum:
-        (Seq.unfold
-           (fun i ->
-             match Fact_source.nth news i with
-             | None -> None
-             | Some (f, p) ->
-               if Rational.is_one p then
-                 invalid_arg
-                   (Printf.sprintf
-                      "Completion: new fact %s has probability 1 (forbidden \
-                       by Definition 5.1)"
-                      (Fact.to_string f))
-               else Some ((f, p), i + 1))
-           0)
-      ~tail:(fun n -> Fact_source.tail_mass news n)
-      ()
+  let news =
+    guarded ~what:"Completion.complete_countable_ti" ~orig:Fact.Set.empty news
   in
   (* The interleaved source keeps both tails certified; Fact_source's lazy
      duplicate detection enforces disjointness as facts are enumerated. *)
-  Countable_ti.create
-    (Fact_source.interleave (Countable_ti.source cti) guarded)
+  Countable_ti.create (Fact_source.interleave (Countable_ti.source cti) news)
 
 let openpdb_lambda ~lambda ~new_facts ti =
   if not (Rational.sign lambda >= 0 && Rational.compare lambda Rational.one < 0)

@@ -105,52 +105,41 @@ let tail_mass t n =
   ignore (nth_block t n);
   if t.bexhausted && t.blen <= n then Some 0.0 else t.tail n
 
+(* The depth probed to when no certificate answers, [None] once one
+   does.  The raw certificate is searched first, up to 2^20: that never
+   forces the block enumeration, so a certificate answering only at depth
+   is found without materializing thousands of blocks.  Only if it stays
+   silent is a shallow search run through [tail_mass], which forces
+   blocks and so detects a finite enumeration whose tail is exactly 0. *)
+let uncertified t =
+  match Fact_source.search t.tail infinity with
+  | Fact_source.Found _ | Too_slow _ -> None
+  | Silent probed_to -> (
+    match Fact_source.search ~max_n:1024 (tail_mass t) infinity with
+    | Found _ | Too_slow _ -> None
+    | Silent _ -> Some probed_to)
+
+let make name blocks tail =
+  { name; tail; bcache = [||]; blen = 0; brest = blocks; bexhausted = false }
+
 let create ?(name = "bid") ~blocks ~tail () =
-  let t =
-    {
-      name;
-      tail;
-      bcache = [||];
-      blen = 0;
-      brest = blocks;
-      bexhausted = false;
-    }
-  in
-  (* First probe the raw certificate geometrically up to 2^20 — this
-     never forces the block enumeration, so a certificate that answers
-     only at depth is found without materializing thousands of blocks.
-     Only if the certificate stays silent do we fall back to the forcing
-     probe (through [tail_mass], which can detect a finite enumeration
-     that exhausts early and so has tail exactly 0). *)
-  let raw_certified =
-    let max_n = 1 lsl 20 in
-    let rec go n =
-      tail n <> None
-      || (n < max_n && go (Stdlib.min max_n (Stdlib.max 1 (2 * n))))
-    in
-    go 0
-  in
-  if
-    raw_certified
-    || List.exists (fun n -> tail_mass t n <> None) [ 0; 1; 16; 1024 ]
-  then t
-  else
+  let t = make name blocks tail in
+  match uncertified t with
+  | None -> t
+  | Some _ ->
     invalid_arg
       (Printf.sprintf
          "Countable_bid.create: %s has no convergence certificate (Theorem \
           4.15)"
          name)
 
-let create_r ?name ~blocks ~tail () =
-  match Errors.protect ~what:"Countable_bid.create" (fun () ->
-      create ?name ~blocks ~tail ())
-  with
-  | Error (Errors.Model_invalid { what = _; msg })
-    when Errors.contains_substring msg "no convergence certificate" ->
-    Error
-      (Errors.Divergent_source
-         { source = Option.value name ~default:"bid"; probed_to = 1 lsl 20 })
-  | r -> r
+let create_r ?(name = "bid") ~blocks ~tail () =
+  let t = make name blocks tail in
+  match Errors.protect ~what:"Countable_bid.create" (fun () -> uncertified t) with
+  | Ok None -> Ok t
+  | Ok (Some probed_to) ->
+    Error (Errors.Divergent_source { source = name; probed_to })
+  | Error e -> Error e
 
 let of_finite_blocks ?(name = "bid-finite") bs =
   let arr = Array.of_list bs in
@@ -237,21 +226,22 @@ let sample ?(tail_cut = ldexp 1.0 (-20)) ?(max_blocks = 4096) t g =
     in
     go 0
   in
+  (* Blocks before the least certified block tail below the cut, capped
+     at max_blocks. *)
+  let n =
+    match Fact_source.search ~max_n:max_blocks (tail_mass t) tail_cut with
+    | Found (n, _) | Too_slow (n, _) -> n
+    | Silent _ -> max_blocks
+  in
   let rec go i acc =
-    if i >= max_blocks then acc
-    else begin
-      match tail_mass t i with
-      | Some tail when tail <= tail_cut -> acc
-      | _ -> (
-          match nth_block t i with
-          | None -> acc
-          | Some b ->
-            let acc =
-              match sample_block b with
-              | Some f -> Instance.add f acc
-              | None -> acc
-            in
-            go (i + 1) acc)
-    end
+    if i >= n then acc
+    else
+      match nth_block t i with
+      | None -> acc
+      | Some b ->
+        let acc =
+          match sample_block b with Some f -> Instance.add f acc | None -> acc
+        in
+        go (i + 1) acc
   in
   go 0 Instance.empty

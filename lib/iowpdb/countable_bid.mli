@@ -32,10 +32,11 @@ val create :
   t
 (** [tail n] bounds [sum_{i>=n} mass(B_i)] over the block enumeration.
     @raise Invalid_argument if no finite certificate exists
-    (Theorem 4.15's necessity).  The certificate is probed geometrically
-    up to [2^20] {e without} forcing the block enumeration (so
-    deep-answering certificates are accepted cheaply); only if it stays
-    silent is a bounded forcing probe tried, which can still detect a
+    (Theorem 4.15's necessity).  The raw certificate goes through the
+    truncation search ({!Fact_source.search}, up to [2^20]) {e without}
+    forcing the block enumeration (so deep-answering certificates are
+    accepted cheaply); only if it stays silent is a search up to 1024
+    blocks run through the forcing tail, which can still detect a
     finite enumeration whose tail is exactly 0. *)
 
 val create_r :
@@ -44,8 +45,8 @@ val create_r :
   tail:(int -> float option) ->
   unit ->
   (t, Errors.t) result
-(** {!create} with classified failures ([Divergent_source] when the
-    certificate never answers). *)
+(** {!create} with classified failures ([Divergent_source], with the
+    depth the raw certificate was searched to, when it never answers). *)
 
 val of_finite_blocks : ?name:string -> block list -> t
 

@@ -3,28 +3,24 @@ type t = {
   (* Cached sampling plan: facts of the sampled prefix with float
      marginals, keyed by the prefix length it was built for. *)
   mutable plan : (int * (Fact.t * float) array) option;
-  (* Last truncation-for-mass answer: (eps, least n, table).  Repeating
-     the same eps is free; a tighter eps resumes the tail-mass search at
-     the cached n instead of re-galloping from 0 (the anytime loop's
-     access pattern is a monotonically tightening eps). *)
-  mutable trunc : (float * int * Ti_table.t) option;
 }
 
+let create_r src =
+  match Fact_source.search (Fact_source.tail_mass src) infinity with
+  | Fact_source.Found _ | Too_slow _ -> Ok { src; plan = None }
+  | Silent probed_to ->
+    Error
+      (Errors.Divergent_source { source = Fact_source.name src; probed_to })
+
 let create src =
-  if not (Fact_source.converges src) then
+  match create_r src with
+  | Ok t -> t
+  | Error _ ->
     invalid_arg
       (Printf.sprintf
          "Countable_ti.create: source %s has no convergence certificate; by \
           Theorem 4.8 no tuple-independent PDB realizes divergent marginals"
          (Fact_source.name src))
-  else { src; plan = None; trunc = None }
-
-let create_r src =
-  if Fact_source.converges src then Ok { src; plan = None; trunc = None }
-  else
-    Error
-      (Errors.Divergent_source
-         { source = Fact_source.name src; probed_to = 1 lsl 20 })
 
 let source t = t.src
 
@@ -68,24 +64,6 @@ let empty_world_prob_bounds t ~n =
 
 let truncate t ~n = Fact_source.truncate t.src n
 
-let truncate_for_mass t ~eps =
-  match t.trunc with
-  | Some (eps0, n, tbl) when eps0 = eps -> Some (n, tbl)
-  | cached ->
-    (* The least satisfying n is antitone in eps: a previous answer at a
-       looser bound is a valid search floor for any tighter one. *)
-    let lo =
-      match cached with
-      | Some (eps0, n0, _) when eps <= eps0 -> n0
-      | _ -> 0
-    in
-    Option.map
-      (fun n ->
-        let tbl = truncate t ~n in
-        t.trunc <- Some (eps, n, tbl);
-        (n, tbl))
-      (Fact_source.prefix_for_tail ~lo t.src eps)
-
 let sample ?(tail_cut = ldexp 1.0 (-20)) ?(max_facts = 4096) t g =
   (* Draw each prefix fact independently; the prefix length is the least
      n with tail(n) <= tail_cut, capped at max_facts (slowly converging
@@ -93,9 +71,11 @@ let sample ?(tail_cut = ldexp 1.0 (-20)) ?(max_facts = 4096) t g =
      The sampled law is within the achieved tail mass of the true one in
      total variation.  The per-index plan is cached across draws. *)
   let n =
-    match Fact_source.prefix_for_tail ~max_n:max_facts t.src tail_cut with
-    | Some n -> n
-    | None -> max_facts
+    match
+      Fact_source.search ~max_n:max_facts (Fact_source.tail_mass t.src) tail_cut
+    with
+    | Found (n, _) | Too_slow (n, _) -> n
+    | Silent _ -> max_facts
   in
   let plan =
     match t.plan with

@@ -15,7 +15,10 @@
 
     [create] enforces Theorem 4.8: a source without a finite tail
     certificate is rejected — such marginals admit no tuple-independent
-    PDB at all (Lemma 4.6, via Borel-Cantelli). *)
+    PDB at all (Lemma 4.6, via Borel-Cantelli).  That test, the prefix
+    [sample] draws, and the truncation point for a tail budget all come
+    from the one truncation search, {!Fact_source.search}; [truncate]
+    slices the prefix it finds. *)
 
 type t
 
@@ -54,15 +57,6 @@ val empty_world_prob_bounds : t -> n:int -> Interval.t
     proof of Theorem 5.5. *)
 
 val truncate : t -> n:int -> Ti_table.t
-val truncate_for_mass : t -> eps:float -> (int * Ti_table.t) option
-(** Least [n] whose tail mass is at most [eps], with the corresponding
-    finite table; [None] if no such [n] below the internal bound.
-
-    The last answer is cached on the value: repeating the same [eps]
-    probes no tail certificates at all, and a tighter [eps] resumes the
-    search at the previous [n] (the least [n] is antitone in [eps])
-    instead of re-galloping from index 0. *)
-
 val sample : ?tail_cut:float -> ?max_facts:int -> t -> Prng.t -> Instance.t
 (** Draw a world.  Facts in the prefix up to the first tail bound below
     [tail_cut] (default [2^-20]), capped at [max_facts] (default 4096),

@@ -112,61 +112,45 @@ let tail_mass s n =
 
 let default_max_n = 1 lsl 20
 
-let converges ?(max_n = default_max_n) s =
-  (* Probe geometrically up to max_n: a certificate is allowed to first
-     answer at any depth (e.g. only past the scanned prefix), so the old
-     fixed ladder {0, 1, 16, 1024} misclassified deep-but-certified
-     sources as divergent. *)
-  let rec go n =
-    tail_mass s n <> None
-    || (n < max_n && go (Stdlib.min max_n (Stdlib.max 1 (2 * n))))
-  in
-  go 0
+type search = Found of int * float | Too_slow of int * float | Silent of int
 
-let truncation ?(max_n = default_max_n) ?(lo = 0) s bound =
-  if bound < 0.0 then invalid_arg "Fact_source.truncation";
-  if lo < 0 || lo > max_n then invalid_arg "Fact_source.truncation: lo";
-  (* Probe each index at most once and remember the certified value, so
-     the caller never has to re-ask the certificate (whose answers may
-     depend on mutable scan state, or on a bounded probe budget).
-
-     [lo] is a caller-supplied search floor: when the caller knows (from
-     a previous search at a looser bound and an antitone certificate)
-     that no index below [lo] can satisfy this bound, the gallop starts
-     there and the bisection never revisits [0, lo).  The anytime loop's
-     tightening-eps pattern turns a from-scratch O(log n) probe ladder
-     into a handful of probes near the previous answer. *)
-  let probed = Hashtbl.create 16 in
-  let probe n =
-    match Hashtbl.find_opt probed n with
-    | Some r -> r
-    | None ->
-      let r = tail_mass s n in
-      Hashtbl.add probed n r;
-      r
+let search ?(max_n = default_max_n) tail bound =
+  if not (bound >= 0.0 && max_n >= 0) then invalid_arg "Fact_source.search";
+  (* Gallop 0, 1, 3, 7, ... (capped at max_n) until the certificate
+     answers within [bound], then bisect the gap above the last failing
+     probe.  Every index is probed at most once and the value observed at
+     the answer is returned, so callers never re-ask the certificate
+     (whose answers may depend on mutable scan state or a probe budget).
+     The gallop stops at or below 2n+1 for an answer n, and [max_n] is
+     asked only if the gallop gets there. *)
+  let rec bisect lo hi best =
+    (* least answer in [lo, hi], whose value at [hi] is [best] *)
+    if lo >= hi then Found (hi, best)
+    else begin
+      let mid = (lo + hi) / 2 in
+      match tail mid with
+      | Some t when t <= bound -> bisect lo mid t
+      | _ -> bisect (mid + 1) hi best
+    end
   in
-  let ok n = match probe n with Some t -> t <= bound | None -> false in
-  if not (ok max_n) then None
-  else begin
-    let rec gallop n =
-      if ok n then n else gallop (Stdlib.min max_n ((2 * n) + 1))
-    in
-    let hi = gallop lo in
-    let rec bisect lo hi =
-      if lo >= hi then hi
+  let rec gallop lo n deepest =
+    match tail n with
+    | Some t when t <= bound -> bisect lo n t
+    | r ->
+      let deepest = match r with Some t -> Some (n, t) | None -> deepest in
+      if n < max_n then gallop (n + 1) (Stdlib.min max_n ((2 * n) + 1)) deepest
       else begin
-        let mid = (lo + hi) / 2 in
-        if ok mid then bisect lo mid else bisect (mid + 1) hi
+        match deepest with
+        | Some (n, t) -> Too_slow (n, t)
+        | None -> Silent max_n
       end
-    in
-    let n = bisect lo hi in
-    match Hashtbl.find_opt probed n with
-    | Some (Some t) -> Some (n, t)
-    | _ -> assert false (* bisect only returns verified points *)
-  end
+  in
+  gallop 0 0 None
 
-let prefix_for_tail ?max_n ?lo s bound =
-  Option.map fst (truncation ?max_n ?lo s bound)
+let converges ?max_n s =
+  match search ?max_n (tail_mass s) infinity with
+  | Found _ -> true
+  | Too_slow _ | Silent _ -> false
 
 let prefix_sum s n =
   List.fold_left (fun acc (_, p) -> Rational.add acc p) Rational.zero (prefix s n)

@@ -10,7 +10,10 @@
 
     This is also precisely the access model of Section 6's approximation
     algorithm: assumption (i) is [total_mass_upper], assumption (ii) is
-    [nth]/[prob]. *)
+    [nth]/[prob].  The module owns the one search over a tail
+    certificate ({!search}): Proposition 6.1's [n(eps)], Theorem 4.8's
+    convergence test ({!converges}) and every sampler's prefix all come
+    from it. *)
 
 type t
 
@@ -72,28 +75,35 @@ val prefix : t -> int -> (Fact.t * Rational.t) list
 
 val tail_mass : t -> int -> float option
 
+(** {1 The truncation search} *)
+
+type search =
+  | Found of int * float
+      (** the least [n <= max_n] with [tail n <= bound], and the
+          certified [tail n] observed there *)
+  | Too_slow of int * float
+      (** the certificate answers, but never within [bound] up to
+          [max_n]: the deepest answered probe and its value — the
+          "series may converge arbitrarily slowly" case of Section 6 *)
+  | Silent of int
+      (** no probe up to the given depth ([max_n]) answered at all *)
+
+val search : ?max_n:int -> (int -> float option) -> float -> search
+(** [search tail bound] over an antitone certificate such as
+    [tail_mass s] (default [max_n = 2^20]).  It gallops
+    [0, 1, 3, 7, ...] and bisects the gap above the last failing probe:
+    each index is probed at most once, nothing above [2n + 1] is probed
+    for an answer [n], and [max_n] only if the gallop reaches it — so a
+    silent or too-weak certificate is classified after at most
+    [ceil(log2(max_n + 1)) + 1] probes.
+    @raise Invalid_argument if [bound < 0] or [max_n < 0]. *)
+
 val converges : ?max_n:int -> t -> bool
-(** Whether the source carries a finite tail certificate, probing
-    geometrically ([0, 1, 2, 4, ...]) up to [max_n] (default [2^20]).  A
-    certificate may legitimately first answer at depth — e.g. only past
-    the already-scanned prefix — so a [false] here means "no certificate
-    below [max_n]", not a proof of divergence. *)
-
-val truncation : ?max_n:int -> ?lo:int -> t -> float -> (int * float) option
-(** Least [n] with [tail n <= bound] together with the certified tail
-    value at that [n] (galloping + binary search).  Each index is probed
-    at most once and the returned value is the one observed during the
-    search, so callers need never re-consult the certificate.
-
-    [lo] (default 0) is a search floor: pass the answer of a previous
-    call at a looser bound to resume the search there instead of
-    re-galloping from 0 — sound whenever the certificate is antitone in
-    [n], which every certificate built by this module is.
-    @raise Invalid_argument if [bound < 0] or [lo] is outside
-    [\[0, max_n\]]. *)
-
-val prefix_for_tail : ?max_n:int -> ?lo:int -> t -> float -> int option
-(** [truncation] without the certified value. *)
+(** The search at an unbounded target: whether some probe up to [max_n]
+    (default [2^20]) answers.  A certificate may legitimately first
+    answer at depth — e.g. only past the already-scanned prefix — so a
+    [false] here means "no certificate below [max_n]", not a proof of
+    divergence. *)
 
 val seq_of : t -> (Fact.t * Rational.t) Seq.t
 (** The memoized enumeration as a sequence: entry [i] is [nth s i], so

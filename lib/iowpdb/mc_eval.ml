@@ -349,17 +349,16 @@ type plan = {
 
 let ti_entries ~tail_cut ~max_facts src =
   let n, tv =
-    match Fact_source.truncation ~max_n:max_facts src tail_cut with
-    | Some nt -> nt
-    | None -> (
-        match Fact_source.tail_mass src max_facts with
-        | Some t -> (max_facts, t)
-        | None ->
-          invalid_arg
-            (Printf.sprintf
-               "Mc_eval: %s certifies no tail at or below %d facts; raise \
-                ~max_facts or loosen ~tail_cut"
-               (Fact_source.name src) max_facts))
+    match
+      Fact_source.search ~max_n:max_facts (Fact_source.tail_mass src) tail_cut
+    with
+    | Found (n, t) | Too_slow (n, t) -> (n, t)
+    | Silent _ ->
+      invalid_arg
+        (Printf.sprintf
+           "Mc_eval: %s certifies no tail at or below %d facts; raise \
+            ~max_facts or loosen ~tail_cut"
+           (Fact_source.name src) max_facts)
   in
   let entries =
     Array.of_list
@@ -399,35 +398,31 @@ let bid_plan ~tail_cut ~max_blocks bid =
     in
     take [] 0.0 alts
   in
+  let n, tail =
+    match
+      Fact_source.search ~max_n:max_blocks (Countable_bid.tail_mass bid) tail_cut
+    with
+    | Found (n, t) | Too_slow (n, t) -> (n, t)
+    | Silent _ ->
+      invalid_arg
+        (Printf.sprintf
+           "Mc_eval: %s certifies no block tail at or below %d blocks; raise \
+            ~max_facts or loosen ~tail_cut"
+           (Countable_bid.name bid) max_blocks)
+  in
   let rec scan i blocks_rev dropped =
-    let finish tail = (List.rev blocks_rev, dropped +. tail) in
-    if i >= max_blocks then begin
-      match Countable_bid.tail_mass bid i with
-      | Some tail -> finish tail
-      | None ->
-        invalid_arg
-          (Printf.sprintf
-             "Mc_eval: %s certifies no block tail at or below %d blocks; \
-              raise ~max_facts or loosen ~tail_cut"
-             (Countable_bid.name bid) max_blocks)
-    end
-    else
-      match Countable_bid.tail_mass bid i with
-      | Some tail when tail <= tail_cut -> finish tail
-      | _ -> (
-          match Countable_bid.nth_block bid i with
-          | None -> finish 0.0
-          | Some b ->
-            let mass = Rational.to_float (Countable_bid.block_mass b) in
-            let alts = Countable_bid.alternatives ~limit:4096 b in
-            let kept_rev, kept_mass = keep_alts mass alts in
-            let kept = List.rev kept_rev in
-            let block =
-              ( Array.of_list (List.map fst kept),
-                Array.of_list (List.map snd kept) )
-            in
-            scan (i + 1) (block :: blocks_rev)
-              (dropped +. Float.max 0.0 (mass -. kept_mass)))
+    match if i < n then Countable_bid.nth_block bid i else None with
+    | None -> (List.rev blocks_rev, dropped +. tail)
+    | Some b ->
+      let mass = Rational.to_float (Countable_bid.block_mass b) in
+      let alts = Countable_bid.alternatives ~limit:4096 b in
+      let kept_rev, kept_mass = keep_alts mass alts in
+      let kept = List.rev kept_rev in
+      let block =
+        (Array.of_list (List.map fst kept), Array.of_list (List.map snd kept))
+      in
+      scan (i + 1) (block :: blocks_rev)
+        (dropped +. Float.max 0.0 (mass -. kept_mass))
   in
   let blocks, tv = scan 0 [] 0.0 in
   let blocks = Array.of_list blocks in

@@ -30,11 +30,6 @@
 
 type atom = { rel : string; args : Fo.term list }
 
-(* The legacy conjunctive-query view ([of_sentence]): [unsat] marks a
-   body whose equality atoms are contradictory, so the probability is 0
-   rather than "not recognized". *)
-type cq = { atoms : atom list; unsat : bool }
-
 type disjunct = { datoms : atom list }
 type ucq = disjunct list
 
@@ -549,100 +544,6 @@ let rec plan_to_string = function
              (if sign > 0 then "+ " else "- ") ^ plan_to_string p)
            ts)
     ^ ")"
-
-(* ------------------------------------------------------------------ *)
-(* Legacy CQ recognizer (kept for the hierarchical classifier and its
-   tests; the UCQ path above subsumes it for evaluation) *)
-(* ------------------------------------------------------------------ *)
-
-let rec strip_exists = function
-  | Fo.Exists (_, f) -> strip_exists f
-  | f -> f
-
-let rec gather_conjuncts acc = function
-  | Fo.And (f, g) -> gather_conjuncts (gather_conjuncts acc f) g
-  | f -> f :: acc
-
-let of_sentence phi =
-  if Fo.free_vars phi <> [] then None
-  else begin
-    let body = strip_exists phi in
-    let conjuncts = gather_conjuncts [] body in
-    let unsat_cq = Some { atoms = []; unsat = true } in
-    (* Collect variable = constant equalities to substitute away;
-       conflicting bindings for one variable (x = a & x = b) make the
-       body unsatisfiable — answer 0, not "pick one binding". *)
-    let rec collect eqs atoms = function
-      | [] -> Some (`Sat (eqs, atoms))
-      | Fo.Atom (r, ts) :: rest ->
-        collect eqs ({ rel = r; args = ts } :: atoms) rest
-      | Fo.Eq (Fo.Var x, Fo.Const v) :: rest
-      | Fo.Eq (Fo.Const v, Fo.Var x) :: rest -> (
-        match List.assoc_opt x eqs with
-        | Some w when not (Value.equal v w) -> Some `Unsat
-        | _ -> collect ((x, v) :: eqs) atoms rest)
-      | Fo.Eq (Fo.Const v, Fo.Const w) :: rest ->
-        if Value.equal v w then collect eqs atoms rest else Some `Unsat
-      | Fo.True :: rest -> collect eqs atoms rest
-      | _ -> None
-    in
-    match collect [] [] conjuncts with
-    | None -> None
-    | Some `Unsat -> unsat_cq
-    | Some (`Sat (eqs, atoms)) ->
-      let subst_term = function
-        | Fo.Var x as t -> (
-          match List.assoc_opt x eqs with Some v -> Fo.Const v | None -> t)
-        | t -> t
-      in
-      Some
-        {
-          atoms =
-            List.map
-              (fun a -> { a with args = List.map subst_term a.args })
-              atoms;
-          unsat = false;
-        }
-  end
-
-let is_unsatisfiable q = q.unsat
-
-(* Syntactically identical duplicate atoms are idempotent, so they are
-   deduplicated before looking for a genuine self-join (two *distinct*
-   atoms over one relation). *)
-let has_self_join q =
-  let rec go seen = function
-    | [] -> false
-    | a :: rest -> SSet.mem a.rel seen || go (SSet.add a.rel seen) rest
-  in
-  go SSet.empty (dedup_atoms q.atoms)
-
-let is_hierarchical q =
-  (* sg(x) = indices of atoms containing x; hierarchical iff all pairs of
-     sg sets are nested or disjoint. *)
-  let atoms = dedup_atoms q.atoms in
-  let sg = Hashtbl.create 16 in
-  List.iteri
-    (fun i a ->
-      SSet.iter
-        (fun x ->
-          let cur = Option.value (Hashtbl.find_opt sg x) ~default:[] in
-          Hashtbl.replace sg x (i :: cur))
-        (atom_vars a))
-    atoms;
-  let sets =
-    Hashtbl.fold
-      (fun _ is acc -> SSet.of_list (List.map string_of_int is) :: acc)
-      sg []
-  in
-  List.for_all
-    (fun s1 ->
-      List.for_all
-        (fun s2 ->
-          SSet.subset s1 s2 || SSet.subset s2 s1
-          || SSet.is_empty (SSet.inter s1 s2))
-        sets)
-    sets
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation *)

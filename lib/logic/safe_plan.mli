@@ -41,34 +41,6 @@ val plan_to_string : plan -> string
 val is_safe : Fo.t -> bool
 (** [plan_of phi <> None]. *)
 
-(** {1 Legacy conjunctive-query recognizer}
-
-    Kept for the hierarchical classifier and its tests; evaluation goes
-    through the UCQ rules, which subsume it. *)
-
-type cq
-(** A Boolean conjunctive query body: positive relational atoms after
-    equality substitution, or the unsatisfiable body. *)
-
-val of_sentence : Fo.t -> cq option
-(** Recognizes sentences of CQ shape.  Equality atoms between a variable
-    and a constant are folded in by substitution; conflicting constant
-    bindings ([x = a & x = b]) yield the unsatisfiable body (probability
-    zero), not a silent choice.  [None] for anything else (negation,
-    disjunction, universal quantifiers, free variables,
-    variable-variable equalities). *)
-
-val is_unsatisfiable : cq -> bool
-(** The body's equality atoms are contradictory. *)
-
-val has_self_join : cq -> bool
-(** Two {e distinct} atoms sharing a relation symbol — syntactically
-    identical duplicates are idempotent and deduplicated first. *)
-
-val is_hierarchical : cq -> bool
-(** For every two variables, their atom sets are nested or disjoint —
-    the safety criterion for CQs without self-joins. *)
-
 (** {1 Evaluation} *)
 
 val probability :

@@ -191,21 +191,27 @@ module Make (C : Prob.CARRIER) = struct
     if not (tail >= 0.0 && tail < 1.0) then
       invalid_arg "Delta_eval: tail must lie in [0, 1)";
     let gc_ran = ref false in
-    (* Newest-first order: later inserts sit closer to the root, so
+    let facts = Ti_table.support tbl in
+    let adom = adom_union (VSet.of_list (Fo.constants phi)) facts in
+    let alpha = Lineage.alphabet facts in
+    let padding = padding_avoiding adom phi in
+    let lin = Lineage.of_sentence ~extra:padding alpha phi in
+    (* The initial alphabet in first-occurrence order over its lineage
+       (co-occurring atoms adjacent, as every lineage compiler orders
+       them); variables appended later newest-first above it, so
        delta-joins extend the diagram at the top and weight patches on
        recent facts dirty only a shallow slice. *)
+    let k = Lineage.alphabet_size alpha in
+    let first = Wmc.first_occurrence_order [ lin ] in
     let mgr =
       Bdd.manager
-        ~order:(fun v -> -v)
+        ~order:(fun v -> if v < k then first v else -v)
         ?tick
         ~on_free:(fun n ->
           if n > 0 then gc_ran := true;
           Option.iter (fun f -> f n) on_free)
         ?cache_size ~gc_threshold ()
     in
-    let facts = Ti_table.support tbl in
-    let adom = adom_union (VSet.of_list (Fo.constants phi)) facts in
-    let alpha = Lineage.alphabet facts in
     let t =
       {
         phi;
@@ -219,7 +225,7 @@ module Make (C : Prob.CARRIER) = struct
         alpha;
         weights = weights_of tbl alpha;
         adom;
-        padding = padding_avoiding adom phi;
+        padding;
         bdd = Bdd.fls mgr;
         dirty = ISet.empty;
         memo_valid = true;
@@ -227,7 +233,7 @@ module Make (C : Prob.CARRIER) = struct
         epoch = 0;
       }
     in
-    let bdd = compile_full t t.alpha t.padding in
+    let bdd = Bdd.of_expr mgr lin in
     Bdd.protect bdd;
     t.bdd <- bdd;
     t

@@ -94,7 +94,8 @@ module Make (C : Prob.CARRIER) : sig
     Fo.t ->
     t
   (** Compile the query's lineage over the table and root-protect it in
-      a private manager (newest-first variable order, so later inserts
+      a private manager (the table's atoms in first-occurrence order
+      over that lineage, later inserts newest-first above them, so they
       extend the diagram at the top).  [tail] is the certified tail
       mass of the truncation this table came from (default [0.], the
       closed-world reading).  [tick], [on_free], [cache_size] and

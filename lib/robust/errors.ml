@@ -65,8 +65,8 @@ let contains_substring hay needle =
   nn = 0 || go 0
 
 (* Classify a legacy exception from the pre-result entry points.  The
-   substring matches pin down the two historical divergence messages of
-   [Approx_eval.truncate_or_fail] / [Fact_source.converges] users. *)
+   substring match pins down the divergence messages of the raising
+   [Fact_source.converges] users ([Completion], [Approx_eval]). *)
 let of_exn ~what = function
   | Error e -> e
   | Budget.Exhausted ex ->

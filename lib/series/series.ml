@@ -118,30 +118,6 @@ let partial_sum s n =
 let total_upper s n =
   Option.map (fun t -> partial_sum s n +. t) (s.tail n)
 
-let converges s =
-  (* A certificate at any point suffices; check a few in case the bound
-     is only available past a burn-in. *)
-  List.exists (fun n -> s.tail n <> None) [ 0; 1; 16; 1024 ]
-
-let prefix_for_tail ?(max_n = 1 lsl 22) s bound =
-  if bound < 0.0 then invalid_arg "Series.prefix_for_tail";
-  let ok n = match s.tail n with Some t -> t <= bound | None -> false in
-  if not (ok max_n) then None
-  else begin
-    (* Galloping + binary search over the antitone predicate. *)
-    let rec gallop n = if ok n then n else gallop (Stdlib.min max_n (2 * n + 1)) in
-    let hi = gallop 0 in
-    let rec bisect lo hi =
-      (* invariant: ok hi, not (ok (lo-1)) handled by construction *)
-      if lo >= hi then hi
-      else begin
-        let mid = (lo + hi) / 2 in
-        if ok mid then bisect lo mid else bisect (mid + 1) hi
-      end
-    in
-    Some (bisect 0 hi)
-  end
-
 let product_compl_prefix s n =
   let acc = ref 0.0 in
   for i = 0 to n - 1 do

@@ -9,7 +9,9 @@
     all (Theorem 4.8: realizable iff the series converges).
 
     Tail bounds are required to be sound (true tail [<=] bound) and
-    monotone nonincreasing; they need not be tight. *)
+    monotone nonincreasing; they need not be tight.  Truncation points
+    and convergence are asked of {!tail} through the one truncation
+    search, [Fact_source.search]. *)
 
 type t
 
@@ -64,15 +66,6 @@ val partial_sum : t -> int -> float
 
 val total_upper : t -> int -> float option
 (** [partial_sum n + tail n]: an upper bound on the total sum. *)
-
-val converges : t -> bool
-(** True iff some tail bound is finite.  (For stock series this is exact;
-    for [make] it reflects the supplied certificate.) *)
-
-val prefix_for_tail : ?max_n:int -> t -> float -> int option
-(** [prefix_for_tail s bound] is the least [n <= max_n] (default [2^22])
-    with [tail n <= bound], if any: the truncation point guaranteeing
-    residual mass at most [bound]. *)
 
 (** {1 Infinite products (Section 2.2 of the paper)} *)
 

@@ -7,8 +7,9 @@
      against the mapped length;
    - boot must be O(file bytes) for the checksum and nothing else: no
      fact, value or probability is decoded until asked for;
-   - [tail_mass] must be O(1) and [truncation_for_mass] O(log n): both
-     read the precomputed sidecar, never the probability column. *)
+   - [tail_mass] must be O(1): it reads the precomputed sidecar, never
+     the probability column, so the one truncation search
+     ([Fact_source.search] over [fact_source]) costs O(log n) lookups. *)
 
 type kind = Ti | Bid
 
@@ -619,24 +620,8 @@ let tail_mass t n =
   Int64.float_of_bits (read_i64 t "sidecar" (t.sec_sidecar + (8 * n)))
 
 (* ------------------------------------------------------------------ *)
-(* Truncation *)
+(* Slices *)
 (* ------------------------------------------------------------------ *)
-
-let truncation_for_mass t ~eps =
-  if eps < 0.0 then invalid_arg "Store.truncation_for_mass: eps < 0";
-  (* The sidecar is antitone with tail(size) = 0 <= eps, so the least
-     satisfying index exists; plain binary search, no decoding. *)
-  let ok n = tail_mass t n <= eps in
-  if ok 0 then (0, tail_mass t 0)
-  else begin
-    (* invariant: not (ok lo), ok hi *)
-    let lo = ref 0 and hi = ref t.n_facts in
-    while !hi - !lo > 1 do
-      let mid = (!lo + !hi) / 2 in
-      if ok mid then hi := mid else lo := mid
-    done;
-    (!hi, tail_mass t !hi)
-  end
 
 let require_ti t what =
   if t.kind <> Ti then
@@ -647,10 +632,6 @@ let truncate t ~n =
   Stats.incr c_slice;
   let n = Stdlib.max 0 (Stdlib.min n t.n_facts) in
   Ti_table.create (List.init n (entry t))
-
-let truncate_for_mass t ~eps =
-  let n, _ = truncation_for_mass t ~eps in
-  (n, truncate t ~n)
 
 let to_ti_table t = truncate t ~n:t.n_facts
 

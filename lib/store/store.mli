@@ -7,8 +7,10 @@
     exact rationals, plus a precomputed tail-mass sidecar.  Against that
     layout the two operations every engine performs on a table become
     trivial: [truncate ~n] is a pure O(1) slice of the first [n] facts,
-    and [truncate_for_mass ~eps] is a binary search over the sidecar —
-    no parsing, no scanning, no rational arithmetic on the hot path.
+    and the least [n] for a tail budget is the one truncation search
+    ({!Fact_source.search}) over {!fact_source}, whose certificate is an
+    O(1) sidecar lookup — no parsing, no scanning, no rational
+    arithmetic on the hot path.
 
     Loading is zero-copy: the file is [Unix.map_file]'d into a char
     [Bigarray] and facts/probabilities are decoded on demand.  A
@@ -97,17 +99,9 @@ val tail_mass : t -> int -> float
 
 (** {1 Truncation} *)
 
-val truncation_for_mass : t -> eps:float -> int * float
-(** Least [n] with [tail_mass n <= eps] and that bound, by binary search
-    over the sidecar — O(log n), no facts decoded, no scan.
-    @raise Invalid_argument if [eps < 0]. *)
-
 val truncate : t -> n:int -> Ti_table.t
 (** The first [min n size] facts as a finite TI table — the truncation
     prefix of Lemma 4.4.  Only those [n] facts are decoded. *)
-
-val truncate_for_mass : t -> eps:float -> int * Ti_table.t
-(** [truncation_for_mass] followed by [truncate]. *)
 
 val to_ti_table : t -> Ti_table.t
 (** Decode the whole pack ([Ti] packs). *)

@@ -231,6 +231,38 @@ let test_known_value_recompiles () =
        (Delta_eval.Exact.apply s (Insert (fact "S" [ 0 ], Rational.half))));
   Alcotest.check check_rat "joined answer" (q 1 4) (Delta_eval.Exact.prob s)
 
+let test_wide_join_stays_linear () =
+  (* The table's alphabet lists R(0..39) before S(0..39); the initial
+     diagram of a join over them is linear only if co-occurring atoms sit
+     adjacent in the variable order (first occurrence over the lineage),
+     and exponential under a plain newest-first order. *)
+  let k = 40 in
+  let ti =
+    Ti_table.create
+      (List.concat
+         (List.init k (fun j -> [ (fact "R" [ j ], q 1 3); (fact "S" [ j ], q 1 4) ])))
+  in
+  let phi = parse "exists x. R(x) & S(x)" in
+  let allocated = ref 0 in
+  let tick () =
+    incr allocated;
+    if !allocated > 100_000 then Alcotest.fail "initial diagram blew up"
+  in
+  let s = Delta_eval.Certified.create ~tick ti phi in
+  let size = Delta_eval.Certified.diagram_size s in
+  Alcotest.(check bool)
+    (Printf.sprintf "diagram of %d nodes <= 2k + 2" size)
+    true
+    (size <= (2 * k) + 2);
+  let exact = Delta_eval.Exact.create ti phi in
+  Alcotest.check check_rat "exact session = from scratch"
+    (from_scratch exact phi ti)
+    (Delta_eval.Exact.prob exact);
+  Alcotest.(check bool) "certified encloses it" true
+    (Interval.contains
+       (Delta_eval.Certified.prob s)
+       (Rational.to_float (Delta_eval.Exact.prob exact)))
+
 let test_batched_extend () =
   (* A prefix extension enters as one delta: one delta-join, one epoch,
      the from-scratch answer.  A [tick] that raises mid-batch (a budget
@@ -324,6 +356,8 @@ let () =
             test_fresh_value_extends;
           Alcotest.test_case "known value recompiles" `Quick
             test_known_value_recompiles;
+          Alcotest.test_case "wide join stays linear" `Quick
+            test_wide_join_stays_linear;
           Alcotest.test_case "batched extend" `Quick test_batched_extend;
           Alcotest.test_case "delta text roundtrip" `Quick
             test_delta_string_roundtrip;

@@ -63,7 +63,8 @@ let test_source_divergent () =
   let s = Fact_source.divergent_harmonic ~scale:Rational.one ~facts:r_fact () in
   Alcotest.(check bool) "diverges" false (Fact_source.converges s);
   Alcotest.(check bool) "no truncation point" true
-    (Fact_source.prefix_for_tail ~max_n:4096 s 0.1 = None)
+    (Fact_source.search ~max_n:4096 (Fact_source.tail_mass s) 0.1
+    = Fact_source.Silent 4096)
 
 let test_source_of_list_validation () =
   Alcotest.check_raises "duplicate"
@@ -87,9 +88,11 @@ let test_source_truncate () =
 let test_source_prefix_for_tail () =
   let s = geo_source () in
   (* tail(n) = 2^-n (+ulp); want <= 0.01 -> n = 7 *)
-  (match Fact_source.prefix_for_tail s 0.01 with
-   | Some n -> Alcotest.(check int) "n(0.01)" 7 n
-   | None -> Alcotest.fail "expected truncation point")
+  (match Fact_source.search (Fact_source.tail_mass s) 0.01 with
+   | Found (n, t) ->
+     Alcotest.(check int) "n(0.01)" 7 n;
+     Alcotest.(check bool) "certified there" true (t <= 0.01)
+   | Too_slow _ | Silent _ -> Alcotest.fail "expected truncation point")
 
 let test_source_append_interleave_map () =
   let head = [ (fact "A" [ 0 ], q 9 10) ] in
@@ -236,54 +239,16 @@ let test_cti_empty_world () =
 
 let test_cti_truncate_for_mass () =
   let t = Countable_ti.create (geo_source ()) in
-  match Countable_ti.truncate_for_mass t ~eps:0.01 with
-  | Some (n, table) ->
+  match
+    Fact_source.search
+      (Fact_source.tail_mass (Countable_ti.source t))
+      0.01
+  with
+  | Found (n, _) ->
     Alcotest.(check int) "n = 7" 7 n;
-    Alcotest.(check int) "table size" 7 (Ti_table.size table)
-  | None -> Alcotest.fail "expected truncation"
-
-let test_cti_truncation_resume_cache () =
-  (* Regression for the anytime loop's access pattern: tightening eps
-     must resume the tail-mass search at the previous answer instead of
-     re-galloping from index 0, and repeating the same eps must probe
-     nothing at all.  Probes are observable on the source.tail_probe
-     counter. *)
-  let probes = Stats.counter "source.tail_probe" in
-  let delta f =
-    let before = Stats.count probes in
-    let r = f () in
-    (r, Stats.count probes - before)
-  in
-  let t = Countable_ti.create (geo_source ()) in
-  let r1, fresh = delta (fun () -> Countable_ti.truncate_for_mass t ~eps:0.1) in
-  Alcotest.(check bool) "first call probes" true (fresh > 0);
-  let r2, again = delta (fun () -> Countable_ti.truncate_for_mass t ~eps:0.1) in
-  Alcotest.(check int) "same eps probes nothing" 0 again;
-  (match (r1, r2) with
-  | Some (n1, _), Some (n2, _) -> Alcotest.(check int) "same answer" n1 n2
-  | _ -> Alcotest.fail "truncation must exist");
-  (* Tightening: the resumed search gallops from the cached n, so it
-     costs strictly fewer probes than the same search on a fresh value. *)
-  let resumed_r, resumed =
-    delta (fun () -> Countable_ti.truncate_for_mass t ~eps:0.004)
-  in
-  let t' = Countable_ti.create (geo_source ()) in
-  let fresh_r, from_scratch =
-    delta (fun () -> Countable_ti.truncate_for_mass t' ~eps:0.004)
-  in
-  (match (resumed_r, fresh_r) with
-  | Some (n1, tbl1), Some (n2, tbl2) ->
-    Alcotest.(check int) "resumed = fresh answer" n2 n1;
-    Alcotest.(check int) "same table" (Ti_table.size tbl2) (Ti_table.size tbl1)
-  | _ -> Alcotest.fail "truncation must exist");
-  Alcotest.(check bool)
-    (Printf.sprintf "resumed %d < from-scratch %d probes" resumed from_scratch)
-    true
-    (resumed < from_scratch);
-  (* Loosening falls back to a from-scratch search but stays correct. *)
-  match Countable_ti.truncate_for_mass t ~eps:0.1 with
-  | Some (n, _) -> Alcotest.(check int) "loosened answer" 4 n
-  | None -> Alcotest.fail "loosened truncation must exist"
+    Alcotest.(check int) "table size" 7
+      (Ti_table.size (Countable_ti.truncate t ~n))
+  | Too_slow _ | Silent _ -> Alcotest.fail "expected truncation"
 
 let test_cti_sampling () =
   let t = Countable_ti.create (geo_source ()) in
@@ -646,9 +611,9 @@ let test_approx_error_guarantee () =
 let test_approx_n_grows_with_precision () =
   let s = geo_source () in
   let n_at eps =
-    match Approx_eval.truncation_point s ~eps with
-    | Some n -> n
-    | None -> Alcotest.fail "expected truncation point"
+    match Approx_eval.truncation_r s ~eps with
+    | Ok (n, _) -> n
+    | Error _ -> Alcotest.fail "expected truncation point"
   in
   Alcotest.(check bool) "monotone" true (n_at 0.2 <= n_at 0.01 && n_at 0.01 <= n_at 0.0001);
   (* geometric: n ~ log2(3/(2 eps)); at 1e-4 that's ~ 14 *)
@@ -781,6 +746,130 @@ let test_histogram () =
     (match List.assoc_opt 0 h with Some c -> c > 400 | None -> false)
 
 (* ------------------------------------------------------------------ *)
+(* The truncation search *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference: a naive least-n linear scan of the certificate. *)
+let scan_search ~max_n tail bound =
+  let rec go n deepest =
+    if n > max_n then
+      match deepest with
+      | Some (m, t) -> Fact_source.Too_slow (m, t)
+      | None -> Silent max_n
+    else
+      match tail n with
+      | Some t when t <= bound -> Found (n, t)
+      | Some t -> go (n + 1) (Some (n, t))
+      | None -> go (n + 1) deepest
+  in
+  go 0 None
+
+(* A certificate that records every index it is asked. *)
+let recorded tail =
+  let asked = ref [] in
+  ((fun n -> asked := n :: !asked; tail n), asked)
+
+let search_sources () =
+  let s_fact k = fact "S" [ k ] in
+  let pack =
+    let path = Filename.temp_file "iowpdb_search" ".iow" in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+      (fun () ->
+        Store.write_ti ~path
+          (Ti_table.create (List.init 30 (fun j -> (fact "P" [ j ], q 1 (j + 2)))));
+        Store.load path)
+  in
+  [
+    geo_source ();
+    Fact_source.geometric ~first:(q 1 3) ~ratio:(q 3 4) ~facts:s_fact ();
+    Fact_source.telescoping ~mass:Rational.one ~facts:r_fact ();
+    Fact_source.of_list (List.init 20 (fun j -> (r_fact j, q 1 (j + 2))));
+    Fact_source.interleave (geo_source ())
+      (Fact_source.telescoping ~mass:(q 1 2) ~facts:s_fact ());
+    Fact_source.append_finite
+      [ (fact "A" [ 0 ], q 9 10); (fact "A" [ 1 ], q 1 3) ]
+      (geo_source ());
+    Store.fact_source pack;
+  ]
+
+let prop_search_is_least_scan =
+  let sources = search_sources () in
+  let max_n = 300 in
+  QCheck.Test.make ~name:"search = least-n scan, each index once, <= 2n+1"
+    ~count:300
+    QCheck.(
+      pair (int_range 0 (List.length sources - 1))
+        (oneof [ always 0.0; float_range 1e-3 2.0 ]))
+    (fun (k, bound) ->
+      let src = List.nth sources k in
+      let tail, asked = recorded (Fact_source.tail_mass src) in
+      let got = Fact_source.search ~max_n tail bound in
+      let want = scan_search ~max_n (Fact_source.tail_mass src) bound in
+      let sorted = List.sort compare !asked in
+      let once = List.sort_uniq compare sorted = sorted in
+      let within =
+        match got with
+        | Found (n, _) -> List.for_all (fun i -> i <= (2 * n) + 1) sorted
+        | Too_slow _ | Silent _ -> true
+      in
+      if got <> want then
+        QCheck.Test.fail_reportf "%s at %g: search and scan disagree"
+          (Fact_source.name src) bound;
+      once && within)
+
+let test_search_classifies_in_one_pass () =
+  (* A divergent source and a certificate stuck at 0.6 are classified by
+     a single gallop to max_n: at most ceil(log2(max_n+1)) + 1 probes. *)
+  let counted src =
+    let probes = ref 0 in
+    ( Fact_source.make ~name:(Fact_source.name src)
+        ~enum:(Fact_source.seq_of src)
+        ~tail:(fun n ->
+          incr probes;
+          Fact_source.tail_mass src n)
+        (),
+      probes )
+  in
+  let probe_cap max_n =
+    let rec bits b = if 1 lsl b >= max_n + 1 then b else bits (b + 1) in
+    bits 0 + 1
+  in
+  let deep () =
+    Fact_source.make ~name:"deep-cert"
+      ~enum:
+        (Seq.map
+           (fun k -> (r_fact k, Rational.pow Rational.half (k + 1)))
+           (Seq.ints 0))
+      ~tail:(fun n -> if n >= 2000 then Some 0.6 else None)
+      ()
+  in
+  List.iter
+    (fun max_n ->
+      let src, probes =
+        counted (Fact_source.divergent_harmonic ~scale:Rational.one ~facts:r_fact ())
+      in
+      (match Approx_eval.truncation_r ~max_n src ~eps:0.1 with
+      | Error (Errors.Divergent_source { probed_to; _ }) ->
+        Alcotest.(check int) "probed to max_n" max_n probed_to
+      | _ -> Alcotest.fail "divergent source must be Divergent_source");
+      Alcotest.(check bool)
+        (Printf.sprintf "divergent: %d probes <= %d" !probes (probe_cap max_n))
+        true
+        (!probes <= probe_cap max_n);
+      let src, probes = counted (deep ()) in
+      (match Approx_eval.truncation_r ~max_n src ~eps:0.1 with
+      | Error (Errors.Budget_exhausted { what; _ }) ->
+        Alcotest.(check bool) "too slow" true
+          (Errors.contains_substring what "converges too slowly")
+      | _ -> Alcotest.fail "a 0.6 certificate must converge too slowly");
+      Alcotest.(check bool)
+        (Printf.sprintf "too slow: %d probes <= %d" !probes (probe_cap max_n))
+        true
+        (!probes <= probe_cap max_n))
+    [ 1 lsl 20; 4096; 3000 ]
+
+(* ------------------------------------------------------------------ *)
 (* Properties *)
 (* ------------------------------------------------------------------ *)
 
@@ -837,6 +926,12 @@ let () =
           Alcotest.test_case "deep certificate" `Quick
             test_source_deep_certificate;
         ] );
+      ( "search",
+        [
+          QCheck_alcotest.to_alcotest prop_search_is_least_scan;
+          Alcotest.test_case "classifies in one pass" `Quick
+            test_search_classifies_in_one_pass;
+        ] );
       ( "countable_ti",
         [
           Alcotest.test_case "rejects divergent (Thm 4.8)" `Quick
@@ -849,8 +944,6 @@ let () =
           Alcotest.test_case "instance probability" `Quick test_cti_instance_prob;
           Alcotest.test_case "empty world" `Quick test_cti_empty_world;
           Alcotest.test_case "truncate for mass" `Quick test_cti_truncate_for_mass;
-          Alcotest.test_case "truncation resume cache" `Quick
-            test_cti_truncation_resume_cache;
           Alcotest.test_case "sampling" `Slow test_cti_sampling;
           Alcotest.test_case "sampled independence (Lemma 4.4)" `Slow
             test_cti_sampled_independence;

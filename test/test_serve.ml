@@ -23,6 +23,12 @@ let open_source () =
        ~facts:(fun j -> fact "N" [ j ])
        ())
 
+(* A request that genuinely needs far more than a 1 ms deadline: three
+   variables grounded over the open world's ~30 domain values (negation
+   keeps it off the lifted rung), tens of milliseconds of lineage and
+   BDD work at eps = 1e-6. *)
+let costly = "exists x. exists y. exists z. N(x) & N(y) & N(z) & !R(y)"
+
 (* ------------------------------------------------------------------ *)
 (* Framing *)
 (* ------------------------------------------------------------------ *)
@@ -474,7 +480,7 @@ let test_serve_unsafe_and_bad_queries () =
 let test_serve_deadline_sound_enclosure () =
   with_server open_source @@ fun ep _t ->
   let t0 = Unix.gettimeofday () in
-  match query ~eps:1e-6 ~deadline_ms:1 ep "exists x. exists y. R(x) & N(y)" with
+  match query ~eps:1e-6 ~deadline_ms:1 ep costly with
   | Protocol.Answer { budget_exhausted; _ } as r ->
     check_sound r;
     Alcotest.(check bool) "deadline tripped the budget" true budget_exhausted;
@@ -602,9 +608,7 @@ let test_serve_overload_sheds_soundly () =
     List.init n (fun k ->
         Thread.create
           (fun () ->
-            let q =
-              Printf.sprintf "exists x. exists y. R(x) & N(y) & R(%d)" (k + 1)
-            in
+            let q = Printf.sprintf "%s & R(%d)" costly (k + 1) in
             results.(k) <- Some (query ~eps:1e-6 ep q))
           ())
   in
@@ -645,7 +649,7 @@ let test_serve_drain () =
     Thread.create
       (fun () ->
         slow :=
-          Some (query ~eps:1e-6 (`Unix path) "exists x. exists y. R(x) & N(y)"))
+          Some (query ~eps:1e-6 (`Unix path) costly))
       ()
   in
   Thread.delay 0.1;

@@ -66,9 +66,12 @@ let test_roundtrip_empty () =
   with_pack_ti Ti_table.empty @@ fun _path st ->
   Alcotest.(check int) "size" 0 (Store.size st);
   Alcotest.(check (float 0.0)) "tail" 0.0 (Store.tail_mass st 0);
-  let n, tbl = Store.truncate_for_mass st ~eps:0.0 in
-  Alcotest.(check int) "n" 0 n;
-  Alcotest.(check int) "table" 0 (Ti_table.size tbl)
+  (match
+     Fact_source.search (Fact_source.tail_mass (Store.fact_source st)) 0.0
+   with
+  | Found (n, _) -> Alcotest.(check int) "n" 0 n
+  | Too_slow _ | Silent _ -> Alcotest.fail "empty pack must truncate at 0");
+  Alcotest.(check int) "table" 0 (Ti_table.size (Store.truncate st ~n:0))
 
 let test_roundtrip_bid () =
   let bid =
@@ -159,10 +162,16 @@ let test_truncation_and_sidecar () =
       if k < 10 && not (Rational.equal p (Ti_table.prob tbl f)) then
         Alcotest.failf "prefix fact %d missing" k)
     sorted;
-  (* truncate_for_mass agrees with the naive least-n scan. *)
+  (* The truncation search over the pack's source agrees with the naive
+     least-n scan. *)
+  let src = Store.fact_source st in
   List.iter
     (fun eps ->
-      let m, _ = Store.truncation_for_mass st ~eps in
+      let m =
+        match Fact_source.search (Fact_source.tail_mass src) eps with
+        | Found (m, _) -> m
+        | Too_slow _ | Silent _ -> Alcotest.failf "no n at %g" eps
+      in
       let naive = ref 0 in
       while Store.tail_mass st !naive > eps do incr naive done;
       Alcotest.(check int) (Printf.sprintf "least n at %g" eps) !naive m)
@@ -179,15 +188,16 @@ let test_fact_source_view () =
   let cti = Countable_ti.create s in
   let after = Stats.count (Stats.counter "store.fact.decode") in
   Alcotest.(check int) "no decode at create" before after;
-  (match Countable_ti.truncate_for_mass cti ~eps:0.2 with
-  | Some (_, tbl) ->
+  (match Fact_source.search (Fact_source.tail_mass s) 0.2 with
+  | Found (n, _) ->
+    let tbl = Countable_ti.truncate cti ~n in
     List.iter
       (fun (f, p) ->
         if not (Rational.equal p (Ti_table.prob ti f)) then
           Alcotest.failf "store-backed prefix disagrees on %s"
             (Fact.to_string f))
       (Ti_table.facts tbl)
-  | None -> Alcotest.fail "no truncation found");
+  | Too_slow _ | Silent _ -> Alcotest.fail "no truncation found");
   (* With a completion tail appended, the combined certificate is the
      pack tail plus the rest tail. *)
   let restq =
@@ -199,11 +209,11 @@ let test_fact_source_view () =
   (match Fact_source.tail_mass s2 0 with
   | Some t0 -> Alcotest.(check bool) "tail covers both" true (t0 > 1.0)
   | None -> Alcotest.fail "combined tail must certify");
-  let cti2 = Countable_ti.create s2 in
-  match Countable_ti.truncate_for_mass cti2 ~eps:0.01 with
-  | Some (m, _) ->
+  ignore (Countable_ti.create s2);
+  match Fact_source.search (Fact_source.tail_mass s2) 0.01 with
+  | Found (m, _) ->
     Alcotest.(check bool) "needs completion facts" true (m > 20)
-  | None -> Alcotest.fail "combined truncation must exist"
+  | Too_slow _ | Silent _ -> Alcotest.fail "combined truncation must exist"
 
 (* Engines answer identically on text-loaded vs pack-loaded tables. *)
 let test_engine_equivalence () =
