@@ -339,7 +339,7 @@ let e8 () =
   let show qs =
     let phi = parse qs in
     let closed = Query_eval.boolean ex57_ti phi in
-    let opened = Completion.query_prob c ~eps:0.005 phi in
+    let opened = Approx_eval.boolean (Completion.source c) ~eps:0.005 phi in
     row "  %-50s closed %-8s open %-8s (n=%d)\n" qs
       (Rational.to_decimal_string ~digits:4 closed)
       (Rational.to_decimal_string ~digits:4 opened.Approx_eval.estimate)
@@ -440,7 +440,7 @@ let e11 () =
     (fun qs ->
       let phi = parse qs in
       let closed = Query_eval.boolean observed phi in
-      let opened = Completion.query_prob c ~eps:0.001 phi in
+      let opened = Approx_eval.boolean (Completion.source c) ~eps:0.001 phi in
       row "  %-34s %-10s %s\n" qs
         (Rational.to_decimal_string ~digits:4 closed)
         (Rational.to_decimal_string ~digits:6 opened.Approx_eval.estimate))

@@ -56,7 +56,7 @@ let () =
   let compare_query qs =
     let phi = parse qs in
     let closed = Query_eval.boolean table phi in
-    let opened = Completion.query_prob c ~eps:0.005 phi in
+    let opened = Approx_eval.boolean (Completion.source c) ~eps:0.005 phi in
     Printf.printf "  %-52s closed %-8s open %s\n" qs
       (Rational.to_decimal_string ~digits:4 closed)
       (Rational.to_decimal_string ~digits:4 opened.Approx_eval.estimate)
@@ -89,8 +89,11 @@ let () =
   print_endline "Truncation sizes chosen by the approximation engine:";
   List.iter
     (fun eps ->
-      let r = Completion.query_prob c ~eps (parse "exists x. R(\"D\", x)") in
-      Printf.printf "  eps = %-8g -> n = %3d new facts, estimate %s\n" eps
+      let r =
+        Approx_eval.boolean (Completion.source c) ~eps
+          (parse "exists x. R(\"D\", x)")
+      in
+      Printf.printf "  eps = %-8g -> n = %3d facts, estimate %s\n" eps
         r.Approx_eval.n_used
         (Rational.to_decimal_string ~digits:5 r.Approx_eval.estimate))
     [ 0.1; 0.01; 0.001; 0.0001 ]

@@ -56,7 +56,9 @@ let () =
   print_newline ();
   let phi = parse "exists x. Friend(x)" in
   let closed = Query_eval.boolean ti phi in
-  let opened = Completion.query_prob completion ~eps:0.001 phi in
+  let opened =
+    Approx_eval.boolean (Completion.source completion) ~eps:0.001 phi
+  in
   Printf.printf "P[ exists x. Friend(x) ]  closed world: %s\n"
     (Rational.to_decimal_string ~digits:6 closed);
   Printf.printf "P[ exists x. Friend(x) ]  open world:   %s  (+/- 0.001, %d facts used)\n"
@@ -65,7 +67,9 @@ let () =
 
   (* A fact the closed world calls impossible. *)
   let phi = parse "Friend(7)" in
-  let opened = Completion.query_prob completion ~eps:0.001 phi in
+  let opened =
+    Approx_eval.boolean (Completion.source completion) ~eps:0.001 phi
+  in
   Printf.printf "P[ Friend(7) ]            closed world: %s, open world: %s\n"
     (Rational.to_decimal_string (Query_eval.boolean ti phi))
     (Rational.to_decimal_string ~digits:6 opened.Approx_eval.estimate)

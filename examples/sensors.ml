@@ -65,7 +65,7 @@ let () =
   let c = Completion.complete_ti observed (news ()) in
   let show_open ?note qs =
     let label = Printf.sprintf "P[ %s ]%s" qs (Option.value note ~default:"") in
-    let r = Completion.query_prob c ~eps:0.001 (parse qs) in
+    let r = Approx_eval.boolean (Completion.source c) ~eps:0.001 (parse qs) in
     show_prob label
       (Printf.sprintf "%s  (certified in [%.6f, %.6f])"
          (Rational.to_decimal_string ~digits:6 r.Approx_eval.estimate)
@@ -84,7 +84,9 @@ let () =
   Printf.printf "  closed world: P[ %s ] = %s\n" warmer
     (Rational.to_decimal_string ~digits:6
        (Query_eval.boolean observed (parse warmer)));
-  let r = Completion.query_prob c ~eps:0.001 (parse warmer) in
+  let r =
+    Approx_eval.boolean (Completion.source c) ~eps:0.001 (parse warmer)
+  in
   Printf.printf "  open world:   P[ %s ] = %s\n" warmer
     (Rational.to_decimal_string ~digits:6 r.Approx_eval.estimate);
   print_newline ();
@@ -96,7 +98,7 @@ let () =
   List.iter
     (fun t ->
       let r =
-        Completion.query_prob c ~eps:0.0005
+        Approx_eval.boolean (Completion.source c) ~eps:0.0005
           (parse (Printf.sprintf "Temp(1, %d)" t))
       in
       Printf.printf "  P[ Temp(1, %d) ] = %s\n" t

@@ -17,7 +17,8 @@
    Table files are the Ti_table text format: one "R(args...) prob" per
    line, '#' comments.  Open-world policies: --policy lambda:<p>:<k>
    (k fresh facts of probability p over relation N) or
-   --policy geometric:<first>:<ratio> (infinitely many N(0), N(1), ...).
+   --policy geometric:<first>:<ratio> (infinitely many N(0), N(1), ...),
+   parsed by Completion.policy_of_string on both boot paths.
 
    Subcommands that do real inference take --stats to print the
    instrumentation counters (BDD cache traffic, fact-source pulls,
@@ -48,47 +49,10 @@ let guard f =
 
 let read_table = Ti_table.of_file
 
-let parse_policy spec ti =
-  match String.split_on_char ':' spec with
-  | [ "lambda"; p; k ] ->
-    let lambda = Rational.of_string p and k = int_of_string k in
-    Completion.openpdb_lambda ~lambda
-      ~new_facts:(List.init k (fun j -> Fact.make "N" [ Value.Int j ]))
-      ti
-  | [ "geometric"; first; ratio ] ->
-    Completion.geometric_policy
-      ~first:(Rational.of_string first)
-      ~ratio:(Rational.of_string ratio)
-      ~new_facts:(fun j -> Fact.make "N" [ Value.Int j ])
-      ti
-  | _ ->
-    invalid_arg
-      (Printf.sprintf
-         "bad policy %S (want lambda:<p>:<k> or geometric:<first>:<ratio>)"
-         spec)
-
-(* The completion tail of a policy as a bare fact source — the packed
-   boot path never materializes a Ti_table, so the policy's fresh facts
-   are built directly instead of through [Completion].  Must agree with
-   [parse_policy]'s [Completion.new_facts] so the two boot paths answer
-   identically. *)
-let policy_source spec =
-  let n_fact j = Fact.make "N" [ Value.Int j ] in
-  match String.split_on_char ':' spec with
-  | [ "lambda"; p; k ] ->
-    let lambda = Rational.of_string p and k = int_of_string k in
-    if Rational.equal lambda Rational.zero then Fact_source.of_list []
-    else Fact_source.of_list (List.init k (fun j -> (n_fact j, lambda)))
-  | [ "geometric"; first; ratio ] ->
-    Fact_source.geometric
-      ~first:(Rational.of_string first)
-      ~ratio:(Rational.of_string ratio)
-      ~facts:n_fact ()
-  | _ ->
-    invalid_arg
-      (Printf.sprintf
-         "bad policy %S (want lambda:<p>:<k> or geometric:<first>:<ratio>)"
-         spec)
+(* The table completed by an open-world policy, as one countable TI
+   source.  Sources memoize, so every consumer builds its own. *)
+let completed ti pol =
+  Completion.source (Completion.complete_ti ti (Completion.policy_source pol))
 
 (* Shared arguments *)
 (* A plain string, not Arg.file: existence is checked by Ti_table.of_file
@@ -323,11 +287,11 @@ let run_open table query policy eps stats =
   guard @@ fun () ->
   with_stats stats @@ fun () ->
   let ti = read_table table in
-  let c = parse_policy policy ti in
+  let src = completed ti (Completion.policy_of_string policy) in
   let phi = Fo_parse.parse_exn query in
-  let r = Completion.query_prob c ~eps phi in
+  let r = Approx_eval.boolean src ~eps phi in
   Printf.printf
-    "P[ %s ] = %s (+/- %g; %d new facts; certified in [%.8f, %.8f])\n" query
+    "P[ %s ] = %s (+/- %g; %d facts kept; certified in [%.8f, %.8f])\n" query
     (Rational.to_decimal_string ~digits:8 r.Approx_eval.estimate)
     eps r.Approx_eval.n_used
     (Interval.lo r.Approx_eval.bounds)
@@ -345,10 +309,7 @@ let run_anytime table query policy eps timeout virtual_rate max_bdd_nodes
   guard @@ fun () ->
   with_stats stats @@ fun () ->
   let ti = read_table table in
-  let c = parse_policy policy ti in
-  let src =
-    Fact_source.append_finite (Ti_table.facts ti) (Completion.new_facts c)
-  in
+  let src = completed ti (Completion.policy_of_string policy) in
   let phi = Fo_parse.parse_exn query in
   let budget =
     make_budget ?max_bdd_nodes ?max_facts ~timeout ~virtual_rate ()
@@ -405,10 +366,7 @@ let run_sample table n seed opened policy =
   let ti = read_table table in
   let g = Prng.create ~seed () in
   if opened then begin
-    let c = parse_policy policy ti in
-    let src =
-      Fact_source.append_finite (Ti_table.facts ti) (Completion.new_facts c)
-    in
+    let src = completed ti (Completion.policy_of_string policy) in
     let cti = Countable_ti.create src in
     for _ = 1 to n do
       print_endline (Instance.to_string (Countable_ti.sample cti g))
@@ -453,8 +411,10 @@ let run_mc table query opened policy domains samples confidence seed timeout
   with_stats stats @@ fun () ->
   let ti = read_table table in
   let space =
-    if opened then Mc_eval.Completed (parse_policy policy ti)
-    else Mc_eval.Ti (Countable_ti.create (Fact_source.of_ti_table ti))
+    Mc_eval.Ti
+      (Countable_ti.create
+         (if opened then completed ti (Completion.policy_of_string policy)
+          else Fact_source.of_ti_table ti))
   in
   let phi = Fo_parse.parse_exn query in
   let domains = if domains = 0 then None else Some domains in
@@ -516,10 +476,7 @@ let run_robust table query policy eps timeout virtual_rate max_bdd_nodes
   guard @@ fun () ->
   with_stats stats @@ fun () ->
   let ti = read_table table in
-  let c = parse_policy policy ti in
-  let src =
-    Fact_source.append_finite (Ti_table.facts ti) (Completion.new_facts c)
-  in
+  let src = completed ti (Completion.policy_of_string policy) in
   let src =
     match faults with
     | None -> src
@@ -851,12 +808,8 @@ let run_serve table store_path warm_cache socket tcp policy domains
       ((fun () -> Fact_source.of_ti_table ti), None, Some ti)
     | Some table, None ->
       let ti = read_table table in
-      ( (fun () ->
-          let c = parse_policy policy ti in
-          Fact_source.append_finite (Ti_table.facts ti)
-            (Completion.new_facts c)),
-        None,
-        None )
+      let pol = Completion.policy_of_string policy in
+      ((fun () -> completed ti pol), None, None)
     | None, Some _ when updatable ->
       invalid_arg
         "serve: --updatable requires a text TABLE (a mmap'd pack cannot \
@@ -864,10 +817,11 @@ let run_serve table store_path warm_cache socket tcp policy domains
     | None, Some pack ->
       (* Zero-parse boot: mmap + checksum, no fact decoded until a query
          asks for it — the sidecar certifies tails in O(1). *)
+      let pol = Completion.policy_of_string policy in
       let st = Store.load pack in
       if Store.kind st <> Store.Ti then
         invalid_arg (Printf.sprintf "serve: %s is not a TI pack" pack);
-      ( (fun () -> Store.fact_source ~rest:(policy_source policy) st),
+      ( (fun () -> Store.fact_source ~rest:(Completion.policy_source pol) st),
         Some (Store.checksum_hex st),
         None )
   in

@@ -185,10 +185,17 @@ let boolean_lifted_r ?max_n ?budget src ~eps phi =
          })
   | Error e -> Error e
 
+(* The free variables range over the truncation's active domain; the
+   quantifiers inside each grounded sentence get the same inert padding
+   as [boolean_r], so every tuple's probability has the limit
+   semantics. *)
 let marginals ?max_n src ~eps phi =
-  let n, _ = or_invalid_arg (truncation_r ?max_n src ~eps) in
-  let table = Fact_source.truncate src n in
-  Query_eval.marginals table phi
+  certify ?max_n src ~eps (fun table ->
+      let extra_domain =
+        Query_eval.choose_padding (Ti_table.support table) [ phi ]
+      in
+      Query_eval.marginals ~extra_domain table phi)
+  |> Result.map fst |> or_invalid_arg
 
 (* ------------------------------------------------------------------ *)
 (* Proposition 6.2 witness *)

@@ -110,7 +110,7 @@ val certify :
   (Ti_table.t -> 'a) ->
   ('a * (Rational.t -> result), Errors.t) Stdlib.result
 (** The certify step of Proposition 6.1, shared by every truncation
-    engine ({!boolean_r}, {!boolean_lifted_r}, [Completion],
+    engine ({!boolean_r}, {!boolean_lifted_r}, {!marginals},
     [Robust_eval.query_batch]): run {!truncation_r}, materialize the
     first [n] facts, re-ask the certificate at [n] (keeping the smaller
     bound), evaluate the prefix table, and return the evaluation with
@@ -121,10 +121,10 @@ val certify :
     reports (default [Approx_eval(<source name>)]). *)
 
 val or_invalid_arg : ('a, Errors.t) Stdlib.result -> 'a
-(** How the raising entry points ({!boolean}, [Completion.query_prob])
-    report a failed certify step: the [Invalid_argument] they always
-    raised — the bad-[eps] message verbatim, a divergence or
-    slow-convergence explanation otherwise. *)
+(** How the raising entry points ({!boolean}, {!marginals}) report a
+    failed certify step: the [Invalid_argument] they always raised — the
+    bad-[eps] message verbatim, a divergence or slow-convergence
+    explanation otherwise. *)
 
 (** {1 Certification primitives}
 
@@ -154,8 +154,13 @@ val marginals :
   (Tuple.t * Rational.t) list
 (** The free-variable extension sketched after Proposition 6.1: ground
     the query over [adom(Omega_n)] and approximate each sentence; each
-    returned probability carries the same additive guarantee.  Tuples
-    with estimate 0 are omitted. *)
+    returned probability carries the same additive guarantee.  The free
+    variables range over the truncation's evaluation domain; quantifiers
+    inside each grounded sentence get the inert padding of {!boolean},
+    so the probabilities have the limit semantics.  Tuples with estimate
+    0 are omitted; a sentence yields at most the empty tuple.
+    @raise Invalid_argument like {!boolean}, or beyond 3 free
+    variables. *)
 
 (** {1 Proposition 6.2 (no multiplicative approximation)} *)
 

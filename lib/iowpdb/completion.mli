@@ -8,24 +8,35 @@
     equal to 1, and take the product of [D] with the countable
     tuple-independent PDB they induce.
 
-    This module implements that construction over a finite original PDB
-    and a countable source of new facts, together with the policies that
-    generalize OpenPDBs (a [lambda] bound for a finite reservoir of new
-    facts; a convergent-series bound for an infinite one — the
+    Every original here is tuple-independent, and the product of two TI
+    PDBs over disjoint facts is the TI PDB over the union of the two fact
+    families (Remark 5.6).  So a completion {e is} one countable TI
+    source ({!source}), and queries on it go through the countable-TI
+    engines: [Approx_eval.boolean] / [boolean_r] / [marginals],
+    [Anytime], [Robust_eval] and [Mc_eval.Ti].  What stays here is the
+    construction, the Theorem 5.5 reference objects over explicit worlds
+    ({!truncated}, {!completion_condition_gap}, {!omega_prob_bounds} —
+    exponential in the table, for small tables), and the policies that
+    generalize OpenPDBs: a [lambda] bound for a finite reservoir of new
+    facts, a convergent-series bound for an infinite one (the
     generalization suggested at the end of Section 5.1). *)
 
 type t
 
-val complete : Finite_pdb.t -> Fact_source.t -> t
-(** @raise Invalid_argument if the source diverges, contains a fact of
-    probability 1 (then [P'(Omega) = 0], violating Definition 5.1), or —
-    checked lazily on access — overlaps [F(D)]. *)
-
 val complete_ti : Ti_table.t -> Fact_source.t -> t
-(** Convenience: complete a finite TI table.  The result is itself
-    tuple-independent (original facts and new facts all independent). *)
+(** Complete a finite TI table with the independent new facts of a
+    source.
+    @raise Invalid_argument if the source diverges, contains a fact of
+    probability 1 (then [P'(Omega) = 0], violating Definition 5.1), or
+    overlaps the table — the last two checked eagerly on a bounded
+    prefix and lazily beyond it. *)
 
-val original : t -> Finite_pdb.t
+val source : t -> Fact_source.t
+(** The completed PDB as one countable TI source: the table's facts
+    followed by the new facts.  Each call builds a fresh memoizing view
+    over the shared new-fact source. *)
+
+val original : t -> Ti_table.t
 val new_facts : t -> Fact_source.t
 
 val marginal : t -> Fact.t -> Rational.t option
@@ -35,8 +46,7 @@ val marginal : t -> Fact.t -> Rational.t option
 
 val truncated : t -> n:int -> Finite_pdb.t
 (** The finite product PDB [D x C_n] over the original worlds and the
-    first [n] new facts: the object the approximation algorithm of
-    Section 6 actually evaluates queries on. *)
+    first [n] new facts, as explicit worlds. *)
 
 val completion_condition_gap : t -> n:int -> Rational.t
 (** [max_D |P'_n(D | Omega) - P(D)|] over original worlds [D], computed
@@ -48,57 +58,38 @@ val omega_prob_bounds : t -> n:int -> Interval.t
 (** Enclosure of [P'(Omega)] — the mass remaining on original worlds =
     [prod_{new f} (1 - p_f)]; positive by construction. *)
 
-val query_prob : t -> eps:float -> Fo.t -> Approx_eval.result
-(** Additive [eps]-approximation of a Boolean query on the completed PDB
-    (Proposition 6.1 over the product measure: one lineage BDD, weighted
-    model counts per original world).
-    Runs the certify step of {!Approx_eval.certify} on the new-fact
-    source.
-    @raise Invalid_argument when [eps] is outside [(0, 1/2)] or the tail
-    never certifies [eps] within the probe bound; see {!query_prob_r}
-    for the recoverable form. *)
-
-val query_prob_r :
-  ?budget:Budget.t ->
-  t ->
-  eps:float ->
-  Fo.t ->
-  (Approx_eval.result, Errors.t) result
-(** Like {!query_prob}, with classified failures instead of exceptions:
-    a tail that does not certify [eps] (or an exhausted [budget]) comes
-    back as [Budget_exhausted] {e carrying the best sound enclosure
-    obtained so far}; malformed completions surface as [Model_invalid].
-    When [budget] is given, new-fact accesses are charged as
-    [Facts]/[Probes] and BDD allocations as [Bdd_nodes]. *)
-
-val complete_r : Finite_pdb.t -> Fact_source.t -> (t, Errors.t) result
-(** {!complete} with classified failures ([Divergent_source] on a
-    divergent new-fact source, [Model_invalid] otherwise). *)
-
-val marginals : t -> eps:float -> Fo.t -> (Tuple.t * Rational.t) list
-(** Open-world answer-tuple marginals of a query with 1-3 free variables:
-    the Section 3.1 semantics applied to the completion, each probability
-    carrying the Proposition 6.1 additive guarantee (evaluation over the
-    active domain of the original and truncated new facts).  Nonzero
-    entries only. *)
-
-val expected_answer_count : t -> eps:float -> Fo.t -> Rational.t
-(** [E(|Q(D)|)] by linearity of expectation: the sum of the answer-tuple
-    marginals over the truncated domain. *)
-
 (** {1 Countable originals (Remark 5.6)} *)
 
 val complete_countable_ti :
   Countable_ti.t -> Fact_source.t -> Countable_ti.t
-(** Completion of a {e countable} tuple-independent original: Remark 5.6
-    notes that countable TI PDBs already satisfy the closure properties
-    Theorem 5.5 needs, and their independent-fact completion is simply the
-    TI PDB over the union of the two convergent fact families.  The new
-    facts are validated (lazily) to be disjoint from the original
-    enumeration's prefix and free of probability-1 entries.
+(** Completion of a {e countable} tuple-independent original: its
+    independent-fact completion is the TI PDB over the union of the two
+    convergent fact families.  The new facts are validated (lazily) to
+    be disjoint from the original enumeration's prefix and free of
+    probability-1 entries.
     @raise Invalid_argument if either source diverges. *)
 
 (** {1 Open-world policies} *)
+
+type policy =
+  | Lambda of Rational.t * int
+      (** [lambda:<p>:<k>]: new facts [N(0) .. N(k-1)], each of
+          probability [p] *)
+  | Geometric of Rational.t * Rational.t
+      (** [geometric:<first>:<ratio>]: infinitely many new facts [N(j)]
+          of probability [first * ratio^j] *)
+
+val policy_of_string : string -> policy
+(** The one parser of the policy spec.  Definition 5.1 is enforced up
+    front: [0 <= p < 1], [0 < first < 1], [0 < ratio < 1], [k >= 0].
+    @raise Invalid_argument ("bad policy ...") otherwise. *)
+
+val policy_to_string : policy -> string
+(** Inverse of {!policy_of_string}. *)
+
+val policy_source : policy -> Fact_source.t
+(** The policy's new facts over relation [N] as a fresh source (sources
+    memoize, so concurrent consumers each build their own). *)
 
 val openpdb_lambda :
   lambda:Rational.t -> new_facts:Fact.t list -> Ti_table.t -> t

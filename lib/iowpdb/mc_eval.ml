@@ -29,7 +29,6 @@
 type space =
   | Ti of Countable_ti.t
   | Bid of Countable_bid.t
-  | Completed of Completion.t
 
 type result = {
   estimate : float;
@@ -347,7 +346,9 @@ type plan = {
   support : Fact.t list;  (* every fact the plan can emit *)
 }
 
-let ti_entries ~tail_cut ~max_facts src =
+(* TI: the least prefix whose certified tail is at most the cut; the
+   tail is the whole TV budget. *)
+let ti_plan ~tail_cut ~max_facts src =
   let n, tv =
     match
       Fact_source.search ~max_n:max_facts (Fact_source.tail_mass src) tail_cut
@@ -366,20 +367,12 @@ let ti_entries ~tail_cut ~max_facts src =
          (fun (f, p) -> (f, Rational.to_float p))
          (Fact_source.prefix src n))
   in
-  (entries, tv)
-
-let draw_ti entries g =
-  Array.fold_left
-    (fun acc (f, p) -> if Prng.bernoulli g p then Instance.add f acc else acc)
-    Instance.empty entries
-
-let ti_plan ~tail_cut ~max_facts src =
-  let entries, tv = ti_entries ~tail_cut ~max_facts src in
-  {
-    draw = draw_ti entries;
-    tv;
-    support = Array.to_list (Array.map fst entries);
-  }
+  let draw g =
+    Array.fold_left
+      (fun acc (f, p) -> if Prng.bernoulli g p then Instance.add f acc else acc)
+      Instance.empty entries
+  in
+  { draw; tv; support = Array.to_list (Array.map fst entries) }
 
 (* BID: truncate the block enumeration at a certified block-mass tail and
    each block's alternatives the way [Countable_bid.sample] does (keep
@@ -450,47 +443,9 @@ let bid_plan ~tail_cut ~max_blocks bid =
   in
   { draw; tv; support }
 
-(* Completion: one exact categorical draw over the finitely many original
-   worlds (the first factor of the independent product of Definition
-   5.1), one truncated-TI draw over the new facts.  Only the new-fact
-   factor is truncated, so its tail is the whole TV budget. *)
-let completion_plan ~tail_cut ~max_facts comp =
-  let orig = Completion.original comp in
-  let worlds = Array.of_list (Finite_pdb.worlds orig) in
-  if Array.length worlds = 0 then
-    invalid_arg "Mc_eval: completion with no original worlds";
-  let insts = Array.map fst worlds in
-  let cum = Array.make (Array.length worlds) 0.0 in
-  let acc = ref 0.0 in
-  Array.iteri
-    (fun i (_, p) ->
-      acc := !acc +. Rational.to_float p;
-      cum.(i) <- !acc)
-    worlds;
-  let news, tv = ti_entries ~tail_cut ~max_facts (Completion.new_facts comp) in
-  let pick_world u =
-    let lo = ref 0 and hi = ref (Array.length cum - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if u < cum.(mid) then hi := mid else lo := mid + 1
-    done;
-    !lo
-  in
-  let draw g =
-    let w = insts.(pick_world (Prng.float g)) in
-    Array.fold_left
-      (fun acc (f, p) -> if Prng.bernoulli g p then Instance.add f acc else acc)
-      w news
-  in
-  let support =
-    Finite_pdb.fact_universe orig @ Array.to_list (Array.map fst news)
-  in
-  { draw; tv; support }
-
 let compile ~tail_cut ~max_facts = function
   | Ti cti -> ti_plan ~tail_cut ~max_facts (Countable_ti.source cti)
   | Bid bid -> bid_plan ~tail_cut ~max_blocks:max_facts bid
-  | Completed comp -> completion_plan ~tail_cut ~max_facts comp
 
 (* ------------------------------------------------------------------ *)
 (* Query entry points                                                 *)

@@ -1,16 +1,16 @@
 (** Domain-parallel Monte-Carlo estimation over countable TI / BID PDBs
-    and completions — the third evaluation engine, beside the exact
-    truncation engine ({!Approx_eval}) and the incremental one
-    ({!Anytime}).
+    — the third evaluation engine, beside the exact truncation engine
+    ({!Approx_eval}) and the incremental one ({!Anytime}).  A completed
+    table is a countable TI PDB ([Completion.source]), so it is sampled
+    as [Ti].
 
     The paper gives countable PDBs a sampling semantics
     ({!Countable_ti.sample}, {!Countable_bid.sample}, Section 4); this
     module turns it into an estimator with statistical guarantees:
 
     - the space is compiled once into an {e immutable sampling plan}
-      (prefix facts with float marginals, truncated block tables, the
-      original-world cumulative distribution of a completion), so worker
-      domains share no mutable state;
+      (prefix facts with float marginals, truncated block tables), so
+      worker domains share no mutable state;
     - the requested samples are cut into fixed-size batches; batch [b]
       runs on [Prng.substream root b], so every batch is a function of
       [(seed, b)] alone and the estimate is {e bit-identical for every
@@ -38,7 +38,6 @@
 type space =
   | Ti of Countable_ti.t
   | Bid of Countable_bid.t
-  | Completed of Completion.t
 
 type result = {
   estimate : float;  (** [hits / samples] *)
@@ -83,8 +82,8 @@ val boolean :
   result
 (** Estimate [P(Q)] for a Boolean query.  Defaults: [domains] =
     [Domain.recommended_domain_count ()], [batch_size = 1024],
-    [tail_cut = 2^-20], [max_facts = 4096] (per plan: prefix facts,
-    blocks, or new facts of a completion), [confidence = 0.99].
+    [tail_cut = 2^-20], [max_facts = 4096] (per plan: prefix facts or
+    blocks), [confidence = 0.99].
     [budget] governs the sampling phase (see {!estimate_event}); plan
     compilation, which happens in the calling domain before any world is
     drawn, is not charged.

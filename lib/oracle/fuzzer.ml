@@ -99,7 +99,7 @@ type case = {
   kind : kind;
   table : Ti_table.t;
   bid : Bid_table.t option;
-  policy : Oracle_gen.policy option;
+  policy : Completion.policy option;
   query : Fo.t;
   deltas : Delta_eval.delta list;  (* mutation sequence; K_ti cases *)
 }
@@ -131,7 +131,7 @@ let generate cfg ~seed ~id =
       (* Always an infinite geometric tail: the scenario that exercises
          the tail enclosures. *)
       Some
-        (Oracle_gen.Geometric
+        (Completion.Geometric
            ( Rational.of_ints
                (1 + Prng.int g (cfg.Oracle_gen.denominator / 2))
                cfg.Oracle_gen.denominator,
@@ -168,19 +168,14 @@ let generate cfg ~seed ~id =
 (* Sources and spaces derived from a case *)
 (* ------------------------------------------------------------------ *)
 
-let open_source case =
-  match case.policy with
-  | Some (Oracle_gen.Geometric (first, ratio)) ->
-    Fact_source.append_finite (Ti_table.facts case.table)
-      (Fact_source.geometric ~first ~ratio
-         ~facts:(fun i -> Fact.make Oracle_gen.policy_relation [ Value.Int i ])
-         ())
-  | _ -> invalid_arg "Fuzzer: open case needs a geometric policy"
-
+(* An open-world case's space: the table completed by its policy, as
+   one countable TI source. *)
 let completion_of case =
   match case.policy with
-  | Some pol -> Oracle_gen.apply_policy pol case.table
-  | None -> invalid_arg "Fuzzer: completion case needs a policy"
+  | Some pol -> Completion.complete_ti case.table (Completion.policy_source pol)
+  | None -> invalid_arg "Fuzzer: open-world case needs a policy"
+
+let open_source case = Completion.source (completion_of case)
 
 let bid_of case =
   match case.bid with
@@ -804,12 +799,15 @@ let run_case ?(engines = all_engines) ?(mc_samples = 1500)
                  (ivs r.Mc_eval.bounds) mc_confidence (rs truth)))
   | K_completion ->
     let c = lazy (completion_of case) in
-    let result = lazy (Completion.query_prob (Lazy.force c) ~eps:eps_coarse phi) in
-    let oracle_at n = Oracle.of_completion (Lazy.force c) ~n in
+    let src = lazy (Completion.source (Lazy.force c)) in
+    let result =
+      lazy (Approx_eval.boolean (Lazy.force src) ~eps:eps_coarse phi)
+    in
+    let oracle_at n = Oracle.of_fact_source (Lazy.force src) ~n in
     check "completion.estimate" (fun () ->
         let r = Lazy.force result in
         let u = oracle_at r.Approx_eval.n_used in
-        expect_eq ~what:"Completion.query_prob estimate at n_used"
+        expect_eq ~what:"completed-source estimate at n_used"
           (Oracle.query_prob ~semantics:(sem_for phi) u phi)
           r.Approx_eval.estimate);
     check "completion.bounds" (fun () ->
@@ -823,6 +821,33 @@ let run_case ?(engines = all_engines) ?(mc_samples = 1500)
           Some
             (Printf.sprintf "bounds %s disjoint from oracle enclosure %s"
                (ivs r.Approx_eval.bounds) (encs e)));
+    check "law.completion_ti" (fun () ->
+        (* Theorem 5.5 for a TI original: the product of the table's
+           worlds with the first k new facts is the TI space on the
+           first |orig| + k facts of the completed source. *)
+        let c = Lazy.force c in
+        let orig = Ti_table.size (Completion.original c) in
+        let sorted u =
+          List.sort
+            (fun (a, _) (b, _) -> Instance.compare a b)
+            (Oracle.worlds u)
+        in
+        List.find_map
+          (fun k ->
+            let product = sorted (Oracle.of_completion c ~n:k)
+            and appended = sorted (oracle_at (orig + k)) in
+            if
+              List.equal
+                (fun (a, p) (b, q) -> Instance.equal a b && Rational.equal p q)
+                product appended
+            then None
+            else
+              Some
+                (Printf.sprintf
+                   "product and appended source differ at k = %d (%d vs %d \
+                    worlds)"
+                   k (List.length product) (List.length appended)))
+          [ 0; 1; 2; 3 ]);
     check "law.cc" (fun () ->
         (* Theorem 5.5: the completion preserves the original law
            conditionally, P'(A | Omega) = P(A), at every truncation. *)
@@ -832,10 +857,10 @@ let run_case ?(engines = all_engines) ?(mc_samples = 1500)
           Some (Printf.sprintf "completion condition gap %s <> 0" (rs gap))
         else begin
           match case.policy with
-          | Some (Oracle_gen.Lambda (_, k)) ->
+          | Some (Completion.Lambda (_, k)) ->
             (* Finite reservoir: condition the exact product universe on
                "no new fact" and compare world by world. *)
-            let u = oracle_at k in
+            let u = Oracle.of_completion c ~n:k in
             let no_new inst =
               Fact.Set.for_all
                 (fun f -> Fact.rel f <> Oracle_gen.policy_relation)
@@ -845,7 +870,7 @@ let run_case ?(engines = all_engines) ?(mc_samples = 1500)
             let orig = Completion.original c in
             List.find_map
               (fun (inst, m) ->
-                let want = Finite_pdb.prob_of orig inst in
+                let want = Ti_table.world_probability orig inst in
                 if Rational.equal m want then None
                 else
                   Some
@@ -865,7 +890,7 @@ let run_case ?(engines = all_engines) ?(mc_samples = 1500)
           let mc =
             Mc_eval.boolean ~domains:1 ~confidence:mc_confidence ~seed:mc_seed
               ~samples:mc_samples
-              (Mc_eval.Completed (Lazy.force c))
+              (Mc_eval.Ti (Countable_ti.create (Lazy.force src)))
               phi
           in
           if overlaps_iv mc.Mc_eval.bounds e then None
@@ -984,7 +1009,7 @@ let to_lines ~seed cc =
   ]
   @ (match case.policy with
     | None -> []
-    | Some p -> [ "policy " ^ Oracle_gen.policy_to_string p ])
+    | Some p -> [ "policy " ^ Completion.policy_to_string p ])
   @ List.map (fun d -> "delta " ^ Delta_eval.delta_to_string d) case.deltas
   @ List.map (fun l -> "ti " ^ l) (nonblank_lines (Ti_table.to_string case.table))
   @
@@ -1034,7 +1059,10 @@ let of_lines ?file lines =
           match Fo_parse.parse rest with
           | Ok q -> query := Some q
           | Error e -> invalid_arg (where i ^ ": bad query: " ^ e))
-        | "policy" -> policy := Some (Oracle_gen.policy_of_string rest)
+        | "policy" -> (
+          match Completion.policy_of_string rest with
+          | p -> policy := Some p
+          | exception Invalid_argument e -> invalid_arg (where i ^ ": " ^ e))
         | "delta" -> (
           match Delta_eval.delta_of_string rest with
           | d -> deltas := d :: !deltas

@@ -10,7 +10,8 @@
     - the lifted safe-plan engine, on every query it accepts, must agree
       with both the oracle and the compiled BDD by rational equality
       (checks [lifted.oracle] / [lifted.bdd]);
-    - every reported interval ({!Approx_eval} / {!Completion} bounds,
+    - every reported interval ({!Approx_eval} bounds, on a completion
+      through [Completion.source],
       {!Anytime} bounds, {!Robust_eval} enclosures) must intersect the
       oracle's exact tail enclosure of the same limit probability — two
       sound intervals around one value cannot be disjoint;
@@ -28,7 +29,9 @@
     - metamorphic laws that need no oracle at all: complement
       [P(not Q) = 1 - P(Q)], monotonicity of positive queries under
       fact-probability increase, the completion condition (CC) of
-      Definition 5.1, BID within-block exclusivity, Corollary 4.7
+      Definition 5.1, Theorem 5.5's product equal to the completed TI
+      source world by world ([law.completion_ti]), BID within-block
+      exclusivity, Corollary 4.7
       expected size, and truncation-monotone narrowing of the oracle
       enclosure (limit semantics, so [Cmp]-free queries only).
 
@@ -65,7 +68,7 @@ type case = {
           prefix ([K_open]), or the original PDB ([K_completion]);
           empty for [K_bid] *)
   bid : Bid_table.t option;  (** [K_bid] only *)
-  policy : Oracle_gen.policy option;
+  policy : Completion.policy option;
       (** the completing policy ([K_completion]) or the geometric tail
           ([K_open], always [Geometric]) *)
   query : Fo.t;

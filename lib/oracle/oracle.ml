@@ -204,7 +204,7 @@ let of_worlds ?(tail = Rational.zero) ws =
   make_universe ~tail worlds
 
 let of_completion c ~n =
-  let orig = Finite_pdb.worlds (Completion.original c) in
+  let orig = (of_ti_table (Completion.original c)).worlds in
   let news = of_fact_source (Completion.new_facts c) ~n in
   let worlds =
     List.concat_map

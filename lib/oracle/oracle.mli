@@ -72,9 +72,9 @@ val of_countable_bid :
     silent. *)
 
 val of_completion : Completion.t -> n:int -> universe
-(** Product of the original finite PDB's worlds with the TI universe on
-    the first [n] new facts; the tail bound is the new-fact source's
-    certificate at [n]. *)
+(** Product of the original table's worlds with the TI universe on the
+    first [n] new facts — the Theorem 5.5 product, built world by world;
+    the tail bound is the new-fact source's certificate at [n]. *)
 
 val of_worlds :
   ?tail:Rational.t -> (Instance.t * Rational.t) list -> universe

@@ -173,44 +173,15 @@ let mutations cfg g sch ~table ~len =
 (* Open-world policies *)
 (* ------------------------------------------------------------------ *)
 
-type policy =
-  | Lambda of Rational.t * int
-  | Geometric of Rational.t * Rational.t
-
 let policy cfg g =
   if Prng.bool g then
-    Lambda
+    Completion.Lambda
       ( Rational.of_ints (1 + Prng.int g (cfg.denominator - 1)) cfg.denominator,
         1 + Prng.int g 3 )
   else
-    Geometric
+    Completion.Geometric
       ( Rational.of_ints (1 + Prng.int g (cfg.denominator / 2)) cfg.denominator,
         Rational.of_ints (1 + Prng.int g 2) 4 )
-
-let policy_to_string = function
-  | Lambda (p, k) -> Printf.sprintf "lambda:%s:%d" (Rational.to_string p) k
-  | Geometric (f, r) ->
-    Printf.sprintf "geometric:%s:%s" (Rational.to_string f)
-      (Rational.to_string r)
-
-let policy_of_string s =
-  match String.split_on_char ':' s with
-  | [ "lambda"; p; k ] -> Lambda (Rational.of_string p, int_of_string k)
-  | [ "geometric"; f; r ] ->
-    Geometric (Rational.of_string f, Rational.of_string r)
-  | _ -> invalid_arg (Printf.sprintf "Oracle_gen.policy_of_string: %S" s)
-
-let apply_policy pol ti =
-  match pol with
-  | Lambda (lambda, k) ->
-    Completion.openpdb_lambda ~lambda
-      ~new_facts:
-        (List.init k (fun j -> Fact.make policy_relation [ Value.Int j ]))
-      ti
-  | Geometric (first, ratio) ->
-    Completion.geometric_policy ~first ~ratio
-      ~new_facts:(fun j -> Fact.make policy_relation [ Value.Int j ])
-      ti
 
 (* ------------------------------------------------------------------ *)
 (* Random sentences *)

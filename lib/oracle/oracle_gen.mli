@@ -57,23 +57,13 @@ val mutations :
     the sequence are drawn against the table state produced by the
     earlier ones. *)
 
-type policy =
-  | Lambda of Rational.t * int
-      (** [openpdb_lambda]: [k] fresh facts of probability [p < 1] *)
-  | Geometric of Rational.t * Rational.t
-      (** [geometric_policy first ratio]: infinitely many new facts *)
-
 val policy_relation : string
 (** The reserved relation name ("N") open-world policies enumerate new
     facts over; generated schemas never use it. *)
 
-val policy : config -> Prng.t -> policy
-val policy_to_string : policy -> string
-val policy_of_string : string -> policy
-(** Inverse of {!policy_to_string}.
-    @raise Invalid_argument on malformed input. *)
-
-val apply_policy : policy -> Ti_table.t -> Completion.t
+val policy : config -> Prng.t -> Completion.policy
+(** A random open-world policy; its new facts are
+    [Completion.policy_source]'s [N(j)]. *)
 
 val sentence : config -> Prng.t -> Schema.t -> Fo.t
 (** A closed Boolean formula over the schema (atoms, equality, optional

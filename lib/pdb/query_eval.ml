@@ -172,9 +172,10 @@ let marginals_generic ~prob_sentence ~domain phi =
     |> List.of_seq
     |> List.sort (fun (a, _) (b, _) -> Tuple.compare a b)
 
-let marginals ?cache_size ?gc_threshold ti phi =
+let marginals ?extra_domain ?cache_size ?gc_threshold ti phi =
   marginals_generic
-    ~prob_sentence:(fun s -> boolean ?cache_size ?gc_threshold ti s)
+    ~prob_sentence:(fun s ->
+      boolean ?extra_domain ?cache_size ?gc_threshold ti s)
     ~domain:(eval_domain_ti ti phi)
     phi
 

@@ -121,6 +121,7 @@ val boolean_finite : Finite_pdb.t -> Fo.t -> Rational.t
 (** {1 Queries with free variables (Section 3.1 marginals)} *)
 
 val marginals :
+  ?extra_domain:Value.t list ->
   ?cache_size:int ->
   ?gc_threshold:int ->
   Ti_table.t ->
@@ -129,6 +130,9 @@ val marginals :
 (** [marginals ti phi]: for each valuation [a-bar] of the free variables
     (drawn from the evaluation domain), the probability that [a-bar]
     belongs to the answer — nonzero entries only, in tuple order.
+    [extra_domain] is forwarded to {!boolean} for every grounded
+    sentence: it pads the quantifier domain, while the free variables
+    still range over the evaluation domain alone.
     @raise Invalid_argument beyond 3 free variables (combinatorial
     safety valve). *)
 

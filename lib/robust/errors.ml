@@ -1,7 +1,7 @@
 (* Structured error taxonomy for the evaluation stack.
 
    Result-returning engine entry points ([Approx_eval.boolean_r],
-   [Completion.query_prob_r], [Countable_ti.create_r], ...) produce
+   [Countable_ti.create_r], [Robust_eval.query], ...) produce
    these instead of the historical bare [invalid_arg] walls, so a
    supervisor can tell "your input is malformed" (give up, exit 2) from
    "the model is fine but resources ran out" (degrade, keep the partial

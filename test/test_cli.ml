@@ -4,16 +4,16 @@
    flags are honoured, and the robust subcommand keeps its never-fail
    contract. *)
 
-(* The commands print their answers; run them against /dev/null so the
-   test log stays readable.  File descriptors are restored even when the
-   evaluation raises. *)
-let run_quiet argv =
+(* The commands print their answers; run them against /dev/null (stderr
+   into [err] when given) so the test log stays readable.  File
+   descriptors are restored even when the evaluation raises. *)
+let run_quiet ?err argv =
   let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
   let so = Unix.dup Unix.stdout and se = Unix.dup Unix.stderr in
   flush stdout;
   flush stderr;
   Unix.dup2 devnull Unix.stdout;
-  Unix.dup2 devnull Unix.stderr;
+  Unix.dup2 (Option.value err ~default:devnull) Unix.stderr;
   Fun.protect
     ~finally:(fun () ->
       flush stdout;
@@ -156,6 +156,67 @@ let test_robust_tight_budget_exit_zero () =
       "0.01"; "--seed"; "0";
     ]
 
+(* Above the 20 facts whose worlds a table may enumerate: the open-world
+   commands evaluate the completed table as one countable TI source, so
+   its 2^25 worlds are never listed. *)
+let big_table =
+  List.init 25 (fun j -> Printf.sprintf "R(%d) %d/10" j (1 + (j mod 9)))
+
+let test_open_world_big_table () =
+  with_table big_table @@ fun t ->
+  let q = "exists x. N(x)" in
+  check_exit "open" 0 [ "open"; t; q ];
+  check_exit "anytime" 0 [ "anytime"; t; q ];
+  check_exit "robust" 0
+    [
+      "robust"; t; q; "--virtual-rate"; "100000"; "--timeout"; "10";
+      "--samples"; "1000"; "--seed"; "3";
+    ];
+  check_exit "mc --open-world" 0
+    [ "mc"; t; q; "--open-world"; "--samples"; "2000"; "--domains"; "1" ];
+  check_exit "sample --open-world" 0 [ "sample"; t; "--open-world"; "-n"; "2" ]
+
+(* Exit code and stderr of one evaluation. *)
+let run_capture argv =
+  let path = Filename.temp_file "iowpdb_cli" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  let code =
+    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+        run_quiet ~err:fd argv)
+  in
+  (code, In_channel.with_open_text path In_channel.input_all)
+
+let test_probability_one_policy () =
+  (* Definition 5.1 forbids probability-1 new facts (P'(Omega) would be
+     0).  Both boot paths reject such a policy with one message before
+     touching any fact; the socket lies in a missing directory, so a
+     server that booted anyway could not listen. *)
+  with_table good_table @@ fun t ->
+  let pack = Filename.temp_file "iowpdb_cli" ".iow" in
+  Fun.protect ~finally:(fun () -> Sys.remove pack) @@ fun () ->
+  check_exit "pack" 0 [ "pack"; t; pack ];
+  List.iter
+    (fun policy ->
+      let text_code, text_err =
+        run_capture [ "open"; t; "exists x. N(x)"; "--policy"; policy ]
+      in
+      let pack_code, pack_err =
+        run_capture
+          [
+            "serve"; "--store"; pack; "--policy"; policy; "--socket";
+            "/nonexistent/iowpdb-cli-test.sock";
+          ]
+      in
+      Alcotest.(check int) (policy ^ ": text path exits 2") 2 text_code;
+      Alcotest.(check int) (policy ^ ": pack path exits 2") 2 pack_code;
+      Alcotest.(check string) (policy ^ ": one message") text_err pack_err;
+      Alcotest.(check bool)
+        (policy ^ ": names the policy")
+        true
+        (Errors.contains_substring text_err "bad policy"))
+    [ "lambda:1:3"; "geometric:1:1/2" ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -176,6 +237,12 @@ let () =
         [
           Alcotest.test_case "mc" `Quick test_mc_with_budget;
           Alcotest.test_case "anytime" `Quick test_anytime_with_budget;
+        ] );
+      ( "open_world",
+        [
+          Alcotest.test_case "25-fact table" `Quick test_open_world_big_table;
+          Alcotest.test_case "probability-1 policy" `Quick
+            test_probability_one_policy;
         ] );
       ( "robust",
         [

@@ -123,7 +123,7 @@ let test_cmp_in_completion () =
       ]
   in
   let c = Completion.complete_ti observed news in
-  let r = Completion.query_prob c ~eps:0.001 warmer in
+  let r = Approx_eval.boolean (Completion.source c) ~eps:0.001 warmer in
   (* warmer iff Temp(1,206) & Temp(2,205): wait - also (201 > 199):
      Temp(1,201) & Temp(2,199): 1/2 * 1/8 = 1/16; and 206>205 and 206>199.
      P = P((A & b') | (a' & (B | b'))) with A=Temp(1,201) p=1/2,
@@ -136,7 +136,8 @@ let test_cmp_in_completion () =
   Alcotest.(check bool) "positive" true (Rational.sign r.Approx_eval.estimate > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Completion marginals / expected answer count *)
+(* Completion marginals / expected answer count, through the completed
+   source *)
 (* ------------------------------------------------------------------ *)
 
 let base =
@@ -156,7 +157,9 @@ let completion () =
 
 let test_completion_marginals () =
   let c = completion () in
-  let ms = Completion.marginals c ~eps:0.01 (parse "P(x)") in
+  let ms =
+    Approx_eval.marginals (Completion.source c) ~eps:0.01 (parse "P(x)")
+  in
   Alcotest.(check int) "4 tuples" 4 (List.length ms);
   let find v =
     match List.find_opt (fun (t, _) -> Tuple.equal t [| s v |]) ms with
@@ -170,21 +173,27 @@ let test_completion_marginals () =
 
 let test_completion_expected_count () =
   let c = completion () in
-  (* E|answers| = 1/2 + 1/4 + 1/8 + 1/16 = 15/16 *)
+  (* E|answers| = 1/2 + 1/4 + 1/8 + 1/16 = 15/16, by linearity *)
   check_q "expected count" (q 15 16)
-    (Completion.expected_answer_count c ~eps:0.01 (parse "P(x)"))
+    (Rational.sum
+       (List.map snd
+          (Approx_eval.marginals (Completion.source c) ~eps:0.01
+             (parse "P(x)"))))
 
 let test_completion_marginals_guards () =
-  let c = completion () in
-  Alcotest.check_raises "sentence rejected"
-    (Invalid_argument "Completion.marginals: sentence has no free variables")
-    (fun () ->
-      ignore (Completion.marginals c ~eps:0.1 (parse "exists x. P(x)")));
+  let src () = Completion.source (completion ()) in
+  (* A sentence has one candidate answer, the empty tuple, carrying its
+     probability: 1 - (1/2)(3/4)(7/8)(15/16) = 709/1024. *)
+  (match Approx_eval.marginals (src ()) ~eps:0.01 (parse "exists x. P(x)") with
+   | [ (tup, p) ] ->
+     Alcotest.(check int) "empty tuple" 0 (Array.length tup);
+     check_q "sentence probability" (q 709 1024) p
+   | ms -> Alcotest.failf "%d tuples for a sentence" (List.length ms));
   Alcotest.check_raises "too many vars"
-    (Invalid_argument "Completion.marginals: more than 3 free variables")
+    (Invalid_argument "Query_eval.marginals: more than 3 free variables")
     (fun () ->
       ignore
-        (Completion.marginals c ~eps:0.1
+        (Approx_eval.marginals (src ()) ~eps:0.1
            (parse "P(x) & P(y) & P(z) & P(w)")))
 
 let test_completion_marginals_with_join () =
@@ -197,7 +206,9 @@ let test_completion_marginals_with_join () =
     Completion.complete_ti obs
       (Fact_source.of_list ~name:"j" [ (Fact.make "B" [ i 2 ], q 1 5); (Fact.make "A" [ i 2 ], q 1 7) ])
   in
-  let ms = Completion.marginals c ~eps:0.01 (parse "A(x) & B(x)") in
+  let ms =
+    Approx_eval.marginals (Completion.source c) ~eps:0.01 (parse "A(x) & B(x)")
+  in
   Alcotest.(check int) "two joined tuples" 2 (List.length ms);
   List.iter
     (fun (tup, p) ->

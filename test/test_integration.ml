@@ -64,7 +64,7 @@ let test_ex57_open_world_positivity () =
   in
   List.iter
     (fun qs ->
-      let r = Completion.query_prob c ~eps:0.01 (parse qs) in
+      let r = Approx_eval.boolean (Completion.source c) ~eps:0.01 (parse qs) in
       Alcotest.(check bool) (qs ^ " positive") true
         (Rational.sign r.Approx_eval.estimate > 0))
     queries
@@ -74,8 +74,8 @@ let test_ex57_monotone_in_eps () =
      shrink. *)
   let c = Completion.complete_ti ex57_ti (ex57_news ()) in
   let phi = parse "exists x. R(\"D\", x)" in
-  let r1 = Completion.query_prob c ~eps:0.2 phi in
-  let r2 = Completion.query_prob c ~eps:0.01 phi in
+  let r1 = Approx_eval.boolean (Completion.source c) ~eps:0.2 phi in
+  let r2 = Approx_eval.boolean (Completion.source c) ~eps:0.01 phi in
   Alcotest.(check bool) "more facts" true
     (r2.Approx_eval.n_used >= r1.Approx_eval.n_used);
   Alcotest.(check bool) "narrower bounds" true
@@ -117,13 +117,16 @@ let test_sensor_gap () =
   check_q "gap impossible closed" Rational.zero
     (Query_eval.boolean sensor_ti (parse "Temp(1, 203)"));
   let c = Completion.complete_ti sensor_ti (sensor_news ()) in
-  let r = Completion.query_prob c ~eps:0.01 (parse "Temp(1, 203)") in
+  let opened eps qs =
+    (Approx_eval.boolean (Completion.source c) ~eps (parse qs))
+      .Approx_eval.estimate
+  in
   Alcotest.(check bool) "gap possible open" true
-    (Rational.sign r.Approx_eval.estimate > 0);
+    (Rational.sign (opened 0.01 "Temp(1, 203)") > 0);
   (* And closer gaps are more likely than distant ones (the intro's
      monotonicity desideratum). *)
-  let p203 = (Completion.query_prob c ~eps:0.001 (parse "Temp(1, 203)")).Approx_eval.estimate in
-  let p199 = (Completion.query_prob c ~eps:0.001 (parse "Temp(1, 199)")).Approx_eval.estimate in
+  let p203 = opened 0.001 "Temp(1, 203)" in
+  let p199 = opened 0.001 "Temp(1, 199)" in
   Alcotest.(check bool) "nearer reading more likely" true
     Rational.(p199 < p203)
 
@@ -140,7 +143,10 @@ let test_sensor_comparison_query () =
   in
   check_q "closed zero" Rational.zero closed;
   let c = Completion.complete_ti sensor_ti (sensor_news ()) in
-  let r = Completion.query_prob c ~eps:0.01 (parse "Temp(1, 207) & Temp(2, 205)") in
+  let r =
+    Approx_eval.boolean (Completion.source c) ~eps:0.01
+      (parse "Temp(1, 207) & Temp(2, 205)")
+  in
   Alcotest.(check bool) "open positive" true
     (Rational.sign r.Approx_eval.estimate > 0)
 

@@ -462,12 +462,11 @@ let test_completion_marginals () =
    | None -> Alcotest.fail "new marginal expected")
 
 let test_completion_query_exhausted_certificate () =
-  (* Regression: [query_prob] searched the truncation point, threw the
-     certified tail value away, and re-asked the certificate afterwards;
-     with a certificate that cannot answer twice the record's [tail_mass]
-     came out nan, poisoning the certified bounds.  The value observed
-     during the search is now threaded through ([Approx_eval.boolean]'s
-     PR-1 fix, applied here). *)
+  (* Regression: the completion engine searched the truncation point,
+     threw the certified tail value away, and re-asked the certificate
+     afterwards; with a certificate that cannot answer twice the record's
+     [tail_mass] came out nan, poisoning the certified bounds.  The value
+     observed during the search is threaded through the certify step. *)
   let budget = Hashtbl.create 8 in
   let news =
     Fact_source.make ~name:"probe-once-news"
@@ -477,7 +476,8 @@ let test_completion_query_exhausted_certificate () =
            (Seq.ints 0))
       ~tail:(fun n ->
         (* depths 0 and 1 answer freely (they feed [converges] during
-           [complete]); every deeper depth answers exactly once *)
+           [complete_ti], and probes inside the table ask depth 0);
+           every deeper depth answers exactly once *)
         if n <= 1 then Some (0.5 ** float_of_int n)
         else if Hashtbl.mem budget n then None
         else begin
@@ -487,11 +487,15 @@ let test_completion_query_exhausted_certificate () =
       ()
   in
   let c = Completion.complete_ti ex57_ti news in
-  let r = Completion.query_prob c ~eps:0.01 (parse "exists x. N(x)") in
+  let r =
+    Approx_eval.boolean (Completion.source c) ~eps:0.01 (parse "exists x. N(x)")
+  in
   Alcotest.(check bool) "tail_mass is a number" false
     (Float.is_nan r.Approx_eval.tail_mass);
+  (* [n_used] counts the table's facts too; past them the completed
+     source's tail is the new-fact certificate. *)
   Alcotest.(check (float 0.0)) "tail is the value observed in the search"
-    (0.5 ** float_of_int r.Approx_eval.n_used)
+    (0.5 ** float_of_int (r.Approx_eval.n_used - Ti_table.size ex57_ti))
     r.Approx_eval.tail_mass;
   Alcotest.(check bool) "bounds are finite and ordered" true
     (Interval.width r.Approx_eval.bounds >= 0.0
@@ -512,7 +516,9 @@ let test_completion_marginals_valuations () =
     Completion.complete_ti ti
       (Fact_source.of_list [ (fact "R" [ 2; 20 ], q 1 4) ])
   in
-  let ms = Completion.marginals c ~eps:0.01 (parse "R(x, y)") in
+  let ms =
+    Approx_eval.marginals (Completion.source c) ~eps:0.01 (parse "R(x, y)")
+  in
   let show (tup, p) =
     Printf.sprintf "%s:%s"
       (String.concat ","
@@ -525,16 +531,22 @@ let test_completion_marginals_valuations () =
     (List.map show ms)
 
 let test_completion_marginals_errors () =
-  let c = Completion.complete_ti ex57_ti (ex57_news ()) in
-  Alcotest.check_raises "k = 0"
-    (Invalid_argument "Completion.marginals: sentence has no free variables")
-    (fun () ->
-      ignore (Completion.marginals c ~eps:0.1 (parse "exists x y. R(x, y)")));
+  let src () =
+    Completion.source (Completion.complete_ti ex57_ti (ex57_news ()))
+  in
+  (* k = 0: the sentence's probability on the empty tuple. *)
+  (match
+     Approx_eval.marginals (src ()) ~eps:0.1 (parse "exists x y. R(x, y)")
+   with
+   | [ (tup, p) ] ->
+     Alcotest.(check int) "k = 0 gives the empty tuple" 0 (Array.length tup);
+     Alcotest.(check bool) "k = 0 positive" true (Rational.sign p > 0)
+   | ms -> Alcotest.failf "k = 0 gave %d tuples" (List.length ms));
   Alcotest.check_raises "k > 3"
-    (Invalid_argument "Completion.marginals: more than 3 free variables")
+    (Invalid_argument "Query_eval.marginals: more than 3 free variables")
     (fun () ->
       ignore
-        (Completion.marginals c ~eps:0.1
+        (Approx_eval.marginals (src ()) ~eps:0.1
            (parse "R(x, y) & R(z, w)")))
 
 let test_completion_rejects () =
@@ -572,7 +584,7 @@ let test_completion_query_open_vs_closed () =
   let closed = Query_eval.boolean ex57_ti phi in
   check_q "closed world zero" Rational.zero closed;
   let c = Completion.complete_ti ex57_ti (ex57_news ()) in
-  let r = Completion.query_prob c ~eps:0.01 phi in
+  let r = Approx_eval.boolean (Completion.source c) ~eps:0.01 phi in
   Alcotest.(check bool) "open world positive" true
     (Rational.sign r.Approx_eval.estimate > 0);
   (* sanity: P(exists i. R(D,i)) = 1 - prod_i (1 - 2^-i) ~ 0.7112 *)
@@ -687,6 +699,24 @@ let test_approx_marginals () =
   (match List.find_opt (fun (t, _) -> Tuple.equal t [| i 0 |]) ms with
    | Some (_, p) -> check_q "R(0)" Rational.half p
    | None -> Alcotest.fail "R(0) expected")
+
+let test_approx_marginals_padded () =
+  (* Regression: the marginals decided inner quantifiers on the bare
+     truncation.  On {R(0): 1/2, S(0): 1/3} the tuple (0) of
+     [R(x) & forall y. R(y)] got 1/2, though [forall y. R(y)] fails in
+     the limit (some value is never an R), as the padded Boolean engine
+     says for the query's existential closure. *)
+  let src =
+    Fact_source.of_list [ (fact "R" [ 0 ], q 1 2); (fact "S" [ 0 ], q 1 3) ]
+  in
+  let ms =
+    Approx_eval.marginals src ~eps:0.01 (parse "R(x) & forall y. R(y)")
+  in
+  Alcotest.(check int) "no tuple has positive probability" 0 (List.length ms);
+  check_q "existential closure" Rational.zero
+    (Approx_eval.boolean src ~eps:0.01
+       (parse "exists x. R(x) & forall y. R(y)"))
+      .Approx_eval.estimate
 
 let test_prop62_witness_shape () =
   (* Additive error stays below eps; multiplicative error explodes as the
@@ -990,6 +1020,8 @@ let () =
           Alcotest.test_case "tiny exact answer enclosed" `Quick
             test_approx_tiny_exact_answer_enclosed;
           Alcotest.test_case "marginals" `Quick test_approx_marginals;
+          Alcotest.test_case "marginals pad quantifiers" `Quick
+            test_approx_marginals_padded;
           Alcotest.test_case "prop 6.2 witness" `Quick test_prop62_witness_shape;
         ] );
       ( "size_dist",

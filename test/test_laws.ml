@@ -121,7 +121,10 @@ let prop_open_world_dominates =
           ti
       in
       let closed = Query_eval.boolean ti phi in
-      let opened = (Completion.query_prob c ~eps:0.01 phi).Approx_eval.estimate in
+      let opened =
+        (Approx_eval.boolean (Completion.source c) ~eps:0.01 phi)
+          .Approx_eval.estimate
+      in
       Rational.compare closed opened <= 0)
 
 let prop_cc_on_random_tables =

@@ -315,7 +315,7 @@ let test_bid_space () =
   Alcotest.(check int) "in-block exclusivity exact" 0 excl.Mc_eval.hits
 
 let test_completion_space () =
-  (* MC on a completion agrees with the exact completion engine. *)
+  (* MC on a completed source agrees with the exact truncation engine. *)
   let ti =
     Ti_table.create
       [ (fact "R" [ 1 ], q 8 10); (fact "R" [ 2 ], q 4 10) ]
@@ -328,10 +328,11 @@ let test_completion_space () =
   List.iter
     (fun qtext ->
       let phi = parse qtext in
-      let exact = Completion.query_prob c ~eps:0.001 phi in
+      let exact = Approx_eval.boolean (Completion.source c) ~eps:0.001 phi in
       let mc =
         Mc_eval.boolean ~seed:8 ~samples:40_000 ~confidence:0.99
-          (Mc_eval.Completed c) phi
+          (Mc_eval.Ti (Countable_ti.create (Completion.source c)))
+          phi
       in
       Alcotest.(check bool)
         (Printf.sprintf "completion MC contains exact: %s" qtext)

@@ -437,7 +437,10 @@ let test_completion_uncertified_tail_partial () =
   in
   let ti = Ti_table.create [ (r_fact 1, q 1 2) ] in
   let c = Completion.complete_ti ti slow in
-  match Completion.query_prob_r c ~eps:1e-9 (parse "exists x. S(x)") with
+  match
+    Approx_eval.boolean_r (Completion.source c) ~eps:1e-9
+      (parse "exists x. S(x)")
+  with
   | Ok _ -> Alcotest.fail "a 1/n tail cannot certify eps = 1e-9"
   | Error (Errors.Budget_exhausted { partial = Some iv; what; _ }) ->
     Alcotest.(check bool) "names the uncertified tail" true
