@@ -807,9 +807,17 @@ let run_serve table store_path warm_cache socket tcp policy domains
       let ti = read_table table in
       ((fun () -> Fact_source.of_ti_table ti), None, Some ti)
     | Some table, None ->
+      (* The completion is validated once, here (convergence, and the
+         eager prefix check for probability-1 or overlapping new facts);
+         a request builds only its own memoizing view over a fresh policy
+         source, whose enumeration still rejects overlaps lazily. *)
       let ti = read_table table in
       let pol = Completion.policy_of_string policy in
-      ((fun () -> completed ti pol), None, None)
+      let c = Completion.complete_ti ti (Completion.policy_source pol) in
+      let entries = Ti_table.facts (Completion.original c) in
+      ( (fun () -> Fact_source.append_finite entries (Completion.policy_source pol)),
+        None,
+        None )
     | None, Some _ when updatable ->
       invalid_arg
         "serve: --updatable requires a text TABLE (a mmap'd pack cannot \

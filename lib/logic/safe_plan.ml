@@ -551,26 +551,6 @@ let rec plan_to_string = function
 
 exception Unsafe
 
-(* Index the TI table per relation for candidate matching. *)
-let index facts =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun f ->
-      let cur = Option.value (Hashtbl.find_opt tbl (Fact.rel f)) ~default:[] in
-      Hashtbl.replace tbl (Fact.rel f) (f :: cur))
-    facts;
-  tbl
-
-(* Does a ground-or-not atom pattern match a fact's argument list? *)
-let matches atom fact =
-  Fact.arity fact = List.length atom.args
-  && List.for_all2
-       (fun t v ->
-         match t with
-         | Fo.Const c -> Value.equal c v
-         | Fo.Var _ -> true)
-       atom.args (Fact.args fact)
-
 let candidate_values idx atoms x =
   (* Values v such that substituting x := v keeps at least one atom
      matchable; union over atoms containing x of the values at x's
@@ -579,24 +559,16 @@ let candidate_values idx atoms x =
   List.fold_left
     (fun acc a ->
       if not (SSet.mem x (atom_vars a)) then acc
-      else begin
-        let facts = Option.value (Hashtbl.find_opt idx a.rel) ~default:[] in
-        List.fold_left
-          (fun acc f ->
-            if matches a f then begin
-              let acc = ref acc in
-              List.iteri
-                (fun i t ->
-                  match t with
-                  | Fo.Var y when y = x ->
-                    acc := VSet.add (Fact.arg f i) !acc
-                  | _ -> ())
-                a.args;
-              !acc
-            end
-            else acc)
-          acc facts
-      end)
+      else
+        Fact_index.fold_matching idx a.rel
+          (Array.of_list
+             (List.map
+                (function
+                  | Fo.Const c -> Fact_index.Bound c
+                  | Fo.Var y when y = x -> Fact_index.Target
+                  | Fo.Var _ -> Fact_index.Free)
+                a.args))
+          VSet.add acc)
     VSet.empty atoms
 
 (* The evaluator mirrors [plan_ucq] rule for rule, but recurses on the
@@ -725,7 +697,7 @@ let probability ?(step = fun () -> ()) ~weight ~facts phi =
       && List.for_all (fun f -> Fact.args f = []) facts
     then None
     else begin
-      let idx = index facts in
+      let idx = Fact_index.of_list facts in
       match eval_ucq step idx weight 0 ucq with
       | p -> Some p
       | exception Unsafe -> None

@@ -67,7 +67,7 @@ let engine_of_check name =
   in
   match prefix with
   | "lifted" -> Lifted
-  | "approx" | "completion" -> Approx
+  | "approx" -> Approx
   | "anytime" -> Anytime
   | "mc" -> Mc
   | "robust" -> Robust
@@ -174,8 +174,6 @@ let completion_of case =
   match case.policy with
   | Some pol -> Completion.complete_ti case.table (Completion.policy_source pol)
   | None -> invalid_arg "Fuzzer: open-world case needs a policy"
-
-let open_source case = Completion.source (completion_of case)
 
 let bid_of case =
   match case.bid with
@@ -615,18 +613,25 @@ let run_case ?(engines = all_engines) ?(mc_samples = 1500)
                 (Printf.sprintf "same-marginal reweight absorbed as %s"
                    (Delta_eval.apply_kind_to_string k)))
     end
-  | K_open ->
-    let src = lazy (open_source case) in
+  | K_open | K_completion -> (
+    (* Both open-world kinds evaluate the table completed by their
+       policy as one countable TI source, so one estimate/bounds pair
+       serves both: the coarse answer against the oracle at the prefix
+       it used.  K_open always completes by an infinite geometric tail;
+       K_completion adds λ policies and the Theorem 5.5 laws. *)
+    let c = lazy (completion_of case) in
+    let src = lazy (Completion.source (Lazy.force c)) in
     let approx eps = Approx_eval.boolean (Lazy.force src) ~eps phi in
+    let coarse = lazy (approx eps_coarse) in
     let oracle_at n = Oracle.of_fact_source (Lazy.force src) ~n in
     check "approx.estimate" (fun () ->
-        let r = approx eps_coarse in
+        let r = Lazy.force coarse in
         let u = oracle_at r.Approx_eval.n_used in
         expect_eq ~what:"Approx_eval estimate at n_used"
           (Oracle.query_prob ~semantics:(sem_for phi) u phi)
           r.Approx_eval.estimate);
     check "approx.bounds" (fun () ->
-        let r = approx eps_coarse in
+        let r = Lazy.force coarse in
         let e =
           Oracle.enclosure ~semantics:(sem_for phi)
             (oracle_at r.Approx_eval.n_used) phi
@@ -636,84 +641,165 @@ let run_case ?(engines = all_engines) ?(mc_samples = 1500)
           Some
             (Printf.sprintf "bounds %s disjoint from oracle enclosure %s"
                (ivs r.Approx_eval.bounds) (encs e)));
-    (* Narrowing is a law of the limit semantics: a [Cmp] query targets
-       each truncation's own semantics, whose enclosures need not nest
-       across depths. *)
-    if cmp_free then
-      check "law.narrowing" (fun () ->
-          let r1 = approx eps_coarse and r2 = approx eps_fine in
-          let n1 = r1.Approx_eval.n_used and n2 = r2.Approx_eval.n_used in
-          let e1 = Oracle.enclosure ~semantics:Limit (oracle_at n1) phi
-          and e2 = Oracle.enclosure ~semantics:Limit (oracle_at n2) phi in
-          if n2 < n1 then
-            Some
-              (Printf.sprintf "tighter eps used a shorter prefix: %d < %d" n2
-                 n1)
-          else if Rational.(Oracle.width e2 > Oracle.width e1) then
-            Some
-              (Printf.sprintf
-                 "oracle enclosure widened with depth: %s at n=%d vs %s at n=%d"
-                 (rs (Oracle.width e2)) n2 (rs (Oracle.width e1)) n1)
-          else if
-            Rational.(
-              e1.Oracle.hi < e2.Oracle.lo || e2.Oracle.hi < e1.Oracle.lo)
-          then
-            Some
-              (Printf.sprintf "oracle enclosures %s and %s are disjoint"
-                 (encs e1) (encs e2))
-          else if
-            (* Both engine intervals bound the same limit probability. *)
-            Interval.lo r1.Approx_eval.bounds
-            > Interval.hi r2.Approx_eval.bounds
-            || Interval.lo r2.Approx_eval.bounds
-               > Interval.hi r1.Approx_eval.bounds
-          then
-            Some
-              (Printf.sprintf "approx bounds %s and %s are disjoint"
-                 (ivs r1.Approx_eval.bounds) (ivs r2.Approx_eval.bounds))
-          else None);
-    let deep_enclosure =
-      lazy
-        (let r = approx eps_fine in
-         Oracle.enclosure ~semantics:Limit (oracle_at r.Approx_eval.n_used) phi)
-    in
-    check "anytime.bounds" (fun () ->
-        anytime_check (Lazy.force src) (fun iv ->
+    match case.kind with
+    | K_open ->
+      (* Narrowing is a law of the limit semantics: a [Cmp] query targets
+         each truncation's own semantics, whose enclosures need not nest
+         across depths. *)
+      if cmp_free then
+        check "law.narrowing" (fun () ->
+            let r1 = Lazy.force coarse and r2 = approx eps_fine in
+            let n1 = r1.Approx_eval.n_used and n2 = r2.Approx_eval.n_used in
+            let e1 = Oracle.enclosure ~semantics:Limit (oracle_at n1) phi
+            and e2 = Oracle.enclosure ~semantics:Limit (oracle_at n2) phi in
+            if n2 < n1 then
+              Some
+                (Printf.sprintf "tighter eps used a shorter prefix: %d < %d" n2
+                   n1)
+            else if Rational.(Oracle.width e2 > Oracle.width e1) then
+              Some
+                (Printf.sprintf
+                   "oracle enclosure widened with depth: %s at n=%d vs %s at n=%d"
+                   (rs (Oracle.width e2)) n2 (rs (Oracle.width e1)) n1)
+            else if
+              Rational.(
+                e1.Oracle.hi < e2.Oracle.lo || e2.Oracle.hi < e1.Oracle.lo)
+            then
+              Some
+                (Printf.sprintf "oracle enclosures %s and %s are disjoint"
+                   (encs e1) (encs e2))
+            else if
+              (* Both engine intervals bound the same limit probability. *)
+              Interval.lo r1.Approx_eval.bounds
+              > Interval.hi r2.Approx_eval.bounds
+              || Interval.lo r2.Approx_eval.bounds
+                 > Interval.hi r1.Approx_eval.bounds
+            then
+              Some
+                (Printf.sprintf "approx bounds %s and %s are disjoint"
+                   (ivs r1.Approx_eval.bounds) (ivs r2.Approx_eval.bounds))
+            else None);
+      let deep_enclosure =
+        lazy
+          (let r = approx eps_fine in
+           Oracle.enclosure ~semantics:Limit (oracle_at r.Approx_eval.n_used) phi)
+      in
+      check "anytime.bounds" (fun () ->
+          anytime_check (Lazy.force src) (fun iv ->
+              let e = Lazy.force deep_enclosure in
+              if overlaps_iv iv e then None
+              else
+                Some
+                  (Printf.sprintf
+                     "anytime bounds %s disjoint from oracle enclosure %s"
+                     (ivs iv) (encs e))));
+      if cmp_free then begin
+        check "mc.bounds" (fun () ->
+            let space = Mc_eval.Ti (Countable_ti.create (Lazy.force src)) in
+            let r =
+              Mc_eval.boolean ~domains:1 ~confidence:mc_confidence ~seed:mc_seed
+                ~samples:mc_samples space phi
+            in
+            let e = Lazy.force deep_enclosure in
+            if overlaps_iv r.Mc_eval.bounds e then None
+            else
+              Some
+                (Printf.sprintf
+                   "MC bounds %s (conf %.5f) disjoint from oracle enclosure %s"
+                   (ivs r.Mc_eval.bounds) mc_confidence (encs e)));
+        check "robust.enclosure" (fun () ->
+            let a =
+              Robust_eval.query ~eps:eps_fine ~mc_samples:1000 ~seed:mc_seed
+                (Lazy.force src) phi
+            in
+            let iv = a.Robust_eval.enclosure in
             let e = Lazy.force deep_enclosure in
             if overlaps_iv iv e then None
             else
               Some
                 (Printf.sprintf
-                   "anytime bounds %s disjoint from oracle enclosure %s"
-                   (ivs iv) (encs e))));
-    if cmp_free then begin
-      check "mc.bounds" (fun () ->
-          let space = Mc_eval.Ti (Countable_ti.create (Lazy.force src)) in
-          let r =
-            Mc_eval.boolean ~domains:1 ~confidence:mc_confidence ~seed:mc_seed
-              ~samples:mc_samples space phi
+                   "robust enclosure %s disjoint from oracle enclosure %s"
+                   (ivs iv) (encs e)))
+      end
+    | _ (* K_completion *) ->
+      check "law.completion_ti" (fun () ->
+          (* Theorem 5.5 for a TI original: the product of the table's
+             worlds with the first k new facts is the TI space on the
+             first |orig| + k facts of the completed source. *)
+          let c = Lazy.force c in
+          let orig = Ti_table.size (Completion.original c) in
+          let sorted u =
+            List.sort
+              (fun (a, _) (b, _) -> Instance.compare a b)
+              (Oracle.worlds u)
           in
-          let e = Lazy.force deep_enclosure in
-          if overlaps_iv r.Mc_eval.bounds e then None
-          else
-            Some
-              (Printf.sprintf
-                 "MC bounds %s (conf %.5f) disjoint from oracle enclosure %s"
-                 (ivs r.Mc_eval.bounds) mc_confidence (encs e)));
-      check "robust.enclosure" (fun () ->
-          let a =
-            Robust_eval.query ~eps:eps_fine ~mc_samples:1000 ~seed:mc_seed
-              (Lazy.force src) phi
-          in
-          let iv = a.Robust_eval.enclosure in
-          let e = Lazy.force deep_enclosure in
-          if overlaps_iv iv e then None
-          else
-            Some
-              (Printf.sprintf
-                 "robust enclosure %s disjoint from oracle enclosure %s"
-                 (ivs iv) (encs e)))
-    end
+          List.find_map
+            (fun k ->
+              let product = sorted (Oracle.of_completion c ~n:k)
+              and appended = sorted (oracle_at (orig + k)) in
+              if
+                List.equal
+                  (fun (a, p) (b, q) -> Instance.equal a b && Rational.equal p q)
+                  product appended
+              then None
+              else
+                Some
+                  (Printf.sprintf
+                     "product and appended source differ at k = %d (%d vs %d \
+                      worlds)"
+                     k (List.length product) (List.length appended)))
+            [ 0; 1; 2; 3 ]);
+      check "law.cc" (fun () ->
+          (* Theorem 5.5: the completion preserves the original law
+             conditionally, P'(A | Omega) = P(A), at every truncation. *)
+          let c = Lazy.force c in
+          let gap = Completion.completion_condition_gap c ~n:3 in
+          if not (Rational.is_zero gap) then
+            Some (Printf.sprintf "completion condition gap %s <> 0" (rs gap))
+          else begin
+            match case.policy with
+            | Some (Completion.Lambda (_, k)) ->
+              (* Finite reservoir: condition the exact product universe on
+                 "no new fact" and compare world by world. *)
+              let u = Oracle.of_completion c ~n:k in
+              let no_new inst =
+                Fact.Set.for_all
+                  (fun f -> Fact.rel f <> Oracle_gen.policy_relation)
+                  (Instance.to_set inst)
+              in
+              let cond = Oracle.condition u no_new in
+              let orig = Completion.original c in
+              List.find_map
+                (fun (inst, m) ->
+                  let want = Ti_table.world_probability orig inst in
+                  if Rational.equal m want then None
+                  else
+                    Some
+                      (Printf.sprintf
+                         "P'(D | Omega) = %s but P(D) = %s on a world" (rs m)
+                         (rs want)))
+                (Oracle.worlds cond)
+            | _ -> None
+          end);
+      if cmp_free then
+        check "mc.bounds" (fun () ->
+            let r = Lazy.force coarse in
+            let e =
+              Oracle.enclosure ~semantics:Limit (oracle_at r.Approx_eval.n_used)
+                phi
+            in
+            let mc =
+              Mc_eval.boolean ~domains:1 ~confidence:mc_confidence ~seed:mc_seed
+                ~samples:mc_samples
+                (Mc_eval.Ti (Countable_ti.create (Lazy.force src)))
+                phi
+            in
+            if overlaps_iv mc.Mc_eval.bounds e then None
+            else
+              Some
+                (Printf.sprintf
+                   "MC bounds %s (conf %.5f) disjoint from oracle enclosure %s"
+                   (ivs mc.Mc_eval.bounds) mc_confidence (encs e))));
   | K_bid ->
     let bid = bid_of case in
     let u = lazy (Oracle.of_bid_table bid) in
@@ -796,109 +882,7 @@ let run_case ?(engines = all_engines) ?(mc_samples = 1500)
           else
             Some
               (Printf.sprintf "MC bounds %s (conf %.5f) miss exact %s"
-                 (ivs r.Mc_eval.bounds) mc_confidence (rs truth)))
-  | K_completion ->
-    let c = lazy (completion_of case) in
-    let src = lazy (Completion.source (Lazy.force c)) in
-    let result =
-      lazy (Approx_eval.boolean (Lazy.force src) ~eps:eps_coarse phi)
-    in
-    let oracle_at n = Oracle.of_fact_source (Lazy.force src) ~n in
-    check "completion.estimate" (fun () ->
-        let r = Lazy.force result in
-        let u = oracle_at r.Approx_eval.n_used in
-        expect_eq ~what:"completed-source estimate at n_used"
-          (Oracle.query_prob ~semantics:(sem_for phi) u phi)
-          r.Approx_eval.estimate);
-    check "completion.bounds" (fun () ->
-        let r = Lazy.force result in
-        let e =
-          Oracle.enclosure ~semantics:(sem_for phi)
-            (oracle_at r.Approx_eval.n_used) phi
-        in
-        if overlaps_iv r.Approx_eval.bounds e then None
-        else
-          Some
-            (Printf.sprintf "bounds %s disjoint from oracle enclosure %s"
-               (ivs r.Approx_eval.bounds) (encs e)));
-    check "law.completion_ti" (fun () ->
-        (* Theorem 5.5 for a TI original: the product of the table's
-           worlds with the first k new facts is the TI space on the
-           first |orig| + k facts of the completed source. *)
-        let c = Lazy.force c in
-        let orig = Ti_table.size (Completion.original c) in
-        let sorted u =
-          List.sort
-            (fun (a, _) (b, _) -> Instance.compare a b)
-            (Oracle.worlds u)
-        in
-        List.find_map
-          (fun k ->
-            let product = sorted (Oracle.of_completion c ~n:k)
-            and appended = sorted (oracle_at (orig + k)) in
-            if
-              List.equal
-                (fun (a, p) (b, q) -> Instance.equal a b && Rational.equal p q)
-                product appended
-            then None
-            else
-              Some
-                (Printf.sprintf
-                   "product and appended source differ at k = %d (%d vs %d \
-                    worlds)"
-                   k (List.length product) (List.length appended)))
-          [ 0; 1; 2; 3 ]);
-    check "law.cc" (fun () ->
-        (* Theorem 5.5: the completion preserves the original law
-           conditionally, P'(A | Omega) = P(A), at every truncation. *)
-        let c = Lazy.force c in
-        let gap = Completion.completion_condition_gap c ~n:3 in
-        if not (Rational.is_zero gap) then
-          Some (Printf.sprintf "completion condition gap %s <> 0" (rs gap))
-        else begin
-          match case.policy with
-          | Some (Completion.Lambda (_, k)) ->
-            (* Finite reservoir: condition the exact product universe on
-               "no new fact" and compare world by world. *)
-            let u = Oracle.of_completion c ~n:k in
-            let no_new inst =
-              Fact.Set.for_all
-                (fun f -> Fact.rel f <> Oracle_gen.policy_relation)
-                (Instance.to_set inst)
-            in
-            let cond = Oracle.condition u no_new in
-            let orig = Completion.original c in
-            List.find_map
-              (fun (inst, m) ->
-                let want = Ti_table.world_probability orig inst in
-                if Rational.equal m want then None
-                else
-                  Some
-                    (Printf.sprintf
-                       "P'(D | Omega) = %s but P(D) = %s on a world" (rs m)
-                       (rs want)))
-              (Oracle.worlds cond)
-          | _ -> None
-        end);
-    if cmp_free then
-      check "mc.bounds" (fun () ->
-          let r = Lazy.force result in
-          let e =
-            Oracle.enclosure ~semantics:Limit (oracle_at r.Approx_eval.n_used)
-              phi
-          in
-          let mc =
-            Mc_eval.boolean ~domains:1 ~confidence:mc_confidence ~seed:mc_seed
-              ~samples:mc_samples
-              (Mc_eval.Ti (Countable_ti.create (Lazy.force src)))
-              phi
-          in
-          if overlaps_iv mc.Mc_eval.bounds e then None
-          else
-            Some
-              (Printf.sprintf
-                 "MC bounds %s (conf %.5f) disjoint from oracle enclosure %s"
-                 (ivs mc.Mc_eval.bounds) mc_confidence (encs e))));
+                 (ivs r.Mc_eval.bounds) mc_confidence (rs truth))));
   (!checks, List.rev !fails)
 
 (* ------------------------------------------------------------------ *)

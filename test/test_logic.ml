@@ -226,6 +226,150 @@ let test_lineage_free_vars () =
   let lin = Lineage.of_formula alpha [ ("x", i 2) ] (p "R(x)") in
   Alcotest.(check string) "bound" "x1" (Bool_expr.to_string lin)
 
+(* The reference grounder: every quantifier expands over the whole
+   domain (the alphabet's values, the formula's constants, [extra] and
+   the bound values).  The production grounder expands only the values
+   a quantifier's atoms can match plus one representative, and must
+   give the same Boolean function under the same first-occurrence
+   variable order. *)
+let naive_lineage ?(extra = []) alpha bindings phi =
+  let dom =
+    List.sort_uniq Value.compare
+      (List.concat_map Fact.args (Lineage.facts alpha)
+      @ Fo.constants phi @ extra @ List.map snd bindings)
+  in
+  let value env = function Fo.Var x -> List.assoc x env | Fo.Const v -> v in
+  let holds b = if b then Bool_expr.tru else Bool_expr.fls in
+  let rec lin env = function
+    | Fo.True -> Bool_expr.tru
+    | Fo.False -> Bool_expr.fls
+    | Fo.Atom (r, ts) -> (
+      match Lineage.var_of_fact alpha (Fact.make r (List.map (value env) ts)) with
+      | Some v -> Bool_expr.var v
+      | None -> Bool_expr.fls)
+    | Fo.Eq (s, t) -> holds (Value.equal (value env s) (value env t))
+    | Fo.Cmp (op, s, t) ->
+      let c = Value.compare (value env s) (value env t) in
+      holds
+        (match op with
+        | Fo.Lt -> c < 0
+        | Fo.Le -> c <= 0
+        | Fo.Gt -> c > 0
+        | Fo.Ge -> c >= 0)
+    | Fo.Not f -> Bool_expr.neg (lin env f)
+    | Fo.And (f, g) -> Bool_expr.and2 (lin env f) (lin env g)
+    | Fo.Or (f, g) -> Bool_expr.or2 (lin env f) (lin env g)
+    | Fo.Implies (f, g) -> Bool_expr.implies (lin env f) (lin env g)
+    | Fo.Exists (x, f) -> Bool_expr.disj (List.map (fun v -> lin ((x, v) :: env) f) dom)
+    | Fo.Forall (x, f) -> Bool_expr.conj (List.map (fun v -> lin ((x, v) :: env) f) dom)
+  in
+  lin bindings phi
+
+(* The grounder against the reference: equal ROBDD roots in one manager,
+   and the same first-occurrence order over the alphabet's variables. *)
+let same_grounding ?extra ?(bindings = []) alpha phi =
+  let got = Lineage.of_formula ?extra alpha bindings phi
+  and want = naive_lineage ?extra alpha bindings phi in
+  let vars = List.init (Lineage.alphabet_size alpha) Fun.id in
+  let order_got = Wmc.first_occurrence_order [ got ]
+  and order_want = Wmc.first_occurrence_order [ want ] in
+  let m = Bdd.manager ~order:order_want () in
+  Bdd.equal (Bdd.of_expr m got) (Bdd.of_expr m want)
+  && List.map order_got vars = List.map order_want vars
+
+let chain_alpha =
+  (* perfbench's R/S/T core, four links, beside a P/E chain whose values
+     only widen the domain *)
+  let s k = Value.Str (Printf.sprintf "a%d" k)
+  and t k = Value.Str (Printf.sprintf "b%d" k) in
+  Lineage.alphabet
+    (List.concat
+       (List.init 4 (fun k ->
+            [ Fact.make "R" [ s k ]; Fact.make "S" [ s k; t k ] ]
+            @ (if k < 3 then [ Fact.make "S" [ s (k + 1); t k ] ] else [])
+            @ [ Fact.make "T" [ t k ];
+                Fact.make "P" [ i k ];
+                Fact.make "E" [ i k; i (k + 1) ] ])))
+
+let test_grounding_fixed () =
+  let pads = [ Value.Str "\x00pad.0.0"; Value.Str "\x00pad.0.1" ] in
+  List.iter
+    (fun q ->
+      Alcotest.(check bool) q true (same_grounding ~extra:pads chain_alpha (p q));
+      Alcotest.(check bool) (q ^ " unpadded") true
+        (same_grounding chain_alpha (p q)))
+    [
+      "exists x y. R(x) & S(x, y) & T(y)";
+      "exists x y. R(x) & S(x, y) & T(y) & x != \"a2\"";
+      "forall x. R(x) -> exists y. S(x, y) & T(y)";
+      "forall y. T(y) -> exists x. R(x) & S(x, y)";
+    ];
+  let small =
+    Lineage.alphabet
+      [ Fact.make "R" [ i 1 ]; Fact.make "R" [ i 2 ]; Fact.make "R" [ i 5 ];
+        Fact.make "S" [ i 1; i 2 ]; Fact.make "S" [ i 3; i 1 ] ]
+  in
+  List.iter
+    (fun q ->
+      Alcotest.(check bool) q true
+        (same_grounding ~extra:[ i 7 ] small (p q)))
+    [
+      (* a non-candidate x reaches R through y: the Eq fallback *)
+      "exists x y. x = y & R(y)";
+      "exists x. x < 3 & R(x)";
+      (* the order tells non-candidates apart: the Cmp fallback *)
+      "exists x. x > 4 & S(3, 1)";
+      (* only the representative holds *)
+      "forall x. !R(x)";
+      "exists x. !R(x)";
+      "exists x y. S(x, y) & !R(y)";
+      "forall x. exists y. S(x, y) | R(x)";
+    ];
+  let self = Lineage.alphabet [ Fact.make "R" [ i 1; i 1 ]; Fact.make "R" [ i 1; i 2 ] ] in
+  Alcotest.(check bool) "exists x. R(x, x)" true
+    (same_grounding self (p "exists x. R(x, x)"));
+  Alcotest.(check bool) "of_formula with bindings" true
+    (same_grounding ~bindings:[ ("x", Value.Str "a1"); ("w", i 9) ] chain_alpha
+       (p "exists y. S(x, y) & T(y) & (R(x) | y = w)"))
+
+let test_grounding_after_extend () =
+  (* Grounding builds the alphabet's fact index (some positions' maps
+     too); [extend] must carry the index along, so grounding over the
+     extended alphabet equals grounding over a fresh one. *)
+  let more =
+    [ Fact.make "R" [ Value.Str "a9" ]; Fact.make "S" [ Value.Str "a9"; Value.Str "b0" ];
+      Fact.make "S" [ Value.Str "a0"; Value.Str "b9" ]; Fact.make "T" [ Value.Str "b9" ] ]
+  in
+  let queries =
+    List.map p
+      [ "exists x y. R(x) & S(x, y) & T(y)";
+        "forall x. R(x) -> exists y. S(x, y) & T(y)" ]
+  in
+  List.iter (fun q -> ignore (Lineage.of_sentence chain_alpha q)) queries;
+  let extended = Lineage.extend chain_alpha more
+  and fresh = Lineage.alphabet (Lineage.facts chain_alpha @ more) in
+  List.iter
+    (fun q ->
+      Alcotest.(check string) (Fo.to_string q)
+        (Bool_expr.to_string (Lineage.of_sentence fresh q))
+        (Bool_expr.to_string (Lineage.of_sentence extended q)))
+    queries
+
+let test_grounding_tight () =
+  (* x ranges over the S values plus the constant 0; y under x = k over
+     its one S partner, the constant and one representative, never over
+     the rest of the domain: 1 + 2 leaves at x = 0, 4 leaves at each of
+     x = 1..5, one Or node; the whole domain would give 42 nodes. *)
+  let alpha =
+    Lineage.alphabet
+      (Fact.make "R" [ i 0 ] :: List.init 5 (fun k -> Fact.make "S" [ i (k + 1); i (k + 1) ]))
+  in
+  let q = p "exists x y. S(x, y) | R(0)" in
+  Alcotest.(check int) "grounded size" 23
+    (Bool_expr.size (Lineage.of_sentence alpha q));
+  Alcotest.(check int) "reference size" 42
+    (Bool_expr.size (naive_lineage alpha [] q))
+
 (* ------------------------------------------------------------------ *)
 (* Safe plans *)
 (* ------------------------------------------------------------------ *)
@@ -427,6 +571,24 @@ let props =
             Bool_expr.eval env lin
             = Fo_eval.models ~extra_domain:dom world q)
           [ 0; 1; 5; 12; 21; 31 ]);
+    QCheck.Test.make ~name:"grounding = whole-domain reference" ~count:300
+      QCheck.(make ~print:string_of_int (Gen.int_bound 1_000_000))
+      (fun seed ->
+        let g = Prng.create ~seed () in
+        let cfg = Oracle_gen.default in
+        let sch = Oracle_gen.schema cfg g in
+        let facts = List.map fst (Oracle_gen.ti_facts cfg g sch) in
+        let phi = Oracle_gen.sentence cfg g sch in
+        let alpha = Lineage.alphabet facts in
+        let extra = Query_eval.choose_padding facts [ phi ] in
+        same_grounding ~extra alpha phi
+        &&
+        match phi with
+        | Fo.Exists (x, body) | Fo.Forall (x, body) ->
+          List.for_all
+            (fun v -> same_grounding ~extra ~bindings:[ (x, v) ] alpha body)
+            Oracle_gen.value_pool
+        | _ -> true);
     QCheck.Test.make ~name:"substitute closes formulas" ~count:200
       arb_small_formula (fun q ->
         (* strip the quantifier to get a free-variable formula *)
@@ -550,6 +712,11 @@ let () =
           Alcotest.test_case "exists" `Quick test_lineage_exists;
           Alcotest.test_case "semantics" `Quick test_lineage_semantics_vs_eval;
           Alcotest.test_case "free vars" `Quick test_lineage_free_vars;
+          Alcotest.test_case "grounding = reference" `Quick
+            test_grounding_fixed;
+          Alcotest.test_case "grounding is tight" `Quick test_grounding_tight;
+          Alcotest.test_case "grounding after extend" `Quick
+            test_grounding_after_extend;
         ] );
       ( "safe-plan",
         [
