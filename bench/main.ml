@@ -1787,8 +1787,8 @@ let timing_experiments = [ ("E12", e12); ("E13", e13); ("D4", ablate_bdd_order) 
 (* The CI smoke subset: one experiment per engine family, each cheap at
    the reduced sample counts the [smoke] flag selects. *)
 let smoke_ids =
-  [ "E1"; "E3"; "E8"; "E17"; "E18"; "E19"; "E20"; "E21"; "E22"; "E23"; "E24";
-    "E25" ]
+  [ "E1"; "E3"; "E8"; "E16"; "E17"; "E18"; "E19"; "E20"; "E21"; "E22"; "E23";
+    "E24"; "E25" ]
 
 let () =
   let args = Array.to_list Sys.argv in

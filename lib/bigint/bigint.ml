@@ -88,6 +88,50 @@ let mag_mul_school a b =
     mag_normalize r
   end
 
+(* [a * k] for one limb [0 < k < base]: a limb product plus carry fits
+   in 61 bits.  The result has a top limb iff the carry out of the old
+   top limb is nonzero; that is certain when [top * k >= base] and
+   impossible when [(top + 1) * k <= base]. *)
+let mag_mul_limb a k =
+  let la = Array.length a in
+  let top = a.(la - 1) in
+  let r = Array.make (if (top + 1) * k <= base then la else la + 1) 0 in
+  let carry = ref 0 in
+  for i = 0 to la - 1 do
+    let p = (a.(i) * k) + !carry in
+    r.(i) <- p land mask;
+    carry := p lsr base_bits
+  done;
+  if !carry <> 0 then r.(la) <- !carry;
+  mag_normalize r
+
+(* [a + k] for one limb [0 < k < base]; a carry can leave the top limb
+   only if it is [la = 1] and overflows, or a full [mask] limb. *)
+let mag_add_limb a k =
+  let la = Array.length a in
+  let grows = if la = 1 then a.(0) + k >= base else a.(la - 1) = mask in
+  let r = Array.make (if grows then la + 1 else la) 0 in
+  let carry = ref k in
+  for i = 0 to la - 1 do
+    let s = a.(i) + !carry in
+    r.(i) <- s land mask;
+    carry := s lsr base_bits
+  done;
+  if !carry <> 0 then r.(la) <- !carry;
+  mag_normalize r
+
+(* [a - k] for one limb [0 < k < base] and [a > k]. *)
+let mag_sub_limb a k =
+  let la = Array.length a in
+  let r = Array.make la 0 in
+  let borrow = ref k in
+  for i = 0 to la - 1 do
+    let s = a.(i) - !borrow in
+    if s < 0 then begin r.(i) <- s + base; borrow := 1 end
+    else begin r.(i) <- s; borrow := 0 end
+  done;
+  mag_normalize r
+
 let karatsuba_threshold = 32
 
 (* Split [a] at limb [k] into (low, high). *)
@@ -246,6 +290,8 @@ let minus_one = { sign = -1; mag = [| 1 |] }
 
 let of_int n =
   if n = 0 then zero
+  else if n > -base && n < base then
+    { sign = (if n < 0 then -1 else 1); mag = [| Stdlib.abs n |] }
   else begin
     let sign = if n < 0 then -1 else 1 in
     (* min_int has no positive counterpart; go through a buffer limb by
@@ -325,8 +371,25 @@ let mul a b =
   if a.sign = 0 || b.sign = 0 then zero
   else mk (a.sign * b.sign) (mag_mul a.mag b.mag)
 
-let mul_int a n = mul a (of_int n)
-let add_int a n = add a (of_int n)
+(* [mul_int] and [add_int] with a one-limb operand ([|n| < base]) run
+   one pass over the magnitude; wider operands go through [of_int]. *)
+let mul_int a n =
+  if a.sign = 0 || n = 0 then zero
+  else if n > -base && n < base then
+    { sign = (if n < 0 then -a.sign else a.sign);
+      mag = mag_mul_limb a.mag (Stdlib.abs n) }
+  else mul a (of_int n)
+
+let add_int a n =
+  if n = 0 then a
+  else if a.sign = 0 then of_int n
+  else if n > -base && n < base then begin
+    let k = Stdlib.abs n in
+    if (n < 0) = (a.sign < 0) then { a with mag = mag_add_limb a.mag k }
+    else if Array.length a.mag > 1 then { a with mag = mag_sub_limb a.mag k }
+    else of_int ((a.sign * a.mag.(0)) + n)
+  end
+  else add a (of_int n)
 
 let divmod a b =
   if b.sign = 0 then raise Division_by_zero

@@ -95,6 +95,9 @@ val shift_right : t -> int -> t
 
 val mul_int : t -> int -> t
 val add_int : t -> int -> t
+(** [mul_int a n = mul a (of_int n)] and [add_int a n = add a (of_int n)].
+    When [|n| < 2^30] (one limb) they make one pass over [a]'s magnitude
+    and allocate only the result. *)
 
 val min : t -> t -> t
 val max : t -> t -> t

@@ -715,6 +715,155 @@ let fold_prob_many ?memo ?(dirty = fun _ -> false) ~zero ~one ~node roots =
       Array.map (fun i -> fst (go i)) idxs
   end
 
+(* The exact count over scaled integer numerators.  The levels of the
+   union DAG are ranked densely from the top; [den r] is the denominator
+   of the variable at rank [r], and [D (i, j) = den i * ... * den j] (1
+   when [i > j]).  A node at rank [r] whose deepest internal descendant
+   sits at rank [b] ([r] itself if it has none) stores the integer
+   [N = P * D (r, b)], [P] its probability.  With [p = a/d] at its
+   variable,
+
+     N = a * T hi + (d - a) * T lo,   T c = P(c) * D (r + 1, b),
+
+   where a child at rank [rc] with deepest rank [bc] gives
+   [T c = N c * D (r + 1, rc - 1) * D (bc + 1, b)] (the gaps above and
+   below its own span), the true leaf [D (r + 1, b)] and the false leaf
+   0.  The scale depends on the node's sub-DAG alone, so a node shared
+   by several roots is counted once for all of them, and only integer
+   products and sums occur: a root's probability is [N / D (r, b)],
+   normalised by the caller. *)
+let scaled_count ~weight roots =
+  if Array.length roots = 0 then [||]
+  else begin
+    let m = roots.(0).mgr in
+    let idxs = Array.map (fun t -> same m t "scaled_count") roots in
+    (* The union's internal nodes, children before parents; [slot] maps
+       a node index to its position. *)
+    let slot = Array.make m.n_top (-1) in
+    let post = ref [] and n = ref 0 in
+    let rec visit i =
+      if i >= 2 && slot.(i) < 0 then begin
+        visit m.lo_a.(i);
+        visit m.hi_a.(i);
+        slot.(i) <- !n;
+        incr n;
+        post := i :: !post
+      end
+    in
+    Array.iter visit idxs;
+    let nodes = Array.of_list (List.rev !post) in
+    let n = !n in
+    let ranks = Hashtbl.create 64 in
+    let levels = Array.map (fun i -> m.level_a.(i)) nodes in
+    Array.sort Int.compare levels;
+    Array.iter
+      (fun l -> if not (Hashtbl.mem ranks l) then Hashtbl.add ranks l (Hashtbl.length ranks))
+      levels;
+    let nr = Hashtbl.length ranks in
+    let rank = Array.map (fun i -> Hashtbl.find ranks m.level_a.(i)) nodes in
+    (* Per rank: the denominator, and multiplication by it and by the
+       two coefficients, through [Bigint.mul_int] when they fit. *)
+    let times_by c =
+      match Bigint.to_int_opt c with
+      | Some 1 -> Fun.id
+      | Some k -> fun x -> Bigint.mul_int x k
+      | None -> fun x -> Bigint.mul x c
+    in
+    let den = Array.make nr Bigint.one and by_den = Array.make nr Fun.id in
+    let by_hi = Array.make nr Fun.id and by_lo = Array.make nr Fun.id in
+    let known = Array.make nr false in
+    Array.iteri
+      (fun s i ->
+        let r = rank.(s) in
+        if not known.(r) then begin
+          known.(r) <- true;
+          let a, d = weight m.var_a.(i) in
+          den.(r) <- d;
+          by_den.(r) <- times_by d;
+          by_hi.(r) <- times_by a;
+          by_lo.(r) <- times_by (Bigint.sub d a)
+        end)
+      nodes;
+    let times x g = if Bigint.is_one g then x else Bigint.mul x g in
+    (* D over the aligned block of 2^t ranks from [k * 2^t], from its two
+       halves: any span is a product of O(log nr) blocks, whatever the
+       shape of the DAG. *)
+    let blocks = Hashtbl.create 64 in
+    let rec block t k =
+      if t = 0 then den.(k)
+      else
+        let key = (k lsl 6) lor t in
+        match Hashtbl.find_opt blocks key with
+        | Some g -> g
+        | None ->
+          let g = times (block (t - 1) (2 * k)) (block (t - 1) ((2 * k) + 1)) in
+          Hashtbl.add blocks key g;
+          g
+    in
+    let rec span i j =
+      if i > j then Bigint.one
+      else begin
+        let t = ref 0 in
+        while
+          i land ((1 lsl (!t + 1)) - 1) = 0 && i + (1 lsl (!t + 1)) - 1 <= j
+        do
+          incr t
+        done;
+        times (block !t (i lsr !t)) (span (i + (1 lsl !t)) j)
+      end
+    in
+    (* Spans asked for, cached per (i, j).  Children are counted before
+       their parents, so a span one rank longer than a cached one is
+       common (a chain asks D (r + 1, b) right after D (r + 2, b)); it
+       costs one multiplication by a denominator, the others go through
+       the blocks. *)
+    let gaps = Hashtbl.create 64 in
+    let gap i j =
+      if i > j then Bigint.one
+      else
+        let key = (i * nr) + j in
+        match Hashtbl.find_opt gaps key with
+        | Some g -> g
+        | None ->
+          let g =
+            match Hashtbl.find_opt gaps (key + nr) with
+            | Some g -> by_den.(i) g
+            | None -> (
+              match Hashtbl.find_opt gaps (key - 1) with
+              | Some g when i < j -> by_den.(j) g
+              | _ -> span i j)
+          in
+          Hashtbl.add gaps key g;
+          g
+    in
+    let num = Array.make n Bigint.zero and deep = Array.make n 0 in
+    Array.iteri
+      (fun s i ->
+        let r = rank.(s) in
+        let lo = m.lo_a.(i) and hi = m.hi_a.(i) in
+        let deep_of c = if c < 2 then r else deep.(slot.(c)) in
+        let b = Int.max (deep_of lo) (deep_of hi) in
+        deep.(s) <- b;
+        let term c =
+          if c = 0 then Bigint.zero
+          else if c = 1 then gap (r + 1) b
+          else
+            let sc = slot.(c) in
+            times
+              (times num.(sc) (gap (r + 1) (rank.(sc) - 1)))
+              (gap (deep.(sc) + 1) b)
+        in
+        num.(s) <- Bigint.add (by_hi.(r) (term hi)) (by_lo.(r) (term lo)))
+      nodes;
+    Array.map
+      (fun i ->
+        if i < 2 then ((if i = 1 then Bigint.one else Bigint.zero), Bigint.one)
+        else
+          let s = slot.(i) in
+          (num.(s), gap rank.(s) deep.(s)))
+      idxs
+  end
+
 let pp fmt t =
   let m = t.mgr in
   let rec go fmt i =

@@ -169,8 +169,9 @@ val restrict : manager -> t -> int -> bool -> t
 
 (** {1 Weighted model counting}
 
-    One fold serves every count in the project: a fresh count of a batch
-    of roots, and the incremental re-count of a delta session.  A
+    Two sweeps.  {!scaled_count} is the fresh exact count of a batch of
+    roots, over integer numerators.  {!fold_prob_many} is generic in its
+    values and serves the incremental re-count of a delta session: a
     {!prob_memo} keeps per-node fold results alive {e across} calls, so
     that re-counting after a small weight change only pays [node] calls
     on the slice of the DAG that can see a changed variable — clean
@@ -212,6 +213,19 @@ val fold_prob_many :
     whole DAG (cheap pointer walk) — what is skipped is the value
     arithmetic.  All freshly computed values replace their memo entries,
     so a call without [dirty] after a full pass is a pure replay.
+    @raise Invalid_argument if the roots span different managers. *)
+
+val scaled_count :
+  weight:(int -> Bigint.t * Bigint.t) -> t array -> (Bigint.t * Bigint.t) array
+(** The exact weighted model count of a batch of roots of {e one}
+    manager, as unreduced fractions: [weight v = (a, d)] says variable
+    [v] is independently true with probability [a/d] ([d <> 0]), and
+    root [k]'s probability is [fst r.(k) / snd r.(k)].  One bottom-up
+    sweep over the union of the DAGs visits each distinct node once and
+    does only integer products and sums: a node stores its probability
+    times the product of the denominators over its own span of levels,
+    so the sweep needs no gcd and no common denominator ([[||]] on the
+    empty batch).  [weight] is asked once per level that occurs.
     @raise Invalid_argument if the roots span different managers. *)
 
 val pp : Format.formatter -> t -> unit

@@ -22,11 +22,14 @@ let compile ?tick ?on_free ?cache_size ?gc_threshold e =
   let order = first_occurrence_order [ e ] in
   Bdd.of_expr (Bdd.manager ~order ?tick ?on_free ?cache_size ?gc_threshold ()) e
 
-let shannon weight v lo hi =
-  let p = weight v in
-  Rational.add (Rational.mul p hi) (Rational.mul (Rational.compl p) lo)
+let count ~weight roots =
+  Array.map
+    (fun (n, d) -> Rational.make n d)
+    (Bdd.scaled_count
+       ~weight:(fun v ->
+         let p = weight v in
+         (Rational.num p, Rational.den p))
+       roots)
 
 let probability ?tick ?on_free ?cache_size ?gc_threshold ~weight e =
-  let t = compile ?tick ?on_free ?cache_size ?gc_threshold e in
-  (Bdd.fold_prob_many ~zero:Rational.zero ~one:Rational.one
-     ~node:(shannon weight) [| t |]).(0)
+  (count ~weight [| compile ?tick ?on_free ?cache_size ?gc_threshold e |]).(0)

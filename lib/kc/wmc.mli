@@ -6,9 +6,11 @@
     function holds is computed in one linear pass over its BDD:
     [P(node) = p(var) * P(hi) + (1 - p(var)) * P(lo)].
 
-    The count is exact, over rationals: {!shannon} is that node step,
-    folded by {!Bdd.fold_prob_many}.  (The interval-valued count of the
-    delta sessions applies the same step in [Delta_eval.Make].) *)
+    The count is exact: {!count} runs that step over scaled integer
+    numerators and normalises once per root.  (The delta sessions apply
+    the same step over their carrier through {!Bdd.fold_prob_many},
+    whose persistent memo re-counts only the nodes a weight change
+    reaches.) *)
 
 val first_occurrence_order : Bool_expr.t list -> int -> int
 (** The variable order every lineage compiler shares: depth-first first
@@ -29,12 +31,12 @@ val compile :
     abort a blowing-up compilation; [on_free] refunds nodes reclaimed by
     GC when [gc_threshold] enables it. *)
 
-val shannon :
-  (int -> Rational.t) -> int -> Rational.t -> Rational.t -> Rational.t
-(** [shannon weight v lo hi = p * hi + (1 - p) * lo] with [p = weight
-    v]: the node step of the count, to pass as
-    [~node:(shannon weight)] to {!Bdd.fold_prob_many}.  [weight] is
-    consulted only on the support. *)
+val count : weight:(int -> Rational.t) -> Bdd.t array -> Rational.t array
+(** The exact count of a batch of roots of one manager: the probability
+    that each holds when variable [v] is independently true with
+    probability [weight v].  One {!Bdd.scaled_count} sweep over the
+    union of the DAGs, then one normalisation per root.  [weight] is
+    consulted only on the support, once per variable. *)
 
 val probability :
   ?tick:(unit -> unit) ->

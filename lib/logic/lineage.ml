@@ -113,18 +113,24 @@ let candidates a env x body acc =
    decide alike, so all of them ground [body] to the same lineage; under
    [Exists] one disjunct, under [Forall] one conjunct stands for them,
    and since the dropped copies come after it, the first-occurrence
-   variable order is the one the whole domain would give. *)
+   variable order is the one the whole domain would give.  [dom] is the
+   domain with its size: candidates lie in the domain, so as many
+   distinct candidates as the domain has values are the domain itself,
+   returned as it is. *)
 let range a consts dom env x body =
+  let values, size = Lazy.force dom in
   match candidates a env x body consts with
-  | exception Whole_domain -> Lazy.force dom
+  | exception Whole_domain -> values
   | cands ->
+    let cands = List.sort_uniq Value.compare cands in
     let rec with_rep ds cs =
       match (ds, cs) with
       | d :: ds', c :: cs' when Value.equal d c -> d :: with_rep ds' cs'
       | d :: _, _ -> d :: cs
       | [], _ -> []
     in
-    with_rep (Lazy.force dom) (List.sort_uniq Value.compare cands)
+    if List.compare_length_with cands size = 0 then values
+    else with_rep values cands
 
 let rec lin a consts dom env = function
   | Fo.True -> Bool_expr.tru
@@ -178,7 +184,12 @@ let of_formula ?extra a bindings phi =
       Option.value extra ~default:[] @ List.map snd bindings
     in
     let consts = Fo.constants phi in
-    lin a consts (lazy (domain ~extra a phi)) env phi
+    let dom =
+      lazy
+        (let values = domain ~extra a phi in
+         (values, List.length values))
+    in
+    lin a consts dom env phi
   end
 
 let of_sentence ?extra a phi =

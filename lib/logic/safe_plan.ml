@@ -571,6 +571,17 @@ let candidate_values idx atoms x =
           VSet.add acc)
     VSet.empty atoms
 
+(* [1 - (1 - p_1) ... (1 - p_k)] over the probabilities [iter] yields:
+   the chance that one of independent events happens.  The product is
+   kept as one unreduced fraction [prod (d_i - a_i) / prod d_i] for
+   [p_i = a_i / d_i] and normalised once. *)
+let any_of iter =
+  let n = ref Bigint.one and d = ref Bigint.one in
+  iter (fun p ->
+      n := Bigint.mul !n (Bigint.sub (Rational.den p) (Rational.num p));
+      d := Bigint.mul !d (Rational.den p));
+  Rational.make (Bigint.sub !d !n) !d
+
 (* The evaluator mirrors [plan_ucq] rule for rule, but recurses on the
    concrete groundings instead of a placeholder; [Unsafe] aborts to the
    [None] of [probability] (a precondition failed on this instance). *)
@@ -586,12 +597,8 @@ let rec eval_ucq step idx weight depth (ucq : ucq) : Rational.t =
     | ([] | [ _ ]) -> eval_entangled step idx weight depth ucq
     | groups ->
       (* Independent union. *)
-      Rational.compl
-        (List.fold_left
-           (fun acc g ->
-             Rational.mul acc
-               (Rational.compl (eval_ucq step idx weight (depth + 1) g)))
-           Rational.one groups))
+      any_of (fun f ->
+          List.iter (fun g -> f (eval_ucq step idx weight (depth + 1) g)) groups))
 
 and eval_entangled step idx weight depth ucq =
   let try_separator choice =
@@ -601,18 +608,18 @@ and eval_entangled step idx weight depth ucq =
         VSet.empty ucq choice
     in
     match
-      VSet.fold
-        (fun v acc ->
-          let grounded =
-            List.map2
-              (fun c x -> { datoms = dedup_atoms (subst_atoms x v c.datoms) })
-              ucq choice
-          in
-          Rational.mul acc
-            (Rational.compl (eval_ucq step idx weight (depth + 1) grounded)))
-        cands Rational.one
+      any_of (fun f ->
+          VSet.iter
+            (fun v ->
+              let grounded =
+                List.map2
+                  (fun c x -> { datoms = dedup_atoms (subst_atoms x v c.datoms) })
+                  ucq choice
+              in
+              f (eval_ucq step idx weight (depth + 1) grounded))
+            cands)
     with
-    | miss_all -> Some (Rational.compl miss_all)
+    | p -> Some p
     | exception Unsafe -> None
   in
   match List.find_map try_separator (separators ucq) with
@@ -666,14 +673,14 @@ and eval_component step idx weight depth comp =
       | [ x ] -> (
         let values = candidate_values idx comp x in
         match
-          VSet.fold
-            (fun v acc ->
-              let grounded = dedup_atoms (subst_atoms x v comp) in
-              Rational.mul acc
-                (Rational.compl (eval_cq step idx weight (depth + 1) grounded)))
-            values Rational.one
+          any_of (fun f ->
+              VSet.iter
+                (fun v ->
+                  f (eval_cq step idx weight (depth + 1)
+                       (dedup_atoms (subst_atoms x v comp))))
+                values)
         with
-        | miss_all -> Some (Rational.compl miss_all)
+        | p -> Some p
         | exception Unsafe -> None)
       | _ -> None
     in

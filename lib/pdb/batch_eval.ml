@@ -146,9 +146,7 @@ let boolean ?(extra_domain = []) ?tick ?on_free ?cache_size ?gc_threshold
           exprs
       in
       let res =
-        Bdd.fold_prob_many ~zero:Rational.zero ~one:Rational.one
-          ~node:(Wmc.shannon (fun v -> weight (Lineage.fact_of_var a v)))
-          roots
+        Wmc.count ~weight:(fun v -> weight (Lineage.fact_of_var a v)) roots
       in
       Array.iteri
         (fun k i ->

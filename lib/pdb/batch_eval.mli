@@ -17,8 +17,8 @@
       into a single {!Bdd.manager}, so a shared subformula hits the same
       unique table and operation cache instead of being rebuilt;
     - {b one sweep}: the weighted model counts of a shard's members are
-      folded by {!Bdd.fold_prob_many} under one shared memo — the cost is
-      the size of the {e union} of the member DAGs, not the sum;
+      taken by one {!Wmc.count} sweep — the cost is the size of the
+      {e union} of the member DAGs, not the sum;
     - {b dichotomy first}: every member is offered to the lifted
       safe-plan engine before any compilation, so safe members never
       touch the BDD store (same routing, and same

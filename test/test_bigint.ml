@@ -162,6 +162,31 @@ let test_parity_minmax () =
   check_b "min" (b (-5)) (B.min (b (-5)) (b 3));
   check_b "max" (b 3) (B.max (b (-5)) (b 3))
 
+(* The one-limb paths of [mul_int]/[add_int] against [mul]/[add] of
+   [of_int]: both signs, the limb boundary 2^30, [max_int]/[min_int],
+   and magnitudes whose limbs are all full (carry and borrow chains). *)
+let edge_ints =
+  [ 0; 1; -1; 7; -7; (1 lsl 30) - 1; 1 - (1 lsl 30); 1 lsl 30; -(1 lsl 30);
+    max_int; min_int; max_int - 1; min_int + 1 ]
+
+let edge_bigs =
+  List.concat_map
+    (fun x -> [ x; B.neg x ])
+    [ B.zero; B.one; b 5; b ((1 lsl 30) - 1); b (1 lsl 30); b max_int;
+      B.pred (B.shift_left B.one 60); B.shift_left B.one 60;
+      B.pred (B.shift_left B.one 90); B.of_string "123456789012345678901234567890" ]
+
+let test_mul_add_int () =
+  List.iter
+    (fun x ->
+      List.iter
+        (fun n ->
+          let what op = Printf.sprintf "%s %s %d" (B.to_string x) op n in
+          check_b (what "*") (B.mul x (B.of_int n)) (B.mul_int x n);
+          check_b (what "+") (B.add x (B.of_int n)) (B.add_int x n))
+        edge_ints)
+    edge_bigs
+
 (* ------------------------------------------------------------------ *)
 (* Property tests *)
 (* ------------------------------------------------------------------ *)
@@ -249,6 +274,11 @@ let props =
     prop "compare antisymmetric" 300
       QCheck.(pair arb_big arb_big)
       (fun (x, y) -> B.compare x y = -B.compare y x);
+    prop "mul_int/add_int = mul/add" 500
+      QCheck.(pair arb_big (oneof [ int; int_range (-(1 lsl 30)) (1 lsl 30) ]))
+      (fun (x, n) ->
+        B.equal (B.mul_int x n) (B.mul x (B.of_int n))
+        && B.equal (B.add_int x n) (B.add x (B.of_int n)));
     prop "to_float sign" 200 arb_big (fun x ->
         compare (B.to_float x) 0.0 = B.sign x || B.is_zero x);
   ]
@@ -278,6 +308,7 @@ let () =
           Alcotest.test_case "num_bits" `Quick test_num_bits;
           Alcotest.test_case "to_float" `Quick test_to_float;
           Alcotest.test_case "parity/minmax" `Quick test_parity_minmax;
+          Alcotest.test_case "mul_int/add_int edges" `Quick test_mul_add_int;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest props);
     ]

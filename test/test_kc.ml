@@ -298,7 +298,7 @@ let test_fold_prob_many_memo () =
   let calls = ref 0 in
   let node v lo hi =
     incr calls;
-    Wmc.shannon (Array.get w) v lo hi
+    Rational.add (Rational.mul w.(v) hi) (Rational.mul (Rational.compl w.(v)) lo)
   in
   let fold ?memo ?dirty () =
     Bdd.fold_prob_many ?memo ?dirty ~zero:Rational.zero ~one:Rational.one
@@ -411,14 +411,120 @@ let props =
     QCheck.Test.make ~name:"order independence of wmc" ~count:100 arb_expr
       (fun e ->
         let count m =
-          (Bdd.fold_prob_many ~zero:Rational.zero ~one:Rational.one
-             ~node:(Wmc.shannon (fun i -> Rational.of_ints (i + 3) 20))
+          (Wmc.count
+             ~weight:(fun i -> Rational.of_ints (i + 3) 20)
              [| Bdd.of_expr m e |]).(0)
         in
         Rational.equal
           (count (Bdd.manager ()))
           (count (Bdd.manager ~order:(fun v -> 100 - v) ())));
   ]
+
+(* ------------------------------------------------------------------ *)
+(* The scaled count against the Rational fold *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference: the fold over canonical rationals, node by node. *)
+let rational_count weight roots =
+  Bdd.fold_prob_many ~zero:Rational.zero ~one:Rational.one
+    ~node:(fun v lo hi ->
+      let p = weight v in
+      Rational.add (Rational.mul p hi) (Rational.mul (Rational.compl p) lo))
+    roots
+
+let primes = [| 2; 3; 5; 7; 11; 13; 17; 19; 23; 29 |]
+let pow2 j = Bigint.shift_left Bigint.one j
+
+(* Marginals of every shape the engines meet: pack-style k/100,
+   completion-style 2^-j (past 62 bits too), 1/p for a prime of the
+   variable's own (pairwise coprime denominators), the constants 0 and
+   1, and numerators above 2^62. *)
+let gen_weight v =
+  let open QCheck.Gen in
+  frequency
+    [
+      (3, map (fun k -> Rational.of_ints k 100) (int_range 0 100));
+      (3, map (fun j -> Rational.make Bigint.one (pow2 j)) (int_range 1 70));
+      (2, return (Rational.of_ints 1 primes.(v)));
+      (1, return Rational.zero);
+      (1, return Rational.one);
+      ( 2,
+        map
+          (fun k -> Rational.make (Bigint.add_int (pow2 63) ((2 * k) + 1)) (pow2 64))
+          (int_range 0 1000) );
+    ]
+
+let gen_count_case =
+  let open QCheck.Gen in
+  let rec expr n =
+    if n = 0 then
+      oneof [ return E.tru; return E.fls; map E.var (int_range 0 9) ]
+    else
+      frequency
+        [
+          (1, map E.var (int_range 0 9));
+          (2, map E.neg (expr (n - 1)));
+          (3, map2 E.and2 (expr (n / 2)) (expr (n / 2)));
+          (3, map2 E.or2 (expr (n / 2)) (expr (n / 2)));
+        ]
+  in
+  let* weights = flatten_a (Array.init 10 gen_weight) in
+  let* exprs = list_size (int_range 0 5) (expr 8) in
+  let* extras = bool in
+  let* order = int_range 0 2 in
+  return (weights, exprs, extras, order)
+
+let print_count_case (weights, exprs, extras, order) =
+  Printf.sprintf "weights [%s]; exprs [%s]; extras %b; order %d"
+    (String.concat "; " (Array.to_list (Array.map Rational.to_string weights)))
+    (String.concat "; " (List.map E.to_string exprs))
+    extras order
+
+(* Batches of one manager: the drawn roots, and (with [extras]) an
+   identical root, a root sharing the first two's sub-DAGs and the two
+   constants; the empty batch when nothing is drawn. *)
+let count_batch (_, exprs, extras, order) =
+  let order =
+    match order with
+    | 0 -> Fun.id
+    | 1 -> fun v -> 100 - v
+    | _ -> fun v -> ((7 * v) + 3) mod 11
+  in
+  let m = Bdd.manager ~order () in
+  let roots = List.map (Bdd.of_expr m) exprs in
+  let extra =
+    match (extras, roots) with
+    | true, r :: rest ->
+      let s = match rest with r' :: _ -> Bdd.disj m r r' | [] -> Bdd.neg m r in
+      [ r; s; Bdd.tru m; Bdd.fls m ]
+    | _ -> []
+  in
+  Array.of_list (roots @ extra)
+
+let prop_count_matches_fold =
+  QCheck.Test.make ~name:"Wmc.count = Rational fold" ~count:300
+    (QCheck.make ~print:print_count_case gen_count_case)
+    (fun ((weights, _, _, _) as case) ->
+      let roots = count_batch case in
+      let weight v = weights.(v) in
+      let got = Wmc.count ~weight roots and want = rational_count weight roots in
+      Array.length got = Array.length roots
+      && Array.for_all2 Rational.equal got want)
+
+let test_count_edges () =
+  let m = Bdd.manager () in
+  let weight _ = Rational.of_ints 1 3 in
+  Alcotest.(check int) "empty batch" 0 (Array.length (Wmc.count ~weight [||]));
+  Alcotest.(check (list string)) "constant roots" [ "1"; "0" ]
+    (Array.to_list
+       (Array.map Rational.to_string (Wmc.count ~weight [| Bdd.tru m; Bdd.fls m |])));
+  let x = Bdd.var m 0 in
+  Alcotest.(check (list string)) "identical roots" [ "1/3"; "1/3" ]
+    (Array.to_list (Array.map Rational.to_string (Wmc.count ~weight [| x; x |])));
+  Alcotest.check_raises "mixed managers rejected"
+    (Invalid_argument "Bdd.scaled_count: node from a different manager")
+    (fun () ->
+      ignore (Wmc.count ~weight [| x; Bdd.var (Bdd.manager ()) 0 |]))
 
 (* ------------------------------------------------------------------ *)
 (* Kernel differential testing *)
@@ -638,6 +744,8 @@ let () =
             test_fold_prob_many_memo;
           Alcotest.test_case "fold_prob_many manager check" `Quick
             test_fold_prob_many_rejects_foreign_roots;
+          Alcotest.test_case "count edge batches" `Quick test_count_edges;
+          QCheck_alcotest.to_alcotest prop_count_matches_fold;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest props);
       ( "kernel differential",

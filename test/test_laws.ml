@@ -187,10 +187,7 @@ let prop_wmc_total_probability =
       let m = Bdd.manager () in
       let d = Bdd.of_expr m a in
       let weight k = Rational.of_ints (2 + (3 * k)) 20 in
-      let count t =
-        (Bdd.fold_prob_many ~zero:Rational.zero ~one:Rational.one
-           ~node:(Wmc.shannon weight) [| t |]).(0)
-      in
+      let count t = (Wmc.count ~weight [| t |]).(0) in
       let v = 2 in
       let p = count d in
       let p_hi = count (Bdd.restrict m d v true) in
