@@ -105,33 +105,6 @@ let mag_mul_limb a k =
   if !carry <> 0 then r.(la) <- !carry;
   mag_normalize r
 
-(* [a + k] for one limb [0 < k < base]; a carry can leave the top limb
-   only if it is [la = 1] and overflows, or a full [mask] limb. *)
-let mag_add_limb a k =
-  let la = Array.length a in
-  let grows = if la = 1 then a.(0) + k >= base else a.(la - 1) = mask in
-  let r = Array.make (if grows then la + 1 else la) 0 in
-  let carry = ref k in
-  for i = 0 to la - 1 do
-    let s = a.(i) + !carry in
-    r.(i) <- s land mask;
-    carry := s lsr base_bits
-  done;
-  if !carry <> 0 then r.(la) <- !carry;
-  mag_normalize r
-
-(* [a - k] for one limb [0 < k < base] and [a > k]. *)
-let mag_sub_limb a k =
-  let la = Array.length a in
-  let r = Array.make la 0 in
-  let borrow = ref k in
-  for i = 0 to la - 1 do
-    let s = a.(i) - !borrow in
-    if s < 0 then begin r.(i) <- s + base; borrow := 1 end
-    else begin r.(i) <- s; borrow := 0 end
-  done;
-  mag_normalize r
-
 let karatsuba_threshold = 32
 
 (* Split [a] at limb [k] into (low, high). *)
@@ -286,7 +259,6 @@ let mk sign mag =
 let zero = { sign = 0; mag = [||] }
 let one = { sign = 1; mag = [| 1 |] }
 let two = { sign = 1; mag = [| 2 |] }
-let minus_one = { sign = -1; mag = [| 1 |] }
 
 let of_int n =
   if n = 0 then zero
@@ -315,8 +287,6 @@ let compare a b =
   if a.sign <> b.sign then compare a.sign b.sign
   else if a.sign >= 0 then mag_compare a.mag b.mag
   else mag_compare b.mag a.mag
-
-let hash x = Hashtbl.hash (x.sign, x.mag)
 
 let num_bits x =
   let n = Array.length x.mag in
@@ -371,25 +341,14 @@ let mul a b =
   if a.sign = 0 || b.sign = 0 then zero
   else mk (a.sign * b.sign) (mag_mul a.mag b.mag)
 
-(* [mul_int] and [add_int] with a one-limb operand ([|n| < base]) run
-   one pass over the magnitude; wider operands go through [of_int]. *)
+(* [mul_int] with a one-limb operand ([|n| < base]) runs one pass over
+   the magnitude; wider operands go through [of_int]. *)
 let mul_int a n =
   if a.sign = 0 || n = 0 then zero
   else if n > -base && n < base then
     { sign = (if n < 0 then -a.sign else a.sign);
       mag = mag_mul_limb a.mag (Stdlib.abs n) }
   else mul a (of_int n)
-
-let add_int a n =
-  if n = 0 then a
-  else if a.sign = 0 then of_int n
-  else if n > -base && n < base then begin
-    let k = Stdlib.abs n in
-    if (n < 0) = (a.sign < 0) then { a with mag = mag_add_limb a.mag k }
-    else if Array.length a.mag > 1 then { a with mag = mag_sub_limb a.mag k }
-    else of_int ((a.sign * a.mag.(0)) + n)
-  end
-  else add a (of_int n)
 
 let divmod a b =
   if b.sign = 0 then raise Division_by_zero
@@ -437,19 +396,6 @@ let shift_left x s =
       else Array.append (Array.make limb_shift 0) m
     in
     mk x.sign m
-  end
-
-let shift_right x s =
-  if s < 0 then invalid_arg "Bigint.shift_right"
-  else if x.sign = 0 || s = 0 then x
-  else begin
-    let limb_shift = s / base_bits and bit_shift = s mod base_bits in
-    let la = Array.length x.mag in
-    if limb_shift >= la then zero
-    else begin
-      let m = Array.sub x.mag limb_shift (la - limb_shift) in
-      mk x.sign (mag_shift_right_small m bit_shift)
-    end
   end
 
 let min a b = if compare a b <= 0 then a else b
@@ -524,11 +470,6 @@ let of_string_opt s =
     end
   end
 
-let of_string s =
-  match of_string_opt s with
-  | Some v -> v
-  | None -> invalid_arg (Printf.sprintf "Bigint.of_string: %S" s)
-
 (* Little-endian magnitude bytes for the persistent store.  A base-2^30
    limb stream is re-chunked into bytes through a small bit
    accumulator; [bits] never exceeds 37 (30 new + at most 7 pending), so
@@ -574,4 +515,3 @@ let of_bytes_le s =
   if !bits > 0 then limbs := !acc :: !limbs;
   mk 1 (mag_normalize (Array.of_list (List.rev !limbs)))
 
-let pp fmt x = Format.pp_print_string fmt (to_string x)

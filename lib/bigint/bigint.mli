@@ -15,7 +15,6 @@ type t
 val zero : t
 val one : t
 val two : t
-val minus_one : t
 
 val of_int : int -> t
 
@@ -24,17 +23,15 @@ val to_int : t -> int
     @raise Failure if [x] does not fit in an OCaml [int]. *)
 
 val to_int_opt : t -> int option
-val fits_int : t -> bool
 
 val to_float : t -> float
 (** Nearest-float conversion; large values may round or overflow to
     infinity, mirroring [float_of_int] semantics. *)
 
-val of_string : string -> t
-(** Parses an optionally signed decimal literal. Underscores are allowed as
-    digit separators. @raise Invalid_argument on malformed input. *)
-
 val of_string_opt : string -> t option
+(** Parses an optionally signed decimal literal. Underscores are allowed as
+    digit separators. [None] on malformed input. *)
+
 val to_string : t -> string
 
 val to_bytes_le : t -> string
@@ -57,7 +54,6 @@ val is_negative : t -> bool
 val is_even : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 val num_bits : t -> int
 (** Number of bits of the magnitude; [num_bits zero = 0]. *)
@@ -70,15 +66,10 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
 val succ : t -> t
-val pred : t -> t
-
-val divmod : t -> t -> t * t
-(** [divmod a b] is truncated division: [(q, r)] with [a = q*b + r],
-    [|r| < |b|] and [r] carrying the sign of [a] (or zero).
-    @raise Division_by_zero if [b] is zero. *)
 
 val div : t -> t -> t
-val rem : t -> t -> t
+(** Truncated division: the quotient rounds toward zero.
+    @raise Division_by_zero if [b] is zero. *)
 
 val ediv_rem : t -> t -> t * t
 (** Euclidean division: remainder is always in [\[0, |b|)]. *)
@@ -90,18 +81,13 @@ val pow : t -> int -> t
 (** [pow x k] for [k >= 0]. @raise Invalid_argument on negative exponent. *)
 
 val shift_left : t -> int -> t
-val shift_right : t -> int -> t
-(** Arithmetic shift towards zero on the magnitude. *)
 
 val mul_int : t -> int -> t
-val add_int : t -> int -> t
-(** [mul_int a n = mul a (of_int n)] and [add_int a n = add a (of_int n)].
-    When [|n| < 2^30] (one limb) they make one pass over [a]'s magnitude
-    and allocate only the result. *)
+(** [mul_int a n = mul a (of_int n)].  When [|n| < 2^30] (one limb) it
+    makes one pass over [a]'s magnitude and allocates only the result. *)
 
 val min : t -> t -> t
 val max : t -> t -> t
 
 (** {1 Printing} *)
 
-val pp : Format.formatter -> t -> unit

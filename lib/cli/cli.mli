@@ -8,10 +8,6 @@
     error, [1] for internal engine failures — the mapping of
     {!Errors.exit_code}. *)
 
-val root : int Cmdliner.Cmd.t
-(** The full [iowpdb] command group: query / open / anytime / mc /
-    robust / sample / info. *)
-
 val main : ?argv:string array -> unit -> int
 (** Evaluate [root] (against [Sys.argv] by default) and return the exit
     code.  [argv.(0)] is the program name, as with [Cmd.eval']. *)

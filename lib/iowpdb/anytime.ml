@@ -149,7 +149,6 @@ let create ?(eps = 0.01) ?(max_n = 1 lsl 20) ?(max_steps = 64)
     stopped;
   }
 
-let eps t = t.eps
 let current_n t = t.n
 let history t = List.rev t.steps_rev
 let last_step t = match t.steps_rev with [] -> None | s :: _ -> Some s

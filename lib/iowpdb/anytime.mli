@@ -128,13 +128,11 @@ val run : t -> stop_reason * step list
     (chronological) step history, including steps taken before the
     call. *)
 
-val history : t -> step list
 val last_step : t -> step option
 
 val stop_reason : t -> stop_reason option
 (** [None] while the session can still make progress. *)
 
-val eps : t -> float
 val current_n : t -> int
 
 val node_count : t -> int

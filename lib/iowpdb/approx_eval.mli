@@ -120,29 +120,14 @@ val certify :
     the certified tail implies.  [what] names the caller in error
     reports (default [Approx_eval(<source name>)]). *)
 
-val or_invalid_arg : ('a, Errors.t) Stdlib.result -> 'a
-(** How the raising entry points ({!boolean}, {!marginals}) report a
-    failed certify step: the [Invalid_argument] they always raised — the
-    bad-[eps] message verbatim, a divergence or slow-convergence
-    explanation otherwise. *)
-
 (** {1 Certification primitives}
 
     Shared with the incremental evaluator ({!Anytime}), which re-derives
     the same enclosures step by step. *)
 
-val required_tail : float -> float
-(** The tail-mass budget [2/3 * ln(1 + eps)] that makes claim (∗) certify
-    an additive error of [eps]. *)
-
 val omega_bounds_of_tail : float -> Interval.t
 (** Enclosure of [P(Omega_n)] from a certified tail bound: claim (∗)
     below, trivial 1 above; [\[0,1\]] once the tail reaches 1/2. *)
-
-val enclosure : Rational.t -> Interval.t -> Interval.t
-(** [enclosure p om]: the implied enclosure
-    [p * P(Omega_n) <= P(Q) <= p * P(Omega_n) + (1 - P(Omega_n))],
-    clamped to [\[0,1\]]. *)
 
 val enclosure_interval : Interval.t -> Interval.t -> Interval.t
 (** Same, from an interval enclosure of [P(Q | Omega_n)] instead of the
@@ -160,7 +145,9 @@ val marginals :
     so the probabilities have the limit semantics.  Tuples with estimate
     0 are omitted; a sentence yields at most the empty tuple.
     @raise Invalid_argument like {!boolean}, or beyond 3 free
-    variables. *)
+    variables.
+
+    Paper: the free-variable extension after Proposition 6.1. *)
 
 (** {1 Proposition 6.2 (no multiplicative approximation)} *)
 

@@ -46,7 +46,9 @@ val marginal : t -> Fact.t -> Rational.t option
 
 val truncated : t -> n:int -> Finite_pdb.t
 (** The finite product PDB [D x C_n] over the original worlds and the
-    first [n] new facts, as explicit worlds. *)
+    first [n] new facts, as explicit worlds.
+
+    Paper: the finite product D x C_n in the proof of Theorem 5.5. *)
 
 val completion_condition_gap : t -> n:int -> Rational.t
 (** [max_D |P'_n(D | Omega) - P(D)|] over original worlds [D], computed
@@ -56,7 +58,9 @@ val completion_condition_gap : t -> n:int -> Rational.t
 
 val omega_prob_bounds : t -> n:int -> Interval.t
 (** Enclosure of [P'(Omega)] — the mass remaining on original worlds =
-    [prod_{new f} (1 - p_f)]; positive by construction. *)
+    [prod_{new f} (1 - p_f)]; positive by construction.
+
+    Paper: Theorem 5.5 (P'(Omega) > 0). *)
 
 (** {1 Countable originals (Remark 5.6)} *)
 
@@ -67,7 +71,9 @@ val complete_countable_ti :
     convergent fact families.  The new facts are validated (lazily) to
     be disjoint from the original enumeration's prefix and free of
     probability-1 entries.
-    @raise Invalid_argument if either source diverges. *)
+    @raise Invalid_argument if either source diverges.
+
+    Paper: Remark 5.6. *)
 
 (** {1 Open-world policies} *)
 
@@ -95,7 +101,10 @@ val openpdb_lambda :
   lambda:Rational.t -> new_facts:Fact.t list -> Ti_table.t -> t
 (** The OpenPDB-style completion of Ceylan et al.: finitely many new
     facts, each with probability [lambda].
-    @raise Invalid_argument unless [0 <= lambda < 1]. *)
+    @raise Invalid_argument unless [0 <= lambda < 1].
+
+    Paper: the OpenPDB completion (Ceylan et al.) that Section 5
+    generalises. *)
 
 val geometric_policy :
   first:Rational.t ->

@@ -29,7 +29,6 @@ let block ~id ?mass alts =
 
 let block_finite ~id alts = block ~id (List.to_seq alts)
 
-let block_id b = b.id
 let block_mass b = b.mass
 let block_slack b = Rational.compl b.mass
 
@@ -132,14 +131,6 @@ let create ?(name = "bid") ~blocks ~tail () =
          "Countable_bid.create: %s has no convergence certificate (Theorem \
           4.15)"
          name)
-
-let create_r ?(name = "bid") ~blocks ~tail () =
-  let t = make name blocks tail in
-  match Errors.protect ~what:"Countable_bid.create" (fun () -> uncertified t) with
-  | Ok None -> Ok t
-  | Ok (Some probed_to) ->
-    Error (Errors.Divergent_source { source = name; probed_to })
-  | Error e -> Error e
 
 let of_finite_blocks ?(name = "bid-finite") bs =
   let arr = Array.of_list bs in

@@ -18,7 +18,9 @@ val block :
     alternative sequence, [mass] (the exact total [sum p^B_f], needed for
     the "no fact from this block" slack) is required; for finite
     sequences it is computed when omitted.
-    @raise Invalid_argument if a supplied mass is not in [\[0,1\]]. *)
+    @raise Invalid_argument if a supplied mass is not in [\[0,1\]].
+
+    Paper: a block of Definition 4.11. *)
 
 val block_finite : id:string -> (Fact.t * Rational.t) list -> block
 
@@ -39,12 +41,6 @@ val create :
     blocks run through the forcing tail, which can still detect a
     finite enumeration whose tail is exactly 0. *)
 
-val create_r :
-  ?name:string ->
-  blocks:block Seq.t ->
-  tail:(int -> float option) ->
-  unit ->
-  (t, Errors.t) result
 (** {!create} with classified failures ([Divergent_source], with the
     depth the raw certificate was searched to, when it never answers). *)
 
@@ -53,9 +49,10 @@ val of_finite_blocks : ?name:string -> block list -> t
 val name : t -> string
 
 val nth_block : t -> int -> block option
-val block_id : block -> string
 val block_mass : block -> Rational.t
 val block_slack : block -> Rational.t
+(** Paper: the slack 1 - sum_f p^B_f of Definition 4.11. *)
+
 val alternatives : ?limit:int -> block -> (Fact.t * Rational.t) list
 
 val marginal : t -> Fact.t -> Rational.t option

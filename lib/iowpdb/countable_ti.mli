@@ -34,7 +34,9 @@ val source : t -> Fact_source.t
 
 val marginal : t -> Fact.t -> Rational.t option
 (** [P(E_f) = p_f]; [None] when the fact was not found within the
-    enumeration scan bound (unknown, possibly 0). *)
+    enumeration scan bound (unknown, possibly 0).
+
+    Paper: Lemma 4.4 (P(E_f) = p_f). *)
 
 val expected_size_bounds : t -> n:int -> float * float
 (** Two-sided bounds on [E(S_D) = sum_f p_f] from the first [n] terms
@@ -43,20 +45,28 @@ val expected_size_bounds : t -> n:int -> float * float
 val instance_prob_bounds : t -> n:int -> Instance.t -> Interval.t
 (** Enclosure of [P({D})] using the first [n] enumerated facts exactly
     and claim (∗) on the tail.  All facts of [D] must lie within the
-    first [n]; @raise Invalid_argument otherwise (increase [n]). *)
+    first [n]; @raise Invalid_argument otherwise (increase [n]).
+
+    Paper: claim (∗) of Section 4.1. *)
 
 val instance_prob_prefix : t -> n:int -> Instance.t -> Rational.t
 (** The exact finite part
     [prod_{f in D} p_f * prod_{f in first-n - D} (1-p_f)]: the
     probability that the world agrees with [D] on the first [n] facts.
-    Monotonically decreasing in [n], with limit [P({D})]. *)
+    Monotonically decreasing in [n], with limit [P({D})].
+
+    Paper: the finite products of Lemma 4.4. *)
 
 val empty_world_prob_bounds : t -> n:int -> Interval.t
 (** Enclosure of [P({})] = [prod (1 - p_f)]; positive iff no [p_f = 1]
     and the series converges — the quantity behind [P1({}) > 0] in the
-    proof of Theorem 5.5. *)
+    proof of Theorem 5.5.
+
+    Paper: P({}) > 0 in the proof of Theorem 5.5. *)
 
 val truncate : t -> n:int -> Ti_table.t
+(** Paper: the first-n truncation of Proposition 6.1. *)
+
 val sample : ?tail_cut:float -> ?max_facts:int -> t -> Prng.t -> Instance.t
 (** Draw a world.  Facts in the prefix up to the first tail bound below
     [tail_cut] (default [2^-20]), capped at [max_facts] (default 4096),

@@ -155,11 +155,6 @@ let converges ?max_n s =
 let prefix_sum s n =
   List.fold_left (fun acc (_, p) -> Rational.add acc p) Rational.zero (prefix s n)
 
-let total_mass_upper s n =
-  Option.map
-    (fun t -> Rational.to_float (prefix_sum s n) +. t)
-    (tail_mass s n)
-
 let truncate s n = Ti_table.create (prefix s n)
 
 (* ------------------------------------------------------------------ *)
@@ -279,13 +274,6 @@ let append_finite entries s =
         Option.map
           (fun t -> (suffix.(n) *. (1. +. 1e-12)) +. t)
           (tail_mass s 0))
-    ()
-
-let map_facts rename s =
-  make
-    ~name:("map:" ^ s.name)
-    ~enum:(Seq.map (fun (f, p) -> (rename f, p)) (seq_of s))
-    ~tail:(fun n -> tail_mass s n)
     ()
 
 let interleave a b =

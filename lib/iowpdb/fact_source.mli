@@ -9,7 +9,7 @@
     finite tail certificate.
 
     This is also precisely the access model of Section 6's approximation
-    algorithm: assumption (i) is [total_mass_upper], assumption (ii) is
+    algorithm: assumption (i) is [tail_mass], assumption (ii) is
     [nth]/[prob].  The module owns the one search over a tail
     certificate ({!search}): Proposition 6.1's [n(eps)], Theorem 4.8's
     convergence test ({!converges}) and every sampler's prefix all come
@@ -111,9 +111,6 @@ val seq_of : t -> (Fact.t * Rational.t) Seq.t
     consumer.  Used to concatenate sources (e.g. a packed store prefix
     followed by a completion tail). *)
 
-val total_mass_upper : t -> int -> float option
-(** Exact prefix sum (as float) plus the tail bound at [n]. *)
-
 val prefix_sum : t -> int -> Rational.t
 (** Exact sum of the first [n] probabilities. *)
 
@@ -125,9 +122,6 @@ val append_finite : (Fact.t * Rational.t) list -> t -> t
 (** Prepend finitely many entries (e.g. the original facts of a
     completion) ahead of a countable tail.  Facts in the list must not
     reappear in the tail — validated lazily. *)
-
-val map_facts : (Fact.t -> Fact.t) -> t -> t
-(** Rename facts (must stay injective — validated lazily). *)
 
 val interleave : t -> t -> t
 (** Fair interleaving; tails add.  Fact sets must be disjoint (validated

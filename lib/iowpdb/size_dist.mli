@@ -12,18 +12,24 @@ val example_3_3 : unit -> (Instance.t * Rational.t) Seq.t
     [p_n = c/(n(n+1))] with [c = 1] shifted to keep a probability
     distribution with the same [2^n / n^2]-style growth, so that
     [E(S_D) = sum p_n * 2^n] still diverges.  Infinite sequence;
-    take a prefix. *)
+    take a prefix.
+
+    Paper: Example 3.3. *)
 
 val example_3_3_expected_size_prefix : int -> Rational.t
 (** [sum_{n<=N} p_n * ‖D_n‖]: the truncated expectation, which grows
     without bound (the experiment E4 series). *)
 
 val example_3_3_mass_prefix : int -> Rational.t
-(** [sum_{n<=N} p_n]: approaches 1. *)
+(** [sum_{n<=N} p_n]: approaches 1.
+
+    Paper: Example 3.3. *)
 
 val tail_size_probability : (Instance.t * Rational.t) list -> int -> Rational.t
 (** [P(S_D >= n)] of an explicit (sub-)distribution — equation (6) says
-    this vanishes as [n] grows for any PDB. *)
+    this vanishes as [n] grows for any PDB.
+
+    Paper: equation (6) and Proposition 3.4. *)
 
 val histogram : (int -> Instance.t) -> samples:int -> (int * int) list
 (** Sample sizes: [histogram draw ~samples] calls [draw i] for

@@ -864,12 +864,3 @@ let scaled_count ~weight roots =
       idxs
   end
 
-let pp fmt t =
-  let m = t.mgr in
-  let rec go fmt i =
-    if i < 2 then Format.fprintf fmt "%b" (i = 1)
-    else
-      Format.fprintf fmt "@[<hov 1>(x%d ? %a : %a)@]" m.var_a.(i) go
-        m.hi_a.(i) go m.lo_a.(i)
-  in
-  go fmt t.idx

@@ -114,7 +114,10 @@ val maybe_gc : manager -> int
     sub-compilations. *)
 
 val is_tru : t -> bool
+(** Reference: an observer for tests. *)
+
 val is_fls : t -> bool
+(** Reference: an observer for tests. *)
 
 val equal : t -> t -> bool
 (** Constant-time: ROBDDs are canonical per manager.  [false] for nodes
@@ -137,7 +140,9 @@ val peak_count : manager -> int
 val cache_size : manager -> int
 (** The {e effective} number of operation-cache entries — the requested
     [cache_size] rounded up to a power of two >= 64, never the raw
-    request. *)
+    request.
+
+    Reference: an observer for tests. *)
 
 val effective_cache_size : int -> int
 (** [effective_cache_size requested] is the operation-cache size
@@ -150,22 +155,33 @@ val default_cache_size : int
 (** The [cache_size] used when the knob is omitted ([2^11]). *)
 
 val eval : (int -> bool) -> t -> bool
+(** Reference: tests check compiled diagrams against the expression's
+    truth table with it. *)
 
 val support : t -> int list
-(** Variables the function actually depends on, sorted. *)
+(** Variables the function actually depends on, sorted.
+
+    Reference: an observer for tests. *)
 
 val sat_count : t -> over:int list -> Bigint.t
 (** Number of satisfying assignments over the given variable set, which
-    must contain the support. @raise Invalid_argument otherwise. *)
+    must contain the support. @raise Invalid_argument otherwise.
+
+    Reference: tests check it against Bool_expr.model_count. *)
 
 val any_sat : t -> (int * bool) list option
 (** A satisfying partial assignment (over the support), or [None] for the
     constant-false BDD.  Linear in the DAG size: UNSAT subtrees are
     memoized, so shared false-heavy nodes are abandoned once instead of
-    once per path. *)
+    once per path.
+
+    Reference: tests check witnesses with it. *)
 
 val restrict : manager -> t -> int -> bool -> t
-(** Cofactor: fix one variable. *)
+(** Cofactor: fix one variable.
+
+    Reference: tests check the Shannon expansion and the law of total
+    probability with it. *)
 
 (** {1 Weighted model counting}
 
@@ -187,7 +203,9 @@ val prob_memo : unit -> 'a prob_memo
 val prob_memo_clear : 'a prob_memo -> unit
 
 val prob_memo_size : 'a prob_memo -> int
-(** Number of node entries currently held (diagnostics). *)
+(** Number of node entries currently held (diagnostics).
+
+    Reference: an observer for tests. *)
 
 val fold_prob_many :
   ?memo:'a prob_memo ->
@@ -228,4 +246,3 @@ val scaled_count :
     empty batch).  [weight] is asked once per level that occurs.
     @raise Invalid_argument if the roots span different managers. *)
 
-val pp : Format.formatter -> t -> unit

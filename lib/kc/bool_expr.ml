@@ -109,8 +109,6 @@ and to_string_atomic e =
   | True | False | Var _ | Not _ -> to_string e
   | And _ | Or _ -> "(" ^ to_string e ^ ")"
 
-let pp fmt e = Format.pp_print_string fmt (to_string e)
-
 let enumeration_guard e =
   let vs = vars e in
   if List.length vs > 20 then

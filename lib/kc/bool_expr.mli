@@ -31,15 +31,21 @@ val implies : t -> t -> t
 (** {1 Queries} *)
 
 val eval : (int -> bool) -> t -> bool
+(** Reference: the truth-table semantics tests compare lineage,
+    diagrams and DNFs against. *)
 
 val vars : t -> int list
-(** Sorted, duplicate-free. *)
+(** Sorted, duplicate-free.
+
+    Reference: an observer for tests. *)
 
 val size : t -> int
 (** Number of AST nodes. *)
 
 val is_constant : t -> bool option
-(** [Some b] if syntactically the constant [b]. *)
+(** [Some b] if syntactically the constant [b].
+
+    Reference: an observer for tests. *)
 
 val occurrence_order : t -> int list
 (** Variables in depth-first first-occurrence order.  Using this as a BDD
@@ -47,20 +53,27 @@ val occurrence_order : t -> int list
     [S(v)] of one join value) adjacent, which avoids the classic
     exponential blowup of sorted-by-relation orders on join lineages. *)
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
+(** Reference: an observer for tests. *)
+
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
+(** Reference: prints counterexamples in tests. *)
 
 (** {1 Exhaustive model counting} *)
 
 val model_count : t -> int
 (** Number of satisfying assignments over [vars t].  Exponential; for
-    cross-checking only. @raise Invalid_argument beyond 20 variables. *)
+    cross-checking only. @raise Invalid_argument beyond 20 variables.
+
+    Reference: the brute-force count tests compare Bdd.sat_count
+    against. *)
 
 val brute_force_probability : (int -> Rational.t) -> t -> Rational.t
 (** Weighted model count by truth-table enumeration: the probability that
     the expression holds when variable [i] is independently true with
     probability [weight i].  Exponential; the reference implementation the
     BDD engine is tested against. @raise Invalid_argument beyond 20
-    variables. *)
+    variables.
+
+    Reference: the brute-force probability tests compare every count
+    against. *)

@@ -19,10 +19,17 @@ val of_expr : ?max_clauses:int -> Bool_expr.t -> t option
     false; [Some [[]]] the constant true. *)
 
 val eval : (int -> bool) -> t -> bool
+(** Reference: tests check DNF semantics against Bool_expr.eval with
+    it. *)
+
 val vars : t -> int list
+(** Reference: an observer for tests. *)
+
 val num_clauses : t -> int
+(** Reference: an observer for tests. *)
 
 val to_expr : t -> Bool_expr.t
+(** Reference: tests check the conversion round trip with it. *)
 
 val clause_weight : (int -> float) -> clause -> float
 (** Product of the variables' marginals: the probability that the clause

@@ -18,19 +18,6 @@ val first_occurrence_order : Bool_expr.t list -> int -> int
     {!Bool_expr.occurrence_order}), variables outside them last.  Pass it
     as [~order] to {!Bdd.manager}. *)
 
-val compile :
-  ?tick:(unit -> unit) ->
-  ?on_free:(int -> unit) ->
-  ?cache_size:int ->
-  ?gc_threshold:int ->
-  Bool_expr.t ->
-  Bdd.t
-(** Compile one lineage into a fresh manager under
-    {!first_occurrence_order}.  The optional arguments are forwarded to
-    {!Bdd.manager}: [tick] is called per fresh node and may raise to
-    abort a blowing-up compilation; [on_free] refunds nodes reclaimed by
-    GC when [gc_threshold] enables it. *)
-
 val count : weight:(int -> Rational.t) -> Bdd.t array -> Rational.t array
 (** The exact count of a batch of roots of one manager: the probability
     that each holds when variable [v] is independently true with
@@ -46,5 +33,9 @@ val probability :
   weight:(int -> Rational.t) ->
   Bool_expr.t ->
   Rational.t
-(** {!compile}, then count: the probability that the lineage holds when
-    variable [v] is independently true with probability [weight v]. *)
+(** Compile the lineage into a fresh manager under
+    {!first_occurrence_order}, then count: the probability that it holds
+    when variable [v] is independently true with probability [weight v].
+    The optional arguments go to {!Bdd.manager}: [tick] is called per
+    fresh node and may raise to abort a blowing-up compilation; [on_free]
+    refunds nodes reclaimed by GC when [gc_threshold] enables it. *)

@@ -21,11 +21,6 @@ let atom r ts = Atom (r, ts)
 let v x = Var x
 let c value = Const value
 let cint n = Const (Value.Int n)
-let cstr s = Const (Value.Str s)
-let lt a b = Cmp (Lt, a, b)
-let le a b = Cmp (Le, a, b)
-let gt a b = Cmp (Gt, a, b)
-let ge a b = Cmp (Ge, a, b)
 
 let conj = function
   | [] -> True
@@ -172,12 +167,6 @@ let rename_bound rename f =
   in
   go SMap.empty f
 
-let rec size = function
-  | True | False | Atom _ | Eq _ | Cmp _ -> 1
-  | Not f -> 1 + size f
-  | And (f, g) | Or (f, g) | Implies (f, g) -> 1 + size f + size g
-  | Exists (_, f) | Forall (_, f) -> 1 + size f
-
 let compare = Stdlib.compare
 let equal a b = compare a b = 0
 
@@ -208,8 +197,6 @@ and atomic f =
   match f with
   | True | False | Atom _ | Eq _ | Cmp _ | Not _ -> to_string f
   | _ -> "(" ^ to_string f ^ ")"
-
-let pp fmt f = Format.pp_print_string fmt (to_string f)
 
 let rec is_positive = function
   | True | False | Atom _ | Eq _ | Cmp _ -> true

@@ -33,11 +33,6 @@ val atom : string -> term list -> t
 val v : string -> term
 val c : Value.t -> term
 val cint : int -> term
-val cstr : string -> term
-val lt : term -> term -> t
-val le : term -> term -> t
-val gt : term -> term -> t
-val ge : term -> term -> t
 
 val conj : t list -> t
 (** Right-nested conjunction; [True] on the empty list. *)
@@ -52,6 +47,7 @@ val free_vars : t -> string list
 (** Sorted, duplicate-free. *)
 
 val is_sentence : t -> bool
+(** Reference: an observer for tests. *)
 
 val quantifier_rank : t -> int
 (** Maximum quantifier nesting depth — the parameter [r] of
@@ -78,12 +74,10 @@ val rename_bound : (string -> string) -> t -> t
     same image — either could capture.  Shadowing in [phi] is preserved
     (equal bound names rename equally). *)
 
-val size : t -> int
-
 val equal : t -> t -> bool
-val compare : t -> t -> int
+(** Reference: tests check the parser's round trip with it. *)
+
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 (** {1 Shape tests (for the safe-plan engine)} *)
 

@@ -40,24 +40,6 @@ let rec eval inst domain env = function
   | Fo.Forall (x, f) ->
     List.for_all (fun v -> eval inst domain (SMap.add x v env) f) domain
 
-let satisfies ?(extra_domain = []) inst bindings phi =
-  let env =
-    List.fold_left (fun acc (x, v) -> SMap.add x v acc) SMap.empty bindings
-  in
-  let missing =
-    List.filter (fun x -> not (SMap.mem x env)) (Fo.free_vars phi)
-  in
-  if missing <> [] then
-    invalid_arg
-      (Printf.sprintf "Fo_eval.satisfies: unbound free variables %s"
-         (String.concat ", " missing))
-  else begin
-    let domain =
-      evaluation_domain inst phi (extra_domain @ List.map snd bindings)
-    in
-    eval inst domain env phi
-  end
-
 let models ?(extra_domain = []) inst phi =
   match Fo.free_vars phi with
   | [] ->
@@ -83,5 +65,3 @@ let answers ?(extra_domain = []) inst phi =
   in
   (xs, assign SMap.empty xs)
 
-let answer_count ?extra_domain inst phi =
-  Tuple.Set.cardinal (snd (answers ?extra_domain inst phi))

@@ -9,23 +9,12 @@ val models : ?extra_domain:Value.t list -> Instance.t -> Fo.t -> bool
 (** [models d phi] decides [D |= phi] for a sentence.
     @raise Invalid_argument if [phi] has free variables. *)
 
-val satisfies :
-  ?extra_domain:Value.t list ->
-  Instance.t ->
-  (string * Value.t) list ->
-  Fo.t ->
-  bool
-(** [satisfies d env phi] for a formula whose free variables are all bound
-    by [env]. @raise Invalid_argument if some free variable is unbound. *)
-
 val answers :
   ?extra_domain:Value.t list -> Instance.t -> Fo.t -> string list * Tuple.Set.t
 (** [answers d phi] is [(xs, tuples)]: the free variables in sorted order
     and the set [phi(D)] of satisfying valuations (projected in that
     order).  For a sentence, the answer is the empty tuple iff [D |= phi]
     (the Boolean convention of Section 2.1). *)
-
-val answer_count : ?extra_domain:Value.t list -> Instance.t -> Fo.t -> int
 
 val evaluation_domain : Instance.t -> Fo.t -> Value.t list -> Value.t list
 (** The combined quantification domain used by the functions above

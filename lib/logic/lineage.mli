@@ -44,13 +44,17 @@ val extend : alphabet -> Fact.t list -> alphabet
 
 val alphabet_size : alphabet -> int
 val facts : alphabet -> Fact.t list
+(** Reference: an observer for tests. *)
+
 val var_of_fact : alphabet -> Fact.t -> int option
 val fact_of_var : alphabet -> int -> Fact.t
 (** @raise Invalid_argument on an out-of-range index. *)
 
 val domain : ?extra:Value.t list -> alphabet -> Fo.t -> Value.t list
 (** Quantification domain used by {!of_sentence}: the active domain of
-    the alphabet's facts, the formula's constants, plus [extra]. *)
+    the alphabet's facts, the formula's constants, plus [extra].
+
+    Reference: an observer for tests. *)
 
 val of_sentence : ?extra:Value.t list -> alphabet -> Fo.t -> Bool_expr.t
 (** The lineage of a sentence over the domain {!domain}[ ~extra]: each

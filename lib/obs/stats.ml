@@ -183,16 +183,6 @@ let diff later earlier =
   in
   List.map (fun n -> (n, find later n -. find earlier n)) names
 
-let reset () =
-  with_registry (fun () ->
-      Hashtbl.iter
-        (fun _ e ->
-          match e with
-          | Counter c -> Atomic.set c.c 0
-          | Timer t -> Atomic.set t.seconds 0.0
-          | Hist h -> Array.iter (fun c -> Atomic.set c 0) h.counts)
-        registry)
-
 let report fmt snap =
   List.iter
     (fun (name, v) ->

@@ -29,7 +29,7 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 
 val count : counter -> int
-(** Current value (monotone except across {!reset}). *)
+(** Current value (monotone). *)
 
 val timer : string -> timer
 (** Create-or-lookup, like {!counter}.  A timer accumulates wall-clock
@@ -47,19 +47,17 @@ val add_elapsed : timer -> float -> unit
     @raise Invalid_argument on negative or nan durations. *)
 
 val elapsed : timer -> float
-(** Accumulated seconds. *)
+(** Accumulated seconds.
+
+    Reference: an observer for tests. *)
 
 (** {1 Histograms} *)
 
 type histogram
 
-val default_bounds : float array
-(** Log-spaced latency bounds, 5 per decade from 10 microseconds to
-    100 seconds (36 buckets), suitable for request latencies. *)
-
 val histogram : ?bounds:float array -> string -> histogram
 (** Create-or-lookup, like {!counter}.  [bounds] are the strictly
-    increasing bucket upper bounds (default {!default_bounds}); an
+    increasing bucket upper bounds (default: 36 buckets from 10 µs, five per decade); an
     implicit overflow bucket catches larger values.  Recording is one
     binary search plus one atomic increment — lock-free, so worker
     domains may observe concurrently without losing samples.
@@ -70,11 +68,15 @@ val observe : histogram -> float -> unit
 (** Record one value into its bucket (nan goes to the overflow cell). *)
 
 val observations : histogram -> int
-(** Total number of recorded values. *)
+(** Total number of recorded values.
+
+    Reference: an observer for tests. *)
 
 val bucket_counts : histogram -> (float * int) array
 (** [(upper_bound, count)] per bucket, the overflow cell reported with
-    bound [infinity]. *)
+    bound [infinity].
+
+    Reference: an observer for tests. *)
 
 val quantile : histogram -> float -> float
 (** [quantile h q] for [q] in [[0, 1]]: the upper bound of the bucket
@@ -82,7 +84,9 @@ val quantile : histogram -> float -> float
     (over-)estimate, resolution-limited by the bucket width.  Values in
     the overflow cell report the last finite bound (so the result is
     always finite, e.g. for JSON output).  Returns [0.] on an empty
-    histogram.  @raise Invalid_argument when [q] is outside [[0, 1]]. *)
+    histogram.  @raise Invalid_argument when [q] is outside [[0, 1]].
+
+    Reference: an observer for tests. *)
 
 (** {1 Snapshots} *)
 
@@ -104,10 +108,6 @@ val find : snapshot -> string -> float
 val by_prefix : snapshot -> string -> snapshot
 (** Entries whose name starts with the prefix, in snapshot order — e.g.
     [by_prefix snap "robust."] for one subsystem's view. *)
-
-val reset : unit -> unit
-(** Zero every registered counter, timer and histogram (the registry
-    itself — the set of names — is preserved). *)
 
 val report : Format.formatter -> snapshot -> unit
 (** Human-readable table, one [name value] line per entry; zero entries

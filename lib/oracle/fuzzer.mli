@@ -45,9 +45,6 @@ type engine = Exact | Lifted | Approx | Anytime | Mc | Robust | Batch | Delta
 val all_engines : engine list
 val engine_to_string : engine -> string
 
-val engine_of_string : string -> engine option
-(** Case-insensitive. *)
-
 val engines_of_string : string -> (engine list, string) result
 (** Comma-separated list, e.g. ["exact,mc"]; ["all"] means every
     engine. *)
@@ -102,14 +99,7 @@ val run_case :
 (** Run all enabled checks on one case; returns [(checks_run,
     failures)].  An engine that raises an unexpected exception fails its
     check with the exception text.  Oracle universes that would exceed
-    {!Oracle.max_worlds} cause the affected checks to be skipped (not
-    counted). *)
-
-val shrink : ?max_steps:int -> failure -> failure
-(** Greedily minimize the failing case: drop facts / blocks /
-    alternatives and replace the query by structurally smaller sentences
-    (subformulas, quantifier instantiations) while the same check still
-    fails.  Deterministic. *)
+    2^16 worlds cause the affected checks to be skipped (not counted). *)
 
 type report = {
   cases_run : int;
@@ -151,10 +141,6 @@ val of_lines : ?file:string -> string list -> corpus_case
 (** Inverse of {!to_lines}; blank lines and [#] comments ignored.
     @raise Invalid_argument on malformed input, citing [file] and the
     line. *)
-
-val save : dir:string -> seed:int -> failure -> string
-(** Write a shrunk failure as [<dir>/<check>-<seed>-<id>.case]; returns
-    the path. *)
 
 val load : string -> corpus_case
 (** Read a [.case] file. *)

@@ -105,8 +105,6 @@ let of_fact_source src ~n =
   in
   of_ti_facts ~tail prefix
 
-let of_countable_ti cti ~n = of_fact_source (Countable_ti.source cti) ~n
-
 let of_bid_blocks ?(tail = Rational.zero) blocks =
   let seen = Hashtbl.create 16 in
   List.iter
@@ -162,47 +160,6 @@ let of_bid_table bid =
        (fun (b : Bid_table.block) -> (b.Bid_table.block_id, b.alternatives))
        (Bid_table.blocks bid))
 
-let of_countable_bid cb ~n_blocks ~max_alts =
-  let blocks =
-    List.init n_blocks (fun i -> (i, Countable_bid.nth_block cb i))
-    |> List.filter_map (fun (i, b) -> Option.map (fun b -> (i, b)) b)
-  in
-  let tail =
-    rational_of_tail_float (Countable_bid.name cb)
-      (Countable_bid.tail_mass cb (List.length blocks))
-  in
-  let blocks =
-    List.map
-      (fun (i, b) ->
-        let alts = Countable_bid.alternatives ~limit:(max_alts + 1) b in
-        if List.length alts > max_alts then
-          invalid_arg
-            (Printf.sprintf
-               "Oracle.of_countable_bid: block %d exceeds %d alternatives" i
-               max_alts);
-        (Countable_bid.block_id b, alts))
-      blocks
-  in
-  of_bid_blocks ~tail blocks
-
-let of_worlds ?(tail = Rational.zero) ws =
-  let tbl = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun (inst, m) ->
-      if Rational.sign m < 0 then
-        invalid_arg "Oracle.of_worlds: negative mass";
-      match Hashtbl.find_opt tbl inst with
-      | Some r -> r := Rational.add !r m
-      | None ->
-        Hashtbl.add tbl inst (ref m);
-        order := inst :: !order)
-    ws;
-  let worlds =
-    List.rev_map (fun inst -> (inst, !(Hashtbl.find tbl inst))) !order
-  in
-  make_universe ~tail worlds
-
 let of_completion c ~n =
   let orig = (of_ti_table (Completion.original c)).worlds in
   let news = of_fact_source (Completion.new_facts c) ~n in
@@ -222,8 +179,6 @@ let of_completion c ~n =
 
 let worlds u = u.worlds
 let num_worlds u = List.length u.worlds
-let support u = u.support
-let tail_bound u = u.tail
 let mass u = Rational.sum (List.map snd u.worlds)
 
 let condition u event =

@@ -31,17 +31,13 @@ type universe
     probability that some truncated-away fact occurs.  World masses
     always sum to exactly 1 (checked at construction). *)
 
-val max_worlds : int
-(** Hard cap on the number of enumerated worlds ([2^16]); constructors
-    raise [Invalid_argument] beyond it. *)
-
 val of_ti_facts :
   ?tail:Rational.t -> (Fact.t * Rational.t) list -> universe
 (** Tuple-independent universe on the given facts: all [2^n] subsets,
     [P(D) = prod_{f in D} p_f * prod_{f not in D} (1 - p_f)].  [tail]
     (default 0) bounds the mass of truncated-away facts.
     @raise Invalid_argument on duplicate facts, probabilities outside
-    [\[0,1\]], a negative tail, or more than {!max_worlds} worlds. *)
+    [\[0,1\]], a negative tail, or more than 2^16 worlds. *)
 
 val of_ti_table : Ti_table.t -> universe
 (** Finite table: tail 0. *)
@@ -52,47 +48,33 @@ val of_fact_source : Fact_source.t -> n:int -> universe
     (dyadic) value.  @raise Invalid_argument if the certificate cannot
     answer at [n]. *)
 
-val of_countable_ti : Countable_ti.t -> n:int -> universe
-
 val of_bid_blocks :
   ?tail:Rational.t -> (string * (Fact.t * Rational.t) list) list -> universe
 (** Block-independent-disjoint universe: each block contributes one of
     its alternatives or no fact (slack [1 - sum p]); blocks independent.
     @raise Invalid_argument on a repeated fact, block mass above 1, or
-    world blow-up. *)
+    world blow-up.
+
+    Reference: the enumeration oracle tests compare BID engines
+    against. *)
 
 val of_bid_table : Bid_table.t -> universe
-
-val of_countable_bid :
-  Countable_bid.t -> n_blocks:int -> max_alts:int -> universe
-(** First [n_blocks] blocks, each of which must have at most [max_alts]
-    alternatives (so no within-block mass is silently dropped);
-    the tail bound is the block-mass certificate at [n_blocks].
-    @raise Invalid_argument if a block is larger or the certificate is
-    silent. *)
 
 val of_completion : Completion.t -> n:int -> universe
 (** Product of the original table's worlds with the TI universe on the
     first [n] new facts — the Theorem 5.5 product, built world by world;
     the tail bound is the new-fact source's certificate at [n]. *)
 
-val of_worlds :
-  ?tail:Rational.t -> (Instance.t * Rational.t) list -> universe
-(** An explicit distribution (duplicates merged).
-    @raise Invalid_argument unless the masses are nonnegative and sum to
-    exactly 1. *)
-
 (** {1 Inspection} *)
 
 val worlds : universe -> (Instance.t * Rational.t) list
 val num_worlds : universe -> int
-val support : universe -> Fact.t list
-(** Facts occurring in some world, sorted. *)
 
-val tail_bound : universe -> Rational.t
 val mass : universe -> Rational.t
 (** Exact sum of world masses — always 1 (the Lemma 4.3 partition
-    identity); exposed so tests can watch it hold. *)
+    identity); exposed so tests can watch it hold.
+
+    Reference: an observer for tests. *)
 
 val condition : universe -> (Instance.t -> bool) -> universe
 (** Conditional distribution given the event.  Only for fully finite
@@ -114,14 +96,6 @@ type semantics =
           every deeper truncation; the semantics targeted by the
           interval-reporting engines *)
 
-val holds : domain:Value.t list -> Instance.t -> Fo.t -> bool
-(** The oracle's own FO model checker: direct recursion on the formula,
-    quantifiers enumerated over [domain].  Independent of
-    {!Fo_eval} by construction.
-    @raise Invalid_argument on free variables. *)
-
-val eval_domain : universe -> semantics -> Fo.t -> Value.t list
-
 val query_prob : ?semantics:semantics -> universe -> Fo.t -> Rational.t
 (** Exact [P(Q | no truncated-away fact occurs)]: the sum of the masses
     of the worlds satisfying [Q].  Default semantics: [Truncated]. *)
@@ -134,7 +108,10 @@ val expected_size : universe -> Rational.t
     exactly on TI universes (Corollary 4.7). *)
 
 val size_distribution : universe -> (int * Rational.t) list
-(** [(k, P(S_D = k))], ascending, nonzero entries. *)
+(** [(k, P(S_D = k))], ascending, nonzero entries.
+
+    Reference: the enumeration oracle tests compare size distributions
+    against. *)
 
 (** {1 Tail enclosures} *)
 
@@ -159,7 +136,9 @@ val width : enclosure -> Rational.t
     interval-narrowing law the fuzzer asserts). *)
 
 val exact : enclosure -> Rational.t option
-(** [Some cond] when the enclosure is a point (tail 0). *)
+(** [Some cond] when the enclosure is a point (tail 0).
+
+    Reference: the enumeration oracle's exact value. *)
 
 (** {1 Comparing against engine-reported floats}
 
@@ -168,8 +147,12 @@ val exact : enclosure -> Rational.t option
     these checks are themselves exact. *)
 
 val float_le_rational : float -> Rational.t -> bool
+(** Reference: the exact comparison tests use against the oracle. *)
+
 val rational_le_float : Rational.t -> float -> bool
-(** Infinities compare as expected; NaN is never [<=]. *)
+(** Infinities compare as expected; NaN is never [<=].
+
+    Reference: the exact comparison tests use against the oracle. *)
 
 val interval_contains : lo:float -> hi:float -> Rational.t -> bool
 (** Is the exact value inside the reported interval? *)

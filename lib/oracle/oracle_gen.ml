@@ -231,6 +231,15 @@ let rec gen_formula cfg g sch vars ~rank ~budget ~positive =
         gen_formula cfg g sch (x :: vars) ~rank:(rank - 1)
           ~budget:(budget - 1) ~positive
       in
+      (* Now and then equate [x] with a variable bound outside it, as in
+         [exists y x. y = x & R(x)]: [y] then reaches [R] only through
+         [x], a variable bound inside its scope. *)
+      let body =
+        if vars <> [] && Prng.int g 4 = 0 then
+          let y = List.nth vars (Prng.int g (List.length vars)) in
+          Fo.And (Fo.Eq (Fo.Var y, Fo.Var x), body)
+        else body
+      in
       if positive then
         if Prng.int g 4 = 0 then Fo.Forall (x, body) else Fo.Exists (x, body)
       else if Prng.bool g then Fo.Exists (x, body)

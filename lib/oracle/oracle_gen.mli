@@ -20,24 +20,11 @@ type config = {
 
 val default : config
 
-val value_pool : Value.t list
-(** The constants tables and queries draw from (small ints and
-    strings). *)
-
 val schema : config -> Prng.t -> Schema.t
 (** 1 to [max_relations] relations named [R], [S], [T], ... with random
     arities in [1, max_arity]. *)
 
-val ti_facts : config -> Prng.t -> Schema.t -> (Fact.t * Rational.t) list
-(** Distinct facts over the schema with probabilities
-    [k/denominator], [1 <= k <= denominator]. *)
-
 val ti_table : config -> Prng.t -> Schema.t -> Ti_table.t
-
-val bid_blocks :
-  config -> Prng.t -> Schema.t -> (string * (Fact.t * Rational.t) list) list
-(** Distinct facts across blocks; each block's mass is at most 1, with
-    nonzero slack left most of the time. *)
 
 val bid_table : config -> Prng.t -> Schema.t -> Bid_table.t
 
@@ -67,7 +54,10 @@ val policy : config -> Prng.t -> Completion.policy
 
 val sentence : config -> Prng.t -> Schema.t -> Fo.t
 (** A closed Boolean formula over the schema (atoms, equality, optional
-    comparisons, Boolean connectives, quantifiers up to [max_rank]). *)
+    comparisons, Boolean connectives, quantifiers up to [max_rank]).  A
+    quantifier opened inside another is often conjoined with an equality
+    to an outer variable, so [exists x y. x = y & R(y)] is a common
+    shape. *)
 
 val positive_sentence : config -> Prng.t -> Schema.t -> Fo.t
 (** Negation- and implication-free — monotone in the facts, so the

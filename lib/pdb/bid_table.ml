@@ -72,9 +72,6 @@ let support t = List.map fst (Fact.Map.bindings t.fact_prob)
 let size t = Fact.Map.cardinal t.fact_prob
 let num_blocks t = List.length t.blocks
 
-let expected_instance_size t =
-  Fact.Map.fold (fun _ p acc -> Rational.add acc p) t.fact_prob Rational.zero
-
 let is_good_instance t inst =
   Instance.for_all (fun f -> Fact.Map.mem f t.fact_block) inst
   &&
@@ -362,4 +359,3 @@ let of_file path =
       in
       of_line_seq ~file:path (Seq.of_dispenser next))
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -22,20 +22,20 @@ val prob : t -> Fact.t -> Rational.t
 
 val block_slack : t -> string -> Rational.t
 (** [1 - sum of the block's probabilities]: the "no fact from this block"
-    mass. @raise Invalid_argument on an unknown block id. *)
+    mass. @raise Invalid_argument on an unknown block id.
+
+    Paper: the slack of Definition 4.11. *)
 
 val support : t -> Fact.t list
 val size : t -> int
+(** Reference: an observer for tests. *)
+
 val num_blocks : t -> int
 
-val expected_instance_size : t -> Rational.t
-
-val is_good_instance : t -> Instance.t -> bool
-(** At most one fact per block and all facts in the support — the "good
-    instance" notion of Proposition 4.13's proof. *)
-
 val world_probability : t -> Instance.t -> Rational.t
-(** Zero on bad instances. *)
+(** Zero on bad instances.
+
+    Paper: the world probability of a BID PDB (Definition 4.11). *)
 
 val worlds : t -> (Instance.t * Rational.t) Seq.t
 (** All good worlds: the product over blocks of (alternatives + 1).
@@ -45,7 +45,9 @@ val sample : t -> Prng.t -> Instance.t
 
 val of_ti : Ti_table.t -> t
 (** Singleton blocks: tuple-independence as the special case noted after
-    Definition 4.11. *)
+    Definition 4.11.
+
+    Paper: the remark after Definition 4.11. *)
 
 val ti_simulation : t -> Ti_table.t * (string * Fo.t) list
 (** The classical finite-case definability result the paper's Section 4.3
@@ -57,10 +59,12 @@ val ti_simulation : t -> Ti_table.t * (string * Fo.t) list
     the view to the TI worlds reproduces this BID distribution exactly
     ([Finite_pdb.equal_distribution] in the tests).  Proposition 4.9 shows
     precisely this kind of simulation cannot exist for all {e countable}
-    PDBs. *)
+    PDBs.
+
+    Paper: the finite BID-as-TI-view result that Proposition 4.9
+    contrasts. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 (** {1 Text format} *)
 

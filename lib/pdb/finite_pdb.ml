@@ -23,8 +23,6 @@ let create entries =
          (Rational.to_string total))
   else { worlds = m }
 
-let deterministic inst = create [ (inst, Rational.one) ]
-
 let worlds t = IMap.bindings t.worlds
 let num_worlds t = IMap.cardinal t.worlds
 
@@ -142,11 +140,6 @@ let is_tuple_independent t =
   done;
   !ok
 
-let sample t g =
-  let ws = worlds t in
-  let weights = Array.of_list (List.map (fun (_, p) -> Rational.to_float p) ws) in
-  fst (List.nth ws (Prng.categorical g weights))
-
 let equal_distribution a b =
   let keys =
     IMap.fold (fun k _ acc -> IMap.add k () acc) b.worlds
@@ -156,12 +149,3 @@ let equal_distribution a b =
     (fun inst () -> Rational.equal (prob_of a inst) (prob_of b inst))
     keys
 
-let to_string t =
-  String.concat "\n"
-    (List.map
-       (fun (inst, p) ->
-         Printf.sprintf "%s : %s" (Instance.to_string inst)
-           (Rational.to_string p))
-       (worlds t))
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -15,7 +15,6 @@ val create : (Instance.t * Rational.t) list -> t
     @raise Invalid_argument if masses are negative or do not sum to
     exactly 1. *)
 
-val deterministic : Instance.t -> t
 val worlds : t -> (Instance.t * Rational.t) list
 val num_worlds : t -> int
 
@@ -28,25 +27,27 @@ val prob_ef : t -> Fact.t -> Rational.t
 (** [P(E_f)]: the marginal of one fact (Definition 3.1). *)
 
 val prob_intersects : t -> Fact.Set.t -> Rational.t
-(** [P(E_F)] for a set of facts. *)
+(** [P(E_F)] for a set of facts.
+
+    Paper: P(E_F) of Definition 3.1. *)
 
 val fact_universe : t -> Fact.t list
 (** [F(D)]: facts occurring in some world (regardless of its mass). *)
 
 val expected_size : t -> Rational.t
 val size_distribution : t -> (int * Rational.t) list
+(** Paper: the size S_D of Section 3. *)
 
 val condition : t -> (Instance.t -> bool) -> t
 (** Conditional distribution given the event.
     @raise Invalid_argument when the event has probability zero. *)
 
-val map : (Instance.t -> Instance.t) -> t -> t
-(** Pushforward along an arbitrary view [V]: equation (3). *)
-
 val apply_fo_view : (string * Fo.t) list -> t -> t
 (** FO-view: each pair [(R', phi)] defines target relation [R'] as
     [phi(D)] under active-domain semantics.  The result is the
-    pushforward PDB of the view (Section 3.1). *)
+    pushforward PDB of the view (Section 3.1).
+
+    Paper: FO views (Section 3.1), as in Proposition 4.9. *)
 
 val product : t -> t -> t
 (** Independent product via disjoint union of instances — the coupling
@@ -59,13 +60,13 @@ val of_bid : Bid_table.t -> t
 val is_tuple_independent : t -> bool
 (** Checks Lemma 4.2's criterion exhaustively: all fact events
     independent.  Exponential in the number of distinct facts; testing
-    only. *)
+    only.
 
-val sample : t -> Prng.t -> Instance.t
+    Paper: Lemma 4.2. *)
 
 val equal_distribution : t -> t -> bool
 (** Same masses on the union of supports (instances of mass 0 are
-    ignored). *)
+    ignored).
 
-val to_string : t -> string
-val pp : Format.formatter -> t -> unit
+    Reference: tests compare PDBs built two ways with it. *)
+

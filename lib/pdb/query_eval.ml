@@ -179,9 +179,3 @@ let marginals ?extra_domain ?cache_size ?gc_threshold ti phi =
     ~domain:(eval_domain_ti ti phi)
     phi
 
-let marginals_finite pdb phi =
-  let universe = Instance.of_list (Finite_pdb.fact_universe pdb) in
-  marginals_generic
-    ~prob_sentence:(fun s -> boolean_finite pdb s)
-    ~domain:(Fo_eval.evaluation_domain universe phi [])
-    phi

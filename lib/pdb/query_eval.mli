@@ -136,4 +136,3 @@ val marginals :
     @raise Invalid_argument beyond 3 free variables (combinatorial
     safety valve). *)
 
-val marginals_finite : Finite_pdb.t -> Fo.t -> (Tuple.t * Rational.t) list

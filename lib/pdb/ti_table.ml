@@ -34,7 +34,6 @@ let create ?schema entries =
 
 let empty = { schema = None; probs = Fact.Map.empty }
 
-let schema t = t.schema
 let facts t = Fact.Map.bindings t.probs
 let support t = List.map fst (facts t)
 
@@ -95,16 +94,12 @@ let marginal_check t f =
 let active_domain t =
   Instance.active_domain (Instance.of_list (support t))
 
-let restrict t keep = { t with probs = Fact.Map.filter (fun f _ -> keep f) t.probs }
-
 let to_string t =
   String.concat "\n"
     (List.map
        (fun (f, p) ->
          Printf.sprintf "%s %s" (Fact.to_string f) (Rational.to_string p))
        (facts t))
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 let to_channel oc t =
   output_string oc (to_string t);

@@ -15,7 +15,6 @@ val create : ?schema:Schema.t -> (Fact.t * Rational.t) list -> t
     Facts with probability zero are dropped. *)
 
 val empty : t
-val schema : t -> Schema.t option
 
 val facts : t -> (Fact.t * Rational.t) list
 (** In fact order. *)
@@ -48,15 +47,13 @@ val sample : t -> Prng.t -> Instance.t
 
 val marginal_check : t -> Fact.t -> Rational.t
 (** Recomputes [P(E_f)] by summing world probabilities — exponential;
-    for tests. *)
+    for tests.
+
+    Reference: the world-sum value tests compare marginals against. *)
 
 val active_domain : t -> Value.t list
 
-val restrict : t -> (Fact.t -> bool) -> t
-(** Keep only the facts satisfying the predicate. *)
-
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 (** {1 Text format} *)
 

@@ -39,8 +39,6 @@ let substream g i =
                 (Int64.mul (Int64.of_int (i + 1)) golden_gamma)));
     }
 
-let bits30 g = Int64.to_int (Int64.shift_right_logical (next_int64 g) 34)
-
 let int g n =
   if n <= 0 then invalid_arg "Prng.int"
   else if n = 1 then 0

@@ -27,9 +27,6 @@ val substream : t -> int -> t
 val next_int64 : t -> int64
 (** Uniform over all 2^64 bit patterns. *)
 
-val bits30 : t -> int
-(** 30 uniform bits as a nonnegative [int]. *)
-
 val int : t -> int -> int
 (** [int g n] is uniform on [\[0, n)]. Unbiased (rejection sampling).
     @raise Invalid_argument if [n <= 0]. *)

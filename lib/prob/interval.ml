@@ -32,7 +32,6 @@ let up x = Float.succ x
 
 let add a b = { lo = down (a.lo +. b.lo); hi = up (a.hi +. b.hi) }
 let sub a b = { lo = down (a.lo -. b.hi); hi = up (a.hi -. b.lo) }
-let neg a = { lo = -.a.hi; hi = -.a.lo }
 
 (* The corner products/quotients can be nan on unbounded operands
    (0 * inf, inf / inf); building the record directly would then bypass
@@ -92,4 +91,3 @@ let clamp01 x =
 
 let equal a b = a.lo = b.lo && a.hi = b.hi
 
-let pp fmt x = Format.fprintf fmt "[%.17g, %.17g]" x.lo x.hi

@@ -10,9 +10,6 @@ type t = private { lo : float; hi : float }
 val make : float -> float -> t
 (** @raise Invalid_argument if [lo > hi] or either bound is NaN. *)
 
-val point : float -> t
-(** The degenerate interval [[x, x]]. *)
-
 val of_rational : Rational.t -> t
 (** [[pred f, succ f]] around [f = Rational.to_float q]: contains [q]
     because that conversion is off by less than one ulp at any
@@ -43,8 +40,6 @@ val div : t -> t -> t
 val compl : t -> t
 (** [compl x] encloses [1 - x]. *)
 
-val neg : t -> t
-
 val hull : t -> t -> t
 (** Smallest interval containing both. *)
 
@@ -58,4 +53,3 @@ val clamp01 : t -> t
     quantities known to be probabilities. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

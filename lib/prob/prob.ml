@@ -42,8 +42,6 @@ let kahan_sum_seq xs =
     xs;
   !sum
 
-let close ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps
-
 let check_probability_rational p =
   if Rational.is_probability p then p
   else

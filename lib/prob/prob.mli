@@ -32,9 +32,6 @@ module Interval_carrier : CARRIER with type t = Interval.t
 val kahan_sum_seq : float Seq.t -> float
 (** Compensated summation. *)
 
-val close : ?eps:float -> float -> float -> bool
-(** [close a b] holds when [|a - b| <= eps] (default [1e-9]). *)
-
 (** {1 Probability validation} *)
 
 val check_probability_rational : Rational.t -> Rational.t

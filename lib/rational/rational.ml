@@ -18,8 +18,6 @@ let make n d =
 
 let zero = { n = B.zero; d = B.one }
 let one = { n = B.one; d = B.one }
-let two = { n = B.two; d = B.one }
-let minus_one = { n = B.minus_one; d = B.one }
 let half = { n = B.one; d = B.two }
 
 let of_bigint n = { n; d = B.one }
@@ -32,13 +30,10 @@ let den x = x.d
 let sign x = B.sign x.n
 let is_zero x = B.is_zero x.n
 let is_one x = B.is_one x.n && B.is_one x.d
-let is_integer x = B.is_one x.d
 
 let equal a b = B.equal a.n b.n && B.equal a.d b.d
 
 let compare a b = B.compare (B.mul a.n b.d) (B.mul b.n a.d)
-
-let hash x = Hashtbl.hash (B.hash x.n, B.hash x.d)
 
 let neg x = { x with n = B.neg x.n }
 let abs x = { x with n = B.abs x.n }
@@ -78,8 +73,6 @@ let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
 
 let is_probability x = sign x >= 0 && compare x one <= 0
-
-let clamp01 x = if sign x < 0 then zero else if compare x one > 0 then one else x
 
 (* Conversion to float with one rounding.  The shift [s] scales |x| so
    that the integer quotient q = floor(|n| 2^s / d) has 61 or 62 bits (a
@@ -192,4 +185,3 @@ let ( <= ) a b = Stdlib.( <= ) (compare a b) 0
 let ( > ) a b = Stdlib.( > ) (compare a b) 0
 let ( >= ) a b = Stdlib.( >= ) (compare a b) 0
 
-let pp fmt x = Format.pp_print_string fmt (to_string x)

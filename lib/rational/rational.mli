@@ -12,8 +12,6 @@ type t
 
 val zero : t
 val one : t
-val two : t
-val minus_one : t
 val half : t
 
 val make : Bigint.t -> Bigint.t -> t
@@ -24,8 +22,6 @@ val of_int : int -> t
 
 val of_ints : int -> int -> t
 (** [of_ints a b] is [a/b]. @raise Division_by_zero if [b = 0]. *)
-
-val of_bigint : Bigint.t -> t
 
 val of_string : string -> t
 (** Accepts ["a"], ["a/b"] and decimal notation ["a.b"] (exact), each with
@@ -59,16 +55,13 @@ val to_decimal_string : ?digits:int -> t -> string
 val sign : t -> int
 val is_zero : t -> bool
 val is_one : t -> bool
-val is_integer : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 val min : t -> t -> t
 val max : t -> t -> t
 
 (** {1 Field operations} *)
 
-val neg : t -> t
 val abs : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
@@ -97,8 +90,6 @@ val ceil : t -> Bigint.t
 val is_probability : t -> bool
 (** [0 <= x <= 1]. *)
 
-val clamp01 : t -> t
-
 (** {1 Operators and printing} *)
 
 val ( + ) : t -> t -> t
@@ -111,4 +102,3 @@ val ( <= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
 val ( >= ) : t -> t -> bool
 
-val pp : Format.formatter -> t -> unit

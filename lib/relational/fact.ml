@@ -20,15 +20,6 @@ let conforms schema f =
             f.args;
           !ok)
 
-let checked schema rel args =
-  let f = make rel args in
-  if conforms schema f then f
-  else
-    invalid_arg
-      (Printf.sprintf "Fact.checked: %s(%s) does not conform to the schema"
-         rel
-         (String.concat ", " (List.map Value.to_string args)))
-
 let rel f = f.rel
 let args f = Array.to_list f.args
 let arity f = Array.length f.args
@@ -100,8 +91,6 @@ let of_string s =
       end
     in
     make rel (List.map Value.of_string parts)
-
-let pp fmt f = Format.pp_print_string fmt (to_string f)
 
 module Ord = struct
   type nonrec t = t

@@ -7,11 +7,6 @@ val make : string -> Value.t list -> t
 
 val make_arr : string -> Value.t array -> t
 
-val checked : Schema.t -> string -> Value.t list -> t
-(** Like {!make} but validates relation existence, arity and (when
-    declared) attribute sorts against the schema.
-    @raise Invalid_argument on any mismatch. *)
-
 val conforms : Schema.t -> t -> bool
 (** Does this fact belong to [F(tau, U)] for the given schema (with sort
     restrictions)? *)
@@ -31,8 +26,6 @@ val to_string : t -> string
 val of_string : string -> t
 (** Inverse of {!to_string} for simple values.
     @raise Invalid_argument on malformed input. *)
-
-val pp : Format.formatter -> t -> unit
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

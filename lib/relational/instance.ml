@@ -4,11 +4,9 @@ let empty = Fact.Set.empty
 let is_empty = Fact.Set.is_empty
 let singleton = Fact.Set.singleton
 let add = Fact.Set.add
-let remove = Fact.Set.remove
 let mem = Fact.Set.mem
 let of_list = Fact.Set.of_list
 let to_list = Fact.Set.elements
-let of_set s = s
 let to_set s = s
 let size = Fact.Set.cardinal
 let union = Fact.Set.union
@@ -30,31 +28,13 @@ let active_domain d =
     d VSet.empty
   |> VSet.elements
 
-let relations_used d =
-  Fact.Set.fold (fun f acc -> f.Fact.rel :: acc) d []
-  |> List.sort_uniq String.compare
-
-let tuples_of d name =
-  Fact.Set.fold
-    (fun f acc ->
-      if String.equal f.Fact.rel name then f.Fact.args :: acc else acc)
-    d []
-  |> List.rev
-
-let filter = Fact.Set.filter
-let fold = Fact.Set.fold
 let iter = Fact.Set.iter
 let for_all = Fact.Set.for_all
-let exists = Fact.Set.exists
 let compare = Fact.Set.compare
 let equal = Fact.Set.equal
 
-let conforms schema d = for_all (Fact.conforms schema) d
-
 let to_string d =
   "{" ^ String.concat ", " (List.map Fact.to_string (to_list d)) ^ "}"
-
-let pp fmt d = Format.pp_print_string fmt (to_string d)
 
 let subsets d =
   let facts = Array.of_list (to_list d) in

@@ -11,11 +11,8 @@ val empty : t
 val is_empty : t -> bool
 val singleton : Fact.t -> t
 val add : Fact.t -> t -> t
-val remove : Fact.t -> t -> t
 val mem : Fact.t -> t -> bool
 val of_list : Fact.t list -> t
-val to_list : t -> Fact.t list
-val of_set : Fact.Set.t -> t
 val to_set : t -> Fact.Set.t
 
 val size : t -> int
@@ -38,26 +35,14 @@ val intersects : t -> Fact.Set.t -> bool
 val active_domain : t -> Value.t list
 (** [adom(D)], sorted, without duplicates. *)
 
-val relations_used : t -> string list
-
-val tuples_of : t -> string -> Value.t array list
-(** All argument tuples of the given relation, in fact order. *)
-
-val filter : (Fact.t -> bool) -> t -> t
-val fold : (Fact.t -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (Fact.t -> unit) -> t -> unit
 val for_all : (Fact.t -> bool) -> t -> bool
-val exists : (Fact.t -> bool) -> t -> bool
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
 
-val conforms : Schema.t -> t -> bool
-
 val to_string : t -> string
 (** ["{R(1), S(2)}"] in fact order. *)
-
-val pp : Format.formatter -> t -> unit
 
 val subsets : t -> t Seq.t
 (** All [2^‖D‖] sub-instances; used by exhaustive tests and the

@@ -21,8 +21,6 @@ let relation ?sorts name arity =
   in
   { rel_name = name; arity; sorts }
 
-let empty = M.empty
-
 let add t r =
   match M.find_opt r.rel_name t with
   | Some r' when r' <> r ->
@@ -40,29 +38,5 @@ let make rs =
 let relations t = List.map snd (M.bindings t)
 let find t name = M.find_opt name t
 
-let find_exn t name =
-  match M.find_opt name t with
-  | Some r -> r
-  | None -> invalid_arg (Printf.sprintf "Schema: unknown relation %s" name)
-
-let mem t name = M.mem name t
-let arity t name = (M.find name t).arity
-
 let union a b = M.fold (fun _ r acc -> add acc r) b a
 
-let max_arity t = M.fold (fun _ r acc -> Stdlib.max acc r.arity) t 0
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  M.iter
-    (fun _ r ->
-      Format.fprintf fmt "%s/%d" r.rel_name r.arity;
-      (match r.sorts with
-       | Some ss ->
-         Format.fprintf fmt "(%s)"
-           (String.concat ", "
-              (Array.to_list (Array.map Value.sort_name ss)))
-       | None -> ());
-      Format.fprintf fmt "@ ")
-    t;
-  Format.fprintf fmt "@]"

@@ -22,18 +22,10 @@ val relation : ?sorts:Value.sort list -> string -> int -> relation
 val make : relation list -> t
 (** @raise Invalid_argument on duplicate relation names. *)
 
-val empty : t
 val relations : t -> relation list
 val find : t -> string -> relation option
-val find_exn : t -> string -> relation
-val mem : t -> string -> bool
-val arity : t -> string -> int
-(** @raise Not_found for unknown relations. *)
 
-val add : t -> relation -> t
 val union : t -> t -> t
 (** @raise Invalid_argument if a name occurs in both with different
     declarations. *)
 
-val max_arity : t -> int
-val pp : Format.formatter -> t -> unit

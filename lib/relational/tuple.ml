@@ -14,8 +14,6 @@ let compare a b =
     go 0
   end
 
-let equal a b = compare a b = 0
-
 (* Allocation-free multiplicative-mix fold over every element; see the
    matching comment on [Fact.hash] for why [Hashtbl.hash] on an
    intermediate array is wrong for wide tuples. *)
@@ -29,8 +27,6 @@ let hash t =
 
 let to_string t =
   "(" ^ String.concat ", " (List.map Value.to_string (Array.to_list t)) ^ ")"
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 module Ord = struct
   type nonrec t = t

@@ -4,10 +4,8 @@
 type t = Value.t array
 
 val compare : t -> t -> int
-val equal : t -> t -> bool
 val hash : t -> int
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

@@ -12,12 +12,6 @@ let sort_of = function
   | Real _ -> S_real
   | Bool _ -> S_bool
 
-let sort_name = function
-  | S_int -> "int"
-  | S_str -> "string"
-  | S_real -> "real"
-  | S_bool -> "bool"
-
 let sort_rank = function S_int -> 0 | S_str -> 1 | S_real -> 2 | S_bool -> 3
 
 let compare a b =
@@ -36,8 +30,6 @@ let to_string = function
   | Str s -> Printf.sprintf "%S" s
   | Real f -> Printf.sprintf "%h" f
   | Bool b -> string_of_bool b
-
-let pp fmt v = Format.pp_print_string fmt (to_string v)
 
 let of_string s =
   let n = String.length s in

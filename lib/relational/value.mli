@@ -15,7 +15,6 @@ type t =
 type sort = S_int | S_str | S_real | S_bool
 
 val sort_of : t -> sort
-val sort_name : sort -> string
 
 val compare : t -> t -> int
 (** Total order: by sort first, then within the sort.  Reals compare by
@@ -26,8 +25,6 @@ val hash : t -> int
 
 val to_string : t -> string
 (** Strings are quoted, e.g. ["abc"] prints as ["\"abc\""]. *)
-
-val pp : Format.formatter -> t -> unit
 
 val of_string : string -> t
 (** Inverse of {!to_string}: quoted -> [Str], [true]/[false] -> [Bool],

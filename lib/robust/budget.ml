@@ -2,7 +2,7 @@
    deadline plus per-kind work-unit caps behind one cooperative
    cancellation token.
 
-   Hot loops call {!checkpoint} (engine entry points call {!check}); both
+   Hot loops call {!checkpoint} (engine entry points read {!exhausted}); both
    consult the same sticky trip state, so the first exhaustion observed —
    a cap, the deadline, or an explicit {!cancel} from another domain — is
    the one every later probe reports.  Work spends and the trip flag are
@@ -138,7 +138,6 @@ let rec exhausted t =
     Option.map (trip t) hit
 
 let ok t = exhausted t = None
-let check t = match exhausted t with None -> Ok () | Some e -> Error e
 
 let checkpoint t =
   match exhausted t with None -> () | Some e -> raise (Exhausted e)

@@ -14,13 +14,11 @@
     All mutable state is atomic, so worker domains may spend against and
     poll the budget that the coordinating domain created.  Exhaustion is
     surfaced two ways: {!checkpoint} raises {!Exhausted} (for
-    single-domain hot loops), {!ok}/{!check} return it as data (for
+    single-domain hot loops), {!ok}/{!exhausted} return it as data (for
     worker domains, where an exception must not cross the [Domain]
     boundary). *)
 
 type kind = Facts | Probes | Bdd_nodes | Samples | Steps
-
-val kind_to_string : kind -> string
 
 type exhaustion =
   | Timeout  (** the deadline passed *)
@@ -94,8 +92,6 @@ val checkpoint : t -> unit
 val ok : t -> bool
 (** [true] while not exhausted.  Never raises — safe in worker domains. *)
 
-val check : t -> (unit, exhaustion) result
-
 val exhausted : t -> exhaustion option
 (** The sticky cause, once tripped. *)
 
@@ -103,7 +99,9 @@ val cancel : t -> unit
 (** Trip the budget from outside (idempotent; loses to an earlier trip). *)
 
 val elapsed : t -> float
-(** Seconds on the budget's own clock. *)
+(** Seconds on the budget's own clock.
+
+    Reference: an observer for tests. *)
 
 val spent : t -> kind -> int
 

@@ -59,10 +59,6 @@ val exit_code : t -> int
 (** CLI convention: user errors 2, budget exhaustion 3, engine or
     transport failure 1. *)
 
-val contains_substring : string -> string -> bool
-(** [contains_substring hay needle] — used by the {!of_exn} classifier
-    and by callers refining its verdict on their own messages. *)
-
 val of_exn : what:string -> exn -> t
 (** Classify a legacy exception ([Invalid_argument], [Sys_error],
     [Budget.Exhausted], ...) from a pre-result entry point. *)

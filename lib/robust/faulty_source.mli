@@ -44,21 +44,21 @@ val default : seed:int -> config
 (** A moderately hostile schedule (20% transient, 5% stall of 1 ms, 5%
     corrupt, 10% NaN tails, 10% blackouts). *)
 
-val validate : config -> unit
-(** @raise Invalid_argument on a rate outside [0,1] or a negative stall
-    duration. *)
-
 exception Transient of string
 (** The injected transient failure.  Classified by {!Errors.of_exn} as
     [Engine_failure], which the supervisor treats as retryable. *)
 
 val entry_faults : config -> int -> string list
 (** The faults scheduled for entry [i], as tags from
-    [{"transient"; "stall"; "corrupt"}] — pure, for tests and reports. *)
+    [{"transient"; "stall"; "corrupt"}] — pure, for tests and reports.
+
+    Reference: an observer of the fault schedule for tests. *)
 
 val tail_faults : config -> int -> string list
 (** The faults scheduled for a tail probe at [n], from
-    [{"nan"; "blackout"}]. *)
+    [{"nan"; "blackout"}].
+
+    Reference: an observer of the fault schedule for tests. *)
 
 val wrap : config -> Fact_source.t -> Fact_source.t
 (** The faulty view.  The returned source has its own entry cache, so an

@@ -22,7 +22,9 @@ val delays : ?budget:Budget.t -> policy -> seed:int -> float list
     given the budget's current remaining time: with [?budget], the
     cumulative schedule is clamped to {!Budget.time_remaining}, so the
     chain as a whole never sleeps past the budget's wall (or virtual)
-    deadline.  @raise Invalid_argument on an ill-formed policy. *)
+    deadline.  @raise Invalid_argument on an ill-formed policy.
+
+    Reference: an observer of the sleep schedule for tests. *)
 
 type 'a outcome = ('a, Errors.t) result
 

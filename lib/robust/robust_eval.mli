@@ -31,8 +31,6 @@
 
 type engine = Lifted | Exact | Anytime | Monte_carlo | Batched | Delta
 
-val engine_to_string : engine -> string
-
 type outcome =
   | Certified of Interval.t  (** the rung completed with this enclosure *)
   | Partial of Interval.t * Errors.t

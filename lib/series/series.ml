@@ -4,8 +4,6 @@ type t = {
   tail : int -> float option;
 }
 
-let make ?(name = "custom") ~term ~tail () = { name; term; tail }
-
 let name s = s.name
 
 let term s i =
@@ -114,9 +112,6 @@ let drop k s =
 
 let partial_sum s n =
   Prob.kahan_sum_seq (Seq.init n (fun i -> term s i))
-
-let total_upper s n =
-  Option.map (fun t -> partial_sum s n +. t) (s.tail n)
 
 let product_compl_prefix s n =
   let acc = ref 0.0 in

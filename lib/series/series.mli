@@ -15,12 +15,6 @@
 
 type t
 
-val make :
-  ?name:string -> term:(int -> float) -> tail:(int -> float option) -> unit -> t
-(** [term i] is the [i]-th term ([i >= 0], must be [>= 0]); [tail n] is an
-    upper bound on [sum_{i>=n} term i], or [None] when no finite bound is
-    available (divergent or unknown). [tail] must be antitone in [n]. *)
-
 val name : t -> string
 val term : t -> int -> float
 val tail : t -> int -> float option
@@ -37,7 +31,9 @@ val zeta2 : ?scale:float -> unit -> t
 
 val basel_probability : unit -> t
 (** [zeta2] with [scale = 6/pi^2], i.e. a probability distribution on the
-    positive integers. *)
+    positive integers.
+
+    Paper: the probabilities of Example 2.4. *)
 
 val log_slow : ?scale:float -> unit -> t
 (** [a_i = scale / ((i+2) * ln^2 (i+2))]: a convergent series whose tail
@@ -64,9 +60,6 @@ val drop : int -> t -> t
 val partial_sum : t -> int -> float
 (** Compensated sum of the first [n] terms. *)
 
-val total_upper : t -> int -> float option
-(** [partial_sum n + tail n]: an upper bound on the total sum. *)
-
 (** {1 Infinite products (Section 2.2 of the paper)} *)
 
 val product_compl_prefix : t -> int -> float
@@ -79,7 +72,9 @@ val product_compl_bounds : t -> int -> (float * float) option
     lower = prefix * exp(-(3/2) tail n)  (claim (∗), valid when all
     remaining terms are < 1/2; the bound checks [term n < 1/2] samples),
     upper = prefix * 1.
-    Returns [None] if the series lacks a finite tail bound at [n]. *)
+    Returns [None] if the series lacks a finite tail bound at [n].
+
+    Paper: claim (∗). *)
 
 val star_bound_gap : t -> int -> float option
 (** Diagnostic for experiment E10: ratio between the true prefix product
@@ -93,4 +88,6 @@ val distributive_law_check : float list -> float
 (** For a finite list [a_1..a_k], returns
     [|prod (1+a_i) - sum_{J subseteq [k]} prod_{j in J} a_j|] — the
     finite instance of Lemma 2.3, used by tests to validate the identity
-    the countable TI construction rests on. *)
+    the countable TI construction rests on.
+
+    Paper: Lemma 2.3. *)

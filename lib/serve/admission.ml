@@ -14,11 +14,6 @@ let c_epochs = Stats.counter "serve.epochs"
 
 type level = Full | Degraded | Reject
 
-let level_to_string = function
-  | Full -> "full"
-  | Degraded -> "degraded"
-  | Reject -> "reject"
-
 type config = {
   queue_bound : int;
   window_s : float;

@@ -23,8 +23,6 @@ type level =
           compilation rungs entirely *)
   | Reject  (** turn the request away with [Overloaded] *)
 
-val level_to_string : level -> string
-
 type config = {
   queue_bound : int;  (** work-queue capacity; full queue rejects *)
   window_s : float;  (** epoch length, seconds *)
@@ -51,7 +49,9 @@ val create : config -> t
 
 val pressure : t -> float
 (** Current epoch's worst cap utilisation in [[0, 1]] (0 with no caps).
-    Rotates the epoch first if the window has elapsed. *)
+    Rotates the epoch first if the window has elapsed.
+
+    Reference: an observer for tests. *)
 
 type ticket = { budget : Budget.t; level : level }
 

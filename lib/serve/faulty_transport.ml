@@ -44,8 +44,6 @@ let create cfg =
     invalid_arg "Faulty_transport: delay_s must be nonnegative";
   { cfg; index = Atomic.make 0 }
 
-let frames_sent t = Atomic.get t.index
-
 type sent = Sent | Dropped | Truncated_sent
 
 (* Shut down only the write side: the caller can still read any bytes

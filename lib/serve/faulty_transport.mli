@@ -39,9 +39,6 @@ val create : config -> t
 (** A stateful wrapper holding the frame counter (atomic, so concurrent
     client threads share one schedule without skipping indices). *)
 
-val frames_sent : t -> int
-(** Frames attempted so far (the next frame gets this index). *)
-
 type sent =
   | Sent  (** the frame went out whole (possibly after a delay) *)
   | Dropped  (** nothing was sent; the write side was shut down *)

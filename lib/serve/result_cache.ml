@@ -105,11 +105,7 @@ let save t ~path ~validator =
           [] t.order
         |> List.rev)
   in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
+  Durable.write path (fun oc ->
       Printf.fprintf oc "%s\n" file_header;
       Printf.fprintf oc "validator %S\n" validator;
       List.iter
@@ -117,7 +113,6 @@ let save t ~path ~validator =
           Printf.fprintf oc "entry %S %S %S %h %h %h\n" query policy epoch
             (Interval.lo a.enclosure) (Interval.hi a.enclosure) a.estimate)
         entries);
-  Sys.rename tmp path;
   let n = List.length entries in
   Stats.add c_warm_saved n;
   n

@@ -50,6 +50,7 @@ val store :
     Evicts the oldest entry when full; bumps [serve.cache.evict]. *)
 
 val length : t -> int
+(** Reference: an observer for tests. *)
 
 (** {1 Warm-restart persistence}
 
@@ -60,8 +61,8 @@ val length : t -> int
     invalidates every saved enclosure at once. *)
 
 val save : t -> path:string -> validator:string -> int
-(** Serialise every entry (atomically, via write-then-rename) and return
-    the number written.  Bumps [serve.cache.warm.saved]. *)
+(** Serialise every entry through {!Durable.write} (the old file survives
+    a failed write) and return the number written.  Bumps [serve.cache.warm.saved]. *)
 
 val load : t -> path:string -> validator:string -> int
 (** Restore entries saved by {!save}.  All-or-nothing: a missing file

@@ -82,8 +82,6 @@ val start : config -> t
     @raise Invalid_argument on a bad configuration;
     @raise Unix.Unix_error if the socket cannot be bound. *)
 
-val draining : t -> bool
-
 val request_drain : t -> unit
 (** Begin graceful drain.  Async-signal-safe (one atomic store), so
     {!run} installs it directly as the SIGTERM action.  Idempotent. *)

@@ -332,14 +332,7 @@ let write_pack ~path ~kind entries blocks =
   assert (Buffer.length buf = total);
   let bytes = Buffer.to_bytes buf in
   Bytes.set_int64_le bytes off_checksum (Int64.of_int (checksum_bytes bytes));
-  (* Write-then-rename: a crash mid-write leaves only the .tmp, never a
-     torn pack under the final name. *)
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_bytes oc bytes);
-  Sys.rename tmp path
+  Durable.write path (fun oc -> output_bytes oc bytes)
 
 let desc_prob_order (f1, p1) (f2, p2) =
   let c = Rational.compare p2 p1 in
@@ -549,7 +542,6 @@ let load_r path =
   | exception Errors.Error e -> Error e
 
 let kind t = t.kind
-let path t = t.path
 let size t = t.n_facts
 let num_blocks t = t.n_blocks
 let byte_size t = t.length

@@ -46,8 +46,9 @@ type kind =
 val write_ti : path:string -> Ti_table.t -> unit
 (** Pack a TI table: facts sorted by descending probability (ties by
     [Fact.compare]), exact rational probabilities, sidecar of float64
-    upper bounds on every suffix sum.  Writes to [path ^ ".tmp"] then
-    renames, so a crash never leaves a half-written pack at [path]. *)
+    upper bounds on every suffix sum.  Replaces [path] through
+    {!Durable.write}: after a crash or a failed write [path] holds the
+    old pack or the whole new one, never a torn one. *)
 
 val write_bid : path:string -> Bid_table.t -> unit
 (** Pack a BID table.  Blocks keep their creation order (the block
@@ -70,7 +71,6 @@ val load_r : string -> (t, Errors.t) result
 (** {1 Inspection} *)
 
 val kind : t -> kind
-val path : t -> string
 
 val size : t -> int
 (** Number of facts. *)
@@ -85,12 +85,7 @@ val checksum_hex : t -> string
 
 (** {1 Random access (lazy decode)} *)
 
-val fact : t -> int -> Fact.t
 val prob : t -> int -> Rational.t
-val entry : t -> int -> Fact.t * Rational.t
-(** @raise Invalid_argument outside [\[0, size)].
-    @raise Errors.Error on structurally damaged entries (possible only
-    if the pack was forged with a matching checksum). *)
 
 val tail_mass : t -> int -> float
 (** O(1) sidecar lookup: an upper bound on the exact rational mass of

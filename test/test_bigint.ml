@@ -3,6 +3,14 @@
 module B = Bigint
 
 let b = B.of_int
+let big s = Option.get (B.of_string_opt s)
+
+(* Truncated division as [div] computes it, with the remainder it
+   implies. *)
+let divmod x y =
+  let q = B.div x y in
+  (q, B.sub x (B.mul q y))
+
 let check_b msg expected actual =
   Alcotest.(check string) msg (B.to_string expected) (B.to_string actual)
 
@@ -13,7 +21,6 @@ let check_b msg expected actual =
 let test_constants () =
   Alcotest.(check int) "sign zero" 0 (B.sign B.zero);
   Alcotest.(check int) "sign one" 1 (B.sign B.one);
-  Alcotest.(check int) "sign minus_one" (-1) (B.sign B.minus_one);
   Alcotest.(check bool) "is_zero" true (B.is_zero B.zero);
   Alcotest.(check bool) "is_one" true (B.is_one B.one);
   Alcotest.(check bool) "two = 1+1" true (B.equal B.two (B.add B.one B.one))
@@ -30,13 +37,13 @@ let test_of_to_int () =
 
 let test_string_roundtrip () =
   List.iter
-    (fun s -> Alcotest.(check string) ("roundtrip " ^ s) s B.(to_string (of_string s)))
+    (fun s -> Alcotest.(check string) ("roundtrip " ^ s) s (B.to_string (big s)))
     [ "0"; "1"; "-1"; "999999999999999999999999999999";
       "-123456789012345678901234567890123456789";
       "1000000000000000000000000000000000000000000000000" ]
 
 let test_string_underscores () =
-  check_b "underscores" (b 1234567) (B.of_string "1_234_567")
+  check_b "underscores" (b 1234567) (big "1_234_567")
 
 let test_string_invalid () =
   List.iter
@@ -53,19 +60,24 @@ let test_add_sub_small () =
 let test_add_carry_chain () =
   (* (2^300 - 1) + 1 = 2^300 exercises a long carry chain. *)
   let p300 = B.pow B.two 300 in
-  check_b "carry chain" p300 (B.add (B.pred p300) B.one);
-  check_b "borrow chain" (B.pred p300) (B.sub p300 B.one)
+  let p300m1 =
+    big
+      ("203703597633448608626844568840937816105146839366593625063614044935"
+     ^ "4381299763336706183397375")
+  in
+  check_b "carry chain" p300 (B.add p300m1 B.one);
+  check_b "borrow chain" p300m1 (B.sub p300 B.one)
 
 let test_mul_big () =
-  let a = B.of_string "123456789123456789123456789" in
-  let c = B.of_string "987654321987654321987654321" in
+  let a = big "123456789123456789123456789" in
+  let c = big "987654321987654321987654321" in
   check_b "known product"
-    (B.of_string "121932631356500531591068431581771069347203169112635269")
+    (big "121932631356500531591068431581771069347203169112635269")
     (B.mul a c);
   check_b "sq of 10^30"
-    (B.of_string ("1" ^ String.make 60 '0'))
-    (B.mul (B.of_string ("1" ^ String.make 30 '0'))
-       (B.of_string ("1" ^ String.make 30 '0')))
+    (big ("1" ^ String.make 60 '0'))
+    (B.mul (big ("1" ^ String.make 30 '0'))
+       (big ("1" ^ String.make 30 '0')))
 
 let test_karatsuba_vs_school () =
   (* Numbers wide enough to trigger the Karatsuba path (>= 32 limbs,
@@ -73,28 +85,28 @@ let test_karatsuba_vs_school () =
      (x+1)(x-1) = x^2 - 1. *)
   let x = B.pow (b 3) 700 in
   check_b "karatsuba identity"
-    (B.pred (B.mul x x))
-    (B.mul (B.succ x) (B.pred x))
+    (B.sub (B.mul x x) B.one)
+    (B.mul (B.succ x) (B.sub x B.one))
 
 let test_divmod_basic () =
-  let q, r = B.divmod (b 17) (b 5) in
+  let q, r = divmod (b 17) (b 5) in
   check_b "17/5 q" (b 3) q;
   check_b "17%5 r" (b 2) r;
-  let q, r = B.divmod (b (-17)) (b 5) in
+  let q, r = divmod (b (-17)) (b 5) in
   check_b "-17/5 q" (b (-3)) q;
   check_b "-17%5 r" (b (-2)) r;
-  let q, r = B.divmod (b 17) (b (-5)) in
+  let q, r = divmod (b 17) (b (-5)) in
   check_b "17/-5 q" (b (-3)) q;
   check_b "17%-5 r" (b 2) r
 
 let test_divmod_by_zero () =
   Alcotest.check_raises "div by zero" Division_by_zero (fun () ->
-      ignore (B.divmod B.one B.zero))
+      ignore (divmod B.one B.zero))
 
 let test_divmod_multi_limb () =
-  let a = B.of_string "340282366920938463463374607431768211456" (* 2^128 *) in
-  let d = B.of_string "18446744073709551617" (* 2^64 + 1 *) in
-  let q, r = B.divmod a d in
+  let a = big "340282366920938463463374607431768211456" (* 2^128 *) in
+  let d = big "18446744073709551617" (* 2^64 + 1 *) in
+  let q, r = divmod a d in
   check_b "2^128 / (2^64+1) recompose" a (B.add (B.mul q d) r);
   Alcotest.(check bool) "r < d" true (B.compare (B.abs r) d < 0)
 
@@ -111,22 +123,20 @@ let test_gcd () =
   check_b "gcd 0 5" (b 5) (B.gcd B.zero (b 5));
   check_b "gcd -12 18" (b 6) (B.gcd (b (-12)) (b 18));
   check_b "gcd big" (b 1)
-    (B.gcd (B.of_string "123456789123456789123456791") (b 1000003))
+    (B.gcd (big "123456789123456789123456791") (b 1000003))
 
 let test_pow () =
   check_b "2^10" (b 1024) (B.pow B.two 10);
   check_b "x^0" B.one (B.pow (b 7919) 0);
   check_b "0^0" B.one (B.pow B.zero 0);
-  check_b "10^20" (B.of_string "100000000000000000000") (B.pow (b 10) 20);
+  check_b "10^20" (big "100000000000000000000") (B.pow (b 10) 20);
   Alcotest.check_raises "neg exponent"
     (Invalid_argument "Bigint.pow: negative exponent") (fun () ->
       ignore (B.pow B.two (-1)))
 
 let test_shifts () =
   check_b "1 << 100" (B.pow B.two 100) (B.shift_left B.one 100);
-  check_b "2^100 >> 100" B.one (B.shift_right (B.pow B.two 100) 100);
-  check_b "2^100 >> 200" B.zero (B.shift_right (B.pow B.two 100) 200);
-  check_b "-8 >> 1" (b (-4)) (B.shift_right (b (-8)) 1)
+  check_b "-3 << 2" (b (-12)) (B.shift_left (b (-3)) 2)
 
 let test_compare_order () =
   let xs = List.map b [ -100; -1; 0; 1; 2; 100 ] in
@@ -162,7 +172,7 @@ let test_parity_minmax () =
   check_b "min" (b (-5)) (B.min (b (-5)) (b 3));
   check_b "max" (b 3) (B.max (b (-5)) (b 3))
 
-(* The one-limb paths of [mul_int]/[add_int] against [mul]/[add] of
+(* The one-limb path of [mul_int] against [mul] of
    [of_int]: both signs, the limb boundary 2^30, [max_int]/[min_int],
    and magnitudes whose limbs are all full (carry and borrow chains). *)
 let edge_ints =
@@ -173,8 +183,8 @@ let edge_bigs =
   List.concat_map
     (fun x -> [ x; B.neg x ])
     [ B.zero; B.one; b 5; b ((1 lsl 30) - 1); b (1 lsl 30); b max_int;
-      B.pred (B.shift_left B.one 60); B.shift_left B.one 60;
-      B.pred (B.shift_left B.one 90); B.of_string "123456789012345678901234567890" ]
+      B.sub (B.shift_left B.one 60) B.one; B.shift_left B.one 60;
+      B.sub (B.shift_left B.one 90) B.one; big "123456789012345678901234567890" ]
 
 let test_mul_add_int () =
   List.iter
@@ -182,8 +192,7 @@ let test_mul_add_int () =
       List.iter
         (fun n ->
           let what op = Printf.sprintf "%s %s %d" (B.to_string x) op n in
-          check_b (what "*") (B.mul x (B.of_int n)) (B.mul_int x n);
-          check_b (what "+") (B.add x (B.of_int n)) (B.add_int x n))
+          check_b (what "*") (B.mul x (B.of_int n)) (B.mul_int x n))
         edge_ints)
     edge_bigs
 
@@ -203,7 +212,7 @@ let arb_big =
         list_repeat ndig (map (fun d -> Char.chr (d + Char.code '0')) (int_range 0 9))
       in
       let s = String.init ndig (List.nth digits) in
-      return (B.of_string (if neg then "-" ^ s else s)))
+      return (big (if neg then "-" ^ s else s)))
   in
   QCheck.make ~print:B.to_string gen
 
@@ -221,10 +230,10 @@ let props =
       QCheck.(pair arb_ints arb_ints)
       (fun (x, y) ->
         QCheck.assume (y <> 0);
-        let q, r = B.divmod (b x) (b y) in
+        let q, r = divmod (b x) (b y) in
         B.to_int q = x / y && B.to_int r = x mod y);
     prop "string roundtrip" 300 arb_big (fun x ->
-        B.equal x (B.of_string (B.to_string x)));
+        B.equal x (big (B.to_string x)));
     prop "add commutative" 300
       QCheck.(pair arb_big arb_big)
       (fun (x, y) -> B.equal (B.add x y) (B.add y x));
@@ -250,7 +259,7 @@ let props =
       QCheck.(pair arb_big arb_big)
       (fun (x, y) ->
         QCheck.assume (not (B.is_zero y));
-        let q, r = B.divmod x y in
+        let q, r = divmod x y in
         B.equal x (B.add (B.mul q y) r)
         && B.compare (B.abs r) (B.abs y) < 0
         && (B.is_zero r || B.sign r = B.sign x));
@@ -267,7 +276,7 @@ let props =
       (fun (x, y) ->
         QCheck.assume (not (B.is_zero x) || not (B.is_zero y));
         let g = B.gcd x y in
-        B.is_zero (B.rem x g) && B.is_zero (B.rem y g));
+        B.is_zero (snd (B.ediv_rem x g)) && B.is_zero (snd (B.ediv_rem y g)));
     prop "shift_left is mul by 2^k" 200
       QCheck.(pair arb_big (int_range 0 100))
       (fun (x, k) -> B.equal (B.shift_left x k) (B.mul x (B.pow B.two k)));
@@ -277,8 +286,7 @@ let props =
     prop "mul_int/add_int = mul/add" 500
       QCheck.(pair arb_big (oneof [ int; int_range (-(1 lsl 30)) (1 lsl 30) ]))
       (fun (x, n) ->
-        B.equal (B.mul_int x n) (B.mul x (B.of_int n))
-        && B.equal (B.add_int x n) (B.add x (B.of_int n)));
+        B.equal (B.mul_int x n) (B.mul x (B.of_int n)));
     prop "to_float sign" 200 arb_big (fun x ->
         compare (B.to_float x) 0.0 = B.sign x || B.is_zero x);
   ]

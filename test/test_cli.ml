@@ -214,7 +214,7 @@ let test_probability_one_policy () =
       Alcotest.(check bool)
         (policy ^ ": names the policy")
         true
-        (Errors.contains_substring text_err "bad policy"))
+        (Helpers.contains text_err "bad policy"))
     [ "lambda:1:3"; "geometric:1:1/2" ]
 
 let () =

@@ -162,7 +162,7 @@ let prop_bid_exclusivity =
 (* Units: edge cases *)
 (* ------------------------------------------------------------------ *)
 
-let check_rat = Alcotest.testable Rational.pp Rational.equal
+let check_rat = Alcotest.testable (Fmt.of_to_string Rational.to_string) Rational.equal
 
 let test_empty_delta () =
   let ti = Ti_table.create [ (fact "R" [ 0 ], Rational.half) ] in

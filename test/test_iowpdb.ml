@@ -53,11 +53,7 @@ let test_source_telescoping () =
   (* tail(n) = 1/(n+1) exactly *)
   (match Fact_source.tail_mass s 9 with
    | Some t -> Alcotest.(check bool) "tail 1/10" true (Float.abs (t -. 0.1) < 1e-9)
-   | None -> Alcotest.fail "tail expected");
-  (* total mass: prefix + tail ~ 1 *)
-  (match Fact_source.total_mass_upper s 100 with
-   | Some m -> Alcotest.(check bool) "mass ~1" true (Float.abs (m -. 1.0) < 0.02)
-   | None -> Alcotest.fail "mass expected")
+   | None -> Alcotest.fail "tail expected")
 
 let test_source_divergent () =
   let s = Fact_source.divergent_harmonic ~scale:Rational.one ~facts:r_fact () in
@@ -107,14 +103,6 @@ let test_source_append_interleave_map () =
   (match Fact_source.tail_mass s 0 with
    | Some t -> Alcotest.(check bool) "head+tail mass" true (t >= 1.9 -. 1e-6)
    | None -> Alcotest.fail "tail expected");
-  let mapped =
-    Fact_source.map_facts
-      (fun f -> Fact.make "Q" (Fact.args f))
-      (geo_source ())
-  in
-  (match Fact_source.nth mapped 0 with
-   | Some (f, _) -> Alcotest.(check string) "renamed" "Q(0)" (Fact.to_string f)
-   | None -> Alcotest.fail "nonempty");
   let s_fact k = fact "S" [ k ] in
   let both =
     Fact_source.interleave (geo_source ())
@@ -317,7 +305,6 @@ let test_cbid_create_and_masses () =
   let b = bid () in
   (match Countable_bid.nth_block b 0 with
    | Some blk ->
-     Alcotest.(check string) "id" "B0" (Countable_bid.block_id blk);
      check_q "mass" Rational.half (Countable_bid.block_mass blk);
      check_q "slack" Rational.half (Countable_bid.block_slack blk)
    | None -> Alcotest.fail "block expected");
@@ -696,7 +683,7 @@ let test_approx_marginals () =
   let ms = Approx_eval.marginals s ~eps:0.05 (parse "R(x)") in
   Alcotest.(check bool) "several tuples" true (List.length ms >= 4);
   (* the marginal of R(0) is 1/2 exactly (it is within the truncation) *)
-  (match List.find_opt (fun (t, _) -> Tuple.equal t [| i 0 |]) ms with
+  (match List.find_opt (fun (t, _) -> Tuple.compare t [| i 0 |] = 0) ms with
    | Some (_, p) -> check_q "R(0)" Rational.half p
    | None -> Alcotest.fail "R(0) expected")
 
@@ -891,7 +878,7 @@ let test_search_classifies_in_one_pass () =
       (match Approx_eval.truncation_r ~max_n src ~eps:0.1 with
       | Error (Errors.Budget_exhausted { what; _ }) ->
         Alcotest.(check bool) "too slow" true
-          (Errors.contains_substring what "converges too slowly")
+          (Helpers.contains what "converges too slowly")
       | _ -> Alcotest.fail "a 0.6 certificate must converge too slowly");
       Alcotest.(check bool)
         (Printf.sprintf "too slow: %d probes <= %d" !probes (probe_cap max_n))

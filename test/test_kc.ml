@@ -450,7 +450,7 @@ let gen_weight v =
       (1, return Rational.one);
       ( 2,
         map
-          (fun k -> Rational.make (Bigint.add_int (pow2 63) ((2 * k) + 1)) (pow2 64))
+          (fun k -> Rational.make (Bigint.add (pow2 63) (Bigint.of_int ((2 * k) + 1))) (pow2 64))
           (int_range 0 1000) );
     ]
 

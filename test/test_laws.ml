@@ -95,7 +95,7 @@ let prop_monotone_in_probabilities =
         let f, p = List.nth facts (which mod List.length facts) in
         let bumped =
           Ti_table.add ti f
-            (Rational.add p (Rational.div (Rational.compl p) Rational.two))
+            (Rational.add p (Rational.div (Rational.compl p) (Rational.of_int 2)))
         in
         Rational.compare (Query_eval.boolean ti phi)
           (Query_eval.boolean bumped phi)

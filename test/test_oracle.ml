@@ -7,7 +7,7 @@
 let i n = Value.Int n
 let q = Rational.of_ints
 let parse = Fo_parse.parse_exn
-let rcheck = Alcotest.testable Rational.pp Rational.equal
+let rcheck = Alcotest.testable (Fmt.of_to_string Rational.to_string) Rational.equal
 
 let table2 =
   [ (Fact.make "R" [ i 1 ], q 1 2); (Fact.make "R" [ i 2 ], q 1 4) ]

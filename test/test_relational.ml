@@ -1,5 +1,4 @@
-(* Tests for the relational substrate: values, schemas, facts, instances
-   and the deterministic algebra. *)
+(* Tests for the relational substrate: values, schemas, facts, instances. *)
 
 let i n = Value.Int n
 let s x = Value.Str x
@@ -74,10 +73,9 @@ let schema =
     ]
 
 let test_schema_basics () =
-  Alcotest.(check int) "arity R" 2 (Schema.arity schema "R");
-  Alcotest.(check bool) "mem" true (Schema.mem schema "S");
-  Alcotest.(check bool) "not mem" false (Schema.mem schema "Z");
-  Alcotest.(check int) "max arity" 2 (Schema.max_arity schema);
+  Alcotest.(check int) "arity R" 2 (Option.get (Schema.find schema "R")).arity;
+  Alcotest.(check bool) "mem" true (Schema.find schema "S" <> None);
+  Alcotest.(check bool) "not mem" false (Schema.find schema "Z" <> None);
   Alcotest.(check int) "relations" 3 (List.length (Schema.relations schema));
   Alcotest.check_raises "dup"
     (Invalid_argument "Schema.make: duplicate relation R") (fun () ->
@@ -86,7 +84,8 @@ let test_schema_basics () =
 let test_schema_union () =
   let s2 = Schema.make [ Schema.relation "Z" 3 ] in
   let u = Schema.union schema s2 in
-  Alcotest.(check bool) "has both" true (Schema.mem u "R" && Schema.mem u "Z");
+  Alcotest.(check bool) "has both" true
+    (Schema.find u "R" <> None && Schema.find u "Z" <> None);
   Alcotest.check_raises "conflict"
     (Invalid_argument "Schema.add: conflicting declaration of R") (fun () ->
       ignore (Schema.union schema (Schema.make [ Schema.relation "R" 3 ])))
@@ -162,11 +161,7 @@ let inst =
 let test_instance_basics () =
   Alcotest.(check int) "size" 3 (Instance.size inst);
   Alcotest.(check bool) "mem" true (Instance.mem (Fact.make "S" [ i 2 ]) inst);
-  Alcotest.(check int) "adom" 3 (List.length (Instance.active_domain inst));
-  Alcotest.(check (list string)) "relations" [ "R"; "S" ]
-    (Instance.relations_used inst);
-  Alcotest.(check int) "tuples of R" 2 (List.length (Instance.tuples_of inst "R"));
-  Alcotest.(check bool) "conforms" true (Instance.conforms schema inst)
+  Alcotest.(check int) "adom" 3 (List.length (Instance.active_domain inst))
 
 let test_instance_set_ops () =
   let a = Instance.of_list [ Fact.make "S" [ i 1 ]; Fact.make "S" [ i 2 ] ] in
@@ -200,50 +195,6 @@ let test_instance_subsets () =
     (List.exists Instance.is_empty subs);
   Alcotest.(check bool) "contains full" true
     (List.exists (fun d -> Instance.equal d inst) subs)
-
-(* ------------------------------------------------------------------ *)
-(* Algebra *)
-(* ------------------------------------------------------------------ *)
-
-let test_algebra_select_project () =
-  let open Algebra in
-  let r = eval_list schema inst (Project ([ 1 ], Select_eq (0, i 1, Rel "R"))) in
-  Alcotest.(check int) "one tuple" 1 (List.length r);
-  Alcotest.(check bool) "is (2)" true (Tuple.equal (List.hd r) [| i 2 |])
-
-let test_algebra_join () =
-  let open Algebra in
-  (* R(x,y) joined with S(y): pairs whose second column is in S *)
-  let r = eval_list schema inst (Join ([ (1, 0) ], Rel "R", Rel "S")) in
-  Alcotest.(check int) "join size" 1 (List.length r);
-  Alcotest.(check bool) "join tuple" true
-    (Tuple.equal (List.hd r) [| i 1; i 2; i 2 |])
-
-let test_algebra_set_ops () =
-  let open Algebra in
-  let u = eval_list schema inst (Union (Project ([ 0 ], Rel "R"), Rel "S")) in
-  Alcotest.(check int) "union" 2 (List.length u);
-  let d = eval_list schema inst (Diff (Project ([ 0 ], Rel "R"), Rel "S")) in
-  Alcotest.(check int) "diff" 1 (List.length d);
-  let n = eval_list schema inst (Inter (Project ([ 1 ], Rel "R"), Rel "S")) in
-  Alcotest.(check int) "inter" 1 (List.length n)
-
-let test_algebra_product_const () =
-  let open Algebra in
-  let p = eval_list schema inst (Product (Rel "S", Const [ [| s "k" |]; [| s "l" |] ])) in
-  Alcotest.(check int) "product" 2 (List.length p)
-
-let test_algebra_errors () =
-  let open Algebra in
-  Alcotest.check_raises "arity mismatch"
-    (Invalid_argument "Algebra: set operation arity mismatch") (fun () ->
-      ignore (eval schema inst (Union (Rel "R", Rel "S"))));
-  Alcotest.check_raises "bad projection"
-    (Invalid_argument "Algebra: projection column out of range") (fun () ->
-      ignore (eval schema inst (Project ([ 5 ], Rel "R"))));
-  Alcotest.check_raises "unknown rel"
-    (Invalid_argument "Schema: unknown relation Q") (fun () ->
-      ignore (eval schema inst (Rel "Q")))
 
 (* ------------------------------------------------------------------ *)
 (* Properties *)
@@ -315,14 +266,6 @@ let () =
           Alcotest.test_case "disjoint union" `Quick test_instance_disjoint_union;
           Alcotest.test_case "intersects (E_F)" `Quick test_instance_intersects;
           Alcotest.test_case "subsets" `Quick test_instance_subsets;
-        ] );
-      ( "algebra",
-        [
-          Alcotest.test_case "select/project" `Quick test_algebra_select_project;
-          Alcotest.test_case "join" `Quick test_algebra_join;
-          Alcotest.test_case "set ops" `Quick test_algebra_set_ops;
-          Alcotest.test_case "product/const" `Quick test_algebra_product_const;
-          Alcotest.test_case "errors" `Quick test_algebra_errors;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest props);
     ]

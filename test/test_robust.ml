@@ -278,7 +278,7 @@ let test_faulty_corrupt_fires_once () =
   | _ -> Alcotest.fail "first access should raise"
   | exception Invalid_argument msg ->
     Alcotest.(check bool) "names the injection" true
-      (Errors.contains_substring msg "corrupt"));
+      (Helpers.contains msg "corrupt"));
   (match Fact_source.nth w 0 with
   | Some (f, p) ->
     Alcotest.(check string) "true entry on retry" "R(0)" (Fact.to_string f);
@@ -444,7 +444,7 @@ let test_completion_uncertified_tail_partial () =
   | Ok _ -> Alcotest.fail "a 1/n tail cannot certify eps = 1e-9"
   | Error (Errors.Budget_exhausted { partial = Some iv; what; _ }) ->
     Alcotest.(check bool) "names the uncertified tail" true
-      (Errors.contains_substring what "tail does not certify");
+      (Helpers.contains what "tail does not certify");
     (* the conditional enclosure of a trivial base interval is wide —
        what matters is that it is a usable interval, not an exception *)
     Alcotest.(check bool) "within [0,1]" true
@@ -549,7 +549,7 @@ let test_robust_starved_budget_never_raises () =
       (parse "exists x. R(x)")
   in
   Alcotest.(check bool) "budget exhaustion reported" true
-    (Errors.contains_substring a.Robust_eval.provenance.stopped "budget exhausted");
+    (Helpers.contains a.Robust_eval.provenance.stopped "budget exhausted");
   Alcotest.(check bool) "still sound" true
     (Interval.contains a.Robust_eval.enclosure geo_limit)
 

@@ -197,7 +197,13 @@ let test_histogram_empty_and_overflow () =
 (* Admission *)
 (* ------------------------------------------------------------------ *)
 
-let lvl = Alcotest.testable (Fmt.of_to_string Admission.level_to_string) ( = )
+let lvl =
+  Alcotest.testable
+    (Fmt.of_to_string (function
+      | Admission.Full -> "full"
+      | Degraded -> "degraded"
+      | Reject -> "reject"))
+    ( = )
 
 let test_admission_decide () =
   let cfg =
@@ -300,6 +306,21 @@ let test_cache_bounded () =
   match Result_cache.find c0 ~query:"a" ~policy:"p" ~epoch:"" ~eps:0.5 with
   | None -> ()
   | Some _ -> Alcotest.fail "capacity 0 disables the cache"
+
+let test_cache_failed_save () =
+  let path = Filename.temp_file "iowpdb_warm" ".cache" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let c = Result_cache.create ~capacity:8 in
+  Result_cache.store c ~query:"exists x. R(x)" ~policy:"p" ~epoch:""
+    (dummy_answer 0.50 0.51);
+  ignore (Result_cache.save c ~path ~validator:"v1");
+  Result_cache.store c ~query:"exists x. S(x)" ~policy:"p" ~epoch:""
+    (dummy_answer 0.25 0.25);
+  Helpers.check_failed_write path ~write:(fun () ->
+      ignore (Result_cache.save c ~path ~validator:"v2"));
+  Alcotest.(check int) "old file loads" 1
+    (Result_cache.load (Result_cache.create ~capacity:8) ~path ~validator:"v1")
 
 let test_cache_warm_roundtrip () =
   let path = Filename.temp_file "iowpdb_warm" ".cache" in
@@ -796,6 +817,8 @@ let () =
           Alcotest.test_case "bounded" `Quick test_cache_bounded;
           Alcotest.test_case "warm save/load round-trip" `Quick
             test_cache_warm_roundtrip;
+          Alcotest.test_case "failed save keeps the old file" `Quick
+            test_cache_failed_save;
         ] );
       ( "faults",
         [ Alcotest.test_case "schedule mixes" `Quick test_fault_schedule_mixes ] );

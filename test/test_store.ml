@@ -320,6 +320,15 @@ let test_wrong_kind_guards () =
            (Printf.sprintf "Store.truncate: not a TI pack: %s" path))
         (fun () -> ignore (Store.truncate st ~n:1)))
 
+let test_failed_write_keeps_old_pack () =
+  let ti k = Ti_table.create (List.init k (fun j -> (fact "R" [ j ], q 1 (j + 2)))) in
+  let path = tmp_pack () in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  Store.write_ti ~path (ti 3);
+  Helpers.check_failed_write path ~write:(fun () -> Store.write_ti ~path (ti 5));
+  check_ti_equal "old pack loads" (ti 3) (Store.truncate (Store.load path) ~n:3)
+
 let () =
   Alcotest.run "store"
     [
@@ -346,5 +355,10 @@ let () =
           Alcotest.test_case "truncation, garbage, missing" `Quick
             test_truncated_and_garbage_rejected;
           Alcotest.test_case "kind guards" `Quick test_wrong_kind_guards;
+        ] );
+      ( "durability",
+        [
+          Alcotest.test_case "failed write keeps the old pack" `Quick
+            test_failed_write_keeps_old_pack;
         ] );
     ]
