@@ -1157,7 +1157,6 @@ let e21 () =
 let e22 () =
   header "E22" "Batch_eval: shared-store batch vs one-at-a-time Query_eval loop";
   let n = if !smoke then 12 else 14 in
-  let cache_size = 1 lsl 19 in
   let ti =
     Ti_table.create
       (List.concat_map
@@ -1191,10 +1190,10 @@ let e22 () =
   in
   let m = Array.length members in
   let t0 = Unix.gettimeofday () in
-  let seq = Array.map (fun phi -> Query_eval.boolean ~cache_size ti phi) members in
+  let seq = Array.map (fun phi -> Query_eval.boolean ti phi) members in
   let seq_t = Float.max (Unix.gettimeofday () -. t0) 1e-9 in
   let t0 = Unix.gettimeofday () in
-  let r = Batch_eval.boolean ~cache_size ti members in
+  let r = Batch_eval.boolean ti members in
   let batch_t = Float.max (Unix.gettimeofday () -. t0) 1e-9 in
   let agree = ref true in
   Array.iteri
@@ -1205,7 +1204,7 @@ let e22 () =
   let identical = ref true in
   List.iter
     (fun d ->
-      let rd = Batch_eval.boolean ~cache_size ~domains:d ti members in
+      let rd = Batch_eval.boolean ~domains:d ti members in
       Array.iteri
         (fun idx (mem : Rational.t Batch_eval.member) ->
           if

@@ -115,7 +115,10 @@ let max_bdd_nodes_arg =
     value
     & opt (some int) None
     & info [ "max-bdd-nodes" ] ~docv:"N"
-        ~doc:"Cap on freshly allocated BDD nodes.")
+        ~doc:
+          "Cap on BDD nodes per attempt: the nodes an exact compilation \
+           allocates, and the nodes an anytime session keeps live (its \
+           garbage collections refund what they sweep).")
 
 let max_facts_arg =
   Arg.(
@@ -123,26 +126,6 @@ let max_facts_arg =
     & opt (some int) None
     & info [ "max-facts" ] ~docv:"N"
         ~doc:"Cap on facts pulled from the source.")
-
-(* BDD kernel tuning, shared by query / anytime / robust. *)
-let bdd_cache_size_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "bdd-cache-size" ] ~docv:"N"
-        ~doc:
-          "Entries in the BDD kernel's direct-mapped operation cache \
-           (rounded up to a power of two).")
-
-let bdd_gc_threshold_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "bdd-gc-threshold" ] ~docv:"N"
-        ~doc:
-          "Run a BDD garbage collection once N nodes have been allocated \
-           since the previous one; collected nodes are refunded to the \
-           node budget, so caps govern live nodes.")
 
 let make_budget ?max_bdd_nodes ?max_facts ~timeout ~virtual_rate () =
   if
@@ -154,16 +137,13 @@ let make_budget ?max_bdd_nodes ?max_facts ~timeout ~virtual_rate () =
     Some (Budget.create ?clock ?timeout ?max_bdd_nodes ?max_facts ())
   end
 
-let run_query table query bdd_cache_size bdd_gc_threshold stats =
+let run_query table query stats =
   guard @@ fun () ->
   with_stats stats @@ fun () ->
   let ti = read_table table in
   let phi = Fo_parse.parse_exn query in
   if Fo.free_vars phi = [] then begin
-    let p =
-      Query_eval.boolean ?cache_size:bdd_cache_size
-        ?gc_threshold:bdd_gc_threshold ti phi
-    in
+    let p = Query_eval.boolean ti phi in
     Printf.printf "P[ %s ] = %s (~%s)\n" query (Rational.to_string p)
       (Rational.to_decimal_string ~digits:8 p)
   end
@@ -172,15 +152,12 @@ let run_query table query bdd_cache_size bdd_gc_threshold stats =
       (fun (tup, p) ->
         Printf.printf "P[ %s at %s ] = %s\n" query (Tuple.to_string tup)
           (Rational.to_string p))
-      (Query_eval.marginals ?cache_size:bdd_cache_size
-         ?gc_threshold:bdd_gc_threshold ti phi)
+      (Query_eval.marginals ti phi)
 
 let query_cmd =
   let doc = "Exact query evaluation on a closed-world TI table." in
   Cmd.v (Cmd.info "query" ~doc)
-    Term.(
-      const run_query $ table_arg $ query_arg 1 $ bdd_cache_size_arg
-      $ bdd_gc_threshold_arg $ stats_arg)
+    Term.(const run_query $ table_arg $ query_arg 1 $ stats_arg)
 
 (* ------------------------------------------------------------------ *)
 (* batch: many Boolean queries over one table and one shared store *)
@@ -220,8 +197,7 @@ let route_to_string = function
   | Batch_eval.Compiled s -> Printf.sprintf "bdd shard %d" s
   | Batch_eval.Duplicate j -> Printf.sprintf "duplicate of member %d" j
 
-let run_batch table queries_file domains bdd_cache_size bdd_gc_threshold stats
-    =
+let run_batch table queries_file domains stats =
   guard @@ fun () ->
   with_stats stats @@ fun () ->
   let ti = read_table table in
@@ -232,10 +208,7 @@ let run_batch table queries_file domains bdd_cache_size bdd_gc_threshold stats
   in
   if lines = [] then invalid_arg "batch: no queries (empty input)";
   let phis = Array.of_list (List.map Fo_parse.parse_exn lines) in
-  let r =
-    Batch_eval.boolean ?cache_size:bdd_cache_size
-      ?gc_threshold:bdd_gc_threshold ~domains ti phis
-  in
+  let r = Batch_eval.boolean ~domains ti phis in
   Array.iteri
     (fun i (m : Rational.t Batch_eval.member) ->
       Printf.printf "P[ %s ] = %s (~%s) [%s]\n" (List.nth lines i)
@@ -247,13 +220,7 @@ let run_batch table queries_file domains bdd_cache_size bdd_gc_threshold stats
                  %d duplicate(s)\n"
     (Array.length r.Batch_eval.members)
     r.Batch_eval.lifted r.Batch_eval.compiled r.Batch_eval.shards
-    r.Batch_eval.deduped;
-  if stats then
-    (* The kernel rounds the op-cache knob up to a power of two; report
-       the size actually in effect rather than echoing the request. *)
-    Printf.printf "bdd op cache: requested %d, effective %d entries\n"
-      (Option.value bdd_cache_size ~default:Bdd.default_cache_size)
-      r.Batch_eval.cache_size
+    r.Batch_eval.deduped
 
 let batch_cmd =
   let doc =
@@ -267,7 +234,7 @@ let batch_cmd =
   Cmd.v (Cmd.info "batch" ~doc)
     Term.(
       const run_batch $ table_arg $ queries_file_arg $ batch_domains_arg
-      $ bdd_cache_size_arg $ bdd_gc_threshold_arg $ stats_arg)
+      $ stats_arg)
 
 let policy_arg =
   Arg.(
@@ -305,7 +272,7 @@ let open_cmd =
       $ stats_arg)
 
 let run_anytime table query policy eps timeout virtual_rate max_bdd_nodes
-    max_facts bdd_cache_size bdd_gc_threshold stats =
+    max_facts stats =
   guard @@ fun () ->
   with_stats stats @@ fun () ->
   let ti = read_table table in
@@ -314,10 +281,7 @@ let run_anytime table query policy eps timeout virtual_rate max_bdd_nodes
   let budget =
     make_budget ?max_bdd_nodes ?max_facts ~timeout ~virtual_rate ()
   in
-  let sess =
-    Anytime.create ~eps ?budget ?cache_size:bdd_cache_size
-      ?gc_threshold:bdd_gc_threshold src phi
-  in
+  let sess = Anytime.create ~eps ?budget src phi in
   let reason, steps = Anytime.run sess in
   List.iter
     (fun (s : Anytime.step) ->
@@ -345,7 +309,7 @@ let anytime_cmd =
     Term.(
       const run_anytime $ table_arg $ query_arg 1 $ policy_arg $ eps_arg
       $ timeout_arg $ virtual_rate_arg $ max_bdd_nodes_arg $ max_facts_arg
-      $ bdd_cache_size_arg $ bdd_gc_threshold_arg $ stats_arg)
+      $ stats_arg)
 
 let samples_arg =
   Arg.(
@@ -472,7 +436,7 @@ let robust_samples_arg =
         ~doc:"Monte-Carlo worlds for the last ladder rung.")
 
 let run_robust table query policy eps timeout virtual_rate max_bdd_nodes
-    max_facts bdd_cache_size bdd_gc_threshold samples seed faults stats =
+    max_facts samples seed faults stats =
   guard @@ fun () ->
   with_stats stats @@ fun () ->
   let ti = read_table table in
@@ -488,7 +452,7 @@ let run_robust table query policy eps timeout virtual_rate max_bdd_nodes
   let budget = make_budget ~timeout ~virtual_rate () in
   let a =
     Robust_eval.query ?budget ~eps ?max_bdd_nodes ?max_facts
-      ?bdd_cache_size ?bdd_gc_threshold ~mc_samples:samples ~seed src phi
+      ~mc_samples:samples ~seed src phi
   in
   print_endline (Robust_eval.answer_to_string a)
 
@@ -504,8 +468,7 @@ let robust_cmd =
     Term.(
       const run_robust $ table_arg $ query_arg 1 $ policy_arg $ eps_arg
       $ timeout_arg $ virtual_rate_arg $ max_bdd_nodes_arg $ max_facts_arg
-      $ bdd_cache_size_arg $ bdd_gc_threshold_arg $ robust_samples_arg
-      $ seed_arg $ inject_faults_arg $ stats_arg)
+      $ robust_samples_arg $ seed_arg $ inject_faults_arg $ stats_arg)
 
 (* ------------------------------------------------------------------ *)
 (* fuzz: differential testing against the enumeration oracle *)

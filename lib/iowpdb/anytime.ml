@@ -94,8 +94,7 @@ type t = {
 }
 
 let create ?(eps = 0.01) ?(max_n = 1 lsl 20) ?(max_steps = 64)
-    ?(max_nodes = max_int) ?growth ?budget ?cache_size
-    ?(gc_threshold = 1 lsl 16) src phi =
+    ?(max_nodes = max_int) ?growth ?budget src phi =
   if not (eps > 0.0 && eps < 0.5) then
     invalid_arg "Anytime: eps must lie in (0, 1/2)";
   if Fo.free_vars phi <> [] then
@@ -126,9 +125,7 @@ let create ?(eps = 0.01) ?(max_n = 1 lsl 20) ?(max_steps = 64)
      [True].  A budget already exhausted at creation stops the session
      immediately instead of raising out of [create]. *)
   let session, stopped =
-    match
-      S.create ?tick ?on_free ?cache_size ~gc_threshold Ti_table.empty phi
-    with
+    match S.create ?tick ?on_free Ti_table.empty phi with
     | s -> (Some s, None)
     | exception Budget.Exhausted e -> (None, Some (Interrupted e))
   in

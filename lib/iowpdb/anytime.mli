@@ -91,8 +91,6 @@ val create :
   ?max_nodes:int ->
   ?growth:(int -> int) ->
   ?budget:Budget.t ->
-  ?cache_size:int ->
-  ?gc_threshold:int ->
   Fact_source.t ->
   Fo.t ->
   t
@@ -108,14 +106,13 @@ val create :
     the last {e completed} step remain the session's certified
     enclosure.
 
-    [cache_size] and [gc_threshold] tune the session's shared BDD
-    manager (see {!Bdd.manager}).  The session registers its current
-    lineage diagram as a GC root and offers a collection after every
-    step, so with the default [gc_threshold] (2^16 allocations) the live
-    node count — what {!node_count}, [max_nodes] and the [Bdd_nodes]
-    budget observe — stays proportional to the current diagram instead
-    of growing with every node ever built; swept nodes are refunded to
-    [budget].
+    The session's shared BDD manager is a {!Delta_eval} session's: it
+    registers the current lineage diagram as a GC root and collects
+    after a step once 2^16 nodes have been allocated since the last
+    sweep, so the live node count — what {!node_count}, [max_nodes] and
+    the [Bdd_nodes] budget observe — stays proportional to the current
+    diagram instead of growing with every node ever built; swept nodes
+    are refunded to [budget].
     @raise Invalid_argument if [eps] is outside [(0, 1/2)] or the query
     has free variables. *)
 

@@ -137,22 +137,17 @@ let or_invalid_arg = function
   | Error (Errors.Budget_exhausted { what; _ }) -> invalid_arg what
   | Error e -> failwith (Errors.to_string e)
 
-let boolean_r ?max_n ?budget ?bdd_cache_size ?bdd_gc_threshold src ~eps phi =
+let boolean_r ?max_n ?budget src ~eps phi =
+  (* The classical engine's manager is used once and never collects
+     garbage, so the [Bdd_nodes] cap governs every node it allocates. *)
   let tick =
     Option.map (fun b () -> Budget.charge b Budget.Bdd_nodes 1) budget
-  in
-  (* The inverse hook: nodes reclaimed by the kernel's GC (enabled via
-     [bdd_gc_threshold]) are refunded, so the [Bdd_nodes] cap governs
-     live nodes rather than every node ever built. *)
-  let on_free =
-    Option.map (fun b n -> Budget.refund b Budget.Bdd_nodes n) budget
   in
   certify ?max_n ?budget src ~eps (fun table ->
       let extra_domain =
         Query_eval.choose_padding (Ti_table.support table) [ phi ]
       in
-      Query_eval.boolean ~extra_domain ?tick ?on_free
-        ?cache_size:bdd_cache_size ?gc_threshold:bdd_gc_threshold table phi)
+      Query_eval.boolean ~extra_domain ?tick table phi)
   |> Result.map (fun (p, result) -> result p)
 
 let boolean ?max_n src ~eps phi = or_invalid_arg (boolean_r ?max_n src ~eps phi)

@@ -52,8 +52,6 @@ val boolean : ?max_n:int -> Fact_source.t -> eps:float -> Fo.t -> result
 val boolean_r :
   ?max_n:int ->
   ?budget:Budget.t ->
-  ?bdd_cache_size:int ->
-  ?bdd_gc_threshold:int ->
   Fact_source.t ->
   eps:float ->
   Fo.t ->
@@ -64,12 +62,9 @@ val boolean_r :
     charged as [Facts]/[Probes], BDD allocations as [Bdd_nodes]); in the
     budget case the error carries the best sound enclosure implied by
     the deepest certified tail.  [Model_invalid] covers bad [eps] and
-    malformed sources.
-
-    [bdd_cache_size] / [bdd_gc_threshold] tune the BDD kernel of the
-    classical engine (see {!Bdd.manager}); with a GC threshold set,
-    nodes the kernel sweeps are refunded to [budget], so the
-    [Bdd_nodes] cap tracks live nodes. *)
+    malformed sources.  The classical engine compiles into a one-shot
+    BDD manager that never collects garbage, so the [Bdd_nodes] cap
+    bounds the nodes it allocates. *)
 
 val boolean_lifted_r :
   ?max_n:int ->
@@ -94,31 +89,15 @@ val truncation_r :
   Fact_source.t ->
   eps:float ->
   (int * float, Errors.t) Stdlib.result
-(** The classified truncation search of {!certify}: one
-    {!Fact_source.search} at [required_tail eps], giving the least [n]
-    certifying [eps] with the tail value observed there.  A silent
-    certificate is [Divergent_source] (probed to [max_n]); one that
-    answers but never within the bound is [Budget_exhausted] ("converges
-    too slowly") carrying the enclosure its deepest answer implies. *)
-
-val certify :
-  ?max_n:int ->
-  ?budget:Budget.t ->
-  ?what:string ->
-  Fact_source.t ->
-  eps:float ->
-  (Ti_table.t -> 'a) ->
-  ('a * (Rational.t -> result), Errors.t) Stdlib.result
-(** The certify step of Proposition 6.1, shared by every truncation
-    engine ({!boolean_r}, {!boolean_lifted_r}, {!marginals},
-    [Robust_eval.query_batch]): run {!truncation_r}, materialize the
-    first [n] facts, re-ask the certificate at [n] (keeping the smaller
-    bound), evaluate the prefix table, and return the evaluation with
-    the {!result} builder for an estimate counted on that prefix.  Under
-    [budget] the source is charged [Facts]/[Probes]; a budget that trips
-    after the search becomes [Budget_exhausted] carrying the enclosure
-    the certified tail implies.  [what] names the caller in error
-    reports (default [Approx_eval(<source name>)]). *)
+(** The classified truncation search that {!boolean_r},
+    {!boolean_lifted_r} and {!marginals} run before they materialize
+    the first [n] facts, re-ask the certificate at [n] and evaluate the
+    prefix table: one {!Fact_source.search} at [required_tail eps],
+    giving the least [n] certifying [eps] with the tail value observed
+    there.  A silent certificate is [Divergent_source] (probed to
+    [max_n]); one that answers but never within the bound is
+    [Budget_exhausted] ("converges too slowly") carrying the enclosure
+    its deepest answer implies. *)
 
 (** {1 Certification primitives}
 

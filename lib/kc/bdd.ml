@@ -53,11 +53,11 @@ type manager = {
   (* Direct-mapped operation cache.  c_k holds the packed tag
      [(a lsl 3) lor op] (-1 = empty), c_b/c_c the remaining operands
      (0 when unused), c_r the result index. *)
-  c_k : int array;
-  c_b : int array;
-  c_c : int array;
-  c_r : int array;
-  c_mask : int;
+  mutable c_k : int array;
+  mutable c_b : int array;
+  mutable c_c : int array;
+  mutable c_r : int array;
+  mutable c_mask : int;
   gc_threshold : int;
   roots : (int, int) Hashtbl.t; (* root index -> protect count *)
   mutable tmp_a : int array; (* scratch roots pinned during of_expr *)
@@ -72,23 +72,11 @@ let op_xor = 2
 let op_not = 3
 let op_ite = 4
 
-let rec round_pow2 acc n = if acc >= n then acc else round_pow2 (acc * 2) n
-
-let default_cache_size = 1 lsl 11
-
-let effective_cache_size requested =
-  if requested <= 0 then
-    invalid_arg "Bdd.effective_cache_size: cache_size must be positive";
-  round_pow2 64 requested
-
 let manager ?(order = Fun.id) ?(tick = Fun.id) ?(on_free = fun _ -> ())
-    ?(cache_size = default_cache_size) ?(gc_threshold = max_int) () =
-  if cache_size <= 0 then
-    invalid_arg "Bdd.manager: cache_size must be positive";
+    ?(gc_threshold = max_int) () =
   if gc_threshold <= 0 then
     invalid_arg "Bdd.manager: gc_threshold must be positive";
   let cap = 1024 in
-  let csz = round_pow2 64 cache_size in
   let m =
     {
       order;
@@ -108,11 +96,11 @@ let manager ?(order = Fun.id) ?(tick = Fun.id) ?(on_free = fun _ -> ())
       u_idx = Array.make 2048 (-1);
       u_mask = 2047;
       u_fill = 0;
-      c_k = Array.make csz (-1);
-      c_b = Array.make csz 0;
-      c_c = Array.make csz 0;
-      c_r = Array.make csz 0;
-      c_mask = csz - 1;
+      c_k = Array.make 2048 (-1);
+      c_b = Array.make 2048 0;
+      c_c = Array.make 2048 0;
+      c_r = Array.make 2048 0;
+      c_mask = 2047;
       gc_threshold;
       roots = Hashtbl.create 16;
       tmp_a = Array.make 64 0;
@@ -158,13 +146,30 @@ let u_put m n =
   in
   go (hash3 m.var_a.(n) m.lo_a.(n) m.hi_a.(n) land mask)
 
+(* The operation cache has half as many entries as the unique table has
+   slots, never fewer than 2,048 (about one entry per live node), so it
+   is resized here and only here.  Half, not all: each resize allocates
+   on the major heap, and a full-size cache brought the collector more
+   work than its extra hits saved (DESIGN §4.1).  A resized cache starts
+   empty: the cache is lossy, so forgetting is sound.  An apply already
+   in the recursion writes its result afterwards at a slot computed
+   under the old mask; that slot is still in bounds, and the entry holds
+   its full key, so a lookup can only match it exactly. *)
 let u_grow m =
   let old = m.u_idx in
   let size = (m.u_mask + 1) * 2 in
   m.u_idx <- Array.make size (-1);
   m.u_mask <- size - 1;
   m.u_fill <- 0;
-  Array.iter (fun n -> if n >= 0 then u_put m n) old
+  Array.iter (fun n -> if n >= 0 then u_put m n) old;
+  let entries = size / 2 in
+  if entries > m.c_mask + 1 then begin
+    m.c_k <- Array.make entries (-1);
+    m.c_b <- Array.make entries 0;
+    m.c_c <- Array.make entries 0;
+    m.c_r <- Array.make entries 0;
+    m.c_mask <- entries - 1
+  end
 
 (* -------------------- node allocation -------------------- *)
 

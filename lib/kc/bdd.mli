@@ -27,7 +27,6 @@ val manager :
   ?order:(int -> int) ->
   ?tick:(unit -> unit) ->
   ?on_free:(int -> unit) ->
-  ?cache_size:int ->
   ?gc_threshold:int ->
   unit ->
   manager
@@ -45,18 +44,16 @@ val manager :
     that freed [n] nodes, so the governor can refund their budget — the
     pair keeps {!Budget}-style accounting keyed to {e live} nodes.
 
-    [cache_size] is the number of entries in the direct-mapped operation
-    cache (rounded up to a power of two >= 64; default [2^11] =
-    {!default_cache_size}).  The cache is lossy: a conflicting entry
-    overwrites, never chains.  The rounding is observable: query the
-    size actually in effect with {!cache_size} (on a manager) or
-    {!effective_cache_size} (on a requested value), so configuration
-    reports never echo a knob the kernel silently adjusted.
-
     [gc_threshold] triggers an automatic collection at the next safe
     point once that many nodes have been allocated since the previous
     one (default [max_int]: automatic GC off).
-    @raise Invalid_argument if either size is not positive. *)
+
+    The operation cache sizes itself: it has half as many entries as
+    the unique table has slots, never fewer than 2,048, and when the
+    unique table doubles past that the cache is reallocated at the new
+    size, empty.  The cache is lossy (a conflicting entry overwrites,
+    never chains), so dropping its entries never changes a result.
+    @raise Invalid_argument if [gc_threshold] is not positive. *)
 
 val tru : manager -> t
 val fls : manager -> t
@@ -138,21 +135,10 @@ val peak_count : manager -> int
 (** High-water mark of {!node_count}. *)
 
 val cache_size : manager -> int
-(** The {e effective} number of operation-cache entries — the requested
-    [cache_size] rounded up to a power of two >= 64, never the raw
-    request.
+(** The number of operation-cache entries now in effect: half the
+    unique table's slot count, at least 2,048.
 
     Reference: an observer for tests. *)
-
-val effective_cache_size : int -> int
-(** [effective_cache_size requested] is the operation-cache size
-    {!manager} would actually use for [?cache_size:requested] — the same
-    power-of-two rounding, exposed so front ends can report the true
-    configuration without building a manager.
-    @raise Invalid_argument if [requested] is not positive. *)
-
-val default_cache_size : int
-(** The [cache_size] used when the knob is omitted ([2^11]). *)
 
 val eval : (int -> bool) -> t -> bool
 (** Reference: tests check compiled diagrams against the expression's

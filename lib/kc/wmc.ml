@@ -18,10 +18,6 @@ let first_occurrence_order exprs =
     | Some r -> r
     | None -> v + Hashtbl.length tbl
 
-let compile ?tick ?on_free ?cache_size ?gc_threshold e =
-  let order = first_occurrence_order [ e ] in
-  Bdd.of_expr (Bdd.manager ~order ?tick ?on_free ?cache_size ?gc_threshold ()) e
-
 let count ~weight roots =
   Array.map
     (fun (n, d) -> Rational.make n d)
@@ -31,5 +27,6 @@ let count ~weight roots =
          (Rational.num p, Rational.den p))
        roots)
 
-let probability ?tick ?on_free ?cache_size ?gc_threshold ~weight e =
-  (count ~weight [| compile ?tick ?on_free ?cache_size ?gc_threshold e |]).(0)
+let probability ?tick ~weight e =
+  let order = first_occurrence_order [ e ] in
+  (count ~weight [| Bdd.of_expr (Bdd.manager ~order ?tick ()) e |]).(0)

@@ -27,15 +27,12 @@ val count : weight:(int -> Rational.t) -> Bdd.t array -> Rational.t array
 
 val probability :
   ?tick:(unit -> unit) ->
-  ?on_free:(int -> unit) ->
-  ?cache_size:int ->
-  ?gc_threshold:int ->
   weight:(int -> Rational.t) ->
   Bool_expr.t ->
   Rational.t
 (** Compile the lineage into a fresh manager under
     {!first_occurrence_order}, then count: the probability that it holds
     when variable [v] is independently true with probability [weight v].
-    The optional arguments go to {!Bdd.manager}: [tick] is called per
-    fresh node and may raise to abort a blowing-up compilation; [on_free]
-    refunds nodes reclaimed by GC when [gc_threshold] enables it. *)
+    [tick] goes to {!Bdd.manager}: it is called per fresh node and may
+    raise to abort a blowing-up compilation.  The manager is used once
+    and never collects garbage, so [tick] sees every node allocated. *)

@@ -9,7 +9,6 @@ type 'p result = {
   members : 'p member array;
   padding : Value.t list;
   shards : int;
-  cache_size : int;
   lifted : int;
   compiled : int;
   deduped : int;
@@ -51,18 +50,13 @@ let padding ?(extra = []) table queries =
     ~avoid:(fun v -> List.exists (Value.equal v) extra)
     (Ti_table.support table) (Array.to_list queries)
 
-let boolean ?(extra_domain = []) ?tick ?on_free ?cache_size ?gc_threshold
-    ?(domains = 1) ti queries =
+let boolean ?(extra_domain = []) ?(domains = 1) ti queries =
   if domains < 1 then
     invalid_arg "Batch_eval.boolean: domains must be positive";
   Array.iter require_sentence queries;
   let n = Array.length queries in
   Stats.incr c_runs;
   Stats.add c_members n;
-  let eff_cache =
-    Bdd.effective_cache_size
-      (Option.value cache_size ~default:Bdd.default_cache_size)
-  in
   let pads = padding ~extra:extra_domain ti queries in
   (* Syntactic dedup: a repeated member is answered from the slot of
      its first occurrence. *)
@@ -133,18 +127,8 @@ let boolean ?(extra_domain = []) ?tick ?on_free ?cache_size ?gc_threshold
           mine
       in
       let order = Wmc.first_occurrence_order (Array.to_list exprs) in
-      let m = Bdd.manager ~order ?tick ?on_free ?cache_size ?gc_threshold () in
-      (* Every compiled root is protected before the next member
-         compiles, so a gc_threshold-triggered sweep at an of_expr
-         safe point cannot collect an earlier member's diagram. *)
-      let roots =
-        Array.map
-          (fun e ->
-            let t = Bdd.of_expr m e in
-            Bdd.protect t;
-            t)
-          exprs
-      in
+      let m = Bdd.manager ~order () in
+      let roots = Array.map (Bdd.of_expr m) exprs in
       let res =
         Wmc.count ~weight:(fun v -> weight (Lineage.fact_of_var a v)) roots
       in
@@ -152,8 +136,7 @@ let boolean ?(extra_domain = []) ?tick ?on_free ?cache_size ?gc_threshold
         (fun k i ->
           probs.(i) <- Some res.(k);
           routes.(i) <- Compiled s)
-        mine;
-      Array.iter Bdd.release roots
+        mine
     in
     (* Mc_eval's worker discipline: one atomic cursor claims shards,
        results land in per-member slots (disjoint writes), failures
@@ -200,7 +183,6 @@ let boolean ?(extra_domain = []) ?tick ?on_free ?cache_size ?gc_threshold
     members;
     padding = pads;
     shards;
-    cache_size = eff_cache;
     lifted = !lifted;
     compiled = !compiled;
     deduped = !deduped;

@@ -61,9 +61,6 @@ type 'p result = {
   padding : Value.t list;
       (** the batch's inert padding values (max rank over padded members) *)
   shards : int;  (** shard managers actually used (0 if none compiled) *)
-  cache_size : int;
-      (** {e effective} operation-cache entries per shard manager — the
-          requested knob after {!Bdd.manager}'s power-of-two rounding *)
   lifted : int;  (** distinct members answered by the lifted engine *)
   compiled : int;  (** distinct members compiled to BDDs *)
   deduped : int;  (** members answered as duplicates *)
@@ -78,10 +75,6 @@ val padding : ?extra:Value.t list -> Ti_table.t -> Fo.t array -> Value.t list
 
 val boolean :
   ?extra_domain:Value.t list ->
-  ?tick:(unit -> unit) ->
-  ?on_free:(int -> unit) ->
-  ?cache_size:int ->
-  ?gc_threshold:int ->
   ?domains:int ->
   Ti_table.t ->
   Fo.t array ->
@@ -90,9 +83,6 @@ val boolean :
     worker domains fanned over the compiled shards; with [domains = 1]
     the whole batch shares a single store (maximal sharing), larger
     values trade sharing for parallelism without changing the
-    (bit-identical) results.  [tick] / [on_free] are the {!Bdd.manager}
-    budget hooks, threaded to every shard manager — they may be called
-    from worker domains, so they must be thread-safe (the {!Budget}
-    hooks are).
+    (bit-identical) results.
     @raise Invalid_argument if [domains < 1], or some member has free
     variables. *)

@@ -52,7 +52,6 @@ let create ?schema blocks =
   { blocks; fact_block; fact_prob }
 
 let blocks t = t.blocks
-let block_of_fact t f = Fact.Map.find_opt f t.fact_block
 
 let prob t f =
   Option.value (Fact.Map.find_opt f t.fact_prob) ~default:Rational.zero

@@ -17,8 +17,11 @@ val create : ?schema:Schema.t -> block list -> t
     block whose probabilities sum above 1. *)
 
 val blocks : t -> block list
-val block_of_fact : t -> Fact.t -> string option
+
 val prob : t -> Fact.t -> Rational.t
+(** The fact's probability in its block; zero for a fact in no block.
+
+    Reference: an observer for tests. *)
 
 val block_slack : t -> string -> Rational.t
 (** [1 - sum of the block's probabilities]: the "no fact from this block"
@@ -27,6 +30,10 @@ val block_slack : t -> string -> Rational.t
     Paper: the slack of Definition 4.11. *)
 
 val support : t -> Fact.t list
+(** The facts of every block, in fact order.
+
+    Reference: an observer for tests. *)
+
 val size : t -> int
 (** Reference: an observer for tests. *)
 

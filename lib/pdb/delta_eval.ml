@@ -184,8 +184,11 @@ module Make (C : Prob.CARRIER) = struct
     end;
     ignore (Bdd.maybe_gc t.mgr)
 
-  let create ?(tail = 0.0) ?tick ?on_free ?cache_size
-      ?(gc_threshold = 1 lsl 16) tbl phi =
+  (* The one GC policy of a long-lived session: collect at the next safe
+     point once 2^16 nodes have been allocated since the last sweep. *)
+  let gc_threshold = 1 lsl 16
+
+  let create ?(tail = 0.0) ?tick ?on_free tbl phi =
     if Fo.free_vars phi <> [] then
       invalid_arg "Delta_eval: query must be a sentence";
     if not (tail >= 0.0 && tail < 1.0) then
@@ -210,7 +213,7 @@ module Make (C : Prob.CARRIER) = struct
         ~on_free:(fun n ->
           if n > 0 then gc_ran := true;
           Option.iter (fun f -> f n) on_free)
-        ?cache_size ~gc_threshold ()
+        ~gc_threshold ()
     in
     let t =
       {
@@ -238,7 +241,6 @@ module Make (C : Prob.CARRIER) = struct
     t.bdd <- bdd;
     t
 
-  let query t = t.phi
   let table t = t.tbl
   let tail t = t.tail
   let epoch t = t.epoch
@@ -434,152 +436,3 @@ end
 
 module Exact = Make (Prob.Rational_carrier)
 module Certified = Make (Prob.Interval_carrier)
-
-(* -------------------- BID sessions -------------------- *)
-
-module Bid = struct
-  type bdelta =
-    | B_set of string * Fact.t * Rational.t
-    | B_remove of Fact.t
-
-  type t = {
-    phi : Fo.t;
-    cmp_free : bool;
-    tail : float;
-    mutable tbl : Bid_table.t;
-    mutable adom : VSet.t;  (* grow-only for cmp-free queries *)
-    mutable padding : Value.t list;
-    mutable cached : Rational.t option;
-    mutable epoch : int;
-  }
-
-  let create ?(tail = 0.0) tbl phi =
-    if Fo.free_vars phi <> [] then
-      invalid_arg "Delta_eval.Bid: query must be a sentence";
-    if not (tail >= 0.0 && tail < 1.0) then
-      invalid_arg "Delta_eval.Bid: tail must lie in [0, 1)";
-    let cmp_free = not (Fo.has_cmp phi) in
-    let adom =
-      adom_union (VSet.of_list (Fo.constants phi)) (Bid_table.support tbl)
-    in
-    {
-      phi;
-      cmp_free;
-      tail;
-      tbl;
-      adom;
-      padding = padding_avoiding adom phi;
-      cached = None;
-      epoch = 0;
-    }
-
-  let query t = t.phi
-  let table t = t.tbl
-  let tail t = t.tail
-  let epoch t = t.epoch
-  let padding t = t.padding
-
-  (* Rebuild the block list with [fact]'s marginal set to [p] inside
-     [block]; [None] rejections carry the reason. *)
-  let edited_blocks t block fact p =
-    match Bid_table.block_of_fact t.tbl fact with
-    | Some b when b <> block ->
-      Error
-        (Printf.sprintf "fact %s already belongs to block %s"
-           (Fact.to_string fact) b)
-    | home -> (
-      let blocks = Bid_table.blocks t.tbl in
-      let present = home <> None in
-      let edit (bl : Bid_table.block) =
-        if bl.Bid_table.block_id <> block then bl
-        else
-          let alts =
-            List.filter
-              (fun (f, _) -> not (Fact.equal f fact))
-              bl.Bid_table.alternatives
-          in
-          let alts =
-            if Rational.is_zero p then alts else alts @ [ (fact, p) ]
-          in
-          { bl with Bid_table.alternatives = alts }
-      in
-      let blocks =
-        if present || List.exists (fun b -> b.Bid_table.block_id = block) blocks
-        then List.map edit blocks
-        else if Rational.is_zero p then blocks
-        else blocks @ [ { Bid_table.block_id = block; alternatives = [ (fact, p) ] } ]
-      in
-      let blocks =
-        List.filter (fun b -> b.Bid_table.alternatives <> []) blocks
-      in
-      let mass bl =
-        Rational.sum (List.map snd bl.Bid_table.alternatives)
-      in
-      match
-        List.find_opt
-          (fun bl -> Rational.compare (mass bl) Rational.one > 0)
-          blocks
-      with
-      | Some bl ->
-        Error
-          (Printf.sprintf "block %s mass %s would exceed 1"
-             bl.Bid_table.block_id
-             (Rational.to_string (mass bl)))
-      | None -> (
-        match Bid_table.create blocks with
-        | tbl -> Ok tbl
-        | exception Invalid_argument msg -> Error msg))
-
-  let commit t tbl =
-    t.tbl <- tbl;
-    t.epoch <- t.epoch + 1;
-    t.cached <- None;
-    if t.cmp_free then begin
-      t.adom <- adom_union t.adom (Bid_table.support tbl);
-      if List.exists (fun v -> VSet.mem v t.adom) t.padding then
-        t.padding <- padding_avoiding t.adom t.phi
-    end
-    else
-      t.adom <-
-        adom_union
-          (VSet.of_list (Fo.constants t.phi))
-          (Bid_table.support tbl)
-
-  let apply t d =
-    match d with
-    | B_set (block, fact, p) ->
-      if not (Rational.is_probability p) then
-        Error
-          (Printf.sprintf "marginal %s outside [0,1]" (Rational.to_string p))
-      else if Rational.equal (Bid_table.prob t.tbl fact) p then Ok ()
-      else (
-        match edited_blocks t block fact p with
-        | Ok tbl ->
-          commit t tbl;
-          Ok ()
-        | Error _ as e -> e)
-    | B_remove fact -> (
-      match Bid_table.block_of_fact t.tbl fact with
-      | None -> Ok ()
-      | Some block -> (
-        match edited_blocks t block fact Rational.zero with
-        | Ok tbl ->
-          commit t tbl;
-          Ok ()
-        | Error _ as e -> e))
-
-  let prob t =
-    match t.cached with
-    | Some p -> p
-    | None ->
-      let domain =
-        if t.cmp_free then VSet.elements t.adom @ t.padding
-        else
-          Fo_eval.evaluation_domain
-            (Instance.of_list (Bid_table.support t.tbl))
-            t.phi []
-      in
-      let p = Query_eval.world_sum ~domain (Bid_table.worlds t.tbl) t.phi in
-      t.cached <- Some p;
-      p
-end

@@ -88,8 +88,6 @@ module Make (C : Prob.CARRIER) : sig
     ?tail:float ->
     ?tick:(unit -> unit) ->
     ?on_free:(int -> unit) ->
-    ?cache_size:int ->
-    ?gc_threshold:int ->
     Ti_table.t ->
     Fo.t ->
     t
@@ -98,14 +96,15 @@ module Make (C : Prob.CARRIER) : sig
       over that lineage, later inserts newest-first above them, so they
       extend the diagram at the top).  [tail] is the certified tail
       mass of the truncation this table came from (default [0.], the
-      closed-world reading).  [tick], [on_free], [cache_size] and
-      [gc_threshold] go to the session's {!Bdd.manager}: a budget's
-      [Bdd_nodes] hooks, under which a [tick] that raises aborts the
-      compilation in progress without publishing any of it.
+      closed-world reading).  [tick] and [on_free] go to the session's
+      {!Bdd.manager}: a budget's [Bdd_nodes] hooks, under which a
+      [tick] that raises aborts the compilation in progress without
+      publishing any of it.  The manager collects garbage at the next
+      safe point once 2^16 nodes have been allocated since the last
+      sweep, and [on_free] is told what each sweep freed.
       @raise Invalid_argument if [phi] has free variables or [tail] is
       outside [\[0,1)]. *)
 
-  val query : t -> Fo.t
   val table : t -> Ti_table.t
   val tail : t -> float
 
@@ -145,42 +144,3 @@ end
 
 module Exact : module type of Make (Prob.Rational_carrier)
 module Certified : module type of Make (Prob.Interval_carrier)
-
-(** {1 BID delta sessions}
-
-    Block-independent-disjoint tables mutate under the same
-    set-the-marginal deltas, constrained by block exclusivity: a
-    reweight or insert that would push a block's total mass above one
-    is {e rejected} (state unchanged) rather than absorbed, and a fact
-    can never migrate between blocks.  Evaluation is exact by good-world
-    enumeration (the fuzzer/test scale), with the same grow-only padded
-    domain semantics as the TI sessions. *)
-module Bid : sig
-  type bdelta =
-    | B_set of string * Fact.t * Rational.t
-        (** [(block, fact, p)]: insert [fact] into [block] or reweight
-            it there; [p = 0] removes the alternative. *)
-    | B_remove of Fact.t
-
-  type t
-
-  val create : ?tail:float -> Bid_table.t -> Fo.t -> t
-  (** @raise Invalid_argument if [phi] has free variables or [tail] is
-      outside [\[0,1)]. *)
-
-  val query : t -> Fo.t
-  val table : t -> Bid_table.t
-  val tail : t -> float
-  val epoch : t -> int
-  val padding : t -> Value.t list
-
-  val apply : t -> bdelta -> (unit, string) result
-  (** [Error reason] — block mass would exceed one, the fact already
-      belongs to a different block, or the marginal is outside
-      [\[0,1\]] — leaves the session untouched. *)
-
-  val prob : t -> Rational.t
-  (** Exact [P(phi)], cached between deltas.
-      @raise Invalid_argument when the table exceeds the enumeration
-      cap (see {!Bid_table.worlds}). *)
-end

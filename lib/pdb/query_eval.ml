@@ -24,12 +24,11 @@ let alphabet_of_ti ti = Lineage.alphabet (Ti_table.support ti)
 let c_safe_plan = Stats.counter "query.safe_plan"
 let c_bdd_fallback = Stats.counter "query.bdd_fallback"
 
-let boolean_bdd ?(extra_domain = []) ?tick ?on_free ?cache_size ?gc_threshold
-    ti phi =
+let boolean_bdd ?(extra_domain = []) ?tick ti phi =
   require_sentence phi;
   let a = alphabet_of_ti ti in
   let lin = Lineage.of_sentence ~extra:extra_domain a phi in
-  Wmc.probability ?tick ?on_free ?cache_size ?gc_threshold
+  Wmc.probability ?tick
     ~weight:(fun v -> Ti_table.prob ti (Lineage.fact_of_var a v))
     lin
 
@@ -40,8 +39,7 @@ let boolean_safe ?step ti phi =
     ~facts:(Ti_table.support ti)
     phi
 
-let boolean ?(extra_domain = []) ?tick ?on_free ?cache_size ?gc_threshold ti
-    phi =
+let boolean ?(extra_domain = []) ?tick ti phi =
   (* Dichotomy-aware routing: the lifted UCQ engine first, lineage +
      BDD for everything it rejects.  A safe plan quantifies over the
      values occurring in facts; an extension by inert values (occurring
@@ -54,7 +52,7 @@ let boolean ?(extra_domain = []) ?tick ?on_free ?cache_size ?gc_threshold ti
     p
   | None ->
     Stats.incr c_bdd_fallback;
-    boolean_bdd ~extra_domain ?tick ?on_free ?cache_size ?gc_threshold ti phi
+    boolean_bdd ~extra_domain ?tick ti phi
 
 (* The reference world sum every enumeration engine shares: P(phi) is
    the mass of the worlds that model phi, each world evaluated over the
@@ -172,10 +170,9 @@ let marginals_generic ~prob_sentence ~domain phi =
     |> List.of_seq
     |> List.sort (fun (a, _) (b, _) -> Tuple.compare a b)
 
-let marginals ?extra_domain ?cache_size ?gc_threshold ti phi =
+let marginals ?extra_domain ti phi =
   marginals_generic
-    ~prob_sentence:(fun s ->
-      boolean ?extra_domain ?cache_size ?gc_threshold ti s)
+    ~prob_sentence:(fun s -> boolean ?extra_domain ti s)
     ~domain:(eval_domain_ti ti phi)
     phi
 

@@ -38,9 +38,6 @@ val boolean_enum : Ti_table.t -> Fo.t -> Rational.t
 val boolean_bdd :
   ?extra_domain:Value.t list ->
   ?tick:(unit -> unit) ->
-  ?on_free:(int -> unit) ->
-  ?cache_size:int ->
-  ?gc_threshold:int ->
   Ti_table.t ->
   Fo.t ->
   Rational.t
@@ -72,17 +69,13 @@ val boolean_karp_luby :
 val boolean :
   ?extra_domain:Value.t list ->
   ?tick:(unit -> unit) ->
-  ?on_free:(int -> unit) ->
-  ?cache_size:int ->
-  ?gc_threshold:int ->
   Ti_table.t ->
   Fo.t ->
   Rational.t
 (** The default exact engine: safe plan when applicable, lineage + BDD
-    otherwise.  [tick], [on_free], [cache_size] and [gc_threshold] are
-    forwarded to the BDD manager of the fallback ([tick] is called per
-    fresh node and may raise to abort a blow-up; [on_free] refunds
-    GC-reclaimed nodes — safe plans never tick).
+    otherwise.  [tick] is forwarded to the BDD manager of the fallback:
+    it is called per fresh node and may raise to abort a blow-up (safe
+    plans never tick).
 
     [extra_domain] extends the quantifier domain with additional values.
     Truncation-based callers pass inert padding values here so that
@@ -93,13 +86,6 @@ val boolean :
     for positive existential plans — is unaffected by them. *)
 
 (** {1 Shared pieces of the truncation pipeline} *)
-
-val world_sum :
-  domain:Value.t list -> (Instance.t * Rational.t) Seq.t -> Fo.t -> Rational.t
-(** [world_sum ~domain worlds phi]: the mass of the worlds that model
-    [phi], every world evaluated over the fixed quantifier [domain] — the
-    reference sum behind {!boolean_enum}, {!boolean_finite} and the BID
-    delta sessions. *)
 
 val choose_padding :
   ?avoid:(Value.t -> bool) -> Fact.t list -> Fo.t list -> Value.t list
@@ -122,8 +108,6 @@ val boolean_finite : Finite_pdb.t -> Fo.t -> Rational.t
 
 val marginals :
   ?extra_domain:Value.t list ->
-  ?cache_size:int ->
-  ?gc_threshold:int ->
   Ti_table.t ->
   Fo.t ->
   (Tuple.t * Rational.t) list

@@ -26,14 +26,13 @@
    construction, so under a [Virtual]-clock budget the whole answer —
    provenance string included — is bit-identical across runs. *)
 
-type engine = Lifted | Exact | Anytime | Monte_carlo | Batched | Delta
+type engine = Lifted | Exact | Anytime | Monte_carlo | Delta
 
 let engine_to_string = function
   | Lifted -> "lifted"
   | Exact -> "exact"
   | Anytime -> "anytime"
   | Monte_carlo -> "monte-carlo"
-  | Batched -> "batched"
   | Delta -> "delta"
 
 type outcome =
@@ -99,8 +98,8 @@ let top = Interval.make 0.0 1.0
 
 let all_rungs = [ Lifted; Exact; Anytime; Monte_carlo ]
 
-let query ?budget ?(eps = 0.01) ?max_bdd_nodes ?max_facts ?bdd_cache_size
-    ?bdd_gc_threshold ?(mc_samples = 20_000) ?(policy = Retry.default_policy)
+let query ?budget ?(eps = 0.01) ?max_bdd_nodes ?max_facts
+    ?(mc_samples = 20_000) ?(policy = Retry.default_policy)
     ?(sleep = fun (_ : float) -> ()) ?(domains = 1) ?(seed = 0)
     ?(rungs = all_rungs) src phi =
   if not (eps > 0.0 && eps < 0.5) then
@@ -197,10 +196,7 @@ let query ?budget ?(eps = 0.01) ?max_bdd_nodes ?max_facts ?bdd_cache_size
                 (* Kind caps are per-attempt child budgets: a blown node
                    cap fails this attempt, not the whole ladder. *)
                 let b = Budget.child ?max_bdd_nodes ?max_facts parent in
-                match
-                  Approx_eval.boolean_r ~budget:b ?bdd_cache_size
-                    ?bdd_gc_threshold src ~eps phi
-                with
+                match Approx_eval.boolean_r ~budget:b src ~eps phi with
                 | Ok res -> res.Approx_eval.bounds
                 | Error e -> Errors.raise_error e)
           in
@@ -221,10 +217,7 @@ let query ?budget ?(eps = 0.01) ?max_bdd_nodes ?max_facts ?bdd_cache_size
           let tries, r =
             run_retried ~what:"robust.anytime" ~rung:2 (fun () ->
                 let b = Budget.child ?max_bdd_nodes ?max_facts parent in
-                let s =
-                  Anytime.create ~eps ~budget:b ?cache_size:bdd_cache_size
-                    ?gc_threshold:bdd_gc_threshold src phi
-                in
+                let s = Anytime.create ~eps ~budget:b src phi in
                 let reason, _ = Anytime.run s in
                 (reason, Anytime.bounds s))
           in
@@ -294,80 +287,6 @@ let query ?budget ?(eps = 0.01) ?max_bdd_nodes ?max_facts ?bdd_cache_size
             budget = Budget.describe parent;
           };
       })
-
-let c_batch_queries = Stats.counter "robust.batch.queries"
-let c_batch_fallbacks = Stats.counter "robust.batch.fallbacks"
-
-let query_batch ?budget ?(eps = 0.01) ?max_bdd_nodes ?max_facts
-    ?bdd_cache_size ?bdd_gc_threshold ?mc_samples ?policy ?sleep
-    ?(domains = 1) ?seed src phis =
-  if not (eps > 0.0 && eps < 0.5) then
-    invalid_arg "Robust_eval.query_batch: eps must lie in (0, 1/2)";
-  if domains < 1 then
-    invalid_arg "Robust_eval.query_batch: domains must be positive";
-  List.iter
-    (fun phi ->
-      if Fo.free_vars phi <> [] then
-        invalid_arg "Robust_eval.query_batch: queries must be sentences")
-    phis;
-  let parent = match budget with Some b -> b | None -> Budget.unlimited () in
-  let qs = Array.of_list phis in
-  Stats.add c_batch_queries (Array.length qs);
-  (* Batched fast path: one truncation certificate, one padded domain
-     and one shared BDD store serve every member, all under one child of
-     the shared parent budget.  Any failure (divergent source, budget
-     trip inside a worker, engine error) falls back to the per-member
-     degradation ladder below — still governed by the same parent, so
-     the batch cannot overspend its way past the caller's caps. *)
-  let batch_run () =
-    Approx_eval.certify ~what:"Robust_eval.query_batch" src ~eps (fun table ->
-        let b = Budget.child ?max_bdd_nodes ?max_facts parent in
-        Batch_eval.boolean
-          ~tick:(fun () -> Budget.charge b Budget.Bdd_nodes 1)
-          ~on_free:(fun k -> Budget.refund b Budget.Bdd_nodes k)
-          ?cache_size:bdd_cache_size ?gc_threshold:bdd_gc_threshold ~domains
-          table qs)
-  in
-  let fallback i err =
-    (* Per-member ladder under the same parent budget; the failed batch
-       attempt stays first in the member's provenance. *)
-    Stats.incr c_batch_fallbacks;
-    let a =
-      query ~budget:parent ~eps ?max_bdd_nodes ?max_facts ?bdd_cache_size
-        ?bdd_gc_threshold ?mc_samples ?policy ?sleep ~domains ?seed src
-        qs.(i)
-    in
-    let batched = { engine = Batched; tries = 1; outcome = Failed err } in
-    {
-      a with
-      provenance =
-        { a.provenance with attempts = batched :: a.provenance.attempts };
-    }
-  in
-  match batch_run () with
-  | Ok (r, result) ->
-    List.mapi
-      (fun i (_ : Fo.t) ->
-        let m = r.Batch_eval.members.(i) in
-        let iv = (result m.Batch_eval.prob).Approx_eval.bounds in
-        let outcome = Certified iv in
-        {
-          enclosure = iv;
-          estimate = Interval.mid iv;
-          provenance =
-            {
-              attempts = [ { engine = Batched; tries = 1; outcome } ];
-              stopped =
-                (match m.Batch_eval.route with
-                | Batch_eval.Lifted -> "batch converged (lifted)"
-                | Batch_eval.Compiled _ -> "batch converged (compiled)"
-                | Batch_eval.Duplicate j ->
-                  Printf.sprintf "batch converged (duplicate of member %d)" j);
-              budget = Budget.describe parent;
-            };
-        })
-      phis
-  | Error err -> List.mapi (fun i (_ : Fo.t) -> fallback i err) phis
 
 let c_session_queries = Stats.counter "robust.delta.queries"
 

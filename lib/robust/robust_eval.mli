@@ -29,7 +29,7 @@
     provenance are bit-identical across runs and domain counts, including
     under any {!Faulty_source} schedule. *)
 
-type engine = Lifted | Exact | Anytime | Monte_carlo | Batched | Delta
+type engine = Lifted | Exact | Anytime | Monte_carlo | Delta
 
 type outcome =
   | Certified of Interval.t  (** the rung completed with this enclosure *)
@@ -73,8 +73,6 @@ val query :
   ?eps:float ->
   ?max_bdd_nodes:int ->
   ?max_facts:int ->
-  ?bdd_cache_size:int ->
-  ?bdd_gc_threshold:int ->
   ?mc_samples:int ->
   ?policy:Retry.policy ->
   ?sleep:(float -> unit) ->
@@ -95,11 +93,9 @@ val query :
     {e per-attempt} caps, realized as child budgets, so one rung blowing
     its node cap does not condemn the rungs after it.  A rung whose
     budget trips still contributes its partial certificate.
-
-    [bdd_cache_size] / [bdd_gc_threshold] tune the BDD kernels of the
-    exact and anytime rungs (operation-cache entries and allocations
-    between garbage collections, see {!Bdd.manager}); with GC enabled,
-    swept nodes are refunded so [max_bdd_nodes] caps {e live} nodes.
+    [max_bdd_nodes] caps the nodes the exact rung allocates (its
+    one-shot manager never collects garbage) and the nodes the anytime
+    rung keeps live (its session collects and refunds what it sweeps).
 
     [rungs] restricts which ladder rungs may run (default: all of
     [Lifted; Exact; Anytime; Monte_carlo]).  This is the serving
@@ -113,45 +109,6 @@ val query :
     Never raises on faults or exhaustion — those come back in the
     provenance.  @raise Invalid_argument only on caller errors: [eps]
     outside [(0, 1/2)] or a query with free variables. *)
-
-val query_batch :
-  ?budget:Budget.t ->
-  ?eps:float ->
-  ?max_bdd_nodes:int ->
-  ?max_facts:int ->
-  ?bdd_cache_size:int ->
-  ?bdd_gc_threshold:int ->
-  ?mc_samples:int ->
-  ?policy:Retry.policy ->
-  ?sleep:(float -> unit) ->
-  ?domains:int ->
-  ?seed:int ->
-  Fact_source.t ->
-  Fo.t list ->
-  answer list
-(** Evaluate a whole batch of Boolean queries under {e one} shared
-    parent budget, positionally aligned with the input.
-
-    The fast path derives a single truncation certificate for the
-    source, then hands the prefix table and every member to
-    {!Batch_eval}: one padded domain, one shared BDD store per worker
-    shard ([domains] fans the shards across OCaml 5 domains without
-    changing exact results), safe members answered by the lifted engine
-    without compilation.  Each member's enclosure is the usual
-    conditional-probability argument around its exact truncated
-    probability, and its provenance carries a single [Batched] attempt
-    saying how the member was routed (lifted / compiled / duplicate).
-
-    If the batched path fails — divergent source, budget exhaustion
-    (the [Bdd_nodes]/[Facts] caps become one child budget for the whole
-    batch), or an engine fault — every member falls back to the full
-    per-member {!query} ladder under the {e same} parent budget, with
-    the failed [Batched] attempt kept first in its provenance; the
-    soundness contract of {!query} (the enclosure always contains the
-    true probability) is therefore preserved member-wise.
-
-    @raise Invalid_argument on the same caller errors as {!query},
-    or [domains < 1]. *)
 
 val query_session : ?eps:float -> Delta_eval.Certified.t -> answer
 (** Answer from a live {!Delta_eval} session instead of running the

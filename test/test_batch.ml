@@ -1,6 +1,5 @@
-(* Tests for the batched evaluator (Batch_eval), its Robust_eval
-   integration (query_batch), and the Atomic-backed Stats registry the
-   worker domains rely on. *)
+(* Tests for the batched evaluator (Batch_eval) and the Atomic-backed
+   Stats registry the worker domains rely on. *)
 
 let i n = Value.Int n
 let q = Rational.of_ints
@@ -117,85 +116,6 @@ let test_batch_padding_rank_and_collisions () =
     (Query_eval.boolean ~extra_domain:pads clash (parse "!(forall y. R(y))"))
     r.Batch_eval.members.(0).Batch_eval.prob
 
-let test_batch_effective_cache_size () =
-  let r = Batch_eval.boolean ~cache_size:100 ti mixed_queries in
-  Alcotest.(check int) "rounded up to a power of two" 128 r.Batch_eval.cache_size;
-  let d = Batch_eval.boolean ti mixed_queries in
-  Alcotest.(check int) "default cache size reported" Bdd.default_cache_size
-    d.Batch_eval.cache_size
-
-let test_batch_budget_hooks () =
-  (* tick fires per fresh node from worker shards; a raising tick aborts
-     the whole batch instead of returning partial garbage. *)
-  let ticks = Atomic.make 0 in
-  let r =
-    Batch_eval.boolean ~domains:2
-      ~tick:(fun () -> Atomic.incr ticks)
-      ti mixed_queries
-  in
-  Alcotest.(check bool) "ticks observed" true (Atomic.get ticks > 0);
-  Alcotest.(check int) "two compiled members, two shards" 2 r.Batch_eval.shards;
-  let exception Stop in
-  Alcotest.check_raises "raising tick aborts" Stop (fun () ->
-      ignore
-        (Batch_eval.boolean ~tick:(fun () -> raise Stop) ti mixed_queries))
-
-(* ------------------------------------------------------------------ *)
-(* Robust_eval.query_batch *)
-(* ------------------------------------------------------------------ *)
-
-let geo_src () =
-  Fact_source.geometric ~first:Rational.half ~ratio:Rational.half
-    ~facts:(fun k -> fact "R" [ k ])
-    ()
-
-let test_query_batch_sound_and_aligned () =
-  let phis =
-    [
-      parse "exists x. R(x)";
-      parse "exists x. R(x)";
-      parse "!(exists x. R(x))";
-    ]
-  in
-  let answers = Robust_eval.query_batch ~eps:0.01 (geo_src ()) phis in
-  Alcotest.(check int) "positional alignment" 3 (List.length answers);
-  let limit = 1.0 -. 0.2887880951 in
-  let a0 = List.nth answers 0 and a1 = List.nth answers 1 in
-  Alcotest.(check bool) "enclosure sound" true
-    (Interval.contains a0.Robust_eval.enclosure limit);
-  Alcotest.(check bool) "complement enclosure sound" true
-    (Interval.contains (List.nth answers 2).Robust_eval.enclosure (1.0 -. limit));
-  Alcotest.(check (float 0.0)) "duplicate members agree"
-    a0.Robust_eval.estimate a1.Robust_eval.estimate;
-  List.iter
-    (fun (a : Robust_eval.answer) ->
-      match a.Robust_eval.provenance.Robust_eval.attempts with
-      | { Robust_eval.engine = Robust_eval.Batched; tries = 1; outcome = Robust_eval.Certified _ } :: _ ->
-        ()
-      | _ -> Alcotest.fail "expected a leading certified Batched attempt")
-    answers
-
-let test_query_batch_falls_back_on_exhaustion () =
-  (* A 1-node cap kills the batched path; every member must degrade to
-     the per-member ladder and stay sound, with the failed Batched
-     attempt first in its provenance. *)
-  let phis = [ parse "(exists x. R(x)) & !(forall y. R(y))" ] in
-  let a =
-    List.hd
-      (Robust_eval.query_batch ~eps:0.05 ~max_bdd_nodes:1 (geo_src ()) phis)
-  in
-  (match a.Robust_eval.provenance.Robust_eval.attempts with
-  | { Robust_eval.engine = Robust_eval.Batched; outcome = Robust_eval.Failed _; _ } :: _ :: _ ->
-    ()
-  | _ -> Alcotest.fail "expected Batched failure then ladder attempts");
-  Alcotest.(check bool) "fallback enclosure sound" true
-    (Interval.contains a.Robust_eval.enclosure (1.0 -. 0.2887880951))
-
-let test_query_batch_validation () =
-  Alcotest.check_raises "domains" (Invalid_argument "Robust_eval.query_batch: domains must be positive")
-    (fun () ->
-      ignore (Robust_eval.query_batch ~domains:0 (geo_src ()) [ parse "exists x. R(x)" ]))
-
 (* ------------------------------------------------------------------ *)
 (* Atomic Stats under worker domains *)
 (* ------------------------------------------------------------------ *)
@@ -281,18 +201,6 @@ let () =
             test_batch_empty_and_validation;
           Alcotest.test_case "padding rank and collisions" `Quick
             test_batch_padding_rank_and_collisions;
-          Alcotest.test_case "effective cache size" `Quick
-            test_batch_effective_cache_size;
-          Alcotest.test_case "budget hooks" `Quick test_batch_budget_hooks;
-        ] );
-      ( "robust",
-        [
-          Alcotest.test_case "query_batch sound and aligned" `Quick
-            test_query_batch_sound_and_aligned;
-          Alcotest.test_case "query_batch fallback on exhaustion" `Quick
-            test_query_batch_falls_back_on_exhaustion;
-          Alcotest.test_case "query_batch validation" `Quick
-            test_query_batch_validation;
         ] );
       ( "stats",
         [

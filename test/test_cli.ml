@@ -133,7 +133,25 @@ let test_batch_ok () =
   @@ fun qs ->
   check_exit "batch succeeds" 0 [ "batch"; t; qs ];
   check_exit "batch with knobs succeeds" 0
-    [ "batch"; t; qs; "--domains"; "2"; "--bdd-cache-size"; "100"; "--stats" ]
+    [ "batch"; t; qs; "--domains"; "2"; "--stats" ];
+  (* The BDD kernel sizes its own operation cache and only long-lived
+     sessions collect garbage: the tuning flags are unknown options
+     (Cmdliner's command-line error, exit 124) on every subcommand. *)
+  List.iter
+    (fun (cmd, args) ->
+      List.iter
+        (fun flag ->
+          check_exit
+            (Printf.sprintf "%s %s is an unknown option" cmd flag)
+            124
+            ((cmd :: args) @ [ flag; "4096" ]))
+        [ "--bdd-cache-size"; "--bdd-gc-threshold" ])
+    [
+      ("query", [ t; "exists x. R(x)" ]);
+      ("batch", [ t; qs ]);
+      ("anytime", [ t; "exists x. R(x)" ]);
+      ("robust", [ t; "exists x. R(x)" ]);
+    ]
 
 let test_batch_bad_inputs () =
   with_table good_table @@ fun t ->

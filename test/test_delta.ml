@@ -105,59 +105,6 @@ let prop_inverse_restores =
       Rational.equal p0 (Delta_eval.Exact.prob s)
       && Ti_table.facts (Delta_eval.Exact.table s) = Ti_table.facts ti)
 
-let arb_bid_deltas =
-  let open QCheck.Gen in
-  let gen =
-    list_size (int_range 1 10)
-      (let* block = oneofl [ "b0"; "b1" ] in
-       let* f = oneofl fact_pool in
-       let* p = map (fun k -> q k 8) (int_range 0 8) in
-       let* remove = bool in
-       return
-         (if remove then Delta_eval.Bid.B_remove f
-          else Delta_eval.Bid.B_set (block, f, p)))
-  in
-  QCheck.make gen
-
-let prop_bid_exclusivity =
-  QCheck.Test.make
-    ~name:"BID reweights preserve block exclusivity" ~count:200
-    QCheck.(pair arb_sentence arb_bid_deltas)
-    (fun (phi, deltas) ->
-      let bid =
-        Bid_table.create
-          [
-            {
-              Bid_table.block_id = "b0";
-              alternatives = [ (fact "R" [ 0 ], q 1 3); (fact "R" [ 1 ], q 1 3) ];
-            };
-          ]
-      in
-      let s = Delta_eval.Bid.create bid phi in
-      List.for_all
-        (fun d ->
-          let before = Bid_table.blocks (Delta_eval.Bid.table s) in
-          (match Delta_eval.Bid.apply s d with
-          | Ok () -> true
-          | Error _ ->
-            (* a rejected delta must leave the table untouched *)
-            Bid_table.blocks (Delta_eval.Bid.table s) = before)
-          &&
-          (* every block's mass stays a probability *)
-          List.for_all
-            (fun b ->
-              Rational.sign
-                (Bid_table.block_slack (Delta_eval.Bid.table s)
-                   b.Bid_table.block_id)
-              >= 0)
-            (Bid_table.blocks (Delta_eval.Bid.table s))
-          &&
-          (* the cached incremental answer equals a fresh session's *)
-          Rational.equal (Delta_eval.Bid.prob s)
-            (Delta_eval.Bid.prob
-               (Delta_eval.Bid.create (Delta_eval.Bid.table s) phi)))
-        deltas)
-
 (* ------------------------------------------------------------------ *)
 (* Units: edge cases *)
 (* ------------------------------------------------------------------ *)
@@ -310,33 +257,6 @@ let test_delta_string_roundtrip () =
       Delta_eval.Reweight (Fact.make "T" [ Value.Str "a b"; i 3 ], q 7 9);
     ]
 
-let test_bid_rejections () =
-  let f0 = fact "R" [ 0 ] and f1 = fact "R" [ 1 ] in
-  let bid =
-    Bid_table.create
-      [
-        {
-          Bid_table.block_id = "b0";
-          alternatives = [ (f0, Rational.half); (f1, q 2 5) ];
-        };
-      ]
-  in
-  let s = Delta_eval.Bid.create bid (parse "exists x. R(x)") in
-  (match Delta_eval.Bid.apply s (B_set ("b0", f0, q 7 10)) with
-  | Ok () -> Alcotest.fail "over-mass reweight must be rejected"
-  | Error _ -> ());
-  (match Delta_eval.Bid.apply s (B_set ("b1", f0, q 1 10)) with
-  | Ok () -> Alcotest.fail "cross-block migration must be rejected"
-  | Error _ -> ());
-  Alcotest.(check int) "epoch untouched by rejections" 0
-    (Delta_eval.Bid.epoch s);
-  (match Delta_eval.Bid.apply s (B_set ("b0", f0, q 11 20)) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "legal reweight rejected: %s" e);
-  Alcotest.check check_rat "mass updated"
-    (q 1 20)
-    (Bid_table.block_slack (Delta_eval.Bid.table s) "b0")
-
 let () =
   Alcotest.run "delta"
     [
@@ -345,7 +265,6 @@ let () =
           [
             prop_incremental_matches_scratch;
             prop_inverse_restores;
-            prop_bid_exclusivity;
           ] );
       ( "edge-cases",
         [
@@ -361,6 +280,5 @@ let () =
           Alcotest.test_case "batched extend" `Quick test_batched_extend;
           Alcotest.test_case "delta text roundtrip" `Quick
             test_delta_string_roundtrip;
-          Alcotest.test_case "bid rejections" `Quick test_bid_rejections;
         ] );
     ]

@@ -265,26 +265,58 @@ let test_wmc_large_conjunction () =
     (Rational.to_string p)
 
 (* ------------------------------------------------------------------ *)
-(* Cache-size exposure and the shared-memo batch fold *)
+(* The derived operation-cache size and the shared-memo batch fold *)
 (* ------------------------------------------------------------------ *)
 
-let test_cache_size_exposure () =
-  Alcotest.(check int) "default manager reports the default"
-    Bdd.default_cache_size
-    (Bdd.cache_size (Bdd.manager ()));
-  Alcotest.(check int) "rounded up to a power of two" 128
-    (Bdd.effective_cache_size 100);
-  Alcotest.(check int) "floor of 64" 64 (Bdd.effective_cache_size 1);
-  Alcotest.(check int) "powers of two kept" 256 (Bdd.effective_cache_size 256);
-  Alcotest.(check int) "manager agrees with effective_cache_size"
-    (Bdd.effective_cache_size 1000)
-    (Bdd.cache_size (Bdd.manager ~cache_size:1000 ()));
-  Alcotest.check_raises "requested size must be positive"
-    (Invalid_argument "Bdd.effective_cache_size: cache_size must be positive")
-    (fun () -> ignore (Bdd.effective_cache_size 0));
-  Alcotest.check_raises "manager rejects nonpositive cache"
-    (Invalid_argument "Bdd.manager: cache_size must be positive") (fun () ->
-      ignore (Bdd.manager ~cache_size:0 ()));
+(* E22's hard member at n = 9: !((exists x. R(x) & S(x)) | (exists y.
+   S(y) & T(y))) over R(k) = 3k, S(k) = 3k+1, T(k) = 3k+2.  Under
+   first-occurrence order every T sits below the S block, so the diagram
+   is exponential in n; its probability is the product over k of
+   1 - s (1 - (1 - r)(1 - t)). *)
+let test_cache_follows_unique_table () =
+  let n = 9 in
+  let r k = E.var (3 * k) and s k = E.var ((3 * k) + 1)
+  and t k = E.var ((3 * k) + 2) in
+  let e =
+    E.neg
+      (E.or2
+         (E.disj (List.init n (fun k -> E.and2 (r k) (s k))))
+         (E.disj (List.init n (fun k -> E.and2 (s k) (t k)))))
+  in
+  let weight v = Rational.of_ints (1 + (v mod 3)) (4 + (v mod 5)) in
+  let reference =
+    List.fold_left Rational.mul Rational.one
+      (List.init n (fun k ->
+           let w j = weight ((3 * k) + j) in
+           let neither =
+             Rational.mul (Rational.compl (w 0)) (Rational.compl (w 2))
+           in
+           Rational.compl (Rational.mul (w 1) (Rational.compl neither))))
+  in
+  let m = Bdd.manager ~order:(Wmc.first_occurrence_order [ e ]) () in
+  Alcotest.(check int) "a fresh manager starts at 2,048 entries" 2048
+    (Bdd.cache_size m);
+  let d = Bdd.of_expr m e in
+  Alcotest.(check bool) "past the unique table's second growth" true
+    (Bdd.node_count m > 3072);
+  Alcotest.(check bool) "the cache grew with the unique table" true
+    (Bdd.cache_size m > 2048);
+  Alcotest.(check string) "count = closed form" (Rational.to_string reference)
+    (Rational.to_string (Wmc.count ~weight [| d |]).(0));
+  (* A long chain compiled into the same manager, after the growth: the
+     grown cache must still answer exactly. *)
+  let chain =
+    E.disj
+      (List.init 400 (fun k ->
+           E.and2 (E.var (100 + (2 * k))) (E.var (101 + (2 * k)))))
+  in
+  let half _ = Rational.half in
+  let expected =
+    Rational.compl (Rational.pow (Rational.of_ints 3 4) 400)
+  in
+  Alcotest.(check string) "chain in the grown manager"
+    (Rational.to_string expected)
+    (Rational.to_string (Wmc.count ~weight:half [| Bdd.of_expr m chain |]).(0));
   Alcotest.check_raises "manager rejects nonpositive gc threshold"
     (Invalid_argument "Bdd.manager: gc_threshold must be positive") (fun () ->
       ignore (Bdd.manager ~gc_threshold:0 ()))
@@ -738,8 +770,8 @@ let () =
             test_wmc_matches_brute_force_exact;
           Alcotest.test_case "float+interval" `Quick test_wmc_float_and_interval;
           Alcotest.test_case "large conjunction" `Quick test_wmc_large_conjunction;
-          Alcotest.test_case "cache size exposure" `Quick
-            test_cache_size_exposure;
+          Alcotest.test_case "cache follows unique table" `Quick
+            test_cache_follows_unique_table;
           Alcotest.test_case "fold_prob_many memo = fresh" `Quick
             test_fold_prob_many_memo;
           Alcotest.test_case "fold_prob_many manager check" `Quick

@@ -6,7 +6,8 @@
    - monotonicity of positive queries in the fact probabilities;
    - open-world dominance: completing a PDB can only increase the
      probability of a positive existential query;
-   - BDD boolean-algebra laws on random expressions. *)
+   - BDD boolean-algebra laws on random expressions, and a collection
+     that recycles node slots never changes what an operation returns. *)
 
 let i n = Value.Int n
 let q = Rational.of_ints
@@ -236,6 +237,40 @@ let test_complete_countable_ti () =
      | exception Invalid_argument _ -> true
      | _ -> false)
 
+(* A sweep frees node indices that the next allocations reuse, so it
+   must also forget the operation cache: an entry keyed by freed indices
+   would otherwise answer for the new nodes now sitting there.  Compile
+   every pairwise connective over a few variables, release everything
+   and collect, then allocate more fresh variables than the sweep freed
+   (so every recycled slot, the first variables' slots included, holds a
+   new variable) and build the same connectives over them: each must
+   depend on exactly its two operands. *)
+let test_bdd_gc_recycles_slots () =
+  let m = Bdd.manager () in
+  let build vars =
+    let nodes = List.map (fun v -> (v, Bdd.var m v)) vars in
+    List.concat_map
+      (fun (a, da) ->
+        List.concat_map
+          (fun (b, db) ->
+            if a >= b then []
+            else
+              List.map
+                (fun (name, op) -> (name, a, b, op m da db))
+                [ ("conj", Bdd.conj); ("disj", Bdd.disj); ("xor", Bdd.xor) ])
+          nodes)
+      nodes
+  in
+  ignore (build [ 0; 1; 2; 3 ]);
+  let freed = Bdd.gc m in
+  Alcotest.(check bool) "the sweep freed the first diagrams" true (freed > 0);
+  List.iter
+    (fun (name, a, b, d) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s x%d x%d after gc" name a b)
+        [ a; b ] (Bdd.support d))
+    (build (List.init (freed + 4) (fun k -> 100 + k)))
+
 let () =
   Alcotest.run "laws"
     [
@@ -259,5 +294,9 @@ let () =
             prop_bdd_shannon;
             prop_bdd_xor_self;
             prop_wmc_total_probability;
+          ]
+        @ [
+            Alcotest.test_case "gc then recycled slots" `Quick
+              test_bdd_gc_recycles_slots;
           ] );
     ]

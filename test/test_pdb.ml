@@ -240,9 +240,7 @@ let test_bid_basics () =
   Alcotest.(check int) "support" 3 (Bid_table.size bid);
   Alcotest.(check int) "blocks" 2 (Bid_table.num_blocks bid);
   check_q "slack b1" (q 1 6) (Bid_table.block_slack bid "b1");
-  check_q "slack b2" (q 3 4) (Bid_table.block_slack bid "b2");
-  Alcotest.(check (option string)) "block of" (Some "b1")
-    (Bid_table.block_of_fact bid (fact "R" [ 2 ]))
+  check_q "slack b2" (q 3 4) (Bid_table.block_slack bid "b2")
 
 let test_bid_validation () =
   Alcotest.check_raises "over mass"

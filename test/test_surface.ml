@@ -1,5 +1,5 @@
-(* The exported-surface check.  Every top-level [val] of a
-   [lib/**/*.mli] earns its place in one of three ways:
+(* The exported-surface check.  Every [val] of a [lib/**/*.mli] earns
+   its place in one of three ways:
 
    - a caller outside its own module in lib/, bin/, bench/, perfbench/
      or examples/;
@@ -8,11 +8,18 @@
    - a doc comment line opening with [Reference:], saying how tests use
      it as an oracle or observer.
 
+   The vals are the top-level ones and those of nested signatures: an
+   inline [module X : sig ... end] and the result signature of a functor
+   [module F (A : S) : sig ... end], named [M.X.v] and [M.F.v].  A module
+   declared [module Y : module type of F (A)] shares [F]'s vals, so a call
+   [M.Y.v] counts for [M.F.v].
+
    Callers are found on the parse trees, not by grep: comments and
-   strings never count, [module X = Y] aliases resolve to [Y], and a
-   bare name counts for every module the file opens ([open], [let open],
-   [M.( ... )] or [include]).  Aliases and opens are taken to scope over
-   the whole file, which can only over-count callers.
+   strings never count, [module X = P] aliases resolve to the path [P]
+   (dotted paths and functor applications included), and a name counts
+   for every module the file opens ([open], [let open], [M.( ... )] or
+   [include]).  Aliases and opens are taken to scope over the whole file,
+   which can only over-count callers.
 
    [surface_debt.txt] lists the vals that still break the rule; a line
    whose val no longer does (deleted, called or tagged) fails the check
@@ -42,19 +49,24 @@ let parse parser path =
   Location.init lexbuf path;
   parser lexbuf
 
-(* The (module, name) pairs an implementation may refer to. *)
+(* The (module path, name) pairs an implementation may refer to; a
+   module path is dotted, e.g. [Delta_eval.Certified]. *)
 let references path =
   let open Parsetree in
   let aliases = Hashtbl.create 8 and opens = ref [] and idents = ref [] in
-  let module_ident (me : module_expr) =
+  let rec module_path (me : module_expr) =
     match me.pmod_desc with
-    | Pmod_ident { txt = Longident.Lident m; _ } -> Some m
+    | Pmod_ident { txt; _ } -> Some (Longident.flatten txt)
+    | Pmod_apply (f, _) -> module_path f
+    | Pmod_constraint (me, _) -> module_path me
     | _ -> None
   in
-  let opened me = Option.iter (fun m -> opens := m :: !opens) (module_ident me) in
+  let opened me =
+    Option.iter (fun p -> opens := p :: !opens) (module_path me)
+  in
   let alias name me =
-    match (name, module_ident me) with
-    | Some x, Some m -> Hashtbl.replace aliases x m
+    match (name, module_path me) with
+    | Some x, Some p -> Hashtbl.replace aliases x p
     | _ -> ()
   in
   let super = Ast_iterator.default_iterator in
@@ -80,16 +92,25 @@ let references path =
     }
   in
   iter.structure iter (parse Parse.implementation path);
-  let rec resolve m seen =
-    match Hashtbl.find_opt aliases m with
-    | Some m' when not (List.mem m' seen) -> resolve m' (m :: seen)
-    | _ -> m
+  (* Replace an aliased head by its path until no alias applies. *)
+  let rec resolve p seen =
+    match p with
+    | m :: rest -> (
+        match Hashtbl.find_opt aliases m with
+        | Some p' when not (List.mem m seen) -> resolve (p' @ rest) (m :: seen)
+        | _ -> p)
+    | [] -> p
   in
+  let opens = List.map (fun o -> resolve o []) !opens in
   List.concat_map
-    (function
-      | Longident.Ldot (Lident m, v) -> [ (resolve m [], v) ]
-      | Lident v -> List.map (fun m -> (resolve m [], v)) !opens
-      | _ -> [])
+    (fun id ->
+      match List.rev (Longident.flatten id) with
+      | [] -> []
+      | v :: rev_p ->
+          let p = List.rev rev_p in
+          let here = if p = [] then [] else [ resolve p [] ] in
+          let via_opens = List.map (fun o -> resolve (o @ p) []) opens in
+          List.map (fun p -> (String.concat "." p, v)) (here @ via_opens))
     !idents
 
 let doc_string (a : Parsetree.attribute) =
@@ -107,18 +128,55 @@ let doc_string (a : Parsetree.attribute) =
       Some s
   | _ -> None
 
-(* Every top-level val of an interface, with its doc comments. *)
+(* The vals of an interface with their doc comments, each under the
+   dotted path of the (nested) module that declares it, and the module
+   paths [P] whose calls [P.v] count for that module: its own, plus each
+   [module Y : module type of F (A)] that shares [F]'s signature. *)
 let exported path =
-  List.filter_map
-    (fun (item : Parsetree.signature_item) ->
-      match item.psig_desc with
-      | Psig_value vd ->
-          Some
-            ( vd.pval_name.txt,
-              String.concat "\n" (List.filter_map doc_string vd.pval_attributes)
-            )
-      | _ -> None)
-    (parse Parse.interface path)
+  let open Parsetree in
+  let shares = Hashtbl.create 4 in
+  let rec sig_of (mt : module_type) =
+    match mt.pmty_desc with
+    | Pmty_signature items -> Some items
+    | Pmty_functor (_, body) -> sig_of body
+    | _ -> None
+  in
+  (* [F] of [module type of F (A)] or [module type of F]. *)
+  let rec shared_functor (me : module_expr) =
+    match me.pmod_desc with
+    | Pmod_ident { txt; _ } -> Some (String.concat "." (Longident.flatten txt))
+    | Pmod_apply (f, _) -> shared_functor f
+    | _ -> None
+  in
+  let rec items prefix sg =
+    List.concat_map
+      (fun (item : signature_item) ->
+        match item.psig_desc with
+        | Psig_value vd ->
+            [
+              ( prefix,
+                vd.pval_name.txt,
+                String.concat "\n"
+                  (List.filter_map doc_string vd.pval_attributes) );
+            ]
+        | Psig_module { pmd_name = { txt = Some x; _ }; pmd_type; _ } -> (
+            let inner = prefix ^ "." ^ x in
+            match (sig_of pmd_type, pmd_type.pmty_desc) with
+            | Some sg, _ -> items inner sg
+            | None, Pmty_typeof me -> (
+                match shared_functor me with
+                | Some f ->
+                    Hashtbl.add shares (prefix ^ "." ^ f) inner;
+                    []
+                | None -> [])
+            | None, _ -> [])
+        | _ -> [])
+      sg
+  in
+  let vals = items (module_of path) (parse Parse.interface path) in
+  List.map
+    (fun (m, v, doc) -> (m, v, doc, m :: Hashtbl.find_all shares m))
+    vals
 
 (* A tag opens a line of the doc comment. *)
 let tagged doc =
@@ -139,7 +197,9 @@ let violations () =
       if Filename.check_suffix path ".ml" then
         let self = module_of path in
         List.iter
-          (fun (m, v) -> if m <> self then Hashtbl.replace callers (m, v) ())
+          (fun (m, v) ->
+            let top = List.hd (String.split_on_char '.' m) in
+            if top <> self then Hashtbl.replace callers (m, v) ())
           (references path))
     files;
   let lib = Filename.concat root "lib" in
@@ -147,10 +207,12 @@ let violations () =
     (fun path ->
       if not (Filename.check_suffix path ".mli") then []
       else
-        let m = module_of path in
         List.filter_map
-          (fun (v, doc) ->
-            if Hashtbl.mem callers (m, v) || tagged doc then None
+          (fun (m, v, doc, via) ->
+            if
+              List.exists (fun p -> Hashtbl.mem callers (p, v)) via
+              || tagged doc
+            then None
             else Some (m ^ "." ^ v))
           (exported path))
     (sources lib)
