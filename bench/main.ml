@@ -1281,7 +1281,6 @@ let e23 () =
       {
         Server.endpoint = `Unix path;
         make_source = open_world_source;
-        policy_label = "bench-geometric";
         domains;
         admission;
         default_eps = 0.01;
@@ -1583,7 +1582,6 @@ let e24 () =
                  ~facts:(fun j -> Fact.make "N" [ i j ])
                  ())
             small);
-      policy_label = "e24-geometric";
       domains = 2;
       admission = Admission.default_config;
       default_eps = 0.01;

@@ -790,8 +790,6 @@ let run_serve table store_path warm_cache socket tcp policy domains
          asks for it — the sidecar certifies tails in O(1). *)
       let pol = Completion.policy_of_string policy in
       let st = Store.load pack in
-      if Store.kind st <> Store.Ti then
-        invalid_arg (Printf.sprintf "serve: %s is not a TI pack" pack);
       ( (fun () -> Store.fact_source ~rest:(Completion.policy_source pol) st),
         Some (Store.checksum_hex st),
         None )
@@ -809,7 +807,6 @@ let run_serve table store_path warm_cache socket tcp policy domains
     {
       Server.endpoint = endpoint_of ~socket ~tcp;
       make_source;
-      policy_label = (if updatable then "" else policy);
       domains;
       admission =
         {
@@ -912,14 +909,6 @@ let pack_out_arg =
     & pos 1 (some string) None
     & info [] ~docv:"OUT" ~doc:"Output pack path (conventionally .iow).")
 
-let pack_kind_arg =
-  Arg.(
-    value & opt string "ti"
-    & info [ "kind" ] ~docv:"KIND"
-        ~doc:
-          "Input table kind: $(b,ti) (tuple-independent, the default) or \
-           $(b,bid) (block-independent-disjoint).")
-
 let pack_verify_arg =
   Arg.(
     value & flag
@@ -929,31 +918,17 @@ let pack_verify_arg =
            probability is rationally identical to the text table \
            (exit 2 on any mismatch).")
 
-let run_pack table out kind verify =
+let run_pack table out verify =
   guard @@ fun () ->
-  let verify_fn =
-    match kind with
-    | "ti" ->
-      let ti = Ti_table.of_file table in
-      Store.write_ti ~path:out ti;
-      fun st -> Store.verify_against_ti st ti
-    | "bid" ->
-      let bid = Bid_table.of_file table in
-      Store.write_bid ~path:out bid;
-      fun st -> Store.verify_against_bid st bid
-    | k -> invalid_arg (Printf.sprintf "bad --kind %S (want ti or bid)" k)
-  in
+  let ti = Ti_table.of_file table in
+  Store.write_ti ~path:out ti;
   let st = Store.load out in
   Printf.printf "packed:   %s\n" out;
-  Printf.printf "kind:     %s\n"
-    (match Store.kind st with Store.Ti -> "ti" | Store.Bid -> "bid");
   Printf.printf "facts:    %d\n" (Store.size st);
-  if Store.kind st = Store.Bid then
-    Printf.printf "blocks:   %d\n" (Store.num_blocks st);
   Printf.printf "bytes:    %d\n" (Store.byte_size st);
   Printf.printf "checksum: %s\n" (Store.checksum_hex st);
   if verify then
-    match verify_fn st with
+    match Store.verify_against_ti st ti with
     | Ok () ->
       Printf.printf "verify:   ok (%d facts round-trip rationally identical)\n"
         (Store.size st)
@@ -962,7 +937,7 @@ let run_pack table out kind verify =
 
 let pack_cmd =
   let doc =
-    "Compile a text table into the packed $(b,.iow) store format: facts \
+    "Compile a TI text table into the packed $(b,.iow) store format: facts \
      dictionary-encoded and sorted by descending probability, exact \
      rational probabilities, a precomputed tail-mass sidecar (so \
      truncation is an O(1) slice or an O(log n) binary search), and a \
@@ -971,8 +946,7 @@ let pack_cmd =
   in
   Cmd.v (Cmd.info "pack" ~doc)
     Term.(
-      const run_pack $ table_arg $ pack_out_arg $ pack_kind_arg
-      $ pack_verify_arg)
+      const run_pack $ table_arg $ pack_out_arg $ pack_verify_arg)
 
 let request_arg =
   Arg.(

@@ -51,16 +51,12 @@ let step_timer = Stats.timer "anytime.step"
 type stop_reason =
   | Converged
   | Exhausted
-  | Step_budget
-  | Node_budget
   | Prefix_budget
   | Interrupted of Budget.exhaustion
 
 let stop_reason_to_string = function
   | Converged -> "converged"
   | Exhausted -> "exhausted"
-  | Step_budget -> "step budget"
-  | Node_budget -> "node budget"
   | Prefix_budget -> "prefix budget"
   | Interrupted e -> "interrupted (" ^ Budget.exhaustion_to_string e ^ ")"
 
@@ -82,8 +78,6 @@ type t = {
   intersectable : bool;  (* Cmp-free: padded enclosures share one limit *)
   eps : float;
   max_n : int;
-  max_steps : int;
-  max_nodes : int;
   growth : int -> int;
   session : S.t option;  (* None only when the budget tripped in [create] *)
   mutable n : int;  (* current truncation depth *)
@@ -93,8 +87,7 @@ type t = {
   mutable stopped : stop_reason option;
 }
 
-let create ?(eps = 0.01) ?(max_n = 1 lsl 20) ?(max_steps = 64)
-    ?(max_nodes = max_int) ?growth ?budget src phi =
+let create ?(eps = 0.01) ?(max_n = 1 lsl 20) ?growth ?budget src phi =
   if not (eps > 0.0 && eps < 0.5) then
     invalid_arg "Anytime: eps must lie in (0, 1/2)";
   if Fo.free_vars phi <> [] then
@@ -135,8 +128,6 @@ let create ?(eps = 0.01) ?(max_n = 1 lsl 20) ?(max_steps = 64)
     intersectable = not (Fo.has_cmp phi);
     eps;
     max_n;
-    max_steps;
-    max_nodes;
     growth;
     session;
     n = 0;
@@ -252,8 +243,6 @@ let step t =
       (if width <= 2.0 *. t.eps then Some Converged
        else if exhausted then Some Exhausted
        else if t.n >= t.max_n then Some Prefix_budget
-       else if index >= t.max_steps then Some Step_budget
-       else if node_count t >= t.max_nodes then Some Node_budget
        else None);
     Some st
 

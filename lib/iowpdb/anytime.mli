@@ -42,8 +42,9 @@
     certificate about that step's truncated semantics only, and no
     intersection is performed.
 
-    The session stops as soon as the width is at most [2 * eps], or a
-    step / node / prefix budget is hit, or the enumeration is exhausted
+    The session stops as soon as the width is at most [2 * eps], or the
+    prefix reaches [max_n] facts, or its {!Budget.t} trips (steps, BDD
+    nodes, deadline), or the enumeration is exhausted
     (in which case the answer is exact up to outward rounding). *)
 
 type stop_reason =
@@ -51,8 +52,6 @@ type stop_reason =
   | Exhausted
       (** the enumeration ended: the final interval is exact up to
           outward rounding *)
-  | Step_budget  (** [max_steps] reached before convergence *)
-  | Node_budget  (** the shared manager exceeded [max_nodes] *)
   | Prefix_budget  (** [max_n] facts reached before convergence *)
   | Interrupted of Budget.exhaustion
       (** the session's {!Budget.t} tripped (deadline, work-unit cap, or
@@ -87,15 +86,13 @@ type t
 val create :
   ?eps:float ->
   ?max_n:int ->
-  ?max_steps:int ->
-  ?max_nodes:int ->
   ?growth:(int -> int) ->
   ?budget:Budget.t ->
   Fact_source.t ->
   Fo.t ->
   t
-(** A fresh session.  Defaults: [eps = 0.01], [max_n = 2^20],
-    [max_steps = 64], [max_nodes = max_int], [growth] doubles the prefix
+(** A fresh session.  Defaults: [eps = 0.01], [max_n = 2^20], [growth]
+    doubles the prefix
     ([n -> max (n+1) (2n)]).  [growth] must be strictly increasing; its
     result is clamped to [max_n].
 
@@ -109,8 +106,8 @@ val create :
     The session's shared BDD manager is a {!Delta_eval} session's: it
     registers the current lineage diagram as a GC root and collects
     after a step once 2^16 nodes have been allocated since the last
-    sweep, so the live node count — what {!node_count}, [max_nodes] and
-    the [Bdd_nodes] budget observe — stays proportional to the current
+    sweep, so the live node count — what {!node_count} and the
+    [Bdd_nodes] budget observe — stays proportional to the current
     diagram instead of growing with every node ever built; swept nodes
     are refunded to [budget].
     @raise Invalid_argument if [eps] is outside [(0, 1/2)] or the query

@@ -135,13 +135,10 @@ let create ?(name = "bid") ~blocks ~tail () =
 let of_finite_blocks ?(name = "bid-finite") bs =
   let arr = Array.of_list bs in
   let n = Array.length arr in
-  let suffix = Array.make (n + 1) 0.0 in
-  for i = n - 1 downto 0 do
-    suffix.(i) <- suffix.(i + 1) +. Rational.to_float arr.(i).mass
-  done;
+  let suffix = Fact_source.suffix_bounds n (fun i -> arr.(i).mass) in
   create ~name
     ~blocks:(Array.to_seq arr)
-    ~tail:(fun k -> Some (if k >= n then 0.0 else suffix.(k) *. (1. +. 1e-12)))
+    ~tail:(fun k -> Some suffix.(Stdlib.min k n))
     ()
 
 let name t = t.name

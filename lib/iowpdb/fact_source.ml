@@ -161,19 +161,27 @@ let truncate s n = Ti_table.create (prefix s n)
 (* Constructors *)
 (* ------------------------------------------------------------------ *)
 
+(* [to_float] and [+.] both round to nearest, at most half an ulp below
+   the exact value, so one [Float.succ] after each keeps every partial
+   sum at or above the exact rational suffix however many terms are
+   summed.  A fixed relative headroom would not: the rounding error grows
+   with the number of terms. *)
+let suffix_bounds n prob =
+  let suffix = Array.make (n + 1) 0.0 in
+  for i = n - 1 downto 0 do
+    suffix.(i) <-
+      Float.succ (suffix.(i + 1) +. Float.succ (Rational.to_float (prob i)))
+  done;
+  suffix
+
 let of_list ?(name = "finite") entries =
   let arr = Array.of_list entries in
   let n = Array.length arr in
-  let suffix = Array.make (n + 1) 0.0 in
-  for i = n - 1 downto 0 do
-    suffix.(i) <- suffix.(i + 1) +. Rational.to_float (snd arr.(i))
-  done;
+  let suffix = suffix_bounds n (fun i -> snd arr.(i)) in
   let src =
     make ~name
       ~enum:(Seq.init n (Array.get arr))
-      (* One relative ulp of headroom keeps the float suffix sums a sound
-         upper bound on the exact rational tails. *)
-      ~tail:(fun k -> Some (if k >= n then 0.0 else suffix.(k) *. (1. +. 1e-12)))
+      ~tail:(fun k -> Some suffix.(Stdlib.min k n))
       ()
   in
   ensure src n;
@@ -259,12 +267,9 @@ let with_budget b s =
     ()
 
 let append_finite entries s =
-  let k = List.length entries in
   let arr = Array.of_list entries in
-  let suffix = Array.make (k + 1) 0.0 in
-  for i = k - 1 downto 0 do
-    suffix.(i) <- suffix.(i + 1) +. Rational.to_float (snd arr.(i))
-  done;
+  let k = Array.length arr in
+  let suffix = suffix_bounds k (fun i -> snd arr.(i)) in
   make
     ~name:(Printf.sprintf "%d+%s" k s.name)
     ~enum:(Seq.append (Array.to_seq arr) (seq_of s))
@@ -272,7 +277,7 @@ let append_finite entries s =
       if n >= k then tail_mass s (n - k)
       else
         Option.map
-          (fun t -> (suffix.(n) *. (1. +. 1e-12)) +. t)
+          (fun t -> Float.succ (suffix.(n) +. t))
           (tail_mass s 0))
     ()
 

@@ -35,6 +35,11 @@ val of_list : ?name:string -> (Fact.t * Rational.t) list -> t
 
 val of_ti_table : Ti_table.t -> t
 
+val suffix_bounds : int -> (int -> Rational.t) -> float array
+(** [suffix_bounds n prob] has [n + 1] entries: entry [k] is a float at
+    or above the exact [sum_{k <= i < n} prob i], rounded up at every
+    step, so it stays sound for any [n]; entry [n] is exactly [0.]. *)
+
 val geometric :
   ?name:string ->
   first:Rational.t ->

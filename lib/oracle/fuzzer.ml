@@ -846,20 +846,6 @@ let run_case ?(engines = all_engines) ?(mc_samples = 1500)
                blocks)
         in
         expect_eq ~what:"E(S_D) over blocks" want (Oracle.expected_size u));
-    check "store.roundtrip" (fun () ->
-        let path = Filename.temp_file "iowpdb_fuzz" ".iow" in
-        Fun.protect
-          ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-          (fun () ->
-            Store.write_bid ~path bid;
-            let st = Store.load path in
-            match Store.verify_against_bid st bid with
-            | Error msg -> Some ("pack round-trip: " ^ msg)
-            | Ok () ->
-              let truth = Oracle.query_prob (Lazy.force u) phi in
-              expect_eq ~what:"P(Q) text-loaded vs pack-loaded blocks" truth
-                (Oracle.query_prob (Oracle.of_bid_table (Store.to_bid_table st))
-                   phi)));
     if cmp_free then
       check "mc.bounds" (fun () ->
           let space =

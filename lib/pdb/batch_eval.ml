@@ -43,21 +43,18 @@ end)
 
 (* Once-per-batch inert padding: the shared chooser at the maximum rank
    over the members, which serves every non-[Cmp] member (k >= rank inert
-   values decide a sentence exactly as rank of them do).  It also dodges
-   the caller-supplied extra values. *)
-let padding ?(extra = []) table queries =
-  Query_eval.choose_padding
-    ~avoid:(fun v -> List.exists (Value.equal v) extra)
-    (Ti_table.support table) (Array.to_list queries)
+   values decide a sentence exactly as rank of them do). *)
+let padding table queries =
+  Query_eval.choose_padding (Ti_table.support table) (Array.to_list queries)
 
-let boolean ?(extra_domain = []) ?(domains = 1) ti queries =
+let boolean ?(domains = 1) ti queries =
   if domains < 1 then
     invalid_arg "Batch_eval.boolean: domains must be positive";
   Array.iter require_sentence queries;
   let n = Array.length queries in
   Stats.incr c_runs;
   Stats.add c_members n;
-  let pads = padding ~extra:extra_domain ti queries in
+  let pads = padding ti queries in
   (* Syntactic dedup: a repeated member is answered from the slot of
      its first occurrence. *)
   let rep = Array.make n (-1) in
@@ -120,10 +117,7 @@ let boolean ?(extra_domain = []) ?(domains = 1) ti queries =
         Array.map
           (fun i ->
             let q = queries.(i) in
-            let extra =
-              if Fo.has_cmp q then extra_domain else pads @ extra_domain
-            in
-            Lineage.of_sentence ~extra a q)
+            Lineage.of_sentence ~extra:(if Fo.has_cmp q then [] else pads) a q)
           mine
       in
       let order = Wmc.first_occurrence_order (Array.to_list exprs) in

@@ -27,8 +27,8 @@
     - {b dedup}: syntactically identical members are evaluated once; the
       copies are answered from the representative.
 
-    {b Determinism.}  Results are a pure function of [(table, queries,
-    extra_domain)], and {e bit-identical} at any [domains] setting:
+    {b Determinism.}  Results are a pure function of [(table, queries)],
+    and {e bit-identical} at any [domains] setting:
     sharding is decided by member index alone (never by runtime
     scheduling), each shard's ROBDDs are canonical for its manager, and
     the rational model count of a canonical function does not depend on
@@ -39,12 +39,11 @@
     increment is dropped.
 
     {b Member-wise semantics} (the metamorphic law the fuzzer checks):
-    member [i] of [boolean ~extra_domain ti qs] equals
-    [Query_eval.boolean ~extra_domain:d ti qs.(i)] where [d] is
-    [extra_domain] alone when [qs.(i)] contains a [Cmp] atom (inert
-    values are distinguishable by order, so those members stay
-    unpadded, as everywhere else in this code base) and
-    [padding ti qs @ extra_domain] otherwise. *)
+    member [i] of [boolean ti qs] equals
+    [Query_eval.boolean ~extra_domain:d ti qs.(i)] where [d] is [[]]
+    when [qs.(i)] contains a [Cmp] atom (inert values are
+    distinguishable by order, so those members stay unpadded, as
+    everywhere else in this code base) and [padding ti qs] otherwise. *)
 
 type route =
   | Lifted  (** answered by the safe-plan engine; no BDD was built *)
@@ -66,15 +65,14 @@ type 'p result = {
   deduped : int;  (** members answered as duplicates *)
 }
 
-val padding : ?extra:Value.t list -> Ti_table.t -> Fo.t array -> Value.t list
+val padding : Ti_table.t -> Fo.t array -> Value.t list
 (** The once-per-batch inert padding: [max quantifier_rank] fresh values
-    over the non-[Cmp] members, distinct from every support value, every
-    member's constants and [extra].  [[]] when no member needs padding.
+    over the non-[Cmp] members, distinct from every support value and
+    every member's constants.  [[]] when no member needs padding.
     Exposed so a sequential loop can reproduce the batch semantics
     member by member. *)
 
 val boolean :
-  ?extra_domain:Value.t list ->
   ?domains:int ->
   Ti_table.t ->
   Fo.t array ->

@@ -241,7 +241,7 @@ let located ?file ~line msg =
   in
   invalid_arg (Printf.sprintf "Bid_table.of_lines: %s: %s" where msg)
 
-let of_line_seq ?file lines =
+let of_lines ?file lines =
   (* One block per line, the same format [to_string] emits:
      [block_id: R(args) p | S(args) q | ...].  Blank lines and '#'
      comments are ignored; 1-based line numbers in every error. *)
@@ -323,11 +323,10 @@ let of_line_seq ?file lines =
         Some { block_id; alternatives }
     end
   in
-  (* Streaming fold: one pass, duplicate block ids rejected as they
-     arrive (with the first occurrence's line), blocks accumulated in
-     order.  Peak memory beyond the table itself is O(longest line). *)
+  (* One pass: duplicate block ids rejected as they arrive (with the
+     first occurrence's line), blocks accumulated in order. *)
   let lnum = ref 0 and seen = ref SMap.empty and acc = ref [] in
-  Seq.iter
+  List.iter
     (fun line ->
       incr lnum;
       match parse_block_line ~lnum:!lnum line with
@@ -343,18 +342,3 @@ let of_line_seq ?file lines =
           acc := b :: !acc))
     lines;
   create (List.rev !acc)
-
-let of_lines ?file lines = of_line_seq ?file (List.to_seq lines)
-
-let of_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let next () =
-        match input_line ic with
-        | line -> Some line
-        | exception End_of_file -> None
-      in
-      of_line_seq ~file:path (Seq.of_dispenser next))
-

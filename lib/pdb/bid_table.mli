@@ -82,9 +82,3 @@ val of_lines : ?file:string -> string list -> t
     a 1-based line number; a fact repeated within a block with the same
     probability collapses, with a different probability it is rejected.
     @raise Invalid_argument on parse errors. *)
-
-val of_file : string -> t
-(** Parses a file streaming line by line: peak memory beyond the table
-    itself is O(longest line), never the whole file.  Errors cite
-    [path:line] with 1-based line numbers.  The file descriptor is
-    released even when parsing raises. *)

@@ -1,5 +1,5 @@
-(* Bounded FIFO cache of certified answers, keyed by
-   (query, policy, epoch), reused epsilon-aware: an entry serves any
+(* Bounded FIFO cache of certified answers, keyed by (query, epoch),
+   reused epsilon-aware: an entry serves any
    request whose error target its enclosure already meets.
 
    The epoch component is the serving layer's table-content identity for
@@ -15,7 +15,9 @@
    plus the completion-policy spec).  [load] is all-or-nothing: a
    validator mismatch, version skew, or any malformed entry rejects the
    entire file — a stale or torn cache must never leak an enclosure that
-   the current table does not certify.  Only base-epoch ("") entries are
+   the current table does not certify.  The policy is not part of the
+   key: one server serves one policy for its whole life, and the
+   validator carries it across restarts.  Only base-epoch ("") entries are
    restored: epoch counters restart at zero on reboot, so a saved
    post-update epoch string would collide with a different table
    state. *)
@@ -28,7 +30,7 @@ let c_warm_loaded = Stats.counter "serve.cache.warm.loaded"
 let c_warm_reused = Stats.counter "serve.cache.warm.reused"
 let c_warm_rejected = Stats.counter "serve.cache.warm.rejected"
 
-type key = string * string * string
+type key = string * string
 type entry = { answer : Robust_eval.answer; warm : bool }
 
 type t = {
@@ -51,9 +53,9 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let find t ~query ~policy ~epoch ~eps =
+let find t ~query ~epoch ~eps =
   locked t (fun () ->
-      match Hashtbl.find_opt t.entries (query, policy, epoch) with
+      match Hashtbl.find_opt t.entries (query, epoch) with
       | Some e when Interval.width e.answer.Robust_eval.enclosure <= 2.0 *. eps
         ->
         Stats.incr c_hit;
@@ -80,10 +82,10 @@ let insert_unlocked t key entry =
     Hashtbl.replace t.entries key entry;
     Queue.push key t.order
 
-let store t ~query ~policy ~epoch answer =
+let store t ~query ~epoch answer =
   if t.capacity > 0 then
     locked t (fun () ->
-        insert_unlocked t (query, policy, epoch) { answer; warm = false })
+        insert_unlocked t (query, epoch) { answer; warm = false })
 
 let length t = locked t (fun () -> Hashtbl.length t.entries)
 
@@ -91,7 +93,7 @@ let length t = locked t (fun () -> Hashtbl.length t.entries)
 (* Warm-restart persistence *)
 (* ------------------------------------------------------------------ *)
 
-let file_header = "iowpdb-cache 2"
+let file_header = "iowpdb-cache 3"
 
 let save t ~path ~validator =
   let entries =
@@ -109,8 +111,8 @@ let save t ~path ~validator =
       Printf.fprintf oc "%s\n" file_header;
       Printf.fprintf oc "validator %S\n" validator;
       List.iter
-        (fun ((query, policy, epoch), (a : Robust_eval.answer)) ->
-          Printf.fprintf oc "entry %S %S %S %h %h %h\n" query policy epoch
+        (fun ((query, epoch), (a : Robust_eval.answer)) ->
+          Printf.fprintf oc "entry %S %S %h %h %h\n" query epoch
             (Interval.lo a.enclosure) (Interval.hi a.enclosure) a.estimate)
         entries);
   let n = List.length entries in
@@ -130,14 +132,14 @@ let restored_answer ~lo ~hi ~estimate : Robust_eval.answer =
   }
 
 let parse_entry line =
-  Scanf.sscanf line "entry %S %S %S %h %h %h"
-    (fun query policy epoch lo hi estimate ->
+  Scanf.sscanf line "entry %S %S %h %h %h"
+    (fun query epoch lo hi estimate ->
       if
         not
           (Float.is_finite lo && Float.is_finite hi && Float.is_finite estimate
          && 0.0 <= lo && lo <= hi && hi <= 1.0)
       then failwith "entry out of range";
-      ((query, policy, epoch), restored_answer ~lo ~hi ~estimate))
+      ((query, epoch), restored_answer ~lo ~hi ~estimate))
 
 let load t ~path ~validator =
   if not (Sys.file_exists path) then 0
@@ -171,7 +173,7 @@ let load t ~path ~validator =
            may be revived; post-update epochs would alias fresh
            counters over a different table state. *)
         let entries =
-          List.filter (fun ((_, _, epoch), _) -> epoch = "") entries
+          List.filter (fun ((_, epoch), _) -> epoch = "") entries
         in
         locked t (fun () ->
             List.iter

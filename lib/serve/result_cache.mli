@@ -1,8 +1,9 @@
 (** Bounded, epsilon-aware cache of certified answers.
 
-    Keys are [(query, policy, epoch)].  A server instance evaluates
-    every query against one truncation discipline, and the policy
-    string pins the open-world completion; the {e epoch} string is the
+    Keys are [(query, epoch)].  A server instance evaluates every query
+    against one table and one open-world completion policy for its whole
+    life, so neither is part of the key (the warm-restart validator
+    below pins both across restarts); the {e epoch} string is the
     content identity of the table slice the query reads — [""] at boot,
     and e.g. ["R=3;S=1"] once streaming updates have mutated relations
     [R] and [S] (see {!Server}).  Folding the epoch into the key is
@@ -32,7 +33,6 @@ val create : capacity:int -> t
 val find :
   t ->
   query:string ->
-  policy:string ->
   epoch:string ->
   eps:float ->
   Robust_eval.answer option
@@ -42,7 +42,6 @@ val find :
 val store :
   t ->
   query:string ->
-  policy:string ->
   epoch:string ->
   Robust_eval.answer ->
   unit

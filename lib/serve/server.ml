@@ -35,7 +35,6 @@ let endpoint_to_string = function
 type config = {
   endpoint : endpoint;
   make_source : unit -> Fact_source.t;
-  policy_label : string;
   domains : int;
   admission : Admission.config;
   default_eps : float;
@@ -56,7 +55,6 @@ let default_config make_source endpoint =
   {
     endpoint;
     make_source;
-    policy_label = "";
     domains = 2;
     admission = Admission.default_config;
     default_eps = 0.01;
@@ -210,8 +208,7 @@ let answer_of t item (a : Robust_eval.answer) ~shed ~cached ~epoch =
     && Interval.width a.Robust_eval.enclosure <= 2.0 *. item.i_eps
     && not cached
   then
-    Result_cache.store t.cache ~query:item.i_query ~policy:t.cfg.policy_label
-      ~epoch a;
+    Result_cache.store t.cache ~query:item.i_query ~epoch a;
   Protocol.Answer
     {
       lo = Interval.lo a.Robust_eval.enclosure;
@@ -307,8 +304,7 @@ let handle_query t ~query ~eps ~deadline_ms ~mc_samples ~seed =
         { code = Errors.exit_code e; msg = Errors.to_string e }
     | phi -> (
       match
-        Result_cache.find t.cache ~query ~policy:t.cfg.policy_label
-          ~epoch:(epoch_of t phi) ~eps
+        Result_cache.find t.cache ~query ~epoch:(epoch_of t phi) ~eps
       with
       | Some a ->
         Stats.incr c_answers;

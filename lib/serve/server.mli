@@ -35,7 +35,6 @@ type config = {
   make_source : unit -> Fact_source.t;
       (** fresh fact source per request — sources memoize internally, so
           one instance must never be shared across worker domains *)
-  policy_label : string;  (** cache-key component naming the policy *)
   domains : int;  (** worker domains evaluating queries *)
   admission : Admission.config;
   default_eps : float;  (** error target when the request has none *)
@@ -70,8 +69,8 @@ type config = {
 
 val default_config : (unit -> Fact_source.t) -> endpoint -> config
 (** 2 domains, {!Admission.default_config}, eps 0.01, 20k/2k samples,
-    1 s default deadline, cache of 256, empty policy label, no warm
-    cache, no updatable table. *)
+    1 s default deadline, cache of 256, no warm cache, no updatable
+    table. *)
 
 type t
 

@@ -11,22 +11,20 @@
      the probability column, so the one truncation search
      ([Fact_source.search] over [fact_source]) costs O(log n) lookups. *)
 
-type kind = Ti | Bid
-
 let magic = "IOWPACK1"
 let version = 1
 let header_size = 144
 
 (* Header field offsets (bytes). *)
 let off_version = 8
-let off_kind = 16
+let off_kind = 16 (* always 0: the TI kind *)
 let off_checksum = 24
 let off_length = 32
 let off_n_facts = 40
 let off_n_values = 48
 let off_n_rels = 56
 let off_n_strings = 64
-let off_n_blocks = 72
+let off_n_blocks = 72 (* always 0: the blocks section is reserved *)
 let off_sec_strings = 80
 let off_sec_values = 88
 let off_sec_rels = 96
@@ -118,8 +116,6 @@ let reject path region msg =
 (* Writer *)
 (* ------------------------------------------------------------------ *)
 
-let kind_code = function Ti -> 0 | Bid -> 1
-
 module VMap = Map.Make (Value)
 module SMap = Map.Make (String)
 
@@ -207,9 +203,14 @@ let sidecar_of entries =
   done;
   tail
 
-(* Serialize [entries] (facts in their final on-disk order) plus the
-   BID [blocks] (block id, first fact, n_alts; empty for TI). *)
-let write_pack ~path ~kind entries blocks =
+let desc_prob_order (f1, p1) (f2, p2) =
+  let c = Rational.compare p2 p1 in
+  if c <> 0 then c else Fact.compare f1 f2
+
+let write_ti ~path ti =
+  let entries =
+    Array.of_list (List.sort desc_prob_order (Ti_table.facts ti))
+  in
   let pools = new_pools () in
   let n = Array.length entries in
   (* Encode the fact and probability blobs with section-relative record
@@ -233,12 +234,6 @@ let write_pack ~path ~kind entries blocks =
       Buffer.add_string prob_blob num;
       Buffer.add_string prob_blob den)
     entries;
-  let block_recs =
-    List.map
-      (fun (id, first, n_alts) -> (string_id pools id, first, n_alts))
-      blocks
-  in
-  let n_blocks = List.length block_recs in
   let tail = sidecar_of entries in
   (* String blob with section-relative offsets. *)
   let str_blob = Buffer.create 256 in
@@ -260,19 +255,19 @@ let write_pack ~path ~kind entries blocks =
   let sec_probs = sec_facts + (8 * n) + Buffer.length fact_blob in
   let sec_sidecar = sec_probs + (8 * n) + Buffer.length prob_blob in
   let sec_blocks = sec_sidecar + (8 * (n + 1)) in
-  let total = sec_blocks + (24 * n_blocks) in
+  let total = sec_blocks (* the blocks section is empty *) in
   let buf = Buffer.create total in
   (* Header (checksum written as 0, patched below). *)
   Buffer.add_string buf magic;
   add_u64 buf version;
-  add_u64 buf (kind_code kind);
+  add_u64 buf 0 (* kind: TI *);
   add_u64 buf 0;
   add_u64 buf total;
   add_u64 buf n;
   add_u64 buf pools.n_values;
   add_u64 buf pools.n_rels;
   add_u64 buf pools.n_strings;
-  add_u64 buf n_blocks;
+  add_u64 buf 0 (* n_blocks *);
   add_u64 buf sec_strings;
   add_u64 buf sec_values;
   add_u64 buf sec_rels;
@@ -322,42 +317,10 @@ let write_pack ~path ~kind entries blocks =
   Buffer.add_buffer buf prob_blob;
   (* sidecar *)
   Array.iter (fun t -> Buffer.add_int64_le buf (Int64.bits_of_float t)) tail;
-  (* blocks *)
-  List.iter
-    (fun (sid, first, n_alts) ->
-      add_u64 buf sid;
-      add_u64 buf first;
-      add_u64 buf n_alts)
-    block_recs;
   assert (Buffer.length buf = total);
   let bytes = Buffer.to_bytes buf in
   Bytes.set_int64_le bytes off_checksum (Int64.of_int (checksum_bytes bytes));
   Durable.write path (fun oc -> output_bytes oc bytes)
-
-let desc_prob_order (f1, p1) (f2, p2) =
-  let c = Rational.compare p2 p1 in
-  if c <> 0 then c else Fact.compare f1 f2
-
-let write_ti ~path ti =
-  let entries =
-    Array.of_list (List.sort desc_prob_order (Ti_table.facts ti))
-  in
-  write_pack ~path ~kind:Ti entries []
-
-let write_bid ~path bid =
-  (* Blocks keep creation order; alternatives stay contiguous per block
-     so block [b]'s tail mass is the fact tail at its first index. *)
-  let entries = ref [] and blocks = ref [] and first = ref 0 in
-  List.iter
-    (fun b ->
-      let alts = b.Bid_table.alternatives in
-      blocks := (b.Bid_table.block_id, !first, List.length alts) :: !blocks;
-      first := !first + List.length alts;
-      entries := List.rev_append alts !entries)
-    (Bid_table.blocks bid);
-  write_pack ~path ~kind:Bid
-    (Array.of_list (List.rev !entries))
-    (List.rev !blocks)
 
 (* ------------------------------------------------------------------ *)
 (* Reader *)
@@ -367,20 +330,17 @@ type t = {
   path : string;
   map : map;
   length : int;
-  kind : kind;
   checksum : int;
   n_facts : int;
   n_values : int;
   n_rels : int;
   n_strings : int;
-  n_blocks : int;
   sec_strings : int;
   sec_values : int;
   sec_rels : int;
   sec_facts : int;
   sec_probs : int;
   sec_sidecar : int;
-  sec_blocks : int;
 }
 
 (* All multi-byte reads are bounds-checked: a forged offset can raise a
@@ -445,20 +405,17 @@ let load path =
       path;
       map;
       length;
-      kind = Ti;
       checksum = 0;
       n_facts = 0;
       n_values = 0;
       n_rels = 0;
       n_strings = 0;
-      n_blocks = 0;
       sec_strings = 0;
       sec_values = 0;
       sec_rels = 0;
       sec_facts = 0;
       sec_probs = 0;
       sec_sidecar = 0;
-      sec_blocks = 0;
     }
   in
   let got_magic = read_string tmp "header" 0 8 in
@@ -468,12 +425,12 @@ let load path =
   let v = read_u62 tmp "header" off_version in
   if v <> version then
     reject path "header" (Printf.sprintf "unsupported version %d" v);
-  let kind =
-    match read_u62 tmp "header" off_kind with
-    | 0 -> Ti
-    | 1 -> Bid
-    | k -> reject path "header" (Printf.sprintf "unknown kind %d" k)
-  in
+  (* Kind 1 marked the block-independent-disjoint packs older writers
+     produced; nothing reads their blocks, so they are rejected here
+     rather than misread as a TI enumeration. *)
+  (match read_u62 tmp "header" off_kind with
+  | 0 -> ()
+  | k -> reject path "header" (Printf.sprintf "unknown kind %d" k));
   let stored_len = read_u62 tmp "header" off_length in
   if stored_len <> length then
     reject path "header"
@@ -489,7 +446,6 @@ let load path =
   and n_values = read_u62 tmp "header" off_n_values
   and n_rels = read_u62 tmp "header" off_n_rels
   and n_strings = read_u62 tmp "header" off_n_strings
-  and n_blocks = read_u62 tmp "header" off_n_blocks
   and sec_strings = read_u62 tmp "header" off_sec_strings
   and sec_values = read_u62 tmp "header" off_sec_values
   and sec_rels = read_u62 tmp "header" off_sec_rels
@@ -497,6 +453,8 @@ let load path =
   and sec_probs = read_u62 tmp "header" off_sec_probs
   and sec_sidecar = read_u62 tmp "header" off_sec_sidecar
   and sec_blocks = read_u62 tmp "header" off_sec_blocks in
+  if read_u62 tmp "header" off_n_blocks <> 0 then
+    reject path "header" "n_blocks must be 0: the blocks section is reserved";
   (* Structural sanity: the canonical section order with fixed-size
      parts accounted for, everything inside the file. *)
   let check cond msg = if not cond then reject path "structure" msg in
@@ -513,37 +471,26 @@ let load path =
   check
     (sec_blocks = sec_sidecar + (8 * (n_facts + 1)))
     "blocks section misplaced";
-  check (length = sec_blocks + (24 * n_blocks)) "blocks section truncated";
-  check (kind = Bid || n_blocks = 0) "TI pack with blocks";
+  check (length = sec_blocks) "blocks section must be empty";
   Stats.add c_bytes length;
   {
     path;
     map;
     length;
-    kind;
     checksum = actual;
     n_facts;
     n_values;
     n_rels;
     n_strings;
-    n_blocks;
     sec_strings;
     sec_values;
     sec_rels;
     sec_facts;
     sec_probs;
     sec_sidecar;
-    sec_blocks;
   }
 
-let load_r path =
-  match load path with
-  | t -> Ok t
-  | exception Errors.Error e -> Error e
-
-let kind t = t.kind
 let size t = t.n_facts
-let num_blocks t = t.n_blocks
 let byte_size t = t.length
 let checksum_hex t = Printf.sprintf "%016x" t.checksum
 
@@ -615,47 +562,18 @@ let tail_mass t n =
 (* Slices *)
 (* ------------------------------------------------------------------ *)
 
-let require_ti t what =
-  if t.kind <> Ti then
-    invalid_arg (Printf.sprintf "Store.%s: not a TI pack: %s" what t.path)
-
 let truncate t ~n =
-  require_ti t "truncate";
   Stats.incr c_slice;
   let n = Stdlib.max 0 (Stdlib.min n t.n_facts) in
   Ti_table.create (List.init n (entry t))
 
 let to_ti_table t = truncate t ~n:t.n_facts
 
-let block t i =
-  let ent = t.sec_blocks + (24 * i) in
-  let id = read_interned_string t "blocks" (read_u62 t "blocks" ent) in
-  let first = read_u62 t "blocks" (ent + 8)
-  and n_alts = read_u62 t "blocks" (ent + 16) in
-  if first < 0 || n_alts < 0 || first + n_alts > t.n_facts then
-    reject t.path "blocks"
-      (Printf.sprintf "block %d spans facts [%d, %d) outside [0, %d)" i first
-         (first + n_alts) t.n_facts);
-  {
-    Bid_table.block_id = id;
-    alternatives = List.init n_alts (fun k -> entry t (first + k));
-  }
-
-let truncate_blocks t ~n =
-  if t.kind <> Bid then
-    invalid_arg (Printf.sprintf "Store.truncate_blocks: not a BID pack: %s" t.path);
-  Stats.incr c_slice;
-  let n = Stdlib.max 0 (Stdlib.min n t.n_blocks) in
-  Bid_table.create (List.init n (block t))
-
-let to_bid_table t = truncate_blocks t ~n:t.n_blocks
-
 (* ------------------------------------------------------------------ *)
 (* Fact source *)
 (* ------------------------------------------------------------------ *)
 
 let fact_source ?rest t =
-  require_ti t "fact_source";
   let name = Printf.sprintf "store:%s" (Filename.basename t.path) in
   let packed = Seq.init t.n_facts (fun i -> entry t i) in
   match rest with
@@ -682,8 +600,7 @@ let fact_source ?rest t =
 
 let verify_against_ti t ti =
   match
-    if t.kind <> Ti then Error "pack kind is BID, table is TI"
-    else if t.n_facts <> Ti_table.size ti then
+    if t.n_facts <> Ti_table.size ti then
       Error
         (Printf.sprintf "pack has %d facts, table has %d" t.n_facts
            (Ti_table.size ti))
@@ -702,39 +619,6 @@ let verify_against_ti t ti =
         end
       done;
       match !bad with None -> Ok () | Some msg -> Error msg
-    end
-  with
-  | r -> r
-  | exception Errors.Error e -> Error (Errors.to_string e)
-
-let verify_against_bid t bid =
-  match
-    if t.kind <> Bid then Error "pack kind is TI, table is BID"
-    else begin
-      let packed = to_bid_table t in
-      let b1 = Bid_table.blocks packed and b2 = Bid_table.blocks bid in
-      if List.length b1 <> List.length b2 then
-        Error
-          (Printf.sprintf "pack has %d blocks, table has %d" (List.length b1)
-             (List.length b2))
-      else begin
-        let mismatch =
-          List.find_opt
-            (fun (x, y) ->
-              x.Bid_table.block_id <> y.Bid_table.block_id
-              || List.length x.Bid_table.alternatives
-                 <> List.length y.Bid_table.alternatives
-              || List.exists2
-                   (fun (f1, p1) (f2, p2) ->
-                     not (Fact.equal f1 f2 && Rational.equal p1 p2))
-                   x.Bid_table.alternatives y.Bid_table.alternatives)
-            (List.combine b1 b2)
-        in
-        match mismatch with
-        | None -> Ok ()
-        | Some (x, _) ->
-          Error (Printf.sprintf "block %s differs" x.Bid_table.block_id)
-      end
     end
   with
   | r -> r

@@ -32,14 +32,13 @@
     facts    offset table + [rel id, value ids...]   (desc. probability)
     probs    offset table + [num len, den len, magnitude bytes]
     sidecar  (n_facts + 1) float64 upper bounds on the exact tail mass
-    blocks   (block id, first fact, n_alts) triples  (BID packs only)
-    v} *)
+    blocks   reserved: always empty
+    v}
+    [kind] and [n_blocks] are always 0.  Kind 1 marked the
+    block-independent-disjoint packs of older writers; {!load} rejects
+    it, and any non-zero [n_blocks], as a ["header"] error. *)
 
 type t
-
-type kind =
-  | Ti  (** tuple-independent: one independent event per fact *)
-  | Bid  (** block-independent-disjoint: facts grouped in blocks *)
 
 (** {1 Writing} *)
 
@@ -50,13 +49,6 @@ val write_ti : path:string -> Ti_table.t -> unit
     {!Durable.write}: after a crash or a failed write [path] holds the
     old pack or the whole new one, never a torn one. *)
 
-val write_bid : path:string -> Bid_table.t -> unit
-(** Pack a BID table.  Blocks keep their creation order (the block
-    structure, not a global sort, is the semantic unit); facts are laid
-    out contiguously per block and the sidecar still bounds fact-suffix
-    mass, so the tail mass of the blocks from block [b] on is
-    [tail_mass (first_fact b)]. *)
-
 (** {1 Loading} *)
 
 val load : string -> t
@@ -66,17 +58,10 @@ val load : string -> t
     @raise Errors.Error with [Errors.Store] locating the rejected
     region on any validation failure. *)
 
-val load_r : string -> (t, Errors.t) result
-
 (** {1 Inspection} *)
-
-val kind : t -> kind
 
 val size : t -> int
 (** Number of facts. *)
-
-val num_blocks : t -> int
-(** Number of BID blocks; 0 for TI packs. *)
 
 val byte_size : t -> int
 val checksum_hex : t -> string
@@ -99,14 +84,7 @@ val truncate : t -> n:int -> Ti_table.t
     prefix of Lemma 4.4.  Only those [n] facts are decoded. *)
 
 val to_ti_table : t -> Ti_table.t
-(** Decode the whole pack ([Ti] packs). *)
-
-val to_bid_table : t -> Bid_table.t
-(** Decode the whole pack ([Bid] packs).
-    @raise Invalid_argument on a [Ti] pack (and vice versa). *)
-
-val truncate_blocks : t -> n:int -> Bid_table.t
-(** The first [min n num_blocks] blocks as a finite BID table. *)
+(** Decode the whole pack. *)
 
 (** {1 As a fact source} *)
 
@@ -129,5 +107,3 @@ val verify_against_ti : t -> Ti_table.t -> (unit, string) result
 (** Full round-trip check for [pack --verify]: decodes every fact and
     compares rationally against the given table (same facts, identical
     probabilities). *)
-
-val verify_against_bid : t -> Bid_table.t -> (unit, string) result

@@ -151,15 +151,18 @@ let test_exhausted_source_is_exact () =
 
 let test_step_budget () =
   (* One step per unit of growth cannot reach the eps=0.001 truncation
-     point (n=11) in 3 steps. *)
+     point (n=11) in 3 steps; the budget's step cap stops the session.
+     [step] spends its unit before checking, and a cap trips once the
+     spend reaches it, so a cap of 4 admits 3 steps. *)
   let sess =
-    Anytime.create ~eps:0.001 ~max_steps:3 ~growth:(fun n -> n + 1)
+    Anytime.create ~eps:0.001 ~growth:(fun n -> n + 1)
+      ~budget:(Budget.create ~max_steps:4 ())
       (geo_source ())
       (parse "exists x. R(x)")
   in
   let reason, steps = Anytime.run sess in
   (match reason with
-   | Anytime.Step_budget -> ()
+   | Anytime.Interrupted (Budget.Cap Budget.Steps) -> ()
    | r -> Alcotest.failf "expected step budget, got %s" (Anytime.stop_reason_to_string r));
   Alcotest.(check int) "3 steps" 3 (List.length steps);
   Alcotest.(check int) "n advanced once per step" 3 (Anytime.current_n sess);

@@ -235,6 +235,26 @@ let test_probability_one_policy () =
         (Helpers.contains text_err "bad policy"))
     [ "lambda:1:3"; "geometric:1:1/2" ]
 
+(* A pack holds one TI enumeration: there is no [--kind] to choose, and
+   a block-independent-disjoint pack from an older writer
+   (test/fixtures/bid_v1.iow) is a store rejection naming its kind. *)
+let test_pack_ti_only () =
+  with_table good_table @@ fun t ->
+  let pack = Filename.temp_file "iowpdb_cli" ".iow" in
+  Fun.protect ~finally:(fun () -> Sys.remove pack) @@ fun () ->
+  check_exit "pack --verify" 0 [ "pack"; t; pack; "--verify" ];
+  check_exit "pack --kind is unknown" 124 [ "pack"; t; pack; "--kind"; "bid" ];
+  let code, err =
+    run_capture
+      [
+        "serve"; "--store"; "fixtures/bid_v1.iow"; "--socket";
+        "/nonexistent/iowpdb-cli-test.sock";
+      ]
+  in
+  Alcotest.(check int) "serve --store old BID pack exits 2" 2 code;
+  Alcotest.(check bool) "names the kind" true
+    (Helpers.contains err "unknown kind 1")
+
 let () =
   Alcotest.run "cli"
     [
@@ -262,6 +282,8 @@ let () =
           Alcotest.test_case "probability-1 policy" `Quick
             test_probability_one_policy;
         ] );
+      ( "pack",
+        [ Alcotest.test_case "TI only" `Quick test_pack_ti_only ] );
       ( "robust",
         [
           Alcotest.test_case "clean" `Quick test_robust_clean;

@@ -116,6 +116,26 @@ let test_source_append_interleave_map () =
    | _ -> Alcotest.fail "nonempty");
   Alcotest.(check bool) "interleaved converges" true (Fact_source.converges both)
 
+(* Regression: the finite constructors used to sum nearest-rounded
+   marginals and add a fixed relative headroom of 1e-12, which the
+   rounding error outgrows: with 44,985 facts at 1/13 the certified mass
+   at index 0 fell below the exact 44985/13.  Each partial sum now
+   rounds up. *)
+let test_source_finite_tail_sound () =
+  let n = 44_985 and p = q 1 13 in
+  let entries = List.init n (fun k -> (r_fact k, p)) in
+  let exact = Rational.mul (Rational.of_int n) p in
+  let sound what src =
+    match Fact_source.tail_mass src 0 with
+    | Some t ->
+      Alcotest.(check bool) what true
+        (Rational.compare (Rational.of_float_exn t) exact >= 0)
+    | None -> Alcotest.failf "%s: no certificate" what
+  in
+  sound "of_list" (Fact_source.of_list entries);
+  sound "append_finite"
+    (Fact_source.append_finite entries (Fact_source.of_list []))
+
 let test_source_deep_certificate () =
   (* Regression: [converges] used to probe a fixed ladder {0, 1, 16, 1024}
      and declared any source whose certificate first answers deeper than
@@ -942,6 +962,8 @@ let () =
             test_source_append_interleave_map;
           Alcotest.test_case "deep certificate" `Quick
             test_source_deep_certificate;
+          Alcotest.test_case "finite tail sound at 45k facts" `Quick
+            test_source_finite_tail_sound;
         ] );
       ( "search",
         [

@@ -272,38 +272,35 @@ let dummy_answer lo hi =
 
 let test_cache_eps_aware () =
   let c = Result_cache.create ~capacity:8 in
-  Result_cache.store c ~query:"Q" ~policy:"p" ~epoch:"" (dummy_answer 0.50 0.51);
-  (match Result_cache.find c ~query:"Q" ~policy:"p" ~epoch:"" ~eps:0.01 with
+  Result_cache.store c ~query:"Q" ~epoch:"" (dummy_answer 0.50 0.51);
+  (match Result_cache.find c ~query:"Q" ~epoch:"" ~eps:0.01 with
   | Some _ -> ()
   | None -> Alcotest.fail "width 0.01 must satisfy eps 0.01");
-  (match Result_cache.find c ~query:"Q" ~policy:"p" ~epoch:"" ~eps:0.004 with
+  (match Result_cache.find c ~query:"Q" ~epoch:"" ~eps:0.004 with
   | None -> ()
   | Some _ -> Alcotest.fail "width 0.01 must not satisfy eps 0.004");
-  (match Result_cache.find c ~query:"Q" ~policy:"other" ~epoch:"" ~eps:0.5 with
-  | None -> ()
-  | Some _ -> Alcotest.fail "policy is part of the key");
   (* replacement keeps the narrower enclosure *)
-  Result_cache.store c ~query:"Q" ~policy:"p" ~epoch:"" (dummy_answer 0.50 0.9);
-  (match Result_cache.find c ~query:"Q" ~policy:"p" ~epoch:"" ~eps:0.01 with
+  Result_cache.store c ~query:"Q" ~epoch:"" (dummy_answer 0.50 0.9);
+  (match Result_cache.find c ~query:"Q" ~epoch:"" ~eps:0.01 with
   | Some _ -> ()
   | None -> Alcotest.fail "wider answer must not replace a narrower one");
-  Result_cache.store c ~query:"Q" ~policy:"p" ~epoch:"" (dummy_answer 0.500 0.501);
-  match Result_cache.find c ~query:"Q" ~policy:"p" ~epoch:"" ~eps:0.0006 with
+  Result_cache.store c ~query:"Q" ~epoch:"" (dummy_answer 0.500 0.501);
+  match Result_cache.find c ~query:"Q" ~epoch:"" ~eps:0.0006 with
   | Some _ -> ()
   | None -> Alcotest.fail "narrower answer must replace"
 
 let test_cache_bounded () =
   let c = Result_cache.create ~capacity:2 in
-  Result_cache.store c ~query:"a" ~policy:"p" ~epoch:"" (dummy_answer 0.1 0.1);
-  Result_cache.store c ~query:"b" ~policy:"p" ~epoch:"" (dummy_answer 0.2 0.2);
-  Result_cache.store c ~query:"c" ~policy:"p" ~epoch:"" (dummy_answer 0.3 0.3);
+  Result_cache.store c ~query:"a" ~epoch:"" (dummy_answer 0.1 0.1);
+  Result_cache.store c ~query:"b" ~epoch:"" (dummy_answer 0.2 0.2);
+  Result_cache.store c ~query:"c" ~epoch:"" (dummy_answer 0.3 0.3);
   Alcotest.(check int) "capacity respected" 2 (Result_cache.length c);
-  (match Result_cache.find c ~query:"a" ~policy:"p" ~epoch:"" ~eps:0.4 with
+  (match Result_cache.find c ~query:"a" ~epoch:"" ~eps:0.4 with
   | None -> ()
   | Some _ -> Alcotest.fail "oldest entry must be evicted");
   let c0 = Result_cache.create ~capacity:0 in
-  Result_cache.store c0 ~query:"a" ~policy:"p" ~epoch:"" (dummy_answer 0.1 0.1);
-  match Result_cache.find c0 ~query:"a" ~policy:"p" ~epoch:"" ~eps:0.5 with
+  Result_cache.store c0 ~query:"a" ~epoch:"" (dummy_answer 0.1 0.1);
+  match Result_cache.find c0 ~query:"a" ~epoch:"" ~eps:0.5 with
   | None -> ()
   | Some _ -> Alcotest.fail "capacity 0 disables the cache"
 
@@ -312,10 +309,10 @@ let test_cache_failed_save () =
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
   let c = Result_cache.create ~capacity:8 in
-  Result_cache.store c ~query:"exists x. R(x)" ~policy:"p" ~epoch:""
+  Result_cache.store c ~query:"exists x. R(x)" ~epoch:""
     (dummy_answer 0.50 0.51);
   ignore (Result_cache.save c ~path ~validator:"v1");
-  Result_cache.store c ~query:"exists x. S(x)" ~policy:"p" ~epoch:""
+  Result_cache.store c ~query:"exists x. S(x)" ~epoch:""
     (dummy_answer 0.25 0.25);
   Helpers.check_failed_write path ~write:(fun () ->
       ignore (Result_cache.save c ~path ~validator:"v2"));
@@ -329,9 +326,9 @@ let test_cache_warm_roundtrip () =
   @@ fun () ->
   let validator = "deadbeef:geometric:1/4:1/2" in
   let c = Result_cache.create ~capacity:8 in
-  Result_cache.store c ~query:"exists x. R(x)" ~policy:"p" ~epoch:""
+  Result_cache.store c ~query:"exists x. R(x)" ~epoch:""
     (dummy_answer 0.50 0.51);
-  Result_cache.store c ~query:"q \"quoted\"\nnewline" ~policy:"p'" ~epoch:""
+  Result_cache.store c ~query:"q \"quoted\"\nnewline" ~epoch:""
     (dummy_answer 0.25 0.25);
   Alcotest.(check int) "saved" 2 (Result_cache.save c ~path ~validator);
   (* Fresh cache, matching validator: everything comes back. *)
@@ -339,7 +336,7 @@ let test_cache_warm_roundtrip () =
   let reused0 = Stats.count (Stats.counter "serve.cache.warm.reused") in
   Alcotest.(check int) "loaded" 2 (Result_cache.load c' ~path ~validator);
   (match
-     Result_cache.find c' ~query:"exists x. R(x)" ~policy:"p" ~epoch:""
+     Result_cache.find c' ~query:"exists x. R(x)" ~epoch:""
        ~eps:0.01
    with
   | Some a ->
@@ -349,7 +346,7 @@ let test_cache_warm_roundtrip () =
       (Interval.hi a.Robust_eval.enclosure)
   | None -> Alcotest.fail "restored entry must satisfy its own eps");
   (match
-     Result_cache.find c' ~query:"q \"quoted\"\nnewline" ~policy:"p'" ~epoch:""
+     Result_cache.find c' ~query:"q \"quoted\"\nnewline" ~epoch:""
        ~eps:0.01
    with
   | Some _ -> ()
@@ -357,10 +354,10 @@ let test_cache_warm_roundtrip () =
   Alcotest.(check bool) "warm reuse counted" true
     (Stats.count (Stats.counter "serve.cache.warm.reused") >= reused0 + 2);
   (* A tighter answer computed after restore still replaces the warm one. *)
-  Result_cache.store c' ~query:"exists x. R(x)" ~policy:"p" ~epoch:""
+  Result_cache.store c' ~query:"exists x. R(x)" ~epoch:""
     (dummy_answer 0.500 0.501);
   (match
-     Result_cache.find c' ~query:"exists x. R(x)" ~policy:"p" ~epoch:""
+     Result_cache.find c' ~query:"exists x. R(x)" ~epoch:""
        ~eps:0.0006
    with
   | Some _ -> ()
@@ -375,11 +372,18 @@ let test_cache_warm_roundtrip () =
     (Stats.count (Stats.counter "serve.cache.warm.rejected") > rejected0);
   (* Corrupt entry line: the whole file is rejected, not a prefix. *)
   let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "entry \"z\" \"p\" \"\" 0x1.cp-1 0x1p-3 0x1p-2\n";
+  output_string oc "entry \"z\" \"\" 0x1.cp-1 0x1p-3 0x1p-2\n";
   close_out oc;
   let c3 = Result_cache.create ~capacity:8 in
   Alcotest.(check int) "malformed entry rejects the file" 0
     (Result_cache.load c3 ~path ~validator);
+  (* A file from the previous format, whose keys carried the policy:
+     rejected whole by its header. *)
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc "iowpdb-cache 2\nvalidator %S\n" validator;
+      output_string oc "entry \"z\" \"p\" \"\" 0x1p-3 0x1p-2 0x1.8p-3\n");
+  Alcotest.(check int) "old format rejects the file" 0
+    (Result_cache.load (Result_cache.create ~capacity:8) ~path ~validator);
   (* Missing file: silent cold start. *)
   let c4 = Result_cache.create ~capacity:8 in
   Alcotest.(check int) "missing file restores nothing" 0
@@ -433,7 +437,6 @@ let with_server ?(domains = 2) ?(admission = Admission.default_config)
     {
       Server.endpoint = `Unix path;
       make_source;
-      policy_label = "test";
       domains;
       admission;
       default_eps = 0.01;
@@ -658,8 +661,7 @@ let test_serve_drain () =
   let cfg =
     {
       (Server.default_config open_source (`Unix path)) with
-      Server.policy_label = "test";
-      default_deadline_s = Some 2.0;
+      Server.default_deadline_s = Some 2.0;
       default_eps = 1e-6;
     }
   in

@@ -16,6 +16,11 @@ let tmp_pack =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "iowpdb_test_%d_%d.iow" (Unix.getpid ()) !n)
 
+let load_result path =
+  match Store.load path with
+  | st -> Ok st
+  | exception Errors.Error e -> Error e
+
 let with_pack_ti ti f =
   let path = tmp_pack () in
   Fun.protect
@@ -49,7 +54,6 @@ let mixed_ti =
 let test_roundtrip_small () =
   with_pack_ti mixed_ti @@ fun _path st ->
   Alcotest.(check int) "size" 6 (Store.size st);
-  Alcotest.(check bool) "kind" true (Store.kind st = Store.Ti);
   check_ti_equal "roundtrip" mixed_ti (Store.to_ti_table st);
   (match Store.verify_against_ti st mixed_ti with
   | Ok () -> ()
@@ -73,41 +77,6 @@ let test_roundtrip_empty () =
   | Too_slow _ | Silent _ -> Alcotest.fail "empty pack must truncate at 0");
   Alcotest.(check int) "table" 0 (Ti_table.size (Store.truncate st ~n:0))
 
-let test_roundtrip_bid () =
-  let bid =
-    Bid_table.create
-      [
-        {
-          Bid_table.block_id = "b1";
-          alternatives = [ (fact "R" [ 1 ], q 1 2); (fact "R" [ 2 ], q 1 3) ];
-        };
-        { Bid_table.block_id = "b2"; alternatives = [ (fact "S" [ 1 ], q 1 4) ] };
-        { Bid_table.block_id = "empty"; alternatives = [] };
-      ]
-  in
-  let path = tmp_pack () in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Store.write_bid ~path bid;
-      let st = Store.load path in
-      Alcotest.(check bool) "kind" true (Store.kind st = Store.Bid);
-      Alcotest.(check int) "blocks" 3 (Store.num_blocks st);
-      (match Store.verify_against_bid st bid with
-      | Ok () -> ()
-      | Error m -> Alcotest.failf "verify: %s" m);
-      let back = Store.to_bid_table st in
-      Alcotest.(check int) "facts" (Bid_table.size bid) (Bid_table.size back);
-      List.iter
-        (fun f ->
-          if not (Rational.equal (Bid_table.prob bid f) (Bid_table.prob back f))
-          then Alcotest.failf "prob mismatch on %s" (Fact.to_string f))
-        (Bid_table.support bid);
-      (* Block tail mass: the sidecar at a block's first fact bounds the
-         remaining mass, so truncating after block 1 leaves b2's 1/4. *)
-      let tr = Store.truncate_blocks st ~n:1 in
-      Alcotest.(check int) "truncated blocks" 1 (Bid_table.num_blocks tr))
-
 (* Seed-pure generated tables through the full round-trip. *)
 let test_roundtrip_generated () =
   let cfg = Oracle_gen.default in
@@ -118,16 +87,7 @@ let test_roundtrip_generated () =
     with_pack_ti ti (fun _path st ->
         check_ti_equal
           (Printf.sprintf "seed %d" seed)
-          ti (Store.to_ti_table st));
-    let bid = Oracle_gen.bid_table cfg g schema in
-    let path = tmp_pack () in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-      (fun () ->
-        Store.write_bid ~path bid;
-        match Store.verify_against_bid (Store.load path) bid with
-        | Ok () -> ()
-        | Error m -> Alcotest.failf "bid seed %d: %s" seed m)
+          ti (Store.to_ti_table st))
   done
 
 let test_truncation_and_sidecar () =
@@ -259,7 +219,7 @@ let test_every_single_byte_corruption_rejected () =
             let oc = open_out_bin corrupt in
             output_bytes oc b;
             close_out oc;
-            match Store.load_r corrupt with
+            match load_result corrupt with
             | Error (Errors.Store { path = p; region; _ }) ->
               Alcotest.(check string) "error cites the file" corrupt p;
               Alcotest.(check bool)
@@ -287,7 +247,7 @@ let test_truncated_and_garbage_rejected () =
           let oc = open_out_bin path in
           output_string oc (String.sub orig 0 keep);
           close_out oc;
-          match Store.load_r path with
+          match load_result path with
           | Error (Errors.Store _) -> ()
           | Error e ->
             Alcotest.failf "truncated@%d: wrong class %s" keep
@@ -295,7 +255,7 @@ let test_truncated_and_garbage_rejected () =
           | Ok _ -> Alcotest.failf "truncated@%d loaded" keep)
         [ 0; 7; 143; 144; len / 2; len - 1 ];
       (* A missing file is a structured rejection too. *)
-      (match Store.load_r (path ^ ".does-not-exist") with
+      (match load_result (path ^ ".does-not-exist") with
       | Error (Errors.Store { region = "open"; _ }) -> ()
       | Error e -> Alcotest.failf "missing file: %s" (Errors.to_string e)
       | Ok _ -> Alcotest.fail "missing file loaded");
@@ -304,21 +264,28 @@ let test_truncated_and_garbage_rejected () =
         (Errors.exit_code
            (Errors.Store { path; region = "checksum"; msg = "" })))
 
-let test_wrong_kind_guards () =
-  let bid =
-    Bid_table.create
-      [ { Bid_table.block_id = "b"; alternatives = [ (fact "R" [ 1 ], q 1 2) ] } ]
-  in
+(* test/fixtures/bid_v1.iow is a block-independent-disjoint pack as
+   older writers produced it (kind 1, two blocks: [b1: R(1) 1/2 |
+   R(2) 1/3] and [b2: S(1) 1/4]).  Nothing reads blocks, so it must be
+   a header rejection naming the kind, never a TI enumeration. *)
+let test_old_bid_pack_rejected () =
+  match Store.load "fixtures/bid_v1.iow" with
+  | _ -> Alcotest.fail "old BID pack loaded"
+  | exception Errors.Error (Errors.Store { region; msg; _ }) ->
+    Alcotest.(check string) "region" "header" region;
+    Alcotest.(check string) "message" "unknown kind 1" msg
+
+(* test/fixtures/mixed.ti packed by an earlier writer: the on-disk
+   format is unchanged, so existing packs and the warm caches keyed by
+   their checksums stay valid. *)
+let test_pack_bytes_unchanged () =
   let path = tmp_pack () in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Store.write_bid ~path bid;
-      let st = Store.load path in
-      Alcotest.check_raises "ti op on bid"
-        (Invalid_argument
-           (Printf.sprintf "Store.truncate: not a TI pack: %s" path))
-        (fun () -> ignore (Store.truncate st ~n:1)))
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  Store.write_ti ~path (Ti_table.of_file "fixtures/mixed.ti");
+  let read p = In_channel.with_open_bin p In_channel.input_all in
+  Alcotest.(check bool) "byte-identical" true
+    (String.equal (read "fixtures/mixed_v1.iow") (read path))
 
 let test_failed_write_keeps_old_pack () =
   let ti k = Ti_table.create (List.init k (fun j -> (fact "R" [ j ], q 1 (j + 2)))) in
@@ -336,11 +303,12 @@ let () =
         [
           Alcotest.test_case "small mixed TI" `Quick test_roundtrip_small;
           Alcotest.test_case "empty table" `Quick test_roundtrip_empty;
-          Alcotest.test_case "BID blocks" `Quick test_roundtrip_bid;
           Alcotest.test_case "generated tables" `Quick
             test_roundtrip_generated;
           Alcotest.test_case "engine equivalence" `Quick
             test_engine_equivalence;
+          Alcotest.test_case "pack bytes unchanged" `Quick
+            test_pack_bytes_unchanged;
         ] );
       ( "truncation",
         [
@@ -354,7 +322,7 @@ let () =
             test_every_single_byte_corruption_rejected;
           Alcotest.test_case "truncation, garbage, missing" `Quick
             test_truncated_and_garbage_rejected;
-          Alcotest.test_case "kind guards" `Quick test_wrong_kind_guards;
+          Alcotest.test_case "old BID pack" `Quick test_old_bid_pack_rejected;
         ] );
       ( "durability",
         [
