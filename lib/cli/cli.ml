@@ -755,8 +755,11 @@ let run_serve table store_path warm_cache socket tcp policy domains
     queue_bound window shed_at reject_at max_bdd_nodes max_facts max_samples
     eps samples shed_samples deadline cache updatable =
   guard @@ fun () ->
-  (* Fact sources memoize internally, so the server gets a factory and
-     builds a fresh one per request (worker domains must not share). *)
+  (* A fact source's pull cache is not domain-safe, so the server gets a
+     factory and builds a fresh source per request.  What is costly to
+     build is shared instead: a loaded pack keeps its decoded prefix and
+     truncated tables for every request's source, and a table source
+     hands its table to a truncation at or past its size. *)
   let make_source, store_checksum, updatable_table =
     match (table, store_path) with
     | Some _, Some _ ->
@@ -787,7 +790,9 @@ let run_serve table store_path warm_cache socket tcp policy domains
          be mutated in place)"
     | None, Some pack ->
       (* Zero-parse boot: mmap + checksum, no fact decoded until a query
-         asks for it — the sidecar certifies tails in O(1). *)
+         asks for it — the sidecar certifies tails in O(1).  Each fact is
+         then decoded once, and each truncated table built once, for all
+         later requests. *)
       let pol = Completion.policy_of_string policy in
       let st = Store.load pack in
       ( (fun () -> Store.fact_source ~rest:(Completion.policy_source pol) st),
@@ -858,9 +863,11 @@ let store_arg =
     & info [ "store" ] ~docv:"PACK"
         ~doc:
           "Boot from a packed $(b,.iow) store instead of a text TABLE: \
-           the pack is mmap'd and checksum-validated, no fact is parsed \
-           or decoded until a query needs it, and truncation depths come \
-           from the precomputed tail-mass sidecar.")
+           the pack is mmap'd and checksum-validated and no fact is \
+           parsed or decoded at boot.  Truncation depths come from the \
+           precomputed tail-mass sidecar; each fact is decoded once, by \
+           the first query that needs it, and each truncated table is \
+           built once and shared by later requests.")
 
 let warm_cache_arg =
   Arg.(
@@ -939,10 +946,11 @@ let pack_cmd =
   let doc =
     "Compile a TI text table into the packed $(b,.iow) store format: facts \
      dictionary-encoded and sorted by descending probability, exact \
-     rational probabilities, a precomputed tail-mass sidecar (so \
-     truncation is an O(1) slice or an O(log n) binary search), and a \
+     rational probabilities, a precomputed tail-mass sidecar (so the \
+     truncation depth is an O(log n) search over O(1) lookups), and a \
      whole-file checksum behind a magic/version header.  $(b,serve \
-     --store) then boots from the pack with an mmap instead of a parse."
+     --store) then boots from the pack with an mmap instead of a parse \
+     and builds each truncated table once."
   in
   Cmd.v (Cmd.info "pack" ~doc)
     Term.(

@@ -193,24 +193,15 @@ let advance t s =
     n' < target )
 
 let step t =
-  match t.stopped with
-  | Some _ -> None
-  | None when
-      (match t.budget with
-      | Some b ->
-        Budget.spend b Budget.Steps 1;
-        not (Budget.ok b)
-      | None -> false) ->
+  match (t.stopped, Option.bind t.budget Budget.exhausted) with
+  | Some _, _ -> None
+  | None, Some e ->
     (* The budget tripped between steps (deadline, step cap, or an
        ancestor): stop cleanly; the running bounds keep their last
        certified value. *)
-    (match t.budget with
-    | Some b ->
-      t.stopped <-
-        Some (Interrupted (Option.value (Budget.exhausted b) ~default:Budget.Cancelled))
-    | None -> assert false);
+    t.stopped <- Some (Interrupted e);
     None
-  | None ->
+  | None, None ->
     Stats.incr c_steps;
     let before = Stats.snapshot () in
     match Stats.time step_timer (fun () -> advance t (Option.get t.session)) with
@@ -222,6 +213,11 @@ let step t =
       t.stopped <- Some (Interrupted e);
       None
     | estimate, tail, bounds, bdd_size, incremental, exhausted ->
+    (* The step's unit is spent once it completes: the check above comes
+       first, and a unit spent up front would trip the cap inside the
+       step's own source and BDD checkpoints, so a cap of k admits
+       exactly k steps. *)
+    Option.iter (fun b -> Budget.spend b Budget.Steps 1) t.budget;
     let stats = Stats.diff (Stats.snapshot ()) before in
     let index = List.length t.steps_rev + 1 in
     let width = Interval.width bounds in

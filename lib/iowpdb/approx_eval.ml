@@ -158,9 +158,16 @@ let boolean ?max_n src ~eps phi = or_invalid_arg (boolean_r ?max_n src ~eps phi)
    existential UCQs, which cannot distinguish the truncated domain from
    any inert extension, so its answer already is the limit-semantics
    conditional probability.  Plan-rule applications are charged as
-   [Steps], the cancellation hook of the robust ladder. *)
+   [Steps], the cancellation hook of the robust ladder: checked before
+   spent, so a cap of k admits exactly k applications. *)
 let boolean_lifted_r ?max_n ?budget src ~eps phi =
-  let step = Option.map (fun b () -> Budget.charge b Budget.Steps 1) budget in
+  let step =
+    Option.map
+      (fun b () ->
+        Budget.checkpoint b;
+        Budget.spend b Budget.Steps 1)
+      budget
+  in
   let what = "Approx_eval.lifted(" ^ Fact_source.name src ^ ")" in
   match
     certify ?max_n ?budget ~what src ~eps (fun table ->

@@ -26,6 +26,7 @@ end
 type t = {
   name : string;
   tail : int -> float option;
+  table : int -> Ti_table.t option;
   cache : (Fact.t * Rational.t) Dyn.t;
   index : (Fact.t, int) Hashtbl.t;
   mutable rest : (Fact.t * Rational.t) Seq.t;
@@ -37,10 +38,13 @@ let scan_bound = 2048
 let c_pull = Stats.counter "source.pull"
 let c_tail_probe = Stats.counter "source.tail_probe"
 
-let make ?(name = "source") ~enum ~tail () =
+let no_table (_ : int) = None
+
+let make ?(name = "source") ?(table = no_table) ~enum ~tail () =
   {
     name;
     tail;
+    table;
     cache = Dyn.create ();
     index = Hashtbl.create 64;
     rest = enum;
@@ -48,6 +52,16 @@ let make ?(name = "source") ~enum ~tail () =
   }
 
 let name s = s.name
+
+let check_entry name ~seen (f, p) =
+  if Rational.sign p <= 0 || Rational.compare p Rational.one > 0 then
+    invalid_arg
+      (Printf.sprintf "Fact_source %s: probability %s for %s not in (0,1]"
+         name (Rational.to_string p) (Fact.to_string f));
+  if seen f then
+    invalid_arg
+      (Printf.sprintf "Fact_source %s: duplicate fact %s" name
+         (Fact.to_string f))
 
 (* Pull one more entry into the cache; false at end of enumeration. *)
 let pull s =
@@ -60,14 +74,7 @@ let pull s =
       false
     | Seq.Cons ((f, p), rest) ->
       s.rest <- rest;
-      if Rational.sign p <= 0 || Rational.compare p Rational.one > 0 then
-        invalid_arg
-          (Printf.sprintf "Fact_source %s: probability %s for %s not in (0,1]"
-             s.name (Rational.to_string p) (Fact.to_string f));
-      if Hashtbl.mem s.index f then
-        invalid_arg
-          (Printf.sprintf "Fact_source %s: duplicate fact %s" s.name
-             (Fact.to_string f));
+      check_entry s.name ~seen:(Hashtbl.mem s.index) (f, p);
       Hashtbl.add s.index f (Dyn.length s.cache);
       Dyn.add_last s.cache (f, p);
       true
@@ -155,7 +162,10 @@ let converges ?max_n s =
 let prefix_sum s n =
   List.fold_left (fun acc (_, p) -> Rational.add acc p) Rational.zero (prefix s n)
 
-let truncate s n = Ti_table.create (prefix s n)
+let truncate s n =
+  match s.table n with
+  | Some tbl -> tbl
+  | None -> Ti_table.create (prefix s n)
 
 (* ------------------------------------------------------------------ *)
 (* Constructors *)
@@ -174,20 +184,27 @@ let suffix_bounds n prob =
   done;
   suffix
 
-let of_list ?(name = "finite") entries =
+let finite ?table name entries =
   let arr = Array.of_list entries in
   let n = Array.length arr in
   let suffix = suffix_bounds n (fun i -> snd arr.(i)) in
-  let src =
-    make ~name
-      ~enum:(Seq.init n (Array.get arr))
-      ~tail:(fun k -> Some suffix.(Stdlib.min k n))
-      ()
-  in
-  ensure src n;
+  make ~name ?table
+    ~enum:(Seq.init n (Array.get arr))
+    ~tail:(fun k -> Some suffix.(Stdlib.min k n))
+    ()
+
+let of_list ?(name = "finite") entries =
+  let src = finite name entries in
+  ensure src (List.length entries);
   src
 
-let of_ti_table ti = of_list ~name:"ti-table" (Ti_table.facts ti)
+(* The table's entries are valid by its own invariant, so nothing is
+   pulled up front; a truncation at or past its size is the table. *)
+let of_ti_table ti =
+  let size = Ti_table.size ti in
+  finite
+    ~table:(fun n -> if n >= size then Some ti else None)
+    "ti-table" (Ti_table.facts ti)
 
 let geometric ?name ~first ~ratio ~facts () =
   let module Q = Rational in
@@ -247,19 +264,37 @@ let with_budget b s =
   (* Charge one Facts unit per entry pulled through the wrapper and one
      Probes unit per tail-certificate consultation; the checkpoint comes
      first, so a budget capped at [n] units admits exactly [n] accesses
-     and raises [Budget.Exhausted] on access [n+1].  Entries already
-     cached in the wrapper are free (its [make] memoizes as usual). *)
+     and raises [Budget.Exhausted] on access [n+1].  [charged] counts the
+     entries paid for, whether pulled one by one or covered by a table
+     the inner source handed over: a table on [m] entries is paid as the
+     [m] pulls that would have built it, plus the one that finds the end
+     when it stops short of [n].  Nothing is paid twice. *)
+  let charged = ref 0 in
+  let charge_to k =
+    while !charged < k do
+      Budget.checkpoint b;
+      Budget.spend b Budget.Facts 1;
+      incr charged
+    done
+  in
   let enum =
     Seq.unfold
       (fun i ->
-        Budget.checkpoint b;
-        Budget.spend b Budget.Facts 1;
+        charge_to (i + 1);
         Option.map (fun e -> (e, i + 1)) (nth s i))
       0
   in
+  let table n =
+    Option.map
+      (fun tbl ->
+        let m = Ti_table.size tbl in
+        charge_to (if m < n then m + 1 else n);
+        tbl)
+      (s.table n)
+  in
   make
     ~name:("budget:" ^ s.name)
-    ~enum
+    ~table ~enum
     ~tail:(fun n ->
       Budget.checkpoint b;
       Budget.spend b Budget.Probes 1;

@@ -19,6 +19,7 @@ type t
 
 val make :
   ?name:string ->
+  ?table:(int -> Ti_table.t option) ->
   enum:(Fact.t * Rational.t) Seq.t ->
   tail:(int -> float option) ->
   unit ->
@@ -26,7 +27,21 @@ val make :
 (** [enum] must list distinct facts with probabilities in [(0, 1]];
     [tail n] must soundly bound [sum_{i>=n} p_i] (antitone, [None] if
     divergent/unknown).  Validation of fact distinctness and probability
-    range happens lazily as the enumeration is consumed. *)
+    range happens lazily as the enumeration is consumed.
+
+    [table n], when it answers, is the TI table on the first [min n len]
+    entries of [enum], every one already validated as a pull would:
+    {!truncate} hands it back instead of pulling.  A source that holds
+    such a prefix (a pack's shared memo, a finite table) answers where
+    it can and says [None] elsewhere; the default never answers. *)
+
+val check_entry :
+  string -> seen:(Fact.t -> bool) -> Fact.t * Rational.t -> unit
+(** The checks every pulled entry passes, for a source of the given
+    name: probability in [(0, 1]], and a fact not [seen] earlier in the
+    enumeration.  Shared with {!make}'s [table] providers so a prefix
+    validated outside a pull fails exactly as the pull would.
+    @raise Invalid_argument naming the source and the entry. *)
 
 val of_list : ?name:string -> (Fact.t * Rational.t) list -> t
 (** Finite source with exact tails.
@@ -34,6 +49,9 @@ val of_list : ?name:string -> (Fact.t * Rational.t) list -> t
     probabilities. *)
 
 val of_ti_table : Ti_table.t -> t
+(** The table as a finite source, in fact order, with exact tails.  Its
+    entries are valid by the table's own invariant, so nothing is pulled
+    up front; {!truncate} at or past its size returns the table itself. *)
 
 val suffix_bounds : int -> (int -> Rational.t) -> float array
 (** [suffix_bounds n prob] has [n + 1] entries: entry [k] is a float at
@@ -121,7 +139,8 @@ val prefix_sum : t -> int -> Rational.t
 
 val truncate : t -> int -> Ti_table.t
 (** The finite TI table on the first [n] facts — the [Omega_n] of
-    Proposition 6.1. *)
+    Proposition 6.1: the source's [table n] when it answers, otherwise
+    built from the first [n] pulled entries. *)
 
 val append_finite : (Fact.t * Rational.t) list -> t -> t
 (** Prepend finitely many entries (e.g. the original facts of a
@@ -139,4 +158,6 @@ val with_budget : Budget.t -> t -> t
     checkpoints first, so once the budget is exhausted the next access
     raises [Budget.Exhausted] — the cooperative cancellation point of
     every enumeration-driven engine.  Entries the wrapper has already
-    cached are served free of charge. *)
+    paid for are served free of charge.  A prefix table the wrapped
+    source hands over (its [table] hook) is paid as the pulls that
+    would have built it, at the same checkpoints, once fetched. *)

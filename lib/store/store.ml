@@ -326,6 +326,29 @@ let write_ti ~path ti =
 (* Reader *)
 (* ------------------------------------------------------------------ *)
 
+module Int_map = Map.Make (Int)
+
+(* What a loaded pack has decoded so far, published as one immutable
+   value.  [entries] is allocated once and shared by every later state:
+   its slots below [decoded] are written before the state that covers
+   them is published and never again.  [frontier] is the table on those
+   [decoded] entries (against which the next one's duplicate check
+   runs), and [tables] holds every prefix table handed out, by length. *)
+type prefix = {
+  entries : (Fact.t * Rational.t) array;
+  decoded : int;
+  frontier : Ti_table.t;
+  tables : Ti_table.t Int_map.t;
+}
+
+let no_prefix =
+  {
+    entries = [||];
+    decoded = 0;
+    frontier = Ti_table.empty;
+    tables = Int_map.empty;
+  }
+
 type t = {
   path : string;
   map : map;
@@ -341,6 +364,8 @@ type t = {
   sec_facts : int;
   sec_probs : int;
   sec_sidecar : int;
+  lock : Mutex.t; (* serialises extensions of [prefix] *)
+  prefix : prefix Atomic.t; (* read without the lock *)
 }
 
 (* All multi-byte reads are bounds-checked: a forged offset can raise a
@@ -416,6 +441,8 @@ let load path =
       sec_facts = 0;
       sec_probs = 0;
       sec_sidecar = 0;
+      lock = Mutex.create ();
+      prefix = Atomic.make no_prefix;
     }
   in
   let got_magic = read_string tmp "header" 0 8 in
@@ -488,6 +515,8 @@ let load path =
     sec_facts;
     sec_probs;
     sec_sidecar;
+    lock = Mutex.create ();
+    prefix = Atomic.make no_prefix;
   }
 
 let size t = t.n_facts
@@ -559,31 +588,102 @@ let tail_mass t n =
   Int64.float_of_bits (read_i64 t "sidecar" (t.sec_sidecar + (8 * n)))
 
 (* ------------------------------------------------------------------ *)
-(* Slices *)
+(* The shared prefix *)
 (* ------------------------------------------------------------------ *)
 
-let truncate t ~n =
-  Stats.incr c_slice;
-  let n = Stdlib.max 0 (Stdlib.min n t.n_facts) in
-  Ti_table.create (List.init n (entry t))
+(* Caller holds [t.lock].  The state on the first [n] entries: those not
+   yet decoded are decoded and checked in order, as a pull would check
+   them, and the first failing check raises with nothing published. *)
+let extend t ~name st n =
+  if n <= st.decoded then st
+  else begin
+    let entries = ref st.entries and frontier = ref st.frontier in
+    for i = st.decoded to n - 1 do
+      let ((f, p) as e) = entry t i in
+      Fact_source.check_entry name ~seen:(Ti_table.mem !frontier) e;
+      if Array.length !entries = 0 then entries := Array.make t.n_facts e;
+      !entries.(i) <- e;
+      frontier := Ti_table.add !frontier f p
+    done;
+    { st with entries = !entries; decoded = n; frontier = !frontier }
+  end
 
-let to_ti_table t = truncate t ~n:t.n_facts
+let decoded_entry t ~name i =
+  let st = Atomic.get t.prefix in
+  if i < st.decoded then st.entries.(i)
+  else
+    Mutex.protect t.lock (fun () ->
+        let st = extend t ~name (Atomic.get t.prefix) (i + 1) in
+        Atomic.set t.prefix st;
+        st.entries.(i))
+
+(* The table on the first [n <= size] entries.  A length asked before is
+   a lock-free lookup.  A new one is built under the lock from the
+   nearest table held (the empty one, the frontier, or one handed out
+   before) by adding or removing the entries between, so all tables
+   share every node off the changed paths. *)
+let table_at t ~name n =
+  Stats.incr c_slice;
+  match Int_map.find_opt n (Atomic.get t.prefix).tables with
+  | Some tbl -> tbl
+  | None ->
+    Mutex.protect t.lock @@ fun () ->
+    let st = Atomic.get t.prefix in
+    match Int_map.find_opt n st.tables with
+    | Some tbl -> tbl
+    | None ->
+      let st = extend t ~name st n in
+      let nearest (k, tbl) (k', tbl') =
+        if abs (k' - n) < abs (k - n) then (k', tbl') else (k, tbl)
+      in
+      let k, base =
+        List.fold_left nearest
+          (0, Ti_table.empty)
+          (List.filter_map Fun.id
+             [
+               Some (st.decoded, st.frontier);
+               Int_map.find_last_opt (fun k -> k < n) st.tables;
+               Int_map.find_first_opt (fun k -> k > n) st.tables;
+             ])
+      in
+      let tbl = ref base in
+      for i = k to n - 1 do
+        let f, p = st.entries.(i) in
+        tbl := Ti_table.add !tbl f p
+      done;
+      for i = n to k - 1 do
+        tbl := Ti_table.remove !tbl (fst st.entries.(i))
+      done;
+      Atomic.set t.prefix { st with tables = Int_map.add n !tbl st.tables };
+      !tbl
+
+let source_name t = Printf.sprintf "store:%s" (Filename.basename t.path)
+let to_ti_table t = table_at t ~name:(source_name t) t.n_facts
 
 (* ------------------------------------------------------------------ *)
 (* Fact source *)
 (* ------------------------------------------------------------------ *)
 
 let fact_source ?rest t =
-  let name = Printf.sprintf "store:%s" (Filename.basename t.path) in
-  let packed = Seq.init t.n_facts (fun i -> entry t i) in
+  let name =
+    match rest with
+    | None -> source_name t
+    | Some rest ->
+      Printf.sprintf "%s+%s" (source_name t) (Fact_source.name rest)
+  in
+  let packed = Seq.init t.n_facts (decoded_entry t ~name) in
+  let table n =
+    if n >= 0 && (n <= t.n_facts || Option.is_none rest) then
+      Some (table_at t ~name (Stdlib.min n t.n_facts))
+    else None
+  in
   match rest with
   | None ->
-    Fact_source.make ~name ~enum:packed
+    Fact_source.make ~name ~table ~enum:packed
       ~tail:(fun n -> Some (tail_mass t n))
       ()
   | Some rest ->
-    Fact_source.make
-      ~name:(Printf.sprintf "%s+%s" name (Fact_source.name rest))
+    Fact_source.make ~name ~table
       ~enum:(Seq.append packed (Fact_source.seq_of rest))
       ~tail:(fun n ->
         (* Sound split: packed facts from n on, plus the whole rest tail

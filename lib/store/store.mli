@@ -6,19 +6,20 @@
     follow-up on tuple-independent representations), probabilities as
     exact rationals, plus a precomputed tail-mass sidecar.  Against that
     layout the two operations every engine performs on a table become
-    trivial: [truncate ~n] is a pure O(1) slice of the first [n] facts,
-    and the least [n] for a tail budget is the one truncation search
+    cheap: the table on the first [n] facts is built once per loaded
+    pack and looked up afterwards (see {!fact_source}), and the least
+    [n] for a tail budget is the one truncation search
     ({!Fact_source.search}) over {!fact_source}, whose certificate is an
     O(1) sidecar lookup — no parsing, no scanning, no rational
     arithmetic on the hot path.
 
     Loading is zero-copy: the file is [Unix.map_file]'d into a char
-    [Bigarray] and facts/probabilities are decoded on demand.  A
-    magic/version header plus a whole-file checksum (verified on every
-    load) turn a torn, truncated or bit-rotted pack into a structured
-    {!Errors.Store} rejection — never a wrong answer.  The checksum step
-    is injective per byte, so every single-byte corruption is detected
-    deterministically.
+    [Bigarray] and facts/probabilities are decoded on demand, each at
+    most once.  A magic/version header plus a whole-file checksum
+    (verified on every load) turn a torn, truncated or bit-rotted pack
+    into a structured {!Errors.Store} rejection — never a wrong answer.
+    The checksum step is injective per byte, so every single-byte
+    corruption is detected deterministically.
 
     Layout (all integers little-endian u64):
     {v
@@ -77,23 +78,26 @@ val tail_mass : t -> int -> float
     facts [n, n+1, ...]; antitone in [n], exactly [0.] at [n >= size].
     Indices above [size] are clamped. *)
 
-(** {1 Truncation} *)
-
-val truncate : t -> n:int -> Ti_table.t
-(** The first [min n size] facts as a finite TI table — the truncation
-    prefix of Lemma 4.4.  Only those [n] facts are decoded. *)
-
 val to_ti_table : t -> Ti_table.t
-(** Decode the whole pack. *)
+(** The whole pack as a TI table: the shared prefix table at [size]
+    (see {!fact_source}). *)
 
 (** {1 As a fact source} *)
 
 val fact_source : ?rest:Fact_source.t -> t -> Fact_source.t
 (** The pack as a countable enumeration with O(1) tail certificates:
-    entries decode on demand (and memoize in the source's cache), and
-    [tail n] is a sidecar lookup instead of a suffix scan — so
-    [Countable_ti.create] on the result certifies convergence without
-    touching a single fact.
+    entries decode on demand, and [tail n] is a sidecar lookup instead
+    of a suffix scan — so [Countable_ti.create] on the result certifies
+    convergence without touching a single fact.
+
+    Every source of one [t] shares the pack's decoded prefix: each fact
+    is decoded and checked (probability in [(0, 1]], no repeat) at most
+    once in the life of [t], and [Fact_source.truncate] at [n <= size]
+    returns a table memoised per [n] — a lock-free lookup once [n] has
+    been asked, otherwise built from the nearest table held.  A failed
+    check raises the pull's [Invalid_argument] and is never memoised,
+    so it raises again on every later truncation past it.  The memo is
+    safe to share between domains.
 
     [rest] appends an open-world completion tail after the packed
     facts: the combined certificate is

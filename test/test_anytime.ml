@@ -152,11 +152,11 @@ let test_exhausted_source_is_exact () =
 let test_step_budget () =
   (* One step per unit of growth cannot reach the eps=0.001 truncation
      point (n=11) in 3 steps; the budget's step cap stops the session.
-     [step] spends its unit before checking, and a cap trips once the
-     spend reaches it, so a cap of 4 admits 3 steps. *)
+     [step] checks the budget before spending its unit, so a cap of 3
+     admits exactly 3 steps. *)
   let sess =
     Anytime.create ~eps:0.001 ~growth:(fun n -> n + 1)
-      ~budget:(Budget.create ~max_steps:4 ())
+      ~budget:(Budget.create ~max_steps:3 ())
       (geo_source ())
       (parse "exists x. R(x)")
   in

@@ -81,6 +81,44 @@ let test_source_truncate () =
   Alcotest.(check int) "3 facts" 3 (Ti_table.size t);
   check_q "marginal preserved" (q 1 4) (Ti_table.prob t (r_fact 1))
 
+let test_source_of_ti_table () =
+  let ti = Ti_table.create (List.init 12 (fun j -> (r_fact j, q 1 (j + 2)))) in
+  let size = Ti_table.size ti in
+  List.iter
+    (fun n ->
+      Alcotest.(check bool)
+        (Printf.sprintf "n = %d is the table" n)
+        true
+        (Fact_source.truncate (Fact_source.of_ti_table ti) n == ti))
+    [ size; size + 1; 1000 ];
+  let first n =
+    Ti_table.create (List.filteri (fun i _ -> i < n) (Ti_table.facts ti))
+  in
+  Alcotest.(check bool) "a proper prefix is pulled" true
+    (Ti_table.facts (Fact_source.truncate (Fact_source.of_ti_table ti) 5)
+    = Ti_table.facts (first 5));
+  (* Under a budget the table costs what pulling it would: [size] facts,
+     and one more for finding the end when asked past it. *)
+  List.iter
+    (fun n ->
+      let spent src =
+        let b = Budget.create () in
+        ignore (Fact_source.truncate (Fact_source.with_budget b src) n);
+        Budget.spent b Budget.Facts
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "facts charged at n = %d" n)
+        (spent (Fact_source.of_list (Ti_table.facts ti)))
+        (spent (Fact_source.of_ti_table ti)))
+    [ 0; 5; size; size + 1; size + 7 ];
+  Alcotest.check_raises "a cap below the table trips"
+    (Budget.Exhausted (Budget.Cap Budget.Facts)) (fun () ->
+      let b = Budget.create ~max_facts:(size - 1) () in
+      ignore
+        (Fact_source.truncate
+           (Fact_source.with_budget b (Fact_source.of_ti_table ti))
+           size))
+
 let test_source_prefix_for_tail () =
   let s = geo_source () in
   (* tail(n) = 2^-n (+ulp); want <= 0.01 -> n = 7 *)
@@ -638,6 +676,29 @@ let test_approx_n_grows_with_precision () =
   (* geometric: n ~ log2(3/(2 eps)); at 1e-4 that's ~ 14 *)
   Alcotest.(check bool) "log growth" true (n_at 0.0001 < 25)
 
+let test_approx_lifted_step_cap () =
+  (* Each plan-rule application is checked before it is spent, as every
+     budgeted access is, so a Steps cap of k admits exactly k. *)
+  let phi = parse "exists x. R(x)" in
+  let run b =
+    Approx_eval.boolean_lifted_r ~budget:b (geo_source ()) ~eps:0.01 phi
+  in
+  let free = Budget.create () in
+  (match run free with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "uncapped: %s" (Errors.to_string e));
+  let k = Budget.spent free Budget.Steps in
+  Alcotest.(check bool) "the plan takes steps" true (k > 0);
+  (match run (Budget.create ~max_steps:k ()) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "cap %d: %s" k (Errors.to_string e));
+  match run (Budget.create ~max_steps:(k - 1) ()) with
+  | Error (Errors.Budget_exhausted { exhaustion = Budget.Cap Budget.Steps; _ })
+    ->
+    ()
+  | Ok _ -> Alcotest.failf "cap %d admitted %d steps" (k - 1) k
+  | Error e -> Alcotest.failf "cap %d: %s" (k - 1) (Errors.to_string e)
+
 let test_approx_eps_validation () =
   let s = geo_source () in
   let phi = parse "exists x. R(x)" in
@@ -957,6 +1018,8 @@ let () =
           Alcotest.test_case "of_list validation" `Quick
             test_source_of_list_validation;
           Alcotest.test_case "truncate" `Quick test_source_truncate;
+          Alcotest.test_case "of_ti_table hands back its table" `Quick
+            test_source_of_ti_table;
           Alcotest.test_case "prefix_for_tail" `Quick test_source_prefix_for_tail;
           Alcotest.test_case "append/interleave/map" `Quick
             test_source_append_interleave_map;
@@ -1022,6 +1085,8 @@ let () =
           Alcotest.test_case "n grows with precision" `Quick
             test_approx_n_grows_with_precision;
           Alcotest.test_case "eps validation" `Quick test_approx_eps_validation;
+          Alcotest.test_case "lifted step cap admits k steps" `Quick
+            test_approx_lifted_step_cap;
           Alcotest.test_case "divergent rejected" `Quick
             test_approx_divergent_rejected;
           Alcotest.test_case "exhausted tail is exact zero" `Quick

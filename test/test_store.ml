@@ -75,7 +75,8 @@ let test_roundtrip_empty () =
    with
   | Found (n, _) -> Alcotest.(check int) "n" 0 n
   | Too_slow _ | Silent _ -> Alcotest.fail "empty pack must truncate at 0");
-  Alcotest.(check int) "table" 0 (Ti_table.size (Store.truncate st ~n:0))
+  Alcotest.(check int) "table" 0
+    (Ti_table.size (Fact_source.truncate (Store.fact_source st) 0))
 
 (* Seed-pure generated tables through the full round-trip. *)
 let test_roundtrip_generated () =
@@ -114,8 +115,8 @@ let test_truncation_and_sidecar () =
     if k < n && Store.tail_mass st (k + 1) > bound then
       Alcotest.failf "sidecar not antitone at %d" k
   done;
-  (* truncate ~n decodes exactly the prefix of the stored order. *)
-  let tbl = Store.truncate st ~n:10 in
+  (* A truncation at n holds exactly the prefix of the stored order. *)
+  let tbl = Fact_source.truncate (Store.fact_source st) 10 in
   Alcotest.(check int) "prefix size" 10 (Ti_table.size tbl);
   List.iteri
     (fun k (f, p) ->
@@ -294,7 +295,200 @@ let test_failed_write_keeps_old_pack () =
   @@ fun () ->
   Store.write_ti ~path (ti 3);
   Helpers.check_failed_write path ~write:(fun () -> Store.write_ti ~path (ti 5));
-  check_ti_equal "old pack loads" (ti 3) (Store.truncate (Store.load path) ~n:3)
+  check_ti_equal "old pack loads" (ti 3)
+    (Fact_source.truncate (Store.fact_source (Store.load path)) 3)
+
+(* ------------------------------------------------------------------ *)
+(* The shared prefix *)
+(* ------------------------------------------------------------------ *)
+
+let decodes () = Stats.count (Stats.counter "store.fact.decode")
+
+(* The pack order: descending probability, ties by fact. *)
+let pack_order ti =
+  List.sort
+    (fun (f1, p1) (f2, p2) ->
+      let c = Rational.compare p2 p1 in
+      if c <> 0 then c else Fact.compare f1 f2)
+    (Ti_table.facts ti)
+
+let shuffled seed n =
+  let a = Array.init n Fun.id and g = Prng.create ~seed () in
+  for i = n - 1 downto 1 do
+    let j = Prng.int g (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done;
+  a
+
+let ties_ti =
+  Ti_table.create
+    (List.init 40 (fun j -> (fact "R" [ j ], q 1 (2 + (j / 3)))))
+
+let test_prefix_every_n_shuffled () =
+  with_pack_ti ties_ti @@ fun _path st ->
+  let order = Array.of_list (pack_order ties_ti) in
+  let size = Store.size st in
+  let want n = Ti_table.create (Array.to_list (Array.sub order 0 n)) in
+  let pass seed =
+    Array.iter
+      (fun n ->
+        check_ti_equal (Printf.sprintf "n = %d" n) (want n)
+          (Fact_source.truncate (Store.fact_source st) n))
+      (shuffled seed (size + 1))
+  in
+  let d0 = decodes () in
+  pass 1;
+  Alcotest.(check int) "each fact decoded once" size (decodes () - d0);
+  let d1 = decodes () in
+  pass 2;
+  check_ti_equal "whole pack" ties_ti (Store.to_ti_table st);
+  Alcotest.(check int) "a second pass decodes nothing" 0 (decodes () - d1)
+
+let test_prefix_two_domains () =
+  with_pack_ti ties_ti @@ fun _path st ->
+  let order = Array.of_list (pack_order ties_ti) in
+  let size = Store.size st in
+  (* One domain climbs the even lengths while the other descends the
+     odd ones, each through its own source over the one pack. *)
+  let asks parity =
+    List.filter (fun n -> n mod 2 = parity) (List.init (size + 1) Fun.id)
+  in
+  let truncate n = (n, Fact_source.truncate (Store.fact_source st) n) in
+  let run ns = Domain.spawn (fun () -> List.map truncate ns) in
+  let d0 = decodes () in
+  let a = run (asks 0) and b = run (List.rev (asks 1)) in
+  List.iter
+    (fun (n, tbl) ->
+      check_ti_equal (Printf.sprintf "n = %d" n)
+        (Ti_table.create (Array.to_list (Array.sub order 0 n)))
+        tbl)
+    (Domain.join a @ Domain.join b);
+  Alcotest.(check int) "each fact decoded once" size (decodes () - d0)
+
+(* The per-entry pull the table hook stands in for: the same entries and
+   certificate, through a source with no hook. *)
+let pulled src =
+  Fact_source.make ~name:(Fact_source.name src) ~enum:(Fact_source.seq_of src)
+    ~tail:(Fact_source.tail_mass src) ()
+
+let test_prefix_budget_charges () =
+  let decay =
+    Ti_table.create
+      (List.init 40 (fun j ->
+           (fact "R" [ j ], Rational.(mul half (pow (q 3 4) j)))))
+  in
+  with_pack_ti decay @@ fun _path st ->
+  let phi = Fo_parse.parse_exn "exists x. R(x) & x > 4" in
+  let eps = 0.05 in
+  let n =
+    match Approx_eval.truncation_r (Store.fact_source st) ~eps with
+    | Ok (n, _) -> n
+    | Error e -> Alcotest.failf "truncation: %s" (Errors.to_string e)
+  in
+  Alcotest.(check bool) "a proper prefix" true (n > 1 && n < Store.size st);
+  let run cap src =
+    let b = Budget.create ~max_facts:cap () in
+    let r = Approx_eval.boolean_r ~budget:b src ~eps phi in
+    (r, Budget.spent b Budget.Facts)
+  in
+  let iv x = Printf.sprintf "[%h, %h]" (Interval.lo x) (Interval.hi x) in
+  let outcome = function
+    | Ok r, spent ->
+      Printf.sprintf "ok %s, %d facts" (iv r.Approx_eval.bounds) spent
+    | Error (Errors.Budget_exhausted { exhaustion; partial; _ }), spent ->
+      Printf.sprintf "exhausted (%s) %s, %d facts"
+        (Budget.exhaustion_to_string exhaustion)
+        (match partial with Some x -> iv x | None -> "-")
+        spent
+    | Error e, _ -> Errors.to_string e
+  in
+  List.iter
+    (fun cap ->
+      let shared = outcome (run cap (Store.fact_source st))
+      and pull = outcome (run cap (pulled (Store.fact_source st))) in
+      Alcotest.(check string)
+        (Printf.sprintf "cap %d as the pull" cap)
+        pull shared)
+    [ n - 1; n; n + 1 ];
+  (match run (n - 1) (Store.fact_source st) with
+  | ( Error
+        (Errors.Budget_exhausted
+           { exhaustion = Budget.Cap Budget.Facts; partial = Some _; _ }),
+      _ ) ->
+    ()
+  | r -> Alcotest.failf "cap n - 1: %s" (outcome r));
+  (* The truncation itself: a cap of n admits it, n - 1 does not. *)
+  let truncate cap =
+    let b = Budget.create ~max_facts:cap () in
+    Fact_source.truncate (Fact_source.with_budget b (Store.fact_source st)) n
+  in
+  Alcotest.(check int) "cap n passes" n (Ti_table.size (truncate n));
+  Alcotest.check_raises "cap n - 1 raises"
+    (Budget.Exhausted (Budget.Cap Budget.Facts))
+    (fun () -> ignore (truncate (n - 1)));
+  (* A wrapper pays for each entry once, however it is reached. *)
+  let b = Budget.create () in
+  let w = Fact_source.with_budget b (Store.fact_source st) in
+  ignore (Fact_source.truncate w n);
+  ignore (Fact_source.prefix w n);
+  ignore (Fact_source.truncate w (n - 1));
+  Alcotest.(check int) "paid once" n (Budget.spent b Budget.Facts);
+  ignore (Fact_source.truncate w (Store.size st + 5));
+  Alcotest.(check int) "past the end: the pulls and the end" (Store.size st + 1)
+    (Budget.spent b Budget.Facts)
+
+(* FNV-1a over the pack as Store checks it: aligned little-endian 4-byte
+   chunks, the 8 checksum bytes at offset 24 folded as zero. *)
+let pack_checksum b =
+  let mask62 = (1 lsl 62) - 1 and prime = 0x100000001B3 in
+  let h = ref 0x0BF29CE484222325 and len = Bytes.length b in
+  for qi = 0 to (len lsr 2) - 1 do
+    let i = qi lsl 2 in
+    let c =
+      if i = 24 || i = 28 then 0
+      else Int32.to_int (Bytes.get_int32_le b i) land 0xFFFF_FFFF
+    in
+    h := ((!h lxor c) * prime) land mask62
+  done;
+  for i = (len lsr 2) lsl 2 to len - 1 do
+    h := ((!h lxor Char.code (Bytes.get b i)) * prime) land mask62
+  done;
+  !h
+
+let test_prefix_repeated_fact () =
+  (* R(k) sits at pack index k.  Point index 6's fact record at index
+     2's: a checksum-valid pack whose enumeration repeats R(2). *)
+  let ti k =
+    Ti_table.create (List.init k (fun j -> (fact "R" [ j ], q 1 (j + 2))))
+  in
+  let path = tmp_pack () in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  Store.write_ti ~path (ti 10);
+  let b =
+    Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
+  in
+  let offset k = Int64.to_int (Bytes.get_int64_le b 104) + (8 * k) in
+  Bytes.set_int64_le b (offset 6) (Bytes.get_int64_le b (offset 2));
+  Bytes.set_int64_le b 24 (Int64.of_int (pack_checksum b));
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+  let st = Store.load path in
+  let want =
+    Invalid_argument
+      (Printf.sprintf "Fact_source store:%s: duplicate fact R(2)"
+         (Filename.basename path))
+  in
+  let truncate n = Fact_source.truncate (Store.fact_source st) n in
+  let raises msg f = Alcotest.check_raises msg want (fun () -> ignore (f ())) in
+  check_ti_equal "before the repeat" (ti 6) (truncate 6);
+  raises "first truncation past it" (fun () -> truncate 7);
+  raises "every later one" (fun () -> truncate 7);
+  raises "and further" (fun () -> truncate 10);
+  raises "the whole pack" (fun () -> Store.to_ti_table st);
+  raises "a pull" (fun () -> Fact_source.prefix (Store.fact_source st) 8);
+  check_ti_equal "the good prefix still serves" (ti 5) (truncate 5)
 
 let () =
   Alcotest.run "store"
@@ -315,6 +509,16 @@ let () =
           Alcotest.test_case "sidecar sound + binary search" `Quick
             test_truncation_and_sidecar;
           Alcotest.test_case "lazy fact source" `Quick test_fact_source_view;
+        ] );
+      ( "shared prefix",
+        [
+          Alcotest.test_case "every n, shuffled, decoded once" `Quick
+            test_prefix_every_n_shuffled;
+          Alcotest.test_case "two domains" `Quick test_prefix_two_domains;
+          Alcotest.test_case "budget charges as the pull" `Quick
+            test_prefix_budget_charges;
+          Alcotest.test_case "repeated fact raises every time" `Quick
+            test_prefix_repeated_fact;
         ] );
       ( "rejection",
         [
