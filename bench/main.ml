@@ -198,9 +198,8 @@ let e4 () =
       row "    E(S) bounds with %3d terms: [%.8f, %.8f]\n" n lo hi)
     [ 5; 10; 20; 40 ];
   let g = Prng.create ~seed:4242 () in
-  let mean =
-    Size_dist.mean_size (fun _ -> Countable_ti.sample t g) ~samples:20_000
-  in
+  let draw = (Countable_ti.sampler t).Sampler.draw in
+  let mean = Size_dist.mean_size (fun _ -> draw g) ~samples:20_000 in
   row "    sampled mean size (20k draws): %.4f (analytic: 1.0)\n" mean;
   row "  Example 3.3 (non-TI): truncated E(S) over the first N worlds:\n";
   List.iter
@@ -266,9 +265,9 @@ let e6 () =
       ()
   in
   let samples = 50_000 in
+  let draw = (Countable_bid.sampler b).Sampler.draw in
   let violations =
-    Sampler.exclusivity_violations ~seed:5 ~samples
-      (fun g -> Countable_bid.sample b g)
+    Sampler.exclusivity_violations ~seed:5 ~samples draw
       (fun f ->
         match Fact.args f with
         | Value.Int k :: _ -> Some (string_of_int k)
@@ -278,18 +277,12 @@ let e6 () =
     samples violations;
   let f00 = Fact.make "T" [ i 0; i 0 ] and f10 = Fact.make "T" [ i 1; i 0 ] in
   let gap =
-    Sampler.independence_gap ~seed:6 ~samples
-      (fun g -> Countable_bid.sample b g)
-      f00 f10
+    Sampler.independence_gap ~seed:6 ~samples draw f00 f10
   in
   row "  cross-block |P(f,g) - P(f)P(g)| = %.5f (sampling noise scale %.5f)\n"
     gap
     (1.0 /. sqrt (float_of_int samples));
-  let m00 =
-    Sampler.estimate_marginal ~seed:7 ~samples
-      (fun g -> Countable_bid.sample b g)
-      f00
-  in
+  let m00 = Sampler.estimate_marginal ~seed:7 ~samples draw f00 in
   row "  marginal T(0,0): sampled %.4f vs exact 0.25\n" m00;
   (* truncation agrees with the finite BID table *)
   let table = Countable_bid.truncate b ~n_blocks:6 ~alts_per_block:2 in
@@ -464,13 +457,13 @@ let e14 () =
       ~facts:(fun k -> Fact.make "E" [ i k; i (k + 1) ])
       ()
   in
-  let cti = Countable_ti.create src in
+  let draw = (Countable_ti.sampler (Countable_ti.create src)).Sampler.draw in
   let g = Prng.create ~seed:14 () in
   let phi = parse "exists y. E(x, y) | E(y, x)" in
   let worst = ref 0.0 in
   let samples = 500 in
   for _ = 1 to samples do
-    let w = Countable_ti.sample cti g in
+    let w = draw g in
     if not (Instance.is_empty w) then begin
       let _, answers = Fo_eval.answers w phi in
       let ratio =
@@ -534,8 +527,8 @@ let e12 () =
   let phi_hard = parse "exists x y. (R(x) & S(y)) | (R(y) & !S(x))" in
   let small = make_wide_ti 6 in
   let large = make_wide_ti 60 in
-  let large_space =
-    Mc_eval.Ti (Countable_ti.create (Fact_source.of_ti_table large))
+  let large_plan =
+    Countable_ti.sampler (Countable_ti.create (Fact_source.of_ti_table large))
   in
   let open Bechamel in
   run_bechamel
@@ -553,7 +546,7 @@ let e12 () =
            (Staged.stage (fun () -> Query_eval.boolean_safe large phi_safe));
          Test.make ~name:"mc-1000 k=60"
            (Staged.stage (fun () ->
-                Mc_eval.boolean ~seed:0xC0FFEE ~samples:1000 large_space
+                Mc_eval.boolean ~seed:0xC0FFEE ~samples:1000 large_plan
                   phi_safe));
          Test.make ~name:"karp-luby-1000 k=60"
            (Staged.stage (fun () ->
@@ -631,10 +624,12 @@ let e15 () =
   let exact = Rational.to_float (Query_eval.boolean ti phi) in
   row "  exact P(Q) (lineage+BDD)      = %.8f
 " exact;
-  let space = Mc_eval.Ti (Countable_ti.create (Fact_source.of_ti_table ti)) in
+  let plan =
+    Countable_ti.sampler (Countable_ti.create (Fact_source.of_ti_table ti))
+  in
   List.iter
     (fun samples ->
-      let mc = Mc_eval.boolean ~seed:1 ~samples space phi in
+      let mc = Mc_eval.boolean ~seed:1 ~samples plan phi in
       let kl =
         match Query_eval.boolean_karp_luby ~seed:1 ~samples ti phi with
         | Some r -> r
@@ -654,7 +649,7 @@ let e15 () =
   let hoeffding =
     int_of_float (Float.ceil (log (2.0 /. 0.05) /. (2.0 *. 0.005 *. 0.005)))
   in
-  let ad = Mc_eval.boolean ~seed:2 ~samples:hoeffding space phi in
+  let ad = Mc_eval.boolean ~seed:2 ~samples:hoeffding plan phi in
   row "  Hoeffding MC (eps 0.005, delta 0.05): %d samples, est %.6f
 "
     ad.Mc_eval.samples ad.Mc_eval.estimate;
@@ -771,7 +766,7 @@ let e17 () =
   header "E17"
     "Mc_eval: domain scaling, bit-identity, and cross-engine agreement";
   let samples = if !smoke then 20_000 else 200_000 in
-  let space = Mc_eval.Ti (Countable_ti.create (geo_source ())) in
+  let plan = Countable_ti.sampler (Countable_ti.create (geo_source ())) in
   let phi = parse "exists x. R(x)" in
   (* 1. Throughput vs domain count.  Speedup is bounded by physical
      cores (a 1-core container shows ~1x); the statistical result must
@@ -782,7 +777,7 @@ let e17 () =
     samples "exists x. R(x) on geometric(1/2,1/2)";
   let time_run d =
     let t0 = Unix.gettimeofday () in
-    let r = Mc_eval.boolean ~domains:d ~seed:17 ~samples space phi in
+    let r = Mc_eval.boolean ~domains:d ~seed:17 ~samples plan phi in
     (r, Unix.gettimeofday () -. t0)
   in
   let base, base_t = time_run 1 in
@@ -811,7 +806,7 @@ let e17 () =
     (fun qtext ->
       let phi = parse qtext in
       let mc =
-        Mc_eval.boolean ~seed:18 ~samples ~confidence:0.99 space phi
+        Mc_eval.boolean ~seed:18 ~samples ~confidence:0.99 plan phi
       in
       let exact =
         Rational.to_float
@@ -1285,7 +1280,6 @@ let e23 () =
         admission;
         default_eps = 0.01;
         default_samples = 2_000;
-        shed_samples = 200;
         default_deadline_s;
         cache_capacity;
         warm_cache = None;
@@ -1586,7 +1580,6 @@ let e24 () =
       admission = Admission.default_config;
       default_eps = 0.01;
       default_samples = 2_000;
-      shed_samples = 200;
       default_deadline_s = Some 10.0;
       cache_capacity = 64;
       warm_cache = Some (warm_path, Store.checksum_hex small ^ ":e24");

@@ -57,9 +57,9 @@ let () =
 
   (* Sampling respects the key exactly. *)
   let samples = 20_000 in
+  let draw = (Countable_bid.sampler b).Sampler.draw in
   let violations =
-    Sampler.exclusivity_violations ~seed:1 ~samples
-      (fun g -> Countable_bid.sample b g)
+    Sampler.exclusivity_violations ~seed:1 ~samples draw
       (fun f ->
         match Fact.args f with
         | Value.Int k :: _ -> Some (string_of_int k)
@@ -91,8 +91,7 @@ let () =
 
   (* Cross-block independence, sampled. *)
   let gap =
-    Sampler.independence_gap ~seed:3 ~samples
-      (fun g -> Countable_bid.sample b g)
+    Sampler.independence_gap ~seed:3 ~samples draw
       (Fact.make "LivesIn" [ i 0; s "aachen" ])
       (Fact.make "LivesIn" [ i 1; s "berlin" ])
   in

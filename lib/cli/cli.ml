@@ -329,17 +329,17 @@ let run_sample table n seed opened policy =
   guard @@ fun () ->
   let ti = read_table table in
   let g = Prng.create ~seed () in
-  if opened then begin
-    let src = completed ti (Completion.policy_of_string policy) in
-    let cti = Countable_ti.create src in
-    for _ = 1 to n do
-      print_endline (Instance.to_string (Countable_ti.sample cti g))
-    done
-  end
-  else
-    for _ = 1 to n do
-      print_endline (Instance.to_string (Ti_table.sample ti g))
-    done
+  let draw =
+    if opened then
+      (Countable_ti.sampler
+         (Countable_ti.create
+            (completed ti (Completion.policy_of_string policy))))
+        .Sampler.draw
+    else Ti_table.sample ti
+  in
+  for _ = 1 to n do
+    print_endline (Instance.to_string (draw g))
+  done
 
 let sample_cmd =
   let doc = "Draw random worlds." in
@@ -374,8 +374,8 @@ let run_mc table query opened policy domains samples confidence seed timeout
   guard @@ fun () ->
   with_stats stats @@ fun () ->
   let ti = read_table table in
-  let space =
-    Mc_eval.Ti
+  let plan =
+    Countable_ti.sampler
       (Countable_ti.create
          (if opened then completed ti (Completion.policy_of_string policy)
           else Fact_source.of_ti_table ti))
@@ -384,7 +384,7 @@ let run_mc table query opened policy domains samples confidence seed timeout
   let domains = if domains = 0 then None else Some domains in
   let budget = make_budget ~timeout ~virtual_rate () in
   let r =
-    Mc_eval.boolean ?budget ?domains ~confidence ~seed ~samples space phi
+    Mc_eval.boolean ?budget ?domains ~confidence ~seed ~samples plan phi
   in
   Printf.printf
     "P[ %s ] ~ %.8f  (%d/%d hits; %g%% interval [%.8f, %.8f]; truncation TV \
@@ -698,23 +698,6 @@ let window_arg =
           "Length of the rolling budget epoch carrying the global \
            resource caps.")
 
-let shed_at_arg =
-  Arg.(
-    value
-    & opt float 0.5
-    & info [ "shed-at" ] ~docv:"P"
-        ~doc:
-          "Pressure (worst cap utilisation, or queue fill) at which \
-           requests are degraded to the shed ladder (lifted + reduced \
-           Monte-Carlo, no compilation).")
-
-let reject_at_arg =
-  Arg.(
-    value
-    & opt float 0.9
-    & info [ "reject-at" ] ~docv:"P"
-        ~doc:"Pressure at which requests are rejected outright.")
-
 let max_samples_arg =
   Arg.(
     value
@@ -726,13 +709,9 @@ let serve_samples_arg =
   Arg.(
     value & opt int 20_000
     & info [ "samples" ] ~docv:"N"
-        ~doc:"Monte-Carlo worlds per request at full service.")
-
-let shed_samples_arg =
-  Arg.(
-    value & opt int 2_000
-    & info [ "shed-samples" ] ~docv:"N"
-        ~doc:"Monte-Carlo worlds per request when degraded under load.")
+        ~doc:
+          "Monte-Carlo worlds per request at full service; a tenth of \
+           that when degraded under load.")
 
 let serve_deadline_arg =
   Arg.(
@@ -752,8 +731,8 @@ let cache_arg =
            policy), reused epsilon-aware (0 disables).")
 
 let run_serve table store_path warm_cache socket tcp policy domains
-    queue_bound window shed_at reject_at max_bdd_nodes max_facts max_samples
-    eps samples shed_samples deadline cache updatable =
+    queue_bound window max_bdd_nodes max_facts max_samples eps samples deadline
+    cache updatable =
   guard @@ fun () ->
   (* A fact source's pull cache is not domain-safe, so the server gets a
      factory and builds a fresh source per request.  What is costly to
@@ -817,15 +796,12 @@ let run_serve table store_path warm_cache socket tcp policy domains
         {
           Admission.queue_bound;
           window_s = window;
-          shed_at;
-          reject_at;
           max_bdd_nodes;
           max_facts;
           max_samples;
         };
       default_eps = eps;
       default_samples = samples;
-      shed_samples;
       default_deadline_s = (if deadline <= 0.0 then None else Some deadline);
       cache_capacity = cache;
       warm_cache;
@@ -901,9 +877,8 @@ let serve_cmd =
     Term.(
       const run_serve $ serve_table_arg $ store_arg $ warm_cache_arg
       $ socket_arg $ tcp_arg $ policy_arg $ serve_domains_arg
-      $ queue_bound_arg $ window_arg $ shed_at_arg $ reject_at_arg
-      $ max_bdd_nodes_arg $ max_facts_arg $ max_samples_arg $ eps_arg
-      $ serve_samples_arg $ shed_samples_arg $ serve_deadline_arg
+      $ queue_bound_arg $ window_arg $ max_bdd_nodes_arg $ max_facts_arg
+      $ max_samples_arg $ eps_arg $ serve_samples_arg $ serve_deadline_arg
       $ cache_arg $ updatable_arg)
 
 (* ------------------------------------------------------------------ *)

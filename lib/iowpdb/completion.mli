@@ -13,7 +13,8 @@
     families (Remark 5.6).  So a completion {e is} one countable TI
     source ({!source}), and queries on it go through the countable-TI
     engines: [Approx_eval.boolean] / [boolean_r] / [marginals],
-    [Anytime], [Robust_eval] and [Mc_eval.Ti].  What stays here is the
+    [Anytime], [Robust_eval] and [Mc_eval] (on [Countable_ti.sampler]).
+    What stays here is the
     construction, the Theorem 5.5 reference objects over explicit worlds
     ({!truncated}, {!completion_condition_gap}, {!omega_prob_bounds} —
     exponential in the table, for small tables), and the policies that

@@ -104,28 +104,23 @@ let tail_mass t n =
   ignore (nth_block t n);
   if t.bexhausted && t.blen <= n then Some 0.0 else t.tail n
 
-(* The depth probed to when no certificate answers, [None] once one
-   does.  The raw certificate is searched first, up to 2^20: that never
-   forces the block enumeration, so a certificate answering only at depth
-   is found without materializing thousands of blocks.  Only if it stays
-   silent is a shallow search run through [tail_mass], which forces
+(* Theorem 4.15's test, the one [Fact_source.converges] runs.  The raw
+   certificate is searched first, up to 2^20: that never forces the
+   block enumeration, so a certificate answering only at depth is found
+   without materializing thousands of blocks.  Only if it certifies
+   nothing is a shallow search run through [tail_mass], which forces
    blocks and so detects a finite enumeration whose tail is exactly 0. *)
-let uncertified t =
-  match Fact_source.search t.tail infinity with
-  | Fact_source.Found _ | Too_slow _ -> None
-  | Silent probed_to -> (
-    match Fact_source.search ~max_n:1024 (tail_mass t) infinity with
-    | Found _ | Too_slow _ -> None
-    | Silent _ -> Some probed_to)
+let certified t =
+  Fact_source.uncertified t.tail = None
+  || Fact_source.uncertified ~max_n:1024 (tail_mass t) = None
 
 let make name blocks tail =
   { name; tail; bcache = [||]; blen = 0; brest = blocks; bexhausted = false }
 
 let create ?(name = "bid") ~blocks ~tail () =
   let t = make name blocks tail in
-  match uncertified t with
-  | None -> t
-  | Some _ ->
+  if certified t then t
+  else
     invalid_arg
       (Printf.sprintf
          "Countable_bid.create: %s has no convergence certificate (Theorem \
@@ -140,8 +135,6 @@ let of_finite_blocks ?(name = "bid-finite") bs =
     ~blocks:(Array.to_seq arr)
     ~tail:(fun k -> Some suffix.(Stdlib.min k n))
     ()
-
-let name t = t.name
 
 let marginal t f =
   let block_scan = 512 and alt_scan = 512 in
@@ -185,51 +178,57 @@ let truncate t ~n_blocks ~alts_per_block =
   in
   Bid_table.create (collect 0 [])
 
-let nth_alt b i =
-  let continue = ref true in
-  while List.length b.cache <= i && !continue do
-    continue := pull_alt b
-  done;
-  List.nth_opt (List.rev b.cache) i
-
-let sample ?(tail_cut = ldexp 1.0 (-20)) ?(max_blocks = 4096) t g =
-  let sample_block b =
-    (* Sequential inversion, pulling alternatives on demand: stop once
-       the chosen point falls in a fact's interval or the remaining
-       in-block mass is below the cut (so infinite blocks terminate after
-       O(log 1/tail_cut) pulls for geometric-type alternatives). *)
-    let u = ref (Prng.float g) in
-    let remaining = ref (Rational.to_float b.mass) in
-    let rec go idx =
-      match nth_alt b idx with
-      | None -> None
-      | Some (f, p) ->
+(* Blocks before the sampling cut of the block-mass tail; in each, the
+   alternatives until the remaining in-block mass is at most
+   [Sampler.tail_cut].  A drawn world differs from a true draw only if a
+   dropped block fires or a kept block's true draw lands in its dropped
+   alternatives, so tv <= block tail + sum of dropped in-block masses. *)
+let sampler t =
+  let n, tail = Sampler.cut ~what:t.name (tail_mass t) in
+  let keep_alts mass alts =
+    let rec take acc m = function
+      | [] -> (acc, m)
+      | (f, p) :: rest ->
         let pf = Rational.to_float p in
-        if !u < pf then Some f
-        else begin
-          u := !u -. pf;
-          remaining := !remaining -. pf;
-          if !remaining <= tail_cut then None else go (idx + 1)
-        end
+        let acc = (f, pf) :: acc and m = m +. pf in
+        if mass -. m <= Sampler.tail_cut then (acc, m) else take acc m rest
     in
-    go 0
+    take [] 0.0 alts
   in
-  (* Blocks before the least certified block tail below the cut, capped
-     at max_blocks. *)
-  let n =
-    match Fact_source.search ~max_n:max_blocks (tail_mass t) tail_cut with
-    | Found (n, _) | Too_slow (n, _) -> n
-    | Silent _ -> max_blocks
+  let rec scan i blocks_rev dropped =
+    match if i < n then nth_block t i else None with
+    | None -> (List.rev blocks_rev, dropped +. tail)
+    | Some b ->
+      let mass = Rational.to_float b.mass in
+      let alts = alternatives ~limit:Sampler.max_depth b in
+      let kept_rev, kept_mass = keep_alts mass alts in
+      let kept = List.rev kept_rev in
+      let block =
+        (Array.of_list (List.map fst kept), Array.of_list (List.map snd kept))
+      in
+      scan (i + 1) (block :: blocks_rev)
+        (dropped +. Float.max 0.0 (mass -. kept_mass))
   in
-  let rec go i acc =
-    if i >= n then acc
-    else
-      match nth_block t i with
-      | None -> acc
-      | Some b ->
-        let acc =
-          match sample_block b with Some f -> Instance.add f acc | None -> acc
+  let blocks, tv = scan 0 [] 0.0 in
+  let blocks = Array.of_list blocks in
+  let draw g =
+    Array.fold_left
+      (fun acc (facts, probs) ->
+        (* Sequential inversion over the kept alternatives; the dropped
+           mass collapses into "no fact from this block". *)
+        let u = ref (Prng.float g) in
+        let rec go j =
+          if j >= Array.length probs then acc
+          else if !u < probs.(j) then Instance.add facts.(j) acc
+          else begin
+            u := !u -. probs.(j);
+            go (j + 1)
+          end
         in
-        go (i + 1) acc
+        go 0)
+      Instance.empty blocks
   in
-  go 0 Instance.empty
+  let support =
+    List.concat_map (fun (facts, _) -> Array.to_list facts) (Array.to_list blocks)
+  in
+  { Sampler.draw; tv; support }

@@ -5,7 +5,9 @@
     exclusive facts with exact block mass [sum_{f in B} p^B_f <= 1];
     distinct blocks are independent.  Existence requires the total mass
     [sum_B sum_{f in B} p^B_f] to converge (Theorem 4.15), which [create]
-    enforces through the block source's tail certificate. *)
+    enforces through the block source's tail certificate.  A world is
+    drawn from the {!sampler} plan, one draw per block up to the
+    certified cut. *)
 
 type block
 
@@ -34,26 +36,29 @@ val create :
   t
 (** [tail n] bounds [sum_{i>=n} mass(B_i)] over the block enumeration.
     @raise Invalid_argument if no finite certificate exists
-    (Theorem 4.15's necessity).  The raw certificate goes through the
-    truncation search ({!Fact_source.search}, up to [2^20]) {e without}
-    forcing the block enumeration (so deep-answering certificates are
-    accepted cheaply); only if it stays silent is a search up to 1024
-    blocks run through the forcing tail, which can still detect a
-    finite enumeration whose tail is exactly 0. *)
-
-(** {!create} with classified failures ([Divergent_source], with the
-    depth the raw certificate was searched to, when it never answers). *)
+    (Theorem 4.15's necessity).  The raw certificate goes through
+    {!Fact_source.uncertified}, the test {!Fact_source.converges} runs
+    (up to [2^20], so a certificate answering only NaN is rejected),
+    {e without} forcing the block enumeration (so deep-answering
+    certificates are accepted cheaply); only if it certifies nothing is
+    a search up to 1024 blocks run through the forcing tail, which can
+    still detect a finite enumeration whose tail is exactly 0. *)
 
 val of_finite_blocks : ?name:string -> block list -> t
 
-val name : t -> string
-
 val nth_block : t -> int -> block option
+(** Reference: an observer for tests (the sampler property walks the
+    blocks a plan keeps). *)
+
 val block_mass : block -> Rational.t
+(** Paper: the block mass sum_f p^B_f of Definition 4.11. *)
+
 val block_slack : block -> Rational.t
 (** Paper: the slack 1 - sum_f p^B_f of Definition 4.11. *)
 
 val alternatives : ?limit:int -> block -> (Fact.t * Rational.t) list
+(** Reference: an observer for tests (the sampler property sums the
+    in-block mass a plan drops). *)
 
 val marginal : t -> Fact.t -> Rational.t option
 (** Scan the first blocks / alternatives for the fact (bounded scan);
@@ -62,7 +67,10 @@ val marginal : t -> Fact.t -> Rational.t option
 val tail_mass : t -> int -> float option
 (** Certified upper bound on [sum_{i>=n} mass(B_i)] (exactly 0 once the
     block enumeration is exhausted before [n]); [None] when the
-    certificate cannot answer at [n]. *)
+    certificate cannot answer at [n].
+
+    Reference: an observer for tests (the sampler property recomputes a
+    plan's cut from it). *)
 
 val expected_size_bounds : t -> n:int -> float * float
 (** From the first [n] blocks' exact masses plus the tail bound. *)
@@ -70,11 +78,17 @@ val expected_size_bounds : t -> n:int -> float * float
 val truncate : t -> n_blocks:int -> alts_per_block:int -> Bid_table.t
 (** Finite BID table on the first blocks and alternatives. *)
 
-val sample : ?tail_cut:float -> ?max_blocks:int -> t -> Prng.t -> Instance.t
-(** One independent draw per block (at most one fact each); blocks stop
-    being processed once the remaining block-mass tail is below
-    [tail_cut] (default [2^-20]) or [max_blocks] (default 4096) blocks
-    were visited; within an infinite block, alternatives beyond
-    cumulative mass [1 - tail_cut] collapse into "no fact".  The sampled
-    law is within the achieved residual mass of the true one in total
-    variation. *)
+val sampler : t -> Sampler.t
+(** The sampling plan: the blocks before {!Sampler.cut} of the block
+    tail certificate, and in each the alternatives until the remaining
+    in-block mass is at most {!Sampler.tail_cut} (at most
+    {!Sampler.max_depth} of them).  A draw picks at most one kept fact
+    per block by sequential inversion; dropped mass collapses into "no
+    fact from this block".  Its [tv] is the block tail at the cut plus
+    the dropped in-block masses.  Built eagerly, so draws are
+    domain-safe.
+    @raise Invalid_argument if the certificate answers at no depth up
+    to {!Sampler.max_depth}.
+
+    Paper: Definition 4.11 (exclusive within a block, independent
+    across blocks). *)

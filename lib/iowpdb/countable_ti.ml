@@ -1,14 +1,9 @@
-type t = {
-  src : Fact_source.t;
-  (* Cached sampling plan: facts of the sampled prefix with float
-     marginals, keyed by the prefix length it was built for. *)
-  mutable plan : (int * (Fact.t * float) array) option;
-}
+type t = { src : Fact_source.t }
 
 let create_r src =
-  match Fact_source.search (Fact_source.tail_mass src) infinity with
-  | Fact_source.Found _ | Too_slow _ -> Ok { src; plan = None }
-  | Silent probed_to ->
+  match Fact_source.uncertified (Fact_source.tail_mass src) with
+  | None -> Ok { src }
+  | Some probed_to ->
     Error
       (Errors.Divergent_source { source = Fact_source.name src; probed_to })
 
@@ -40,14 +35,6 @@ let instance_prob_prefix t ~n inst =
       Rational.mul acc (if Instance.mem f inst then p else Rational.compl p))
     Rational.one entries
 
-(* Claim (∗)-based enclosure of the tail product prod_{i>=n} (1-p_i). *)
-let tail_product_bounds t ~n =
-  match Fact_source.tail_mass t.src n with
-  | None -> assert false
-  | Some tail ->
-    if tail < 0.5 then Interval.make (exp (-1.5 *. tail)) 1.0
-    else Interval.make 0.0 1.0
-
 let instance_prob_bounds t ~n inst =
   let entries = Fact_source.prefix t.src n in
   let known = Instance.of_list (List.map fst entries) in
@@ -57,42 +44,35 @@ let instance_prob_bounds t ~n inst =
   let prefix =
     Interval.of_rational (instance_prob_prefix t ~n inst)
   in
-  Interval.clamp01 (Interval.mul prefix (tail_product_bounds t ~n))
+  match Fact_source.tail_mass t.src n with
+  | None -> assert false
+  | Some tail ->
+    Interval.clamp01
+      (Interval.mul prefix (Approx_eval.omega_bounds_of_tail tail))
 
 let empty_world_prob_bounds t ~n =
   instance_prob_bounds t ~n Instance.empty
 
 let truncate t ~n = Fact_source.truncate t.src n
 
-let sample ?(tail_cut = ldexp 1.0 (-20)) ?(max_facts = 4096) t g =
-  (* Draw each prefix fact independently; the prefix length is the least
-     n with tail(n) <= tail_cut, capped at max_facts (slowly converging
-     sources would otherwise need astronomically many Bernoulli draws).
-     The sampled law is within the achieved tail mass of the true one in
-     total variation.  The per-index plan is cached across draws. *)
-  let n =
-    match
-      Fact_source.search ~max_n:max_facts (Fact_source.tail_mass t.src) tail_cut
-    with
-    | Found (n, _) | Too_slow (n, _) -> n
-    | Silent _ -> max_facts
+(* Each prefix fact is an independent Bernoulli with its float marginal;
+   the prefix ends at the sampling cut. *)
+let sampler t =
+  let n, tv =
+    Sampler.cut ~what:(Fact_source.name t.src) (Fact_source.tail_mass t.src)
   in
-  let plan =
-    match t.plan with
-    | Some (n', plan) when n' = n -> plan
-    | _ ->
-      let plan =
-        Array.of_list
-          (List.map
-             (fun (f, p) -> (f, Rational.to_float p))
-             (Fact_source.prefix t.src n))
-      in
-      t.plan <- Some (n, plan);
-      plan
+  let entries =
+    Array.of_list
+      (List.map
+         (fun (f, p) -> (f, Rational.to_float p))
+         (Fact_source.prefix t.src n))
   in
-  Array.fold_left
-    (fun acc (f, p) -> if Prng.bernoulli g p then Instance.add f acc else acc)
-    Instance.empty plan
+  let draw g =
+    Array.fold_left
+      (fun acc (f, p) -> if Prng.bernoulli g p then Instance.add f acc else acc)
+      Instance.empty entries
+  in
+  { Sampler.draw; tv; support = Array.to_list (Array.map fst entries) }
 
 let partition_prefix_sum t ~n =
   if n > 20 then

@@ -11,13 +11,14 @@
     (Lemma 4.4).  This module computes with that measure: exact prefix
     factors, certified two-sided enclosures of infinite products (via
     claim (∗)), exact marginals, expected size (Corollary 4.7), truncation
-    to finite TI tables, and exact-in-distribution sampling.
+    to finite TI tables, and a sampling plan within a certified TV
+    distance of the measure.
 
     [create] enforces Theorem 4.8: a source without a finite tail
     certificate is rejected — such marginals admit no tuple-independent
     PDB at all (Lemma 4.6, via Borel-Cantelli).  That test, the prefix
-    [sample] draws, and the truncation point for a tail budget all come
-    from the one truncation search, {!Fact_source.search}; [truncate]
+    the {!sampler} draws, and the truncation point for a tail budget all
+    come from the one truncation search, {!Fact_source.search}; [truncate]
     slices the prefix it finds. *)
 
 type t
@@ -67,13 +68,16 @@ val empty_world_prob_bounds : t -> n:int -> Interval.t
 val truncate : t -> n:int -> Ti_table.t
 (** Paper: the first-n truncation of Proposition 6.1. *)
 
-val sample : ?tail_cut:float -> ?max_facts:int -> t -> Prng.t -> Instance.t
-(** Draw a world.  Facts in the prefix up to the first tail bound below
-    [tail_cut] (default [2^-20]), capped at [max_facts] (default 4096),
-    are drawn as independent Bernoullis (float marginals; sub-ulp bias).
-    The sampled law is within the achieved tail mass of the true one in
-    total variation; worlds are almost surely finite either way (the
-    paper's Section 3.2). *)
+val sampler : t -> Sampler.t
+(** The sampling plan: the facts before {!Sampler.cut} of the tail
+    certificate, each drawn as an independent Bernoulli (float
+    marginals; sub-ulp bias).  Its [tv] is the certified tail at the
+    cut; worlds are almost surely finite either way (the paper's
+    Section 3.2).  Built eagerly, so draws are domain-safe.
+    @raise Invalid_argument if the certificate answers at no depth up
+    to {!Sampler.max_depth}.
+
+    Paper: Lemma 4.4 (the product measure drawn fact by fact). *)
 
 val partition_prefix_sum : t -> n:int -> Rational.t
 (** [sum_{D subseteq first-n facts} P_n({D})] where [P_n] uses only the

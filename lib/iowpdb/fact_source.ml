@@ -154,10 +154,12 @@ let search ?(max_n = default_max_n) tail bound =
   in
   gallop 0 0 None
 
-let converges ?max_n s =
-  match search ?max_n (tail_mass s) infinity with
-  | Found _ -> true
-  | Too_slow _ | Silent _ -> false
+let uncertified ?(max_n = default_max_n) tail =
+  match search ~max_n tail infinity with
+  | Found _ -> None
+  | Too_slow _ | Silent _ -> Some max_n
+
+let converges ?max_n s = uncertified ?max_n (tail_mass s) = None
 
 let prefix_sum s n =
   List.fold_left (fun acc (_, p) -> Rational.add acc p) Rational.zero (prefix s n)

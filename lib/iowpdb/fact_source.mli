@@ -121,12 +121,16 @@ val search : ?max_n:int -> (int -> float option) -> float -> search
     [ceil(log2(max_n + 1)) + 1] probes.
     @raise Invalid_argument if [bound < 0] or [max_n < 0]. *)
 
+val uncertified : ?max_n:int -> (int -> float option) -> int option
+(** The search at an unbounded target: [None] once some probe up to
+    [max_n] (default [2^20]) answers with a finite tail, else
+    [Some max_n], the depth probed to.  A certificate answering only
+    NaN certifies nothing.  A certificate may legitimately first answer
+    at depth — e.g. only past the already-scanned prefix — so [Some _]
+    means "no certificate below [max_n]", not a proof of divergence. *)
+
 val converges : ?max_n:int -> t -> bool
-(** The search at an unbounded target: whether some probe up to [max_n]
-    (default [2^20]) answers.  A certificate may legitimately first
-    answer at depth — e.g. only past the already-scanned prefix — so a
-    [false] here means "no certificate below [max_n]", not a proof of
-    divergence. *)
+(** [uncertified ?max_n (tail_mass s) = None]: Theorem 4.8's test. *)
 
 val seq_of : t -> (Fact.t * Rational.t) Seq.t
 (** The memoized enumeration as a sequence: entry [i] is [nth s i], so

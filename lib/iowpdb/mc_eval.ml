@@ -2,12 +2,11 @@
 
    Two-layer design:
 
-   - [compile] turns a space into an immutable sampling plan: float
-     arrays only, no closures over the mutable enumeration caches of
-     [Countable_ti] / [Fact_source] / [Countable_bid].  All enumeration
-     (and all Rational arithmetic) happens here, in the calling domain;
-     worker domains touch nothing but immutable plan data, [Prng] states
-     they own, and the pure evaluators ([Fo_eval], [Instance]).
+   - a [Sampler.t] plan, built once by the caller in its own domain:
+     all enumeration (and all Rational arithmetic) happens there, and
+     the plan keeps only immutable arrays.  Worker domains touch
+     nothing but immutable plan data, [Prng] states they own, and the
+     pure evaluators ([Fo_eval], [Instance]).
 
    - [estimate_event] cuts the samples into fixed batches and hands
      batches to domains through an atomic work-stealing counter.  Batch
@@ -25,10 +24,6 @@
    Clopper-Pearson interval covers P_plan(E) with at least the stated
    confidence, whatever the sample count and P_plan(E); widening it by
    [tv] covers P_true(E). *)
-
-type space =
-  | Ti of Countable_ti.t
-  | Bid of Countable_bid.t
 
 type result = {
   estimate : float;
@@ -337,117 +332,6 @@ let estimate_event ?budget ?domains ?(batch_size = 1024) ?(confidence = 0.99)
   }
 
 (* ------------------------------------------------------------------ *)
-(* Sampling plans                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type plan = {
-  draw : Prng.t -> Instance.t;
-  tv : float;  (* TV distance bound between plan law and true law *)
-  support : Fact.t list;  (* every fact the plan can emit *)
-}
-
-(* TI: the least prefix whose certified tail is at most the cut; the
-   tail is the whole TV budget. *)
-let ti_plan ~tail_cut ~max_facts src =
-  let n, tv =
-    match
-      Fact_source.search ~max_n:max_facts (Fact_source.tail_mass src) tail_cut
-    with
-    | Found (n, t) | Too_slow (n, t) -> (n, t)
-    | Silent _ ->
-      invalid_arg
-        (Printf.sprintf
-           "Mc_eval: %s certifies no tail at or below %d facts; raise \
-            ~max_facts or loosen ~tail_cut"
-           (Fact_source.name src) max_facts)
-  in
-  let entries =
-    Array.of_list
-      (List.map
-         (fun (f, p) -> (f, Rational.to_float p))
-         (Fact_source.prefix src n))
-  in
-  let draw g =
-    Array.fold_left
-      (fun acc (f, p) -> if Prng.bernoulli g p then Instance.add f acc else acc)
-      Instance.empty entries
-  in
-  { draw; tv; support = Array.to_list (Array.map fst entries) }
-
-(* BID: truncate the block enumeration at a certified block-mass tail and
-   each block's alternatives the way [Countable_bid.sample] does (keep
-   until the remaining in-block mass is below the cut).  A sampled world
-   differs from a true draw only if some dropped block fires or a kept
-   block's true draw lands in its dropped alternatives, so
-   tv <= block tail + sum of dropped in-block masses. *)
-let bid_plan ~tail_cut ~max_blocks bid =
-  let keep_alts mass alts =
-    let rec take acc m = function
-      | [] -> (acc, m)
-      | (f, p) :: rest ->
-        let pf = Rational.to_float p in
-        let acc = (f, pf) :: acc and m = m +. pf in
-        if mass -. m <= tail_cut then (acc, m) else take acc m rest
-    in
-    take [] 0.0 alts
-  in
-  let n, tail =
-    match
-      Fact_source.search ~max_n:max_blocks (Countable_bid.tail_mass bid) tail_cut
-    with
-    | Found (n, t) | Too_slow (n, t) -> (n, t)
-    | Silent _ ->
-      invalid_arg
-        (Printf.sprintf
-           "Mc_eval: %s certifies no block tail at or below %d blocks; raise \
-            ~max_facts or loosen ~tail_cut"
-           (Countable_bid.name bid) max_blocks)
-  in
-  let rec scan i blocks_rev dropped =
-    match if i < n then Countable_bid.nth_block bid i else None with
-    | None -> (List.rev blocks_rev, dropped +. tail)
-    | Some b ->
-      let mass = Rational.to_float (Countable_bid.block_mass b) in
-      let alts = Countable_bid.alternatives ~limit:4096 b in
-      let kept_rev, kept_mass = keep_alts mass alts in
-      let kept = List.rev kept_rev in
-      let block =
-        (Array.of_list (List.map fst kept), Array.of_list (List.map snd kept))
-      in
-      scan (i + 1) (block :: blocks_rev)
-        (dropped +. Float.max 0.0 (mass -. kept_mass))
-  in
-  let blocks, tv = scan 0 [] 0.0 in
-  let blocks = Array.of_list blocks in
-  let draw g =
-    Array.fold_left
-      (fun acc (facts, probs) ->
-        (* Sequential inversion over the kept alternatives; the dropped
-           mass collapses into "no fact from this block". *)
-        let u = ref (Prng.float g) in
-        let rec go j =
-          if j >= Array.length probs then acc
-          else if !u < probs.(j) then Instance.add facts.(j) acc
-          else begin
-            u := !u -. probs.(j);
-            go (j + 1)
-          end
-        in
-        go 0)
-      Instance.empty blocks
-  in
-  let support =
-    List.concat_map
-      (fun (facts, _) -> Array.to_list facts)
-      (Array.to_list blocks)
-  in
-  { draw; tv; support }
-
-let compile ~tail_cut ~max_facts = function
-  | Ti cti -> ti_plan ~tail_cut ~max_facts (Countable_ti.source cti)
-  | Bid bid -> bid_plan ~tail_cut ~max_blocks:max_facts bid
-
-(* ------------------------------------------------------------------ *)
 (* Query entry points                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -460,19 +344,17 @@ let eval_domain_for support phi =
   Fo_eval.evaluation_domain (Instance.of_list support) phi []
   @ Query_eval.choose_padding support [ phi ]
 
-let boolean ?budget ?domains ?batch_size ?(tail_cut = ldexp 1.0 (-20))
-    ?(max_facts = 4096) ?confidence ~seed ~samples space phi =
+let boolean ?budget ?domains ?batch_size ?confidence ~seed ~samples
+    (plan : Sampler.t) phi =
   if Fo.free_vars phi <> [] then
     invalid_arg "Mc_eval.boolean: query must be a sentence";
-  let plan = compile ~tail_cut ~max_facts space in
   let extra_domain = eval_domain_for plan.support phi in
   estimate_event ?budget ?domains ?batch_size ?confidence
     ~truncation_tv:plan.tv ~seed ~samples plan.draw
     (fun w -> Fo_eval.models ~extra_domain w phi)
 
-let marginal ?budget ?domains ?batch_size ?(tail_cut = ldexp 1.0 (-20))
-    ?(max_facts = 4096) ?confidence ~seed ~samples space f =
-  let plan = compile ~tail_cut ~max_facts space in
+let marginal ?budget ?domains ?batch_size ?confidence ~seed ~samples
+    (plan : Sampler.t) f =
   estimate_event ?budget ?domains ?batch_size ?confidence
     ~truncation_tv:plan.tv ~seed ~samples plan.draw
     (fun w -> Instance.mem f w)

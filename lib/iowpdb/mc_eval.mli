@@ -1,16 +1,17 @@
-(** Domain-parallel Monte-Carlo estimation over countable TI / BID PDBs
-    — the third evaluation engine, beside the exact truncation engine
-    ({!Approx_eval}) and the incremental one ({!Anytime}).  A completed
-    table is a countable TI PDB ([Completion.source]), so it is sampled
-    as [Ti].
+(** Domain-parallel Monte-Carlo estimation over countable PDBs — the
+    third evaluation engine, beside the exact truncation engine
+    ({!Approx_eval}) and the incremental one ({!Anytime}).
 
-    The paper gives countable PDBs a sampling semantics
-    ({!Countable_ti.sample}, {!Countable_bid.sample}, Section 4); this
-    module turns it into an estimator with statistical guarantees:
+    Every world of a countable PDB is almost surely finite (Section 4),
+    so it can be drawn; a {!Sampler.t} plan draws from a law within its
+    [tv] of the true one.  The caller builds the plan once (each
+    countable space, TI or BID, has a [sampler]; a completed table is a
+    countable TI PDB, [Completion.source]) and this module turns it
+    into an estimator with statistical guarantees:
 
-    - the space is compiled once into an {e immutable sampling plan}
-      (prefix facts with float marginals, truncated block tables), so
-      worker domains share no mutable state;
+    - the plan is {e immutable} (prefix facts with float marginals,
+      truncated block tables), so worker domains share no mutable
+      state;
     - the requested samples are cut into fixed-size batches; batch [b]
       runs on [Prng.substream root b], so every batch is a function of
       [(seed, b)] alone and the estimate is {e bit-identical for every
@@ -22,9 +23,9 @@
       join;
     - the returned {!Interval.t} is a Clopper-Pearson interval at the
       requested confidence, {e widened by the truncation total-variation
-      bound}: the plan samples a law within [tv] of the true one (the
-      tail cut of the sampling plans), so the widened interval covers the
-      true [P(Q)] with the stated confidence.
+      bound}: the plan samples a law within its [tv] of the true one,
+      so the widened interval covers the true [P(Q)] with the stated
+      confidence.
 
     Boolean queries are evaluated per world over the plan's full active
     domain padded with [quantifier_rank phi] fresh inert values — the
@@ -34,10 +35,6 @@
     exact engines' enclosures.  Queries using the built-in order [Cmp]
     break inert-value interchangeability; for them the padding is omitted
     and the estimate targets the truncated-table semantics. *)
-
-type space =
-  | Ti of Countable_ti.t
-  | Bid of Countable_bid.t
 
 type result = {
   estimate : float;  (** [hits / samples] *)
@@ -72,35 +69,29 @@ val boolean :
   ?budget:Budget.t ->
   ?domains:int ->
   ?batch_size:int ->
-  ?tail_cut:float ->
-  ?max_facts:int ->
   ?confidence:float ->
   seed:int ->
   samples:int ->
-  space ->
+  Sampler.t ->
   Fo.t ->
   result
-(** Estimate [P(Q)] for a Boolean query.  Defaults: [domains] =
+(** Estimate [P(Q)] for a Boolean query from the plan's draws, with the
+    plan's [tv] folded into [bounds].  Defaults: [domains] =
     [Domain.recommended_domain_count ()], [batch_size = 1024],
-    [tail_cut = 2^-20], [max_facts = 4096] (per plan: prefix facts or
-    blocks), [confidence = 0.99].
-    [budget] governs the sampling phase (see {!estimate_event}); plan
-    compilation, which happens in the calling domain before any world is
-    drawn, is not charged.
+    [confidence = 0.99].  [budget] governs the sampling phase (see
+    {!estimate_event}); building the plan, which the caller does before
+    any world is drawn, is not charged.
     @raise Invalid_argument if the query has free variables, [samples <=
-    0], [confidence] outside [(0,1)], or no truncation below [max_facts]
-    certifies [tail_cut] (raise [max_facts] or loosen [tail_cut]). *)
+    0] or [confidence] outside [(0,1)]. *)
 
 val marginal :
   ?budget:Budget.t ->
   ?domains:int ->
   ?batch_size:int ->
-  ?tail_cut:float ->
-  ?max_facts:int ->
   ?confidence:float ->
   seed:int ->
   samples:int ->
-  space ->
+  Sampler.t ->
   Fact.t ->
   result
 (** Estimate the marginal [P(E_f)] of one fact. *)
@@ -118,11 +109,9 @@ val estimate_event :
   result
 (** The generic engine: estimate [P(event)] under a caller-supplied
     sampler.  The sampler runs concurrently in several domains and MUST
-    NOT touch shared mutable state (the space-specific entry points
-    compile such state away; a raw {!Countable_ti.sample} closure, which
-    memoizes, is {e not} safe here at [domains > 1]).  [truncation_tv]
-    (default 0) is folded into [bounds] like the plan-based entry
-    points do.
+    NOT touch shared mutable state (a {!Sampler.t} plan's [draw] does
+    not).  [truncation_tv] (default 0) is folded into [bounds] like the
+    plan-based entry points do.
 
     With [budget], the sample count is clamped {e before} the run to
     what a [Samples] cap or a [Virtual] deadline still admits — the

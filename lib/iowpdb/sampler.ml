@@ -1,3 +1,25 @@
+(* A sampling plan: [draw] reads nothing but immutable arrays built
+   when the plan was, so one plan serves every domain at once. *)
+type t = {
+  draw : Prng.t -> Instance.t;
+  tv : float;
+  support : Fact.t list;
+}
+
+let tail_cut = ldexp 1.0 (-20)
+let max_depth = 4096
+
+(* The least n whose certified tail is at most [tail_cut]; a certificate
+   too weak to get there within [max_depth] terms is cut at the deepest
+   answer, whose tail becomes the TV bound. *)
+let cut ~what tail =
+  match Fact_source.search ~max_n:max_depth tail tail_cut with
+  | Found (n, t) | Too_slow (n, t) -> (n, t)
+  | Silent _ ->
+    invalid_arg
+      (Printf.sprintf "Sampler: %s certifies no tail within %d terms" what
+         max_depth)
+
 (* Each draw runs on its own substream of the seed generator, so draw [i]
    is a function of [(seed, i)] alone: re-traversing the sequence (Seq is
    not memoized) or consuming it out of order replays identical worlds.

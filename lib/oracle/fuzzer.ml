@@ -237,6 +237,8 @@ let ground_atom f =
 let eps_coarse = 0.25
 let eps_fine = 0.05
 
+let ti_sampler src = Countable_ti.sampler (Countable_ti.create src)
+
 let run_case ?(engines = all_engines) ?(mc_samples = 1500)
     ?(mc_confidence = 0.999) case =
   let checks = ref 0 and fails = ref [] in
@@ -501,10 +503,9 @@ let run_case ?(engines = all_engines) ?(mc_samples = 1500)
                    (rs (Lazy.force truth_lim)))));
     if cmp_free then begin
       check "mc.bounds" (fun () ->
-          let space = Mc_eval.Ti (Countable_ti.create (Lazy.force src)) in
           let r =
             Mc_eval.boolean ~domains:1 ~confidence:mc_confidence ~seed:mc_seed
-              ~samples:mc_samples space phi
+              ~samples:mc_samples (ti_sampler (Lazy.force src)) phi
           in
           if contains_iv r.Mc_eval.bounds (Lazy.force truth_lim) then None
           else
@@ -695,10 +696,9 @@ let run_case ?(engines = all_engines) ?(mc_samples = 1500)
                      (ivs iv) (encs e))));
       if cmp_free then begin
         check "mc.bounds" (fun () ->
-            let space = Mc_eval.Ti (Countable_ti.create (Lazy.force src)) in
             let r =
               Mc_eval.boolean ~domains:1 ~confidence:mc_confidence ~seed:mc_seed
-                ~samples:mc_samples space phi
+                ~samples:mc_samples (ti_sampler (Lazy.force src)) phi
             in
             let e = Lazy.force deep_enclosure in
             if overlaps_iv r.Mc_eval.bounds e then None
@@ -790,9 +790,7 @@ let run_case ?(engines = all_engines) ?(mc_samples = 1500)
             in
             let mc =
               Mc_eval.boolean ~domains:1 ~confidence:mc_confidence ~seed:mc_seed
-                ~samples:mc_samples
-                (Mc_eval.Ti (Countable_ti.create (Lazy.force src)))
-                phi
+                ~samples:mc_samples (ti_sampler (Lazy.force src)) phi
             in
             if overlaps_iv mc.Mc_eval.bounds e then None
             else
@@ -848,8 +846,8 @@ let run_case ?(engines = all_engines) ?(mc_samples = 1500)
         expect_eq ~what:"E(S_D) over blocks" want (Oracle.expected_size u));
     if cmp_free then
       check "mc.bounds" (fun () ->
-          let space =
-            Mc_eval.Bid
+          let plan =
+            Countable_bid.sampler
               (Countable_bid.of_finite_blocks
                  (List.map
                     (fun (b : Bid_table.block) ->
@@ -859,7 +857,7 @@ let run_case ?(engines = all_engines) ?(mc_samples = 1500)
           in
           let r =
             Mc_eval.boolean ~domains:1 ~confidence:mc_confidence ~seed:mc_seed
-              ~samples:mc_samples space phi
+              ~samples:mc_samples plan phi
           in
           let truth =
             Oracle.query_prob ~semantics:(sem_for phi) (Lazy.force u) phi

@@ -246,7 +246,7 @@ let query ?budget ?(eps = 0.01) ?max_bdd_nodes ?max_facts
                   | Error e -> Errors.raise_error e
                 in
                 Mc_eval.boolean ~budget:parent ~domains ~seed
-                  ~samples:mc_samples (Mc_eval.Ti cti) phi)
+                  ~samples:mc_samples (Countable_ti.sampler cti) phi)
           in
           match r with
           | Ok res ->

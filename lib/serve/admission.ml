@@ -17,8 +17,6 @@ type level = Full | Degraded | Reject
 type config = {
   queue_bound : int;
   window_s : float;
-  shed_at : float;
-  reject_at : float;
   max_bdd_nodes : int option;
   max_facts : int option;
   max_samples : int option;
@@ -28,20 +26,23 @@ let default_config =
   {
     queue_bound = 64;
     window_s = 1.0;
-    shed_at = 0.5;
-    reject_at = 0.9;
     max_bdd_nodes = None;
     max_facts = None;
     max_samples = None;
   }
+
+(* Pressure (or queue fill) that starts shedding, and pressure that
+   starts rejecting. *)
+let shed_at = 0.5
+let reject_at = 0.9
 
 let decide cfg ~queue_len ~pressure =
   let queue_fill =
     float_of_int queue_len /. float_of_int (max 1 cfg.queue_bound)
   in
   if queue_len >= cfg.queue_bound then Reject
-  else if pressure >= cfg.reject_at then Reject
-  else if pressure >= cfg.shed_at || queue_fill >= cfg.shed_at then Degraded
+  else if pressure >= reject_at then Reject
+  else if pressure >= shed_at || queue_fill >= shed_at then Degraded
   else Full
 
 type t = {
@@ -61,8 +62,6 @@ let create cfg =
     invalid_arg "Admission.create: queue_bound must be at least 1";
   if not (cfg.window_s > 0.0) then
     invalid_arg "Admission.create: window_s must be positive";
-  if not (cfg.shed_at > 0.0 && cfg.shed_at <= cfg.reject_at && cfg.reject_at <= 1.0)
-  then invalid_arg "Admission.create: want 0 < shed_at <= reject_at <= 1";
   {
     cfg;
     lock = Mutex.create ();

@@ -13,8 +13,9 @@
 
     Pressure in [[0, 1]] is the epoch's worst cap utilisation.  The
     {!decide} ladder maps (queue occupancy, pressure) to a shed level:
-    full ladder → degraded ladder (skip compilation, reduced sampling) →
-    reject with a retry-after hint pointing at the next epoch. *)
+    full ladder → degraded ladder (skip compilation, reduced sampling)
+    from pressure or queue fill 0.5 → reject, with a retry-after hint
+    pointing at the next epoch, from pressure 0.9. *)
 
 type level =
   | Full  (** run the whole {!Robust_eval} ladder *)
@@ -26,26 +27,23 @@ type level =
 type config = {
   queue_bound : int;  (** work-queue capacity; full queue rejects *)
   window_s : float;  (** epoch length, seconds *)
-  shed_at : float;  (** pressure (or queue fill) that starts shedding *)
-  reject_at : float;  (** pressure that starts rejecting *)
   max_bdd_nodes : int option;  (** per-window global caps *)
   max_facts : int option;
   max_samples : int option;
 }
 
 val default_config : config
-(** queue 64, 1 s windows, shed at 0.5, reject at 0.9, caps unset. *)
+(** queue 64, 1 s windows, caps unset. *)
 
 val decide : config -> queue_len:int -> pressure:float -> level
 (** The pure admission ladder (no clocks, unit-testable): a full queue
-    rejects outright; pressure ≥ [reject_at] rejects; pressure or queue
-    fill ≥ [shed_at] degrades; otherwise full service. *)
+    rejects outright; pressure ≥ 0.9 rejects; pressure or queue fill
+    ≥ 0.5 degrades; otherwise full service. *)
 
 type t
 
 val create : config -> t
-(** @raise Invalid_argument on a non-positive queue bound or window, or
-    thresholds outside [0 < shed_at <= reject_at <= 1]. *)
+(** @raise Invalid_argument on a non-positive queue bound or window. *)
 
 val pressure : t -> float
 (** Current epoch's worst cap utilisation in [[0, 1]] (0 with no caps).

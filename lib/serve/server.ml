@@ -39,7 +39,6 @@ type config = {
   admission : Admission.config;
   default_eps : float;
   default_samples : int;
-  shed_samples : int;
   default_deadline_s : float option;
   cache_capacity : int;
   warm_cache : (string * string) option;
@@ -59,7 +58,6 @@ let default_config make_source endpoint =
     admission = Admission.default_config;
     default_eps = 0.01;
     default_samples = 20_000;
-    shed_samples = 2_000;
     default_deadline_s = Some 1.0;
     cache_capacity = 256;
     warm_cache = None;
@@ -338,10 +336,11 @@ let handle_query t ~query ~eps ~deadline_ms ~mc_samples ~seed =
               draining = false;
             }
         | Ok ticket ->
+          let shed_samples = max 1 (t.cfg.default_samples / 10) in
           let samples =
             match (ticket.Admission.level, mc_samples) with
-            | Admission.Degraded, Some n -> min n t.cfg.shed_samples
-            | Admission.Degraded, None -> t.cfg.shed_samples
+            | Admission.Degraded, Some n -> min n shed_samples
+            | Admission.Degraded, None -> shed_samples
             | _, Some n -> n
             | _, None -> t.cfg.default_samples
           in
@@ -552,8 +551,8 @@ let accept_loop t () =
 
 let start cfg =
   if cfg.domains < 1 then invalid_arg "Server.start: domains must be >= 1";
-  if cfg.shed_samples < 1 || cfg.default_samples < 1 then
-    invalid_arg "Server.start: sample counts must be positive";
+  if cfg.default_samples < 1 then
+    invalid_arg "Server.start: default_samples must be positive";
   if not (cfg.default_eps > 0.0 && cfg.default_eps < 0.5) then
     invalid_arg "Server.start: default_eps must lie in (0, 1/2)";
   ignore (cfg.make_source () : Fact_source.t);

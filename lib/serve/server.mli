@@ -38,8 +38,9 @@ type config = {
   domains : int;  (** worker domains evaluating queries *)
   admission : Admission.config;
   default_eps : float;  (** error target when the request has none *)
-  default_samples : int;  (** Monte-Carlo worlds at full service *)
-  shed_samples : int;  (** Monte-Carlo worlds when degraded *)
+  default_samples : int;
+      (** Monte-Carlo worlds at full service; a tenth of them (at least
+          one) when degraded *)
   default_deadline_s : float option;
       (** deadline applied when the request has none; [None] = no
           deadline for such requests *)

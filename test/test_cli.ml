@@ -4,15 +4,16 @@
    flags are honoured, and the robust subcommand keeps its never-fail
    contract. *)
 
-(* The commands print their answers; run them against /dev/null (stderr
-   into [err] when given) so the test log stays readable.  File
-   descriptors are restored even when the evaluation raises. *)
-let run_quiet ?err argv =
+(* The commands print their answers; run them against /dev/null (stdout
+   into [out], stderr into [err] when given) so the test log stays
+   readable.  File descriptors are restored even when the evaluation
+   raises. *)
+let run_quiet ?out ?err argv =
   let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
   let so = Unix.dup Unix.stdout and se = Unix.dup Unix.stderr in
   flush stdout;
   flush stderr;
-  Unix.dup2 devnull Unix.stdout;
+  Unix.dup2 (Option.value out ~default:devnull) Unix.stdout;
   Unix.dup2 (Option.value err ~default:devnull) Unix.stderr;
   Fun.protect
     ~finally:(fun () ->
@@ -194,16 +195,29 @@ let test_open_world_big_table () =
     [ "mc"; t; q; "--open-world"; "--samples"; "2000"; "--domains"; "1" ];
   check_exit "sample --open-world" 0 [ "sample"; t; "--open-world"; "-n"; "2" ]
 
-(* Exit code and stderr of one evaluation. *)
-let run_capture argv =
-  let path = Filename.temp_file "iowpdb_cli" ".err" in
+(* Exit code and stderr (or, with [~stdout:true], stdout) of one
+   evaluation. *)
+let run_capture ?(stdout = false) argv =
+  let path = Filename.temp_file "iowpdb_cli" ".out" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
   let code =
     Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
-        run_quiet ~err:fd argv)
+        if stdout then run_quiet ~out:fd argv else run_quiet ~err:fd argv)
   in
   (code, In_channel.with_open_text path In_channel.input_all)
+
+(* The open-world draws for a fixed seed, pinned: one sampling plan
+   serves every draw, each a pass over the completed table's prefix in
+   enumeration order on one generator. *)
+let test_sample_open_world_pinned () =
+  with_table good_table @@ fun t ->
+  let code, out =
+    run_capture ~stdout:true
+      [ "sample"; t; "--open-world"; "--seed"; "7"; "-n"; "3" ]
+  in
+  Alcotest.(check int) "exit 0" 0 code;
+  Alcotest.(check string) "draws" "{R(1), R(2)}\n{N(0), R(1)}\n{}\n" out
 
 let test_probability_one_policy () =
   (* Definition 5.1 forbids probability-1 new facts (P'(Omega) would be
@@ -279,6 +293,8 @@ let () =
       ( "open_world",
         [
           Alcotest.test_case "25-fact table" `Quick test_open_world_big_table;
+          Alcotest.test_case "sample --open-world pinned" `Quick
+            test_sample_open_world_pinned;
           Alcotest.test_case "probability-1 policy" `Quick
             test_probability_one_policy;
         ] );

@@ -170,8 +170,10 @@ let test_engine_mc_adaptive () =
   let samples =
     int_of_float (Float.ceil (log (2.0 /. delta) /. (2.0 *. eps *. eps)))
   in
-  let space = Mc_eval.Ti (Countable_ti.create (Fact_source.of_ti_table ti)) in
-  let r = Mc_eval.boolean ~seed:11 ~samples space phi in
+  let plan =
+    Countable_ti.sampler (Countable_ti.create (Fact_source.of_ti_table ti))
+  in
+  let r = Mc_eval.boolean ~seed:11 ~samples plan phi in
   Alcotest.(check bool) "sample count from bound" true
     (r.Mc_eval.samples >= 6000 && r.Mc_eval.samples <= 7000);
   Alcotest.(check bool) "within eps (prob 99%)" true

@@ -202,10 +202,9 @@ let test_truncation_vs_rich_truncation () =
     (Interval.contains coarse.Approx_eval.bounds
        (Rational.to_float fine.Approx_eval.estimate));
   (* Monte Carlo over the sampled countable PDB agrees with the estimate *)
-  let cti = Countable_ti.create src in
+  let plan = Countable_ti.sampler (Countable_ti.create src) in
   let est =
-    Sampler.estimate_event ~seed:17 ~samples:20_000
-      (fun g -> Countable_ti.sample cti g)
+    Sampler.estimate_event ~seed:17 ~samples:20_000 plan.Sampler.draw
       (fun w -> not (Instance.is_empty w))
   in
   Alcotest.(check bool) "sampled vs approximated" true
@@ -237,13 +236,11 @@ let test_bid_vs_ti_special_case () =
   let f = Fact.make "R" [ i 1 ] in
   let m_bid =
     Sampler.estimate_marginal ~seed:23 ~samples:30_000
-      (fun g -> Countable_bid.sample cb g)
-      f
+      (Countable_bid.sampler cb).Sampler.draw f
   in
   let m_ti =
     Sampler.estimate_marginal ~seed:29 ~samples:30_000
-      (fun g -> Countable_ti.sample ct g)
-      f
+      (Countable_ti.sampler ct).Sampler.draw f
   in
   Alcotest.(check bool) "samplers agree" true (Float.abs (m_bid -. m_ti) < 0.015);
   Alcotest.(check bool) "near exact 1/4" true (Float.abs (m_ti -. 0.25) < 0.01)
@@ -263,10 +260,10 @@ let test_definability_gap_shape () =
       ~facts:(fun k -> Fact.make "E" [ i k; i (k + 1) ])
       ()
   in
-  let cti = Countable_ti.create src in
+  let draw = (Countable_ti.sampler (Countable_ti.create src)).Sampler.draw in
   let g = Prng.create ~seed:31 () in
   for _ = 1 to 200 do
-    let w = Countable_ti.sample cti g in
+    let w = draw g in
     let _, answers = Fo_eval.answers w (parse "exists y. E(x, y)") in
     if Tuple.Set.cardinal answers > 2 * Instance.size w then
       Alcotest.fail "FO view exceeded the Fact 2.1 bound"

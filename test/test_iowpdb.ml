@@ -221,6 +221,26 @@ let test_cti_rejects_divergent () =
              (String.index_opt msg '4'))
    | _ -> Alcotest.fail "divergent source must be rejected (Theorem 4.8)")
 
+(* A certificate that answers only NaN certifies nothing: [converges]
+   says so, and the constructors agree with it instead of accepting the
+   NaN as a tail that merely never gets small. *)
+let nan_tail_source () =
+  Fact_source.make ~name:"nan-tail"
+    ~enum:
+      (Seq.map (fun k -> (r_fact k, Rational.pow Rational.half (k + 1))) (Seq.ints 0))
+    ~tail:(fun _ -> Some nan)
+    ()
+
+let test_cti_rejects_nan_tail () =
+  Alcotest.(check bool) "converges says no" false
+    (Fact_source.converges (nan_tail_source ()));
+  match Countable_ti.create_r (nan_tail_source ()) with
+  | Error (Errors.Divergent_source { source; probed_to }) ->
+    Alcotest.(check string) "names the source" "nan-tail" source;
+    Alcotest.(check int) "probed to 2^20" (1 lsl 20) probed_to
+  | Error e -> Alcotest.fail ("wrong rejection: " ^ Errors.to_string e)
+  | Ok _ -> Alcotest.fail "a NaN-only certificate must be rejected"
+
 let test_cti_marginals () =
   let t = Countable_ti.create (geo_source ()) in
   (match Countable_ti.marginal t (r_fact 3) with
@@ -297,12 +317,12 @@ let test_cti_truncate_for_mass () =
   | Too_slow _ | Silent _ -> Alcotest.fail "expected truncation"
 
 let test_cti_sampling () =
-  let t = Countable_ti.create (geo_source ()) in
+  let draw = (Countable_ti.sampler (Countable_ti.create (geo_source ()))).draw in
   let g = Prng.create ~seed:2024 () in
   let n = 20_000 in
   let sizes = ref 0 and hit0 = ref 0 in
   for _ = 1 to n do
-    let w = Countable_ti.sample t g in
+    let w = draw g in
     sizes := !sizes + Instance.size w;
     if Instance.mem (r_fact 0) w then incr hit0
   done;
@@ -312,11 +332,10 @@ let test_cti_sampling () =
   Alcotest.(check bool) "marginal R(0) ~ 1/2" true (Float.abs (m0 -. 0.5) < 0.02)
 
 let test_cti_sampled_independence () =
-  let t = Countable_ti.create (geo_source ()) in
+  let t = Countable_ti.sampler (Countable_ti.create (geo_source ())) in
   let gap =
-    Sampler.independence_gap ~seed:5 ~samples:30_000
-      (fun g -> Countable_ti.sample t g)
-      (r_fact 0) (r_fact 1)
+    Sampler.independence_gap ~seed:5 ~samples:30_000 t.draw (r_fact 0)
+      (r_fact 1)
   in
   Alcotest.(check bool) "independence gap small" true (gap < 0.01)
 
@@ -325,10 +344,8 @@ let test_sampler_draws_reproducible () =
      [Seq.init], so a second traversal of the (non-memoizing) sequence
      continued the stream and produced different values.  Each draw now
      runs on its own substream of the seed. *)
-  let t = Countable_ti.create (geo_source ()) in
-  let seq =
-    Sampler.draws ~seed:31 ~samples:20 (fun g -> Countable_ti.sample t g)
-  in
+  let t = Countable_ti.sampler (Countable_ti.create (geo_source ())) in
+  let seq = Sampler.draws ~seed:31 ~samples:20 t.draw in
   let first = List.map Instance.to_string (List.of_seq seq) in
   let second = List.map Instance.to_string (List.of_seq seq) in
   Alcotest.(check (list string)) "two traversals identical" first second;
@@ -387,6 +404,33 @@ let test_cbid_rejects_divergent () =
            ~tail:(fun _ -> None)
            ()))
 
+let test_cbid_rejects_nan_tail () =
+  let blocks =
+    Seq.map
+      (fun k ->
+        Countable_bid.block_finite
+          ~id:(Printf.sprintf "B%d" k)
+          [ (fact "T" [ k; 0 ], Rational.pow Rational.half (k + 2)) ])
+      (Seq.ints 0)
+  in
+  Alcotest.check_raises "NaN-only certificate"
+    (Invalid_argument
+       "Countable_bid.create: nan-bid has no convergence certificate \
+        (Theorem 4.15)") (fun () ->
+      ignore
+        (Countable_bid.create ~name:"nan-bid" ~blocks ~tail:(fun _ -> Some nan)
+           ()));
+  (* A finite enumeration still certifies itself: its tail is exactly 0
+     once the blocks run out, whatever the raw certificate says. *)
+  let finite =
+    Countable_bid.create ~name:"finite-nan"
+      ~blocks:(Seq.take 3 blocks)
+      ~tail:(fun _ -> Some nan)
+      ()
+  in
+  Alcotest.(check bool) "finite enumeration accepted" true
+    (Countable_bid.tail_mass finite 3 = Some 0.0)
+
 let test_cbid_marginal () =
   let b = bid () in
   (match Countable_bid.marginal b (fact "T" [ 1; 1 ]) with
@@ -401,27 +445,23 @@ let test_cbid_truncate () =
   check_q "preserved marginal" (q 1 8) (Bid_table.prob table (fact "T" [ 1; 1 ]))
 
 let test_cbid_sampling_laws () =
-  let b = bid () in
+  let draw = (Countable_bid.sampler (bid ())).draw in
   (* exclusivity: zero violations *)
   Alcotest.(check int) "exclusivity" 0
-    (Sampler.exclusivity_violations ~seed:11 ~samples:20_000
-       (fun g -> Countable_bid.sample b g)
+    (Sampler.exclusivity_violations ~seed:11 ~samples:20_000 draw
        (fun f ->
          match Fact.args f with
          | Value.Int k :: _ -> Some (string_of_int k)
          | _ -> None));
   (* marginal of T(0,0) ~ 1/4 *)
   let m =
-    Sampler.estimate_marginal ~seed:12 ~samples:30_000
-      (fun g -> Countable_bid.sample b g)
-      (fact "T" [ 0; 0 ])
+    Sampler.estimate_marginal ~seed:12 ~samples:30_000 draw (fact "T" [ 0; 0 ])
   in
   Alcotest.(check bool) "marginal ~1/4" true (Float.abs (m -. 0.25) < 0.02);
   (* cross-block independence *)
   let gap =
-    Sampler.independence_gap ~seed:13 ~samples:30_000
-      (fun g -> Countable_bid.sample b g)
-      (fact "T" [ 0; 0 ]) (fact "T" [ 1; 0 ])
+    Sampler.independence_gap ~seed:13 ~samples:30_000 draw (fact "T" [ 0; 0 ])
+      (fact "T" [ 1; 0 ])
   in
   Alcotest.(check bool) "cross-block independent" true (gap < 0.01)
 
@@ -439,10 +479,11 @@ let test_cbid_infinite_block () =
       ~tail:(fun n -> Some (if n >= 1 then 0.0 else 0.5))
       ()
   in
+  let draw = (Countable_bid.sampler b).draw in
   let g = Prng.create ~seed:3 () in
   let hits = ref 0 in
   for _ = 1 to 10_000 do
-    let w = Countable_bid.sample b g in
+    let w = draw g in
     if Instance.size w > 1 then Alcotest.fail "at most one fact per block";
     if Instance.mem (fact "U" [ 0 ]) w then incr hits
   done;
@@ -835,9 +876,9 @@ let test_tail_size_probability () =
   Alcotest.(check bool) "vanishing" true Rational.(p100 < q 1 5)
 
 let test_histogram () =
-  let t = Countable_ti.create (geo_source ()) in
+  let draw = (Countable_ti.sampler (Countable_ti.create (geo_source ()))).draw in
   let g = Prng.create ~seed:1 () in
-  let h = Size_dist.histogram (fun _ -> Countable_ti.sample t g) ~samples:2000 in
+  let h = Size_dist.histogram (fun _ -> draw g) ~samples:2000 in
   let total = List.fold_left (fun acc (_, c) -> acc + c) 0 h in
   Alcotest.(check int) "counts sum" 2000 total;
   Alcotest.(check bool) "mostly small" true
@@ -968,6 +1009,159 @@ let test_search_classifies_in_one_pass () =
     [ 1 lsl 20; 4096; 3000 ]
 
 (* ------------------------------------------------------------------ *)
+(* Sampling plans *)
+(* ------------------------------------------------------------------ *)
+
+(* Random countable spaces.  TI: finite tables whose probabilities may
+   fall below the cut, geometric sources, and the telescoping source,
+   whose certificate is too weak for the cut within the depth cap.  BID:
+   finite and infinite blocks, some ending in an alternative below the
+   in-block cut. *)
+type plan_space =
+  | Table of Rational.t list
+  | Geometric of Rational.t * Rational.t
+  | Telescoping
+  | Blocks of Rational.t list option list  (* [None]: infinite block *)
+
+let tiny = Rational.pow Rational.half 24
+
+let space_to_string = function
+  | Table ps -> "table " ^ String.concat " " (List.map Rational.to_string ps)
+  | Geometric (a, r) ->
+    Printf.sprintf "geometric %s %s" (Rational.to_string a) (Rational.to_string r)
+  | Telescoping -> "telescoping"
+  | Blocks bs ->
+    "blocks "
+    ^ String.concat " | "
+        (List.map
+           (function
+             | None -> "inf"
+             | Some ps -> String.concat " " (List.map Rational.to_string ps))
+           bs)
+
+let gen_space =
+  let open QCheck.Gen in
+  let prob = oneof [ map (fun k -> q k 16) (int_range 1 15); return tiny ] in
+  let block =
+    oneof
+      [
+        return None;
+        (* numerators over 64 summing to at most 60, then maybe a tiny
+           last alternative *)
+        map2
+          (fun ks tail ->
+            let rec keep acc sum = function
+              | k :: rest when sum + k <= 60 -> keep (q k 64 :: acc) (sum + k) rest
+              | _ -> List.rev acc
+            in
+            Some (keep [] 0 ks @ if tail then [ tiny ] else []))
+          (list_size (int_range 0 4) (int_range 1 30))
+          bool;
+      ]
+  in
+  oneof
+    [
+      map (fun ps -> Table ps) (list_size (int_range 0 12) prob);
+      (* ratios 2^-k: a search that probes 2^20 up front (a mutant of
+         [Fact_source.search]) then costs a power of two, not a
+         million-digit power of 15/16 *)
+      map2
+        (fun a r -> Geometric (q a 16, r))
+        (int_range 1 8)
+        (oneofl [ q 1 16; q 1 4; Rational.half ]);
+      return Telescoping;
+      map (fun bs -> Blocks bs) (list_size (int_range 0 6) block);
+    ]
+
+let ti_source = function
+  | Table ps ->
+    Some (Fact_source.of_list (List.mapi (fun k p -> (r_fact k, p)) ps))
+  | Geometric (first, ratio) ->
+    Some (Fact_source.geometric ~first ~ratio ~facts:r_fact ())
+  | Telescoping ->
+    Some (Fact_source.telescoping ~mass:Rational.one ~facts:r_fact ())
+  | Blocks _ -> None
+
+let bid_space bs =
+  Countable_bid.of_finite_blocks
+    (List.mapi
+       (fun b alts ->
+         let id = Printf.sprintf "B%d" b in
+         match alts with
+         | Some ps ->
+           Countable_bid.block_finite ~id
+             (List.mapi (fun j p -> (fact "T" [ b; j ], p)) ps)
+         | None ->
+           Countable_bid.block ~id ~mass:Rational.half
+             (Seq.map
+                (fun j -> (fact "T" [ b; j ], Rational.pow Rational.half (j + 2)))
+                (Seq.ints 0)))
+       bs)
+
+(* TI: the plan keeps the first n facts for the least n whose certified
+   tail is at most the cut (or the depth cap, when the certificate never
+   gets there), and its tv is that tail. *)
+let ti_plan_ok src =
+  let plan = Countable_ti.sampler (Countable_ti.create src) in
+  let n = List.length plan.support in
+  let tail k = Fact_source.tail_mass src k in
+  let least =
+    if plan.tv <= Sampler.tail_cut then
+      n = 0
+      || (match tail (n - 1) with Some t -> t > Sampler.tail_cut | None -> true)
+    else n = Sampler.max_depth
+  in
+  tail n = Some plan.tv && least
+  && plan.support = List.map fst (Fact_source.prefix src n)
+  && Seq.for_all
+       (fun w -> Instance.subset w (Instance.of_list plan.support))
+       (Sampler.draws ~seed:n ~samples:20 plan.draw)
+
+(* BID: the plan keeps the blocks before the cut, a prefix of each
+   block's alternatives, and its tv is the block tail plus the in-block
+   mass it drops; no draw holds two facts of one block. *)
+let bid_plan_ok bid =
+  let plan = Countable_bid.sampler bid in
+  let n, tail = Sampler.cut ~what:"bid" (Countable_bid.tail_mass bid) in
+  let support = Fact.Set.of_list plan.support in
+  let blocks = List.filter_map (Countable_bid.nth_block bid) (List.init n Fun.id) in
+  let dropped, kept_count, prefixes =
+    List.fold_left
+      (fun (dropped, count, prefixes) b ->
+        let alts = Countable_bid.alternatives ~limit:Sampler.max_depth b in
+        let kept = List.filter (fun (f, _) -> Fact.Set.mem f support) alts in
+        let k = List.length kept in
+        let kept_mass =
+          List.fold_left (fun m (_, p) -> m +. Rational.to_float p) 0.0 kept
+        in
+        let mass = Rational.to_float (Countable_bid.block_mass b) in
+        ( dropped +. Float.max 0.0 (mass -. kept_mass),
+          count + k,
+          prefixes && kept = List.filteri (fun i _ -> i < k) alts ))
+      (0.0, 0, true) blocks
+  in
+  let block_of f =
+    match Fact.args f with Value.Int b :: _ -> Some (string_of_int b) | _ -> None
+  in
+  Float.abs (plan.tv -. (dropped +. tail)) <= 1e-12
+  && kept_count = List.length plan.support
+  && prefixes
+  && Sampler.exclusivity_violations ~seed:n ~samples:200 plan.draw block_of = 0
+  && Seq.for_all
+       (fun w -> Fact.Set.subset (Instance.to_set w) support)
+       (Sampler.draws ~seed:(n + 1) ~samples:20 plan.draw)
+
+let prop_sampler_plans =
+  QCheck.Test.make ~name:"sampler plans: support, cut, tv, exclusivity"
+    ~count:120
+    (QCheck.make ~print:space_to_string gen_space)
+    (fun space ->
+      match (ti_source space, space) with
+      | Some src, _ -> ti_plan_ok src
+      | None, Blocks bs -> bid_plan_ok (bid_space bs)
+      | None, _ -> assert false)
+
+(* ------------------------------------------------------------------ *)
 (* Properties *)
 (* ------------------------------------------------------------------ *)
 
@@ -1028,6 +1222,7 @@ let () =
           Alcotest.test_case "finite tail sound at 45k facts" `Quick
             test_source_finite_tail_sound;
         ] );
+      ("sampler", [ QCheck_alcotest.to_alcotest prop_sampler_plans ]);
       ( "search",
         [
           QCheck_alcotest.to_alcotest prop_search_is_least_scan;
@@ -1051,6 +1246,8 @@ let () =
             test_cti_sampled_independence;
           Alcotest.test_case "draws reproducible" `Quick
             test_sampler_draws_reproducible;
+          Alcotest.test_case "rejects NaN-only tail" `Quick
+            test_cti_rejects_nan_tail;
         ] );
       ( "countable_bid",
         [
@@ -1061,6 +1258,8 @@ let () =
           Alcotest.test_case "truncate" `Quick test_cbid_truncate;
           Alcotest.test_case "sampling laws" `Slow test_cbid_sampling_laws;
           Alcotest.test_case "infinite block" `Slow test_cbid_infinite_block;
+          Alcotest.test_case "rejects NaN-only tail" `Quick
+            test_cbid_rejects_nan_tail;
         ] );
       ( "completion",
         [

@@ -13,7 +13,7 @@ let geo_source () =
   Fact_source.geometric ~first:Rational.half ~ratio:Rational.half
     ~facts:r_fact ()
 
-let geo_space () = Mc_eval.Ti (Countable_ti.create (geo_source ()))
+let geo_plan () = Countable_ti.sampler (Countable_ti.create (geo_source ()))
 
 (* ------------------------------------------------------------------ *)
 (* Statistical primitives *)
@@ -140,9 +140,9 @@ let test_binomial_coverage () =
 
 let test_bit_identity_across_domains () =
   let phi = parse "exists x. R(x)" in
-  let space = geo_space () in
+  let plan = geo_plan () in
   let run d =
-    Mc_eval.boolean ~domains:d ~seed:91 ~samples:5000 space phi
+    Mc_eval.boolean ~domains:d ~seed:91 ~samples:5000 plan phi
   in
   let base = run 1 in
   List.iter
@@ -164,7 +164,7 @@ let test_bit_identity_across_domains () =
   let again = run 1 in
   Alcotest.(check int) "same seed, same hits" base.Mc_eval.hits
     again.Mc_eval.hits;
-  let other = Mc_eval.boolean ~domains:1 ~seed:92 ~samples:5000 space phi in
+  let other = Mc_eval.boolean ~domains:1 ~seed:92 ~samples:5000 plan phi in
   Alcotest.(check bool) "different seed, different worlds" true
     (other.Mc_eval.hits <> base.Mc_eval.hits
     || other.Mc_eval.estimate <> base.Mc_eval.estimate)
@@ -172,7 +172,7 @@ let test_bit_identity_across_domains () =
 let test_result_accounting () =
   let r =
     Mc_eval.boolean ~domains:2 ~batch_size:100 ~seed:5 ~samples:1050
-      (geo_space ())
+      (geo_plan ())
       (parse "exists x. R(x)")
   in
   Alcotest.(check int) "samples" 1050 r.Mc_eval.samples;
@@ -192,22 +192,22 @@ let test_result_accounting () =
      | _ -> false)
 
 let test_validation () =
-  let space = geo_space () in
+  let plan = geo_plan () in
   let phi = parse "exists x. R(x)" in
   Alcotest.check_raises "samples 0"
     (Invalid_argument "Mc_eval: samples must be positive") (fun () ->
-      ignore (Mc_eval.boolean ~seed:1 ~samples:0 space phi));
+      ignore (Mc_eval.boolean ~seed:1 ~samples:0 plan phi));
   Alcotest.check_raises "domains 0"
     (Invalid_argument "Mc_eval: domains must be at least 1") (fun () ->
-      ignore (Mc_eval.boolean ~domains:0 ~seed:1 ~samples:10 space phi));
+      ignore (Mc_eval.boolean ~domains:0 ~seed:1 ~samples:10 plan phi));
   Alcotest.check_raises "free variables"
     (Invalid_argument "Mc_eval.boolean: query must be a sentence") (fun () ->
-      ignore (Mc_eval.boolean ~seed:1 ~samples:10 space (parse "R(x)")));
+      ignore (Mc_eval.boolean ~seed:1 ~samples:10 plan (parse "R(x)")));
   (* a source with no tail certificate at all is rejected... *)
   Alcotest.(check bool) "uncertified source rejected" true
     (match
-       Mc_eval.boolean ~max_facts:4 ~seed:1 ~samples:10
-         (Mc_eval.Ti
+       Mc_eval.boolean ~seed:1 ~samples:10
+         (Countable_ti.sampler
             (Countable_ti.create
                (Fact_source.divergent_harmonic ~scale:(q 1 2) ~facts:r_fact ())))
          phi
@@ -215,18 +215,24 @@ let test_validation () =
     | exception Invalid_argument _ -> true
     | (_ : Mc_eval.result) -> false);
   (* ...while a certified-but-heavy tail is absorbed into the TV budget
-     rather than rejected: telescoping certifies mass/(n+1) at every n. *)
+     rather than rejected: telescoping certifies mass/(n+1) at every n,
+     which is still about 2.4e-4 at the plan's 4096-fact cap. *)
+  let telescoping () =
+    Fact_source.telescoping ~mass:Rational.one ~facts:r_fact ()
+  in
   let heavy =
-    Mc_eval.boolean ~max_facts:4 ~tail_cut:1e-9 ~seed:1 ~samples:100
-      (Mc_eval.Ti
-         (Countable_ti.create
-            (Fact_source.telescoping ~mass:Rational.one ~facts:r_fact ())))
+    Mc_eval.boolean ~seed:1 ~samples:100
+      (Countable_ti.sampler (Countable_ti.create (telescoping ())))
       phi
   in
   Alcotest.(check bool) "heavy tail folded into TV budget" true
-    (heavy.Mc_eval.truncation_tv >= 0.2
+    (heavy.Mc_eval.truncation_tv > 0.0
     && Interval.width heavy.Mc_eval.bounds
-       > Interval.width heavy.Mc_eval.binomial)
+       > Interval.width heavy.Mc_eval.binomial);
+  let exact = Approx_eval.boolean (telescoping ()) ~eps:0.001 phi in
+  Alcotest.(check bool) "heavy-tail bounds contain the exact estimate" true
+    (Interval.contains heavy.Mc_eval.bounds
+       (Rational.to_float exact.Approx_eval.estimate))
 
 (* ------------------------------------------------------------------ *)
 (* Statistical correctness against the exact engines *)
@@ -237,12 +243,12 @@ let test_validation () =
    with fixed seeds the outcome is deterministic, so these are
    regression pins, not flaky statistics. *)
 let test_cross_engine_agreement () =
-  let space = geo_space () in
+  let plan = geo_plan () in
   List.iter
     (fun qtext ->
       let phi = parse qtext in
       let mc =
-        Mc_eval.boolean ~seed:18 ~samples:40_000 ~confidence:0.99 space phi
+        Mc_eval.boolean ~seed:18 ~samples:40_000 ~confidence:0.99 plan phi
       in
       let exact = Approx_eval.boolean (geo_source ()) ~eps:0.001 phi in
       Alcotest.(check bool)
@@ -271,14 +277,14 @@ let test_limit_semantics_padding () =
      has a world satisfying it.  The padded evaluation domain makes every
      sampled world report its limit value. *)
   let r =
-    Mc_eval.boolean ~seed:3 ~samples:2000 (geo_space ())
+    Mc_eval.boolean ~seed:3 ~samples:2000 (geo_plan ())
       (parse "forall y. R(y)")
   in
   Alcotest.(check int) "no sampled world satisfies forall" 0 r.Mc_eval.hits
 
 let test_marginal_ti () =
   let r =
-    Mc_eval.marginal ~seed:21 ~samples:40_000 (geo_space ()) (r_fact 0)
+    Mc_eval.marginal ~seed:21 ~samples:40_000 (geo_plan ()) (r_fact 0)
   in
   Alcotest.(check bool) "R(0) marginal ~ 1/2" true
     (Float.abs (r.Mc_eval.estimate -. 0.5) < 0.02);
@@ -302,14 +308,14 @@ let test_bid_space () =
       ~tail:(fun n -> Some (Float.succ (0.5 ** float_of_int (n + 1))))
       ()
   in
-  let space = Mc_eval.Bid b in
-  let m = Mc_eval.marginal ~seed:6 ~samples:40_000 space (fact "T" [ 0; 0 ]) in
+  let plan = Countable_bid.sampler b in
+  let m = Mc_eval.marginal ~seed:6 ~samples:40_000 plan (fact "T" [ 0; 0 ]) in
   Alcotest.(check bool) "T(0,0) ~ 1/4" true
     (Float.abs (m.Mc_eval.estimate -. 0.25) < 0.02);
   Alcotest.(check bool) "interval contains 1/4" true
     (Interval.contains m.Mc_eval.bounds 0.25);
   let excl =
-    Mc_eval.boolean ~seed:7 ~samples:5000 space
+    Mc_eval.boolean ~seed:7 ~samples:5000 plan
       (parse "T(0, 0) & T(0, 1)")
   in
   Alcotest.(check int) "in-block exclusivity exact" 0 excl.Mc_eval.hits
@@ -331,7 +337,7 @@ let test_completion_space () =
       let exact = Approx_eval.boolean (Completion.source c) ~eps:0.001 phi in
       let mc =
         Mc_eval.boolean ~seed:8 ~samples:40_000 ~confidence:0.99
-          (Mc_eval.Ti (Countable_ti.create (Completion.source c)))
+          (Countable_ti.sampler (Countable_ti.create (Completion.source c)))
           phi
       in
       Alcotest.(check bool)

@@ -436,8 +436,10 @@ let test_engine_finite_agrees () =
 let test_monte_carlo () =
   let phi = parse "exists x. R(x)" in
   let exact = Rational.to_float (Query_eval.boolean ti phi) in
-  let space = Mc_eval.Ti (Countable_ti.create (Fact_source.of_ti_table ti)) in
-  let r = Mc_eval.boolean ~seed:0xC0FFEE ~samples:20_000 space phi in
+  let plan =
+    Countable_ti.sampler (Countable_ti.create (Fact_source.of_ti_table ti))
+  in
+  let r = Mc_eval.boolean ~seed:0xC0FFEE ~samples:20_000 plan phi in
   let p = r.Mc_eval.estimate in
   let std_error = sqrt (p *. (1.0 -. p) /. 20_000.0) in
   Alcotest.(check bool) "within 5 sigma" true

@@ -331,7 +331,7 @@ let test_mc_budget_clamp_deterministic () =
     let cti = Countable_ti.create (geo_source ()) in
     let b = Budget.create ~max_samples:1_500 () in
     Mc_eval.boolean ~budget:b ~domains ~batch_size:512 ~seed:42 ~samples:10_000
-      (Mc_eval.Ti cti) phi
+      (Countable_ti.sampler cti) phi
   in
   let r1 = run 1 and r3 = run 3 in
   Alcotest.(check int) "clamped to the cap" 1_500 r1.Mc_eval.samples;
@@ -351,7 +351,8 @@ let test_mc_budget_exhausted_on_entry () =
   let cti = Countable_ti.create (geo_source ()) in
   let b = Budget.create ~max_samples:0 () in
   match
-    Mc_eval.boolean ~budget:b ~seed:0 ~samples:100 (Mc_eval.Ti cti) phi
+    Mc_eval.boolean ~budget:b ~seed:0 ~samples:100 (Countable_ti.sampler cti)
+      phi
   with
   | _ -> Alcotest.fail "expected Budget.Exhausted"
   | exception Budget.Exhausted (Budget.Cap Budget.Samples) -> ()

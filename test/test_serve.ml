@@ -206,14 +206,7 @@ let lvl =
     ( = )
 
 let test_admission_decide () =
-  let cfg =
-    {
-      Admission.default_config with
-      Admission.queue_bound = 4;
-      shed_at = 0.5;
-      reject_at = 0.9;
-    }
-  in
+  let cfg = { Admission.default_config with Admission.queue_bound = 4 } in
   let d ~queue_len ~pressure = Admission.decide cfg ~queue_len ~pressure in
   Alcotest.check lvl "idle" Admission.Full (d ~queue_len:0 ~pressure:0.0);
   Alcotest.check lvl "full queue rejects" Admission.Reject
@@ -441,7 +434,6 @@ let with_server ?(domains = 2) ?(admission = Admission.default_config)
       admission;
       default_eps = 0.01;
       default_samples = 2_000;
-      shed_samples = 200;
       default_deadline_s;
       cache_capacity;
       warm_cache;
