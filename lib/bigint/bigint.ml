@@ -288,14 +288,13 @@ let compare a b =
   else if a.sign >= 0 then mag_compare a.mag b.mag
   else mag_compare b.mag a.mag
 
+let bit_length v =
+  let rec bits b v = if v = 0 then b else bits (b + 1) (v lsr 1) in
+  bits 0 v
+
 let num_bits x =
   let n = Array.length x.mag in
-  if n = 0 then 0
-  else begin
-    let top = x.mag.(n - 1) in
-    let rec bits b v = if v = 0 then b else bits (b + 1) (v lsr 1) in
-    (base_bits * (n - 1)) + bits 0 top
-  end
+  if n = 0 then 0 else (base_bits * (n - 1)) + bit_length x.mag.(n - 1)
 
 let fits_int x = num_bits x <= 62
 
@@ -360,7 +359,6 @@ let divmod a b =
   end
 
 let div a b = fst (divmod a b)
-let rem a b = snd (divmod a b)
 
 let ediv_rem a b =
   let q, r = divmod a b in
@@ -368,9 +366,74 @@ let ediv_rem a b =
   else if b.sign > 0 then (pred q, add r b)
   else (succ q, sub r b)
 
-let rec gcd a b =
-  let a = abs a and b = abs b in
-  if is_zero b then a else gcd b (rem a b)
+(* [a * u + b * v] over the first [n] limbs, for cofactors below 2^31
+   in magnitude and a result known to be nonnegative and below base^n.
+   A limb of the sum can be negative, so the carry is its floor
+   quotient by the base ([asr]); the two products and the carry stay
+   below 2^62 in magnitude. *)
+let mag_lincomb a u b v n =
+  let lv = Array.length v in
+  let r = Array.make n 0 in
+  let carry = ref 0 in
+  for i = 0 to n - 1 do
+    let s = (a * u.(i)) + (if i < lv then b * v.(i) else 0) + !carry in
+    r.(i) <- s land mask;
+    carry := s asr base_bits
+  done;
+  mag_normalize r
+
+let rec int_gcd a b = if b = 0 then a else int_gcd b (a mod b)
+
+(* Lehmer's gcd: Knuth, TAOCP vol. 2, 4.5.2, Algorithm L.  [uh] is the
+   top 30 bits of u and [vh] those of v at the same shift; Euclid runs
+   on them while both quotient tests agree, that is while the quotient
+   is the one the full operands would give.  The cofactors A..D then
+   replay those steps on u and v in one [mag_lincomb] pass each; if no
+   step was certain ([b = 0]) one full division step runs instead.
+   Once u fits two limbs the rest is a native-int Euclid. *)
+let gcd x y =
+  let native m =
+    match Array.length m with
+    | 0 -> 0
+    | 1 -> m.(0)
+    | _ -> m.(0) lor (m.(1) lsl base_bits)
+  in
+  let rec go u v =
+    let n = Array.length u in
+    if n <= 2 then of_int (int_gcd (native u) (native v))
+    else if Array.length v = 0 then { sign = 1; mag = u }
+    else begin
+      let k = bit_length u.(n - 1) in
+      let limb w i = if i < Array.length w then w.(i) else 0 in
+      let lead w =
+        (limb w (n - 1) lsl (base_bits - k)) lor (limb w (n - 2) lsr k)
+      in
+      let uh = ref (lead u) and vh = ref (lead v) in
+      let a = ref 1 and b = ref 0 and c = ref 0 and d = ref 1 in
+      let continue = ref true in
+      while !continue do
+        if !vh + !c = 0 || !vh + !d = 0 then continue := false
+        else begin
+          let q = (!uh + !a) / (!vh + !c) in
+          if q <> (!uh + !b) / (!vh + !d) then continue := false
+          else begin
+            let t = !a - (q * !c) in
+            a := !c;
+            c := t;
+            let t = !b - (q * !d) in
+            b := !d;
+            d := t;
+            let t = !uh - (q * !vh) in
+            uh := !vh;
+            vh := t
+          end
+        end
+      done;
+      if !b = 0 then go v (snd (mag_divmod u v))
+      else go (mag_lincomb !a u !b v n) (mag_lincomb !c u !d v n)
+    end
+  in
+  if mag_compare x.mag y.mag >= 0 then go x.mag y.mag else go y.mag x.mag
 
 let pow x k =
   if k < 0 then invalid_arg "Bigint.pow: negative exponent"

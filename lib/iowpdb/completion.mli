@@ -59,7 +59,9 @@ val completion_condition_gap : t -> n:int -> Rational.t
 
 val omega_prob_bounds : t -> n:int -> Interval.t
 (** Enclosure of [P'(Omega)] — the mass remaining on original worlds =
-    [prod_{new f} (1 - p_f)]; positive by construction.
+    [prod_{new f} (1 - p_f)]; positive by construction.  Where the new
+    facts' certificate does not answer at [n], the factor of the facts
+    past [n] is only known to lie in [\[0, 1\]].
 
     Paper: Theorem 5.5 (P'(Omega) > 0). *)
 

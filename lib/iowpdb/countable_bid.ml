@@ -5,6 +5,7 @@ type block = {
   id : string;
   mass : Rational.t;
   mutable cache : (Fact.t * Rational.t) list; (* reversed prefix *)
+  mutable cached : int; (* List.length cache *)
   mutable rest : (Fact.t * Rational.t) Seq.t;
   mutable exhausted : bool;
 }
@@ -14,7 +15,7 @@ let block ~id ?mass alts =
   | Some m ->
     if not (Rational.is_probability m) then
       invalid_arg "Countable_bid.block: mass out of range";
-    { id; mass = m; cache = []; rest = alts; exhausted = false }
+    { id; mass = m; cache = []; cached = 0; rest = alts; exhausted = false }
   | None ->
     (* Force the sequence; it must be finite when mass is omitted. *)
     let l = List.of_seq alts in
@@ -25,7 +26,8 @@ let block ~id ?mass alts =
       invalid_arg
         (Printf.sprintf "Countable_bid.block %s: alternatives sum to %s" id
            (Rational.to_string m));
-    { id; mass = m; cache = List.rev l; rest = Seq.empty; exhausted = true }
+    { id; mass = m; cache = List.rev l; cached = List.length l;
+      rest = Seq.empty; exhausted = true }
 
 let block_finite ~id alts = block ~id (List.to_seq alts)
 
@@ -46,16 +48,17 @@ let pull_alt b =
              (Fact.to_string f));
       b.rest <- rest;
       b.cache <- (f, p) :: b.cache;
+      b.cached <- b.cached + 1;
       true
   end
 
 let alternatives ?(limit = 1 lsl 12) b =
   let continue = ref true in
-  while List.length b.cache < limit && !continue do
+  while b.cached < limit && !continue do
     continue := pull_alt b
   done;
   let l = List.rev b.cache in
-  if List.length l > limit then List.filteri (fun i _ -> i < limit) l else l
+  if b.cached > limit then List.filteri (fun i _ -> i < limit) l else l
 
 type t = {
   name : string;
@@ -64,6 +67,7 @@ type t = {
   mutable blen : int;
   mutable brest : block Seq.t;
   mutable bexhausted : bool;
+  ids : (string, unit) Hashtbl.t; (* the ids of bcache's blocks *)
 }
 
 let push t b =
@@ -85,10 +89,10 @@ let pull_block t =
       false
     | Seq.Cons (b, rest) ->
       t.brest <- rest;
-      if Array.exists (fun b' -> b'.id = b.id) (Array.sub t.bcache 0 t.blen)
-      then
+      if Hashtbl.mem t.ids b.id then
         invalid_arg
           (Printf.sprintf "Countable_bid: duplicate block id %s" b.id);
+      Hashtbl.add t.ids b.id ();
       push t b;
       true
   end
@@ -115,7 +119,8 @@ let certified t =
   || Fact_source.uncertified ~max_n:1024 (tail_mass t) = None
 
 let make name blocks tail =
-  { name; tail; bcache = [||]; blen = 0; brest = blocks; bexhausted = false }
+  { name; tail; bcache = [||]; blen = 0; brest = blocks; bexhausted = false;
+    ids = Hashtbl.create 16 }
 
 let create ?(name = "bid") ~blocks ~tail () =
   let t = make name blocks tail in
@@ -160,9 +165,8 @@ let expected_size_bounds t ~n =
     | Some b -> prefix := !prefix +. Rational.to_float b.mass
     | None -> ()
   done;
-  match tail_mass t n with
-  | Some tail -> (!prefix, !prefix +. tail)
-  | None -> assert false
+  (* A certificate silent at [n] bounds nothing: the vacuous enclosure. *)
+  (!prefix, !prefix +. Option.value ~default:infinity (tail_mass t n))
 
 let truncate t ~n_blocks ~alts_per_block =
   let rec collect i acc =

@@ -73,7 +73,9 @@ val tail_mass : t -> int -> float option
     plan's cut from it). *)
 
 val expected_size_bounds : t -> n:int -> float * float
-(** From the first [n] blocks' exact masses plus the tail bound. *)
+(** From the first [n] blocks' exact masses plus the tail bound; the
+    upper bound is [infinity] where the certificate does not answer at
+    [n]. *)
 
 val truncate : t -> n_blocks:int -> alts_per_block:int -> Bid_table.t
 (** Finite BID table on the first blocks and alternatives. *)

@@ -21,11 +21,14 @@ let source t = t.src
 
 let marginal t f = Fact_source.prob t.src f
 
+(* [create] only guarantees that the certificate answers at some depth;
+   where it is silent the tail is unbounded, the vacuous enclosure. *)
+let tail_at t n =
+  Option.value ~default:infinity (Fact_source.tail_mass t.src n)
+
 let expected_size_bounds t ~n =
   let prefix = Rational.to_float (Fact_source.prefix_sum t.src n) in
-  match Fact_source.tail_mass t.src n with
-  | Some tail -> (prefix, prefix +. tail)
-  | None -> assert false (* create guarantees convergence *)
+  (prefix, prefix +. tail_at t n)
 
 (* The exact finite factor over the first n facts. *)
 let instance_prob_prefix t ~n inst =
@@ -44,11 +47,8 @@ let instance_prob_bounds t ~n inst =
   let prefix =
     Interval.of_rational (instance_prob_prefix t ~n inst)
   in
-  match Fact_source.tail_mass t.src n with
-  | None -> assert false
-  | Some tail ->
-    Interval.clamp01
-      (Interval.mul prefix (Approx_eval.omega_bounds_of_tail tail))
+  Interval.clamp01
+    (Interval.mul prefix (Approx_eval.omega_bounds_of_tail (tail_at t n)))
 
 let empty_world_prob_bounds t ~n =
   instance_prob_bounds t ~n Instance.empty

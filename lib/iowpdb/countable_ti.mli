@@ -41,12 +41,15 @@ val marginal : t -> Fact.t -> Rational.t option
 
 val expected_size_bounds : t -> n:int -> float * float
 (** Two-sided bounds on [E(S_D) = sum_f p_f] from the first [n] terms
-    plus the tail certificate (equation (5), Corollary 4.7). *)
+    plus the tail certificate (equation (5), Corollary 4.7); the upper
+    bound is [infinity] where the certificate does not answer at [n]. *)
 
 val instance_prob_bounds : t -> n:int -> Instance.t -> Interval.t
 (** Enclosure of [P({D})] using the first [n] enumerated facts exactly
-    and claim (∗) on the tail.  All facts of [D] must lie within the
-    first [n]; @raise Invalid_argument otherwise (increase [n]).
+    and claim (∗) on the tail; where the certificate does not answer at
+    [n] the tail's factor is only known to lie in [\[0, 1\]].  All facts
+    of [D] must lie within the first [n]; @raise Invalid_argument
+    otherwise (increase [n]).
 
     Paper: claim (∗) of Section 4.1. *)
 

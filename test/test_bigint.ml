@@ -196,6 +196,32 @@ let test_mul_add_int () =
         edge_ints)
     edge_bigs
 
+(* The Euclidean remainder loop, on the public [ediv_rem]: the
+   reference [gcd] must equal. *)
+let rec gcd_euclid x y =
+  let x = B.abs x and y = B.abs y in
+  if B.is_zero y then x else gcd_euclid y (snd (B.ediv_rem x y))
+
+let hundred_pow m = B.pow (b 100) m
+
+(* A value below [100^m], as a served WMC root's numerator is: random
+   decimal digits times a few factors of 2 and 5, so the gcd with
+   [100^m] is usually nontrivial. *)
+let gen_below_100_pow m =
+  QCheck.Gen.(
+    let* digits = string_size ~gen:(char_range '0' '9') (return (2 * m)) in
+    let* i = int_range 0 8 and* j = int_range 0 8 in
+    let x = B.mul (big digits) (B.mul (B.pow B.two i) (B.pow (b 5) j)) in
+    return (snd (B.ediv_rem x (hundred_pow m))))
+
+(* Each root of N / 100^m for m = 1..80, from a fixed seed. *)
+let test_gcd_hundred_powers () =
+  let rand = Random.State.make [| 100 |] in
+  for m = 1 to 80 do
+    let n = gen_below_100_pow m rand and d = hundred_pow m in
+    check_b (Printf.sprintf "gcd N / 100^%d" m) (gcd_euclid n d) (B.gcd n d)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Property tests *)
 (* ------------------------------------------------------------------ *)
@@ -215,6 +241,55 @@ let arb_big =
       return (big (if neg then "-" ^ s else s)))
   in
   QCheck.make ~print:B.to_string gen
+
+(* A bigint of up to [limbs] random 30-bit limbs. *)
+let gen_limbs limbs =
+  QCheck.Gen.(
+    let* k = int_range 1 limbs in
+    let* ls = list_repeat k (int_bound ((1 lsl 30) - 1)) in
+    return
+      (List.fold_left
+         (fun acc l -> B.add (B.shift_left acc 30) (b l))
+         B.zero ls))
+
+let gen_odd_28 =
+  QCheck.Gen.(map (fun x -> (2 * x) + 1) (int_bound ((1 lsl 27) - 1)))
+
+let product = List.fold_left (fun acc x -> B.mul acc (b x)) B.one
+
+(* Operand pairs for [gcd]: random widths, equal, zero and negative
+   operands, one limb against many, a large common factor, powers of 2
+   against powers of 5, N / 100^m, and products of odd 28-bit values
+   sharing some factors. *)
+let arb_gcd_pair =
+  let open QCheck.Gen in
+  let signed g = map2 (fun neg x -> if neg then B.neg x else x) bool g in
+  let gen =
+    frequency
+      [ (3, pair (signed (gen_limbs 40)) (signed (gen_limbs 40)));
+        (1, map (fun x -> (x, x)) (gen_limbs 20));
+        (1, map (fun x -> (x, B.zero)) (signed (gen_limbs 20)));
+        (1, map (fun x -> (B.zero, x)) (signed (gen_limbs 20)));
+        (1, pair (signed (gen_limbs 20)) (signed (gen_limbs 1)));
+        (2,
+         let* g = gen_limbs 20 and* x = gen_limbs 20 and* y = gen_limbs 20 in
+         return (B.mul g x, B.mul g y));
+        (1,
+         let* i = int_range 0 1200 and* j = int_range 0 500 in
+         return (B.pow B.two i, B.pow (b 5) j));
+        (2,
+         let* m = int_range 1 80 in
+         let* n = gen_below_100_pow m in
+         return (n, hundred_pow m));
+        (2,
+         let* common = list_size (int_range 0 10) gen_odd_28
+         and* xs = list_size (int_range 0 20) gen_odd_28
+         and* ys = list_size (int_range 0 20) gen_odd_28 in
+         return (product (common @ xs), product (common @ ys))) ]
+  in
+  QCheck.make
+    ~print:(fun (x, y) -> B.to_string x ^ ", " ^ B.to_string y)
+    gen
 
 let prop name count arb f = QCheck.Test.make ~name ~count arb f
 
@@ -289,6 +364,8 @@ let props =
         B.equal (B.mul_int x n) (B.mul x (B.of_int n)));
     prop "to_float sign" 200 arb_big (fun x ->
         compare (B.to_float x) 0.0 = B.sign x || B.is_zero x);
+    prop "gcd = Euclidean reference" 2000 arb_gcd_pair (fun (x, y) ->
+        B.equal (B.gcd x y) (gcd_euclid x y));
   ]
 
 let () =
@@ -317,6 +394,7 @@ let () =
           Alcotest.test_case "to_float" `Quick test_to_float;
           Alcotest.test_case "parity/minmax" `Quick test_parity_minmax;
           Alcotest.test_case "mul_int/add_int edges" `Quick test_mul_add_int;
+          Alcotest.test_case "gcd N / 100^m" `Quick test_gcd_hundred_powers;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest props);
     ]

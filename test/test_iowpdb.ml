@@ -241,6 +241,35 @@ let test_cti_rejects_nan_tail () =
   | Error e -> Alcotest.fail ("wrong rejection: " ^ Errors.to_string e)
   | Ok _ -> Alcotest.fail "a NaN-only certificate must be rejected"
 
+(* A certificate that answers only from depth 2000 on: [create] accepts
+   it, and a bound asked at a shallower [n] is the vacuous enclosure,
+   not an assertion failure. *)
+let late_tail n = if n >= 2000 then Some 0.6 else None
+
+let late_source rel =
+  Fact_source.make ~name:"late-tail"
+    ~enum:
+      (Seq.map
+         (fun k -> (fact rel [ k ], Rational.pow Rational.half (k + 1)))
+         (Seq.ints 0))
+    ~tail:late_tail ()
+
+let test_cti_silent_certificate () =
+  let t = Countable_ti.create (late_source "R") in
+  let lo, hi = Countable_ti.expected_size_bounds t ~n:3 in
+  Alcotest.(check (float 0.0)) "prefix" 0.875 lo;
+  Alcotest.(check (float 0.0)) "no upper bound" infinity hi;
+  (* Every world agreeing with the first 3 facts: prod (1 - p_i) =
+     21/64, and the unknown rest leaves [0, 21/64]. *)
+  let check_vacuous what iv =
+    Alcotest.(check (float 0.0)) (what ^ " lo") 0.0 (Interval.lo iv);
+    Alcotest.(check bool) (what ^ " hi") true
+      (Interval.contains iv (21.0 /. 64.0) && Interval.hi iv < 0.33)
+  in
+  check_vacuous "empty world" (Countable_ti.empty_world_prob_bounds t ~n:3);
+  check_vacuous "{R(0)}"
+    (Countable_ti.instance_prob_bounds t ~n:3 (Instance.of_list [ r_fact 0 ]))
+
 let test_cti_marginals () =
   let t = Countable_ti.create (geo_source ()) in
   (match Countable_ti.marginal t (r_fact 3) with
@@ -403,6 +432,32 @@ let test_cbid_rejects_divergent () =
         (Countable_bid.create ~name:"divergent-bid" ~blocks
            ~tail:(fun _ -> None)
            ()))
+
+let bid_blocks ids =
+  List.mapi
+    (fun k id ->
+      Countable_bid.block_finite ~id
+        [ (fact "T" [ k; 0 ], Rational.pow Rational.half (k + 2)) ])
+    ids
+
+let test_cbid_silent_certificate () =
+  let t =
+    Countable_bid.create ~name:"late-bid"
+      ~blocks:(List.to_seq (bid_blocks (List.init 10 (Printf.sprintf "B%d"))))
+      ~tail:late_tail ()
+  in
+  let lo, hi = Countable_bid.expected_size_bounds t ~n:3 in
+  Alcotest.(check (float 0.0)) "prefix" 0.4375 lo;
+  Alcotest.(check (float 0.0)) "no upper bound" infinity hi
+
+(* Block ids are checked as blocks are pulled: the certificate of a
+   finite list answers without forcing it, so the duplicate surfaces at
+   the first pull past it. *)
+let test_cbid_duplicate_id () =
+  let t = Countable_bid.of_finite_blocks (bid_blocks [ "B0"; "B1"; "B0" ]) in
+  Alcotest.check_raises "duplicate id"
+    (Invalid_argument "Countable_bid: duplicate block id B0") (fun () ->
+      ignore (Countable_bid.expected_size_bounds t ~n:3))
 
 let test_cbid_rejects_nan_tail () =
   let blocks =
@@ -676,6 +731,13 @@ let test_completion_query_open_vs_closed () =
   (* sanity: P(exists i. R(D,i)) = 1 - prod_i (1 - 2^-i) ~ 0.7112 *)
   Alcotest.(check bool) "near analytic value" true
     (Float.abs (Rational.to_float r.Approx_eval.estimate -. 0.7112) < 0.02)
+
+let test_completion_omega_silent_certificate () =
+  let c = Completion.complete_ti ex57_ti (late_source "N") in
+  let om = Completion.omega_prob_bounds c ~n:3 in
+  Alcotest.(check (float 0.0)) "lo" 0.0 (Interval.lo om);
+  Alcotest.(check bool) "hi is the prefix product 21/64" true
+    (Interval.contains om (21.0 /. 64.0) && Interval.hi om < 0.33)
 
 let test_completion_omega_positive () =
   let c = Completion.complete_ti ex57_ti (ex57_news ()) in
@@ -1248,6 +1310,8 @@ let () =
             test_sampler_draws_reproducible;
           Alcotest.test_case "rejects NaN-only tail" `Quick
             test_cti_rejects_nan_tail;
+          Alcotest.test_case "silent certificate: vacuous bounds" `Quick
+            test_cti_silent_certificate;
         ] );
       ( "countable_bid",
         [
@@ -1260,6 +1324,9 @@ let () =
           Alcotest.test_case "infinite block" `Slow test_cbid_infinite_block;
           Alcotest.test_case "rejects NaN-only tail" `Quick
             test_cbid_rejects_nan_tail;
+          Alcotest.test_case "silent certificate: vacuous bounds" `Quick
+            test_cbid_silent_certificate;
+          Alcotest.test_case "duplicate block id" `Quick test_cbid_duplicate_id;
         ] );
       ( "completion",
         [
@@ -1276,6 +1343,8 @@ let () =
           Alcotest.test_case "open vs closed world" `Quick
             test_completion_query_open_vs_closed;
           Alcotest.test_case "omega positive" `Quick test_completion_omega_positive;
+          Alcotest.test_case "omega vacuous where certificate silent" `Quick
+            test_completion_omega_silent_certificate;
         ] );
       ( "approx_eval",
         [
