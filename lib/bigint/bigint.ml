@@ -279,7 +279,6 @@ let sign x = x.sign
 let is_zero x = x.sign = 0
 let is_negative x = x.sign < 0
 let is_one x = x.sign = 1 && Array.length x.mag = 1 && x.mag.(0) = 1
-let is_even x = x.sign = 0 || x.mag.(0) land 1 = 0
 
 let equal a b = a.sign = b.sign && mag_compare a.mag b.mag = 0
 
@@ -309,14 +308,6 @@ let to_int x =
   match to_int_opt x with
   | Some v -> v
   | None -> failwith "Bigint.to_int: value does not fit in a native int"
-
-let to_float x =
-  let m =
-    Array.fold_right
-      (fun limb acc -> (acc *. float_of_int base) +. float_of_int limb)
-      x.mag 0.0
-  in
-  if x.sign < 0 then -.m else m
 
 let neg x = if x.sign = 0 then x else { x with sign = -x.sign }
 let abs x = if x.sign < 0 then { x with sign = 1 } else x
@@ -460,9 +451,6 @@ let shift_left x s =
     in
     mk x.sign m
   end
-
-let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
 
 (* ------------------------------------------------------------------ *)
 (* Decimal I/O                                                          *)

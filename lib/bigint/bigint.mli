@@ -24,10 +24,6 @@ val to_int : t -> int
 
 val to_int_opt : t -> int option
 
-val to_float : t -> float
-(** Nearest-float conversion; large values may round or overflow to
-    infinity, mirroring [float_of_int] semantics. *)
-
 val of_string_opt : string -> t option
 (** Parses an optionally signed decimal literal. Underscores are allowed as
     digit separators. [None] on malformed input. *)
@@ -51,7 +47,6 @@ val sign : t -> int
 val is_zero : t -> bool
 val is_one : t -> bool
 val is_negative : t -> bool
-val is_even : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
@@ -65,7 +60,6 @@ val abs : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
-val succ : t -> t
 
 val div : t -> t -> t
 (** Truncated division: the quotient rounds toward zero.
@@ -90,9 +84,6 @@ val shift_left : t -> int -> t
 val mul_int : t -> int -> t
 (** [mul_int a n = mul a (of_int n)].  When [|n| < 2^30] (one limb) it
     makes one pass over [a]'s magnitude and allocates only the result. *)
-
-val min : t -> t -> t
-val max : t -> t -> t
 
 (** {1 Printing} *)
 

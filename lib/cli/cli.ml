@@ -24,18 +24,18 @@
    instrumentation counters (BDD cache traffic, fact-source pulls,
    engine dispatch) accumulated during the run.
 
-   Every command body runs under [guard], which turns the error taxonomy
-   into one-line stderr messages and exit codes (Errors.exit_code:
-   malformed input 2, budget exhaustion 3, engine failure 1) instead of
+   Every command body runs under [guard_code] (or [guard], for a body
+   that exits 0 when it returns), which turns the error taxonomy into
+   one-line stderr messages and exit codes (Errors.exit_code: malformed
+   input 2, budget exhaustion 3, engine failure 1) instead of
    uncaught-exception backtraces. *)
 
 open Cmdliner
 
-let guard f =
-  try
-    f ();
-    0
-  with
+(* The body chooses the exit code (fuzzing failures exit 1 without being
+   an exception). *)
+let guard_code f =
+  try f () with
   | Errors.Error e ->
     prerr_endline ("iowpdb: " ^ Errors.to_string e);
     Errors.exit_code e
@@ -46,6 +46,11 @@ let guard f =
   | Invalid_argument msg | Sys_error msg | Failure msg ->
     prerr_endline ("iowpdb: " ^ msg);
     2
+
+let guard f =
+  guard_code (fun () ->
+      f ();
+      0)
 
 let read_table = Ti_table.of_file
 
@@ -473,21 +478,6 @@ let robust_cmd =
 (* ------------------------------------------------------------------ *)
 (* fuzz: differential testing against the enumeration oracle *)
 (* ------------------------------------------------------------------ *)
-
-(* Like [guard], but the body chooses the exit code (fuzzing failures
-   exit 1 without being an exception). *)
-let guard_code f =
-  try f () with
-  | Errors.Error e ->
-    prerr_endline ("iowpdb: " ^ Errors.to_string e);
-    Errors.exit_code e
-  | Budget.Exhausted ex ->
-    prerr_endline
-      ("iowpdb: budget exhausted: " ^ Budget.exhaustion_to_string ex);
-    3
-  | Invalid_argument msg | Sys_error msg | Failure msg ->
-    prerr_endline ("iowpdb: " ^ msg);
-    2
 
 let cases_arg =
   Arg.(

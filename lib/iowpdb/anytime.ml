@@ -140,7 +140,6 @@ let create ?(eps = 0.01) ?(max_n = 1 lsl 20) ?growth ?budget src phi =
 let current_n t = t.n
 let history t = List.rev t.steps_rev
 let last_step t = match t.steps_rev with [] -> None | s :: _ -> Some s
-let stop_reason t = t.stopped
 let node_count t = Option.fold ~none:0 ~some:S.live_nodes t.session
 let bounds t = t.bounds
 

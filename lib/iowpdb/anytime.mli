@@ -113,19 +113,13 @@ val create :
     @raise Invalid_argument if [eps] is outside [(0, 1/2)] or the query
     has free variables. *)
 
-val step : t -> step option
-(** Deepen the prefix once and re-certify; [None] once the session has
-    stopped (inspect {!stop_reason}). *)
-
 val run : t -> stop_reason * step list
-(** Step until the session stops; returns the reason and the full
-    (chronological) step history, including steps taken before the
-    call. *)
+(** Deepen the prefix and re-certify, one step at a time, until the
+    session stops; returns the reason and the full (chronological) step
+    history, including steps taken before the call.  A stopped session
+    takes no further step. *)
 
 val last_step : t -> step option
-
-val stop_reason : t -> stop_reason option
-(** [None] while the session can still make progress. *)
 
 val current_n : t -> int
 

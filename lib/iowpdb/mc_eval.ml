@@ -8,14 +8,14 @@
      nothing but immutable plan data, [Prng] states they own, and the
      pure evaluators ([Fo_eval], [Instance]).
 
-   - [estimate_event] cuts the samples into fixed batches and hands
-     batches to domains through an atomic work-stealing counter.  Batch
-     [b] draws from [Prng.substream root b] and writes its hit count
-     into slot [b] of a shared int array (each slot written by exactly
-     one domain, whichever claimed the batch), so the tally — and hence
-     every statistical field of the result — is a function of
-     [(seed, samples, batch_size)] alone, bit-identical across domain
-     counts and scheduling orders.
+   - [estimate_event] cuts the samples into batches of [batch_size] and
+     hands batches to domains through an atomic work-stealing counter.
+     Batch [b] draws from [Prng.substream root b] and writes its hit
+     count into slot [b] of a shared int array (each slot written by
+     exactly one domain, whichever claimed the batch), so the tally —
+     and hence every statistical field of the result — is a function of
+     [(seed, samples)] alone, bit-identical across domain counts and
+     scheduling orders.
 
    Soundness of the reported interval: the plan samples the truncated
    law, which is within [tv] (the certified tail at the cut, plus any
@@ -133,11 +133,10 @@ let check_confidence c =
   if not (c > 0.0 && c < 1.0) then
     invalid_arg "Mc_eval: confidence must lie in (0, 1)"
 
+(* The Clopper-Pearson interval for [hits] of [samples >= 1] draws: its
+   coverage is at least [confidence] for every [samples] and every true
+   proportion, small counts near 0 and 1 included. *)
 let binomial_interval ~confidence ~hits ~samples =
-  check_confidence confidence;
-  if samples <= 0 then invalid_arg "Mc_eval.binomial_interval: samples <= 0";
-  if hits < 0 || hits > samples then
-    invalid_arg "Mc_eval.binomial_interval: hits outside [0, samples]";
   let target = (1.0 -. confidence) /. 2.0 in
   let lo =
     if hits = 0 then 0.0
@@ -163,10 +162,11 @@ let widen_by_tv iv tv =
 (* The generic batched, work-stealing estimator                       *)
 (* ------------------------------------------------------------------ *)
 
-let estimate_event ?budget ?domains ?(batch_size = 1024) ?(confidence = 0.99)
-    ?(truncation_tv = 0.0) ~seed ~samples sampler pred =
+let batch_size = 1024
+
+let estimate_event ?budget ?domains ~confidence ~truncation_tv ~seed ~samples
+    sampler pred =
   if samples <= 0 then invalid_arg "Mc_eval: samples must be positive";
-  if batch_size <= 0 then invalid_arg "Mc_eval: batch_size must be positive";
   check_confidence confidence;
   if not (truncation_tv >= 0.0) then
     invalid_arg "Mc_eval: truncation_tv must be nonnegative";
@@ -344,17 +344,11 @@ let eval_domain_for support phi =
   Fo_eval.evaluation_domain (Instance.of_list support) phi []
   @ Query_eval.choose_padding support [ phi ]
 
-let boolean ?budget ?domains ?batch_size ?confidence ~seed ~samples
+let boolean ?budget ?domains ?(confidence = 0.99) ~seed ~samples
     (plan : Sampler.t) phi =
   if Fo.free_vars phi <> [] then
     invalid_arg "Mc_eval.boolean: query must be a sentence";
   let extra_domain = eval_domain_for plan.support phi in
-  estimate_event ?budget ?domains ?batch_size ?confidence
-    ~truncation_tv:plan.tv ~seed ~samples plan.draw
+  estimate_event ?budget ?domains ~confidence ~truncation_tv:plan.tv ~seed
+    ~samples plan.draw
     (fun w -> Fo_eval.models ~extra_domain w phi)
-
-let marginal ?budget ?domains ?batch_size ?confidence ~seed ~samples
-    (plan : Sampler.t) f =
-  estimate_event ?budget ?domains ?batch_size ?confidence
-    ~truncation_tv:plan.tv ~seed ~samples plan.draw
-    (fun w -> Instance.mem f w)

@@ -12,7 +12,7 @@
     - the plan is {e immutable} (prefix facts with float marginals,
       truncated block tables), so worker domains share no mutable
       state;
-    - the requested samples are cut into fixed-size batches; batch [b]
+    - the requested samples are cut into batches of 1024; batch [b]
       runs on [Prng.substream root b], so every batch is a function of
       [(seed, b)] alone and the estimate is {e bit-identical for every
       domain count} — parallelism changes only who executes a batch,
@@ -68,7 +68,6 @@ type result = {
 val boolean :
   ?budget:Budget.t ->
   ?domains:int ->
-  ?batch_size:int ->
   ?confidence:float ->
   seed:int ->
   samples:int ->
@@ -77,62 +76,22 @@ val boolean :
   result
 (** Estimate [P(Q)] for a Boolean query from the plan's draws, with the
     plan's [tv] folded into [bounds].  Defaults: [domains] =
-    [Domain.recommended_domain_count ()], [batch_size = 1024],
-    [confidence = 0.99].  [budget] governs the sampling phase (see
-    {!estimate_event}); building the plan, which the caller does before
-    any world is drawn, is not charged.
+    [Domain.recommended_domain_count ()], [confidence = 0.99].  The
+    plan's [draw] runs concurrently in several domains (it touches only
+    immutable data).
+
+    [budget] governs the sampling phase; building the plan, which the
+    caller does before any world is drawn, is not charged.  The sample
+    count is clamped {e before} the run to what a [Samples] cap or a
+    [Virtual] deadline still admits — the partial result is then a
+    function of the budget alone, bit-identical across domain counts —
+    and worker domains additionally poll {!Budget.ok} between batches so
+    a [Wall] deadline stops the run at the next batch boundary.
+    Completed work is the contiguous batch prefix, the statistical
+    fields are computed over exactly those worlds, and the drawn samples
+    are charged as [Samples] units after the run.
     @raise Invalid_argument if the query has free variables, [samples <=
-    0] or [confidence] outside [(0,1)]. *)
-
-val marginal :
-  ?budget:Budget.t ->
-  ?domains:int ->
-  ?batch_size:int ->
-  ?confidence:float ->
-  seed:int ->
-  samples:int ->
-  Sampler.t ->
-  Fact.t ->
-  result
-(** Estimate the marginal [P(E_f)] of one fact. *)
-
-val estimate_event :
-  ?budget:Budget.t ->
-  ?domains:int ->
-  ?batch_size:int ->
-  ?confidence:float ->
-  ?truncation_tv:float ->
-  seed:int ->
-  samples:int ->
-  (Prng.t -> 'a) ->
-  ('a -> bool) ->
-  result
-(** The generic engine: estimate [P(event)] under a caller-supplied
-    sampler.  The sampler runs concurrently in several domains and MUST
-    NOT touch shared mutable state (a {!Sampler.t} plan's [draw] does
-    not).  [truncation_tv] (default 0) is folded into [bounds] like the
-    plan-based entry points do.
-
-    With [budget], the sample count is clamped {e before} the run to
-    what a [Samples] cap or a [Virtual] deadline still admits — the
-    partial result is then a function of the budget alone, bit-identical
-    across domain counts — and worker domains additionally poll
-    {!Budget.ok} between batches so a [Wall] deadline stops the run at
-    the next batch boundary.  Completed work is the contiguous batch
-    prefix, the statistical fields are computed over exactly those
-    worlds, and the drawn samples are charged as [Samples] units after
-    the run.
+    0] or [confidence] outside [(0,1)].
     @raise Budget.Exhausted if the budget is exhausted on entry or
     admits no samples at all — a partial result needs at least one
     batch. *)
-
-(** {1 Statistical primitives} (exposed for tests and the bench) *)
-
-val binomial_interval :
-  confidence:float -> hits:int -> samples:int -> Interval.t
-(** The Clopper-Pearson interval for a binomial proportion: its
-    coverage is at least [confidence] for every [samples] and every true
-    proportion, small counts near 0 and 1 included.  Each end is the
-    root of a binomial tail found by bisection and rounded outward.
-    @raise Invalid_argument if [confidence] is outside [(0,1)],
-    [samples <= 0] or [hits] is outside [\[0, samples\]]. *)

@@ -8,9 +8,11 @@
     Proposition 6.1 truncation, read as a TV bound).  A plan ({!t}) is
     that cut made once: {!Countable_ti.sampler} and
     {!Countable_bid.sampler} build it, and {!Mc_eval}, the CLI, the
-    bench and the tests draw from it.  The helpers below estimate event
-    probabilities, marginals and independence gaps from repeated draws
-    of any world sampler (a plan's [draw], [Ti_table.sample], ...). *)
+    bench and the tests draw from it.  The helpers below estimate
+    marginals and independence gaps from repeated draws of any world
+    sampler (a plan's [draw], [Ti_table.sample], ...); draw [i] runs on
+    [Prng.substream] [i] of the seed generator, so it is a function of
+    [(seed, i)] alone. *)
 
 type t = {
   draw : Prng.t -> Instance.t;
@@ -38,20 +40,9 @@ val cut : what:string -> (int -> float option) -> int * float
     {!Fact_source.search}, does the probing.
     @raise Invalid_argument naming [what] if no probe answers. *)
 
-val draws :
-  seed:int -> samples:int -> (Prng.t -> 'a) -> 'a Seq.t
-(** [samples] draws, the [i]-th running on [Prng.substream] [i] of the
-    seed generator: draw [i] is a function of [(seed, i)] alone, so the
-    (non-memoizing) sequence yields identical values on every traversal
-    and in any traversal order. *)
-
-val estimate_event :
-  seed:int -> samples:int -> (Prng.t -> Instance.t) -> (Instance.t -> bool) ->
-  float
-(** Fraction of sampled worlds satisfying the event. *)
-
 val estimate_marginal :
   seed:int -> samples:int -> (Prng.t -> Instance.t) -> Fact.t -> float
+(** Fraction of sampled worlds holding the fact. *)
 
 val independence_gap :
   seed:int ->

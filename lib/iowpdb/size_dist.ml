@@ -35,14 +35,6 @@ let tail_size_probability worlds n =
       if Instance.size inst >= n then Rational.add acc p else acc)
     Rational.zero worlds
 
-let histogram draw ~samples =
-  let tbl = Hashtbl.create 32 in
-  for i = 0 to samples - 1 do
-    let s = Instance.size (draw i) in
-    Hashtbl.replace tbl s (1 + Option.value (Hashtbl.find_opt tbl s) ~default:0)
-  done;
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-
 let mean_size draw ~samples =
   let total = ref 0 in
   for i = 0 to samples - 1 do

@@ -31,8 +31,4 @@ val tail_size_probability : (Instance.t * Rational.t) list -> int -> Rational.t
 
     Paper: equation (6) and Proposition 3.4. *)
 
-val histogram : (int -> Instance.t) -> samples:int -> (int * int) list
-(** Sample sizes: [histogram draw ~samples] calls [draw i] for
-    [i = 0..samples-1] and tallies [‖D‖]; returns (size, count) sorted. *)
-
 val mean_size : (int -> Instance.t) -> samples:int -> float

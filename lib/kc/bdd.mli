@@ -14,9 +14,9 @@
     A {!manager} owns the node store; nodes from different managers must
     not be mixed (binary operations raise [Invalid_argument] if they
     are).  Managers optionally run a root-registered mark-and-sweep GC of
-    the node store: see {!protect}, {!release} and {!gc}.  GC runs only
-    at safe points inside {!of_expr} (between sub-compilations) or when
-    {!gc}/{!maybe_gc} is called explicitly — never inside an [apply]
+    the node store: see {!protect}, {!release} and {!maybe_gc}.  GC runs
+    only at safe points inside {!of_expr} (between sub-compilations) or
+    when {!maybe_gc} is called explicitly — never inside an [apply]
     recursion — so results of individual operations are stable until the
     next compilation or explicit collection. *)
 
@@ -81,7 +81,7 @@ val of_expr : manager -> Bool_expr.t -> t
 (** {1 Garbage collection}
 
     The unique table only ever grows unless roots are registered and
-    {!gc} (or the [gc_threshold] automatism) runs.  Sessions that keep a
+    the [gc_threshold] automatism runs ({!maybe_gc}).  Sessions that keep a
     manager alive across many compilations — e.g. anytime evaluation —
     protect their current diagram and collect between steps, so
     {!node_count} and the [tick] budget account live nodes instead of
@@ -95,20 +95,18 @@ val release : t -> unit
 (** Undo one {!protect}.  Releasing a root that is not protected is a
     no-op. *)
 
-val gc : manager -> int
-(** Mark from the protected roots and sweep everything unreachable;
-    returns the number of nodes freed.  The operation cache is
-    invalidated (freed indices may be reused), the unique table rebuilt
-    over live nodes, and [on_free] is told the freed count.  Results of
-    earlier operations that were not protected (directly or as
-    descendants of a root) are dangling after a sweep — hold only
-    protected diagrams across a collection. *)
-
 val maybe_gc : manager -> int
-(** Run {!gc} iff the allocations since the last sweep reached the
+(** Collect iff the allocations since the last sweep reached the
     manager's [gc_threshold]; returns the number of nodes freed (0 when
     no collection ran).  This is the safe point [of_expr] calls between
-    sub-compilations. *)
+    sub-compilations.
+
+    A collection marks from the protected roots and sweeps everything
+    unreachable.  The operation cache is invalidated (freed indices may
+    be reused), the unique table rebuilt over live nodes, and [on_free]
+    is told the freed count.  Results of earlier operations that were
+    not protected (directly or as descendants of a root) are dangling
+    after a sweep — hold only protected diagrams across a collection. *)
 
 val is_tru : t -> bool
 (** Reference: an observer for tests. *)
@@ -179,7 +177,8 @@ val restrict : manager -> t -> int -> bool -> t
     on the slice of the DAG that can see a changed variable — clean
     subgraphs are served from the memo without touching the (possibly
     expensive) value arithmetic.  Node indices are only stable between
-    sweeps: clear the memo after anything that may have run {!gc}, and
+    sweeps: clear the memo after anything that may have run a
+    collection, and
     after any structural recompilation that rebinds what a variable
     means. *)
 

@@ -31,10 +31,6 @@ val num_clauses : t -> int
 val to_expr : t -> Bool_expr.t
 (** Reference: tests check the conversion round trip with it. *)
 
-val clause_weight : (int -> float) -> clause -> float
-(** Product of the variables' marginals: the probability that the clause
-    holds under independence. *)
-
 (** {1 Karp-Luby estimation} *)
 
 type estimate = {

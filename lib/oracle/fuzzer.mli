@@ -37,12 +37,11 @@
 
     A failing case is shrunk (fewer facts, structurally smaller query)
     while the same check keeps failing, and can be serialized to a
-    corpus file that {!of_lines} reads back — the regression-replay
-    format under [test/corpus/]. *)
+    corpus file that {!load} reads back — the regression-replay format
+    under [test/corpus/]. *)
 
 type engine = Exact | Lifted | Approx | Anytime | Mc | Robust | Batch | Delta
 
-val all_engines : engine list
 val engine_to_string : engine -> string
 
 val engines_of_string : string -> (engine list, string) result
@@ -85,10 +84,6 @@ type failure = {
           the prefix identifies the engine *)
   detail : string;  (** expected-vs-got, single line *)
 }
-
-val engine_of_check : string -> engine
-(** Which engine a check name exercises (shrinking re-runs only that
-    engine). *)
 
 val run_case :
   ?engines:engine list ->
@@ -137,10 +132,10 @@ type corpus_case = {
 }
 
 val to_lines : seed:int -> corpus_case -> string list
-val of_lines : ?file:string -> string list -> corpus_case
-(** Inverse of {!to_lines}; blank lines and [#] comments ignored.
-    @raise Invalid_argument on malformed input, citing [file] and the
-    line. *)
+(** The lines of a [.case] file. *)
 
 val load : string -> corpus_case
-(** Read a [.case] file. *)
+(** Read a [.case] file: the inverse of {!to_lines}; blank lines and
+    [#] comments ignored.
+    @raise Invalid_argument on malformed input, citing the file and the
+    line. *)

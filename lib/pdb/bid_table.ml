@@ -127,22 +127,6 @@ let worlds t =
         blocks;
       (!inst, !p))
 
-let sample t g =
-  List.fold_left
-    (fun acc b ->
-      (* Draw one alternative (or none) per the block law.  Weights are
-         converted to floats: a per-draw error below one float ulp, which
-         is negligible against sampling noise. *)
-      let weights =
-        Array.of_list
-          (Rational.to_float (block_slack t b.block_id)
-           :: List.map (fun (_, p) -> Rational.to_float p) b.alternatives)
-      in
-      let choice = Prng.categorical g weights in
-      if choice = 0 then acc
-      else Instance.add (fst (List.nth b.alternatives (choice - 1))) acc)
-    Instance.empty t.blocks
-
 let of_ti ti =
   create
     (List.map

@@ -48,8 +48,6 @@ val worlds : t -> (Instance.t * Rational.t) Seq.t
 (** All good worlds: the product over blocks of (alternatives + 1).
     @raise Invalid_argument when that product exceeds [2^20]. *)
 
-val sample : t -> Prng.t -> Instance.t
-
 val of_ti : Ti_table.t -> t
 (** Singleton blocks: tuple-independence as the special case noted after
     Definition 4.11.

@@ -7,8 +7,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create ?(seed = 0x5DEECE66D) () = { state = Int64.of_int seed }
 
-let copy g = { state = g.state }
-
 let mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
@@ -18,19 +16,16 @@ let next_int64 g =
   g.state <- Int64.add g.state golden_gamma;
   mix64 g.state
 
-let split g =
-  let s = next_int64 g in
-  { state = mix64 s }
-
 let substream g i =
   if i < 0 then invalid_arg "Prng.substream"
   else
-    (* [split] advances the parent by one gamma step and double-mixes the
-       resulting state ([mix64] of [next_int64]'s already-mixed output);
-       jumping the parent i+1 gamma steps in one multiplication gives
-       exactly the generator the (i+1)-th successive [split] would return,
-       in O(1) and without advancing [g].  Distinct indices give
-       decorrelated streams for the same reason distinct splits do. *)
+    (* A SplitMix64 split advances the parent by one gamma step and
+       double-mixes the resulting state ([mix64] of [next_int64]'s
+       already-mixed output); jumping the parent i+1 gamma steps in one
+       multiplication gives exactly the generator the (i+1)-th successive
+       split would return, in O(1) and without advancing [g].  Distinct
+       indices give decorrelated streams for the same reason distinct
+       splits do. *)
     {
       state =
         mix64
@@ -83,23 +78,6 @@ let bernoulli_rational g p =
     | _ -> float g < Rational.to_float p
   end
 
-let geometric g p =
-  if not (p > 0.0 && p <= 1.0) then invalid_arg "Prng.geometric"
-  else if p = 1.0 then 0
-  else begin
-    (* Inversion: floor(log U / log (1-p)). *)
-    let u = 1.0 -. float g (* in (0, 1] *) in
-    int_of_float (Float.floor (log u /. log1p (-.p)))
-  end
-
-let exponential g rate =
-  if not (rate > 0.0) then invalid_arg "Prng.exponential"
-  else -.log (1.0 -. float g) /. rate
-
-let uniform_in g lo hi =
-  if not (lo <= hi) then invalid_arg "Prng.uniform_in"
-  else lo +. ((hi -. lo) *. float g)
-
 let pick g a =
   if Array.length a = 0 then invalid_arg "Prng.pick"
   else a.(int g (Array.length a))
@@ -121,22 +99,3 @@ let categorical g w =
     end
   in
   go 0 0.0
-
-let shuffle g a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int g (i + 1) in
-    let t = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- t
-  done
-
-let sample_without_replacement g k n =
-  if k < 0 || k > n then invalid_arg "Prng.sample_without_replacement";
-  (* Floyd's algorithm. *)
-  let module S = Set.Make (Int) in
-  let s = ref S.empty in
-  for j = n - k to n - 1 do
-    let t = int g (j + 1) in
-    s := if S.mem t !s then S.add j !s else S.add t !s
-  done;
-  S.elements !s

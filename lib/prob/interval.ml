@@ -33,10 +33,10 @@ let up x = Float.succ x
 let add a b = { lo = down (a.lo +. b.lo); hi = up (a.hi +. b.hi) }
 let sub a b = { lo = down (a.lo -. b.hi); hi = up (a.hi -. b.lo) }
 
-(* The corner products/quotients can be nan on unbounded operands
-   (0 * inf, inf / inf); building the record directly would then bypass
-   [make]'s nan guard and poison every downstream min/max.  Each nan
-   corner is replaced by its sound set-based bound instead. *)
+(* The corner products can be nan on unbounded operands (0 * inf);
+   building the record directly would then bypass [make]'s nan guard and
+   poison every downstream min/max.  Each nan corner is replaced by its
+   sound set-based bound instead. *)
 
 let mul a b =
   (* nan here is exactly 0 * ±inf.  Under set semantics the factor 0
@@ -53,36 +53,13 @@ let mul a b =
     hi = up (Float.max (Float.max p1 p2) (Float.max p3 p4));
   }
 
-let div a b =
-  if b.lo <= 0.0 && b.hi >= 0.0 then raise Division_by_zero
-  else begin
-    (* nan here is exactly ±inf / ±inf; ratios of large elements of the
-       two intervals realize every magnitude, so the sound corner bounds
-       are 0 and the signed infinity. *)
-    let corner x y acc =
-      let p = x /. y in
-      if Float.is_nan p then
-        let s = if (x > 0.0) = (y > 0.0) then infinity else neg_infinity in
-        0.0 :: s :: acc
-      else p :: acc
-    in
-    let cs = corner a.lo b.lo (corner a.lo b.hi (corner a.hi b.lo (corner a.hi b.hi []))) in
-    {
-      lo = down (List.fold_left Float.min infinity cs);
-      hi = up (List.fold_left Float.max neg_infinity cs);
-    }
-  end
-
 let compl x = sub one x
-
-let hull a b = { lo = Float.min a.lo b.lo; hi = Float.max a.hi b.hi }
 
 let intersect a b =
   let lo = Float.max a.lo b.lo and hi = Float.min a.hi b.hi in
   if lo > hi then None else Some { lo; hi }
 
 let contains x v = x.lo <= v && v <= x.hi
-let subset a b = b.lo <= a.lo && a.hi <= b.hi
 
 let clamp01 x =
   match intersect x { lo = 0.0; hi = 1.0 } with

@@ -26,27 +26,17 @@ val mid : t -> float
 (** Midpoint; a best single-float estimate. *)
 
 val add : t -> t -> t
-val sub : t -> t -> t
 
 val mul : t -> t -> t
 (** Sound on unbounded operands: a [0 * ±inf] corner contributes [0]
     (the set-based convention), never nan. *)
 
-val div : t -> t -> t
-(** @raise Division_by_zero if the divisor contains 0.  Sound on
-    unbounded operands: an [inf / inf] corner contributes its full
-    limit range [\[0, +inf\]] (with the corner's sign), never nan. *)
-
 val compl : t -> t
 (** [compl x] encloses [1 - x]. *)
-
-val hull : t -> t -> t
-(** Smallest interval containing both. *)
 
 val intersect : t -> t -> t option
 
 val contains : t -> float -> bool
-val subset : t -> t -> bool
 
 val clamp01 : t -> t
 (** Intersect with [[0, 1]]; useful after subtractive cancellation on

@@ -65,10 +65,6 @@ let product xs = List.fold_left mul one xs
 
 let floor x = fst (B.ediv_rem x.n x.d)
 
-let ceil x =
-  let q, r = B.ediv_rem x.n x.d in
-  if B.is_zero r then q else B.succ q
-
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
 

@@ -82,9 +82,6 @@ val compl : t -> t
 val sum : t list -> t
 val product : t list -> t
 
-val floor : t -> Bigint.t
-val ceil : t -> Bigint.t
-
 (** {1 Probability helpers} *)
 
 val is_probability : t -> bool

@@ -9,9 +9,6 @@ let of_list = Fact.Set.of_list
 let to_list = Fact.Set.elements
 let to_set s = s
 let size = Fact.Set.cardinal
-let union = Fact.Set.union
-let inter = Fact.Set.inter
-let diff = Fact.Set.diff
 let subset = Fact.Set.subset
 
 let disjoint_union a b =
@@ -35,14 +32,3 @@ let equal = Fact.Set.equal
 
 let to_string d =
   "{" ^ String.concat ", " (List.map Fact.to_string (to_list d)) ^ "}"
-
-let subsets d =
-  let facts = Array.of_list (to_list d) in
-  let n = Array.length facts in
-  if n > 30 then invalid_arg "Instance.subsets: instance too large";
-  Seq.init (1 lsl n) (fun mask ->
-      let s = ref Fact.Set.empty in
-      for i = 0 to n - 1 do
-        if mask land (1 lsl i) <> 0 then s := Fact.Set.add facts.(i) !s
-      done;
-      !s)

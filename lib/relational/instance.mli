@@ -18,9 +18,6 @@ val to_set : t -> Fact.Set.t
 val size : t -> int
 (** [‖D‖]: the number of facts. *)
 
-val union : t -> t -> t
-val inter : t -> t -> t
-val diff : t -> t -> t
 val subset : t -> t -> bool
 
 val disjoint_union : t -> t -> t
@@ -43,7 +40,3 @@ val equal : t -> t -> bool
 
 val to_string : t -> string
 (** ["{R(1), S(2)}"] in fact order. *)
-
-val subsets : t -> t Seq.t
-(** All [2^‖D‖] sub-instances; used by exhaustive tests and the
-    world-enumeration engine.  Intended for small instances. *)

@@ -21,12 +21,6 @@ let relation ?sorts name arity =
   in
   { rel_name = name; arity; sorts }
 
-let add t r =
-  match M.find_opt r.rel_name t with
-  | Some r' when r' <> r ->
-    invalid_arg (Printf.sprintf "Schema.add: conflicting declaration of %s" r.rel_name)
-  | _ -> M.add r.rel_name r t
-
 let make rs =
   List.fold_left
     (fun acc r ->
@@ -37,6 +31,4 @@ let make rs =
 
 let relations t = List.map snd (M.bindings t)
 let find t name = M.find_opt name t
-
-let union a b = M.fold (fun _ r acc -> add acc r) b a
 

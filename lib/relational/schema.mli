@@ -25,7 +25,4 @@ val make : relation list -> t
 val relations : t -> relation list
 val find : t -> string -> relation option
 
-val union : t -> t -> t
-(** @raise Invalid_argument if a name occurs in both with different
-    declarations. *)
 

@@ -4,7 +4,6 @@
 type t = Value.t array
 
 val compare : t -> t -> int
-val hash : t -> int
 val to_string : t -> string
 
 module Set : Set.S with type elt = t

@@ -46,16 +46,6 @@ let of_string s =
         | Some f when not (Float.is_nan f) -> Real f
         | _ -> invalid_arg (Printf.sprintf "Value.of_string: %S" s))
 
-let enum_ints () =
-  let rec from k () =
-    (* k >= 0 encodes 0, 1, -1, 2, -2, ... *)
-    let v = if k land 1 = 1 then (k + 1) / 2 else -(k / 2) in
-    Seq.Cons (Int v, from (k + 1))
-  in
-  from 0
-
-let enum_naturals () = Seq.map (fun n -> Int n) (Seq.ints 1)
-
 let enum_strings ?(alphabet = "ab") () =
   let k = String.length alphabet in
   if k = 0 then invalid_arg "Value.enum_strings: empty alphabet";
@@ -74,8 +64,3 @@ let enum_strings ?(alphabet = "ab") () =
     Buffer.contents buf
   in
   Seq.map (fun n -> Str (nth n)) (Seq.ints 0)
-
-let rec interleave a b () =
-  match a () with
-  | Seq.Nil -> b ()
-  | Seq.Cons (x, a') -> Seq.Cons (x, interleave b a')

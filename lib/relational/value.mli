@@ -33,17 +33,7 @@ val of_string : string -> t
 
 (** {1 Countable enumerations} *)
 
-val enum_ints : unit -> t Seq.t
-(** [0, 1, -1, 2, -2, ...]: every integer appears exactly once. *)
-
-val enum_naturals : unit -> t Seq.t
-(** [1, 2, 3, ...]. *)
-
 val enum_strings : ?alphabet:string -> unit -> t Seq.t
 (** All strings over the alphabet (default ["ab"]) in length-lexicographic
     order, starting with the empty string; every string appears exactly
     once. *)
-
-val interleave : t Seq.t -> t Seq.t -> t Seq.t
-(** Fair interleaving; if both sequences are injective with disjoint
-    ranges, so is the result. *)

@@ -4,10 +4,9 @@
 
    Hot loops call {!checkpoint} (engine entry points read {!exhausted}); both
    consult the same sticky trip state, so the first exhaustion observed —
-   a cap, the deadline, or an explicit {!cancel} from another domain — is
-   the one every later probe reports.  Work spends and the trip flag are
-   atomics: Monte-Carlo worker domains spend and poll the same budget the
-   coordinating domain created.
+   a cap or the deadline — is the one every later probe reports.  Work
+   spends and the trip flag are atomics: Monte-Carlo worker domains spend
+   and poll the same budget the coordinating domain created.
 
    The [Virtual] clock makes deadline-bounded runs reproducible: elapsed
    time is defined as total work units over a fixed rate, so a "100 ms"
@@ -33,12 +32,11 @@ let kind_index = function
   | Samples -> 3
   | Steps -> 4
 
-type exhaustion = Timeout | Cap of kind | Cancelled
+type exhaustion = Timeout | Cap of kind
 
 let exhaustion_to_string = function
   | Timeout -> "timeout"
   | Cap k -> "cap:" ^ kind_to_string k
-  | Cancelled -> "cancelled"
 
 exception Exhausted of exhaustion
 
@@ -55,8 +53,8 @@ type t = {
   parent : t option;
 }
 
-let create ?(clock = Wall) ?timeout ?max_facts ?max_probes ?max_bdd_nodes
-    ?max_samples ?max_steps ?parent () =
+let create ?(clock = Wall) ?timeout ?max_facts ?max_bdd_nodes ?max_samples
+    ?max_steps ?parent () =
   (match timeout with
   | Some s when not (s > 0.0) ->
     invalid_arg "Budget.create: timeout must be positive"
@@ -73,7 +71,6 @@ let create ?(clock = Wall) ?timeout ?max_facts ?max_probes ?max_bdd_nodes
     | Some c -> caps.(kind_index k) <- c
   in
   set Facts max_facts;
-  set Probes max_probes;
   set Bdd_nodes max_bdd_nodes;
   set Samples max_samples;
   set Steps max_steps;
@@ -90,10 +87,10 @@ let create ?(clock = Wall) ?timeout ?max_facts ?max_probes ?max_bdd_nodes
 
 let unlimited () = create ()
 
-let child ?clock ?timeout ?max_facts ?max_probes ?max_bdd_nodes ?max_samples
-    ?max_steps parent =
-  create ?clock ?timeout ?max_facts ?max_probes ?max_bdd_nodes ?max_samples
-    ?max_steps ~parent ()
+let child ?clock ?timeout ?max_facts ?max_bdd_nodes ?max_samples ?max_steps
+    parent =
+  create ?clock ?timeout ?max_facts ?max_bdd_nodes ?max_samples ?max_steps
+    ~parent ()
 
 let elapsed t =
   match t.clock with
@@ -141,8 +138,6 @@ let ok t = exhausted t = None
 
 let checkpoint t =
   match exhausted t with None -> () | Some e -> raise (Exhausted e)
-
-let cancel t = ignore (trip t Cancelled)
 
 let spend t kind n =
   if n < 0 then invalid_arg "Budget.spend: negative amount";

@@ -1,9 +1,9 @@
 (** Composable evaluation budgets and cooperative cancellation.
 
     A budget bundles an optional deadline with per-kind work-unit caps
-    (facts enumerated, tail probes, BDD nodes allocated, Monte-Carlo
-    samples, anytime steps).  Engines charge work against the budget as
-    they go and poll it at safe points; the first exhaustion observed is
+    (facts enumerated, BDD nodes allocated, Monte-Carlo samples, anytime
+    steps) and counts tail probes.  Engines charge work against the
+    budget as they go and poll it at safe points; the first exhaustion observed is
     recorded stickily so every later poll reports the same cause.
 
     Budgets compose: a child created with [~parent] forwards every spend
@@ -23,7 +23,6 @@ type kind = Facts | Probes | Bdd_nodes | Samples | Steps
 type exhaustion =
   | Timeout  (** the deadline passed *)
   | Cap of kind  (** a work-unit cap was reached *)
-  | Cancelled  (** {!cancel} was called *)
 
 val exhaustion_to_string : exhaustion -> string
 
@@ -42,14 +41,16 @@ val create :
   ?clock:clock ->
   ?timeout:float ->
   ?max_facts:int ->
-  ?max_probes:int ->
   ?max_bdd_nodes:int ->
   ?max_samples:int ->
   ?max_steps:int ->
   ?parent:t ->
   unit ->
   t
-(** [create ()] is unlimited; each option adds one constraint.
+(** [create ()] is unlimited; each option adds one constraint.  Tail
+    probes are never capped: [Cap Probes] is the exhaustion
+    [Approx_eval] reports when a certificate decays too slowly
+    ([Too_slow]).
     [timeout] is in seconds on the chosen clock and must be positive.
     @raise Invalid_argument on a non-positive timeout or virtual rate,
     or a negative cap. *)
@@ -60,7 +61,6 @@ val child :
   ?clock:clock ->
   ?timeout:float ->
   ?max_facts:int ->
-  ?max_probes:int ->
   ?max_bdd_nodes:int ->
   ?max_samples:int ->
   ?max_steps:int ->
@@ -94,9 +94,6 @@ val ok : t -> bool
 
 val exhausted : t -> exhaustion option
 (** The sticky cause, once tripped. *)
-
-val cancel : t -> unit
-(** Trip the budget from outside (idempotent; loses to an earlier trip). *)
 
 val elapsed : t -> float
 (** Seconds on the budget's own clock.

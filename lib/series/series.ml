@@ -61,22 +61,6 @@ let log_slow ?(scale = 1.0) () =
         Some (scale /. log x));
   }
 
-let harmonic ?(scale = 1.0) () =
-  if scale < 0.0 then invalid_arg "Series.harmonic";
-  {
-    name = Printf.sprintf "harmonic(%g)" scale;
-    term = (fun i -> scale /. float_of_int (i + 1));
-    tail = (fun _ -> if scale = 0.0 then Some 0.0 else None);
-  }
-
-let constant ~value =
-  if value < 0.0 then invalid_arg "Series.constant";
-  {
-    name = Printf.sprintf "constant(%g)" value;
-    term = (fun _ -> value);
-    tail = (fun _ -> if value = 0.0 then Some 0.0 else None);
-  }
-
 let of_list xs =
   List.iter
     (fun x -> if x < 0.0 || Float.is_nan x then invalid_arg "Series.of_list")
@@ -92,22 +76,6 @@ let of_list xs =
     name = Printf.sprintf "finite(%d)" n;
     term = (fun i -> if i < n then a.(i) else 0.0);
     tail = (fun k -> Some (if k >= n then 0.0 else suffix.(k)));
-  }
-
-let map_scale c s =
-  if c < 0.0 then invalid_arg "Series.map_scale";
-  {
-    name = Printf.sprintf "%g*%s" c s.name;
-    term = (fun i -> c *. s.term i);
-    tail = (fun n -> Option.map (fun t -> c *. t) (s.tail n));
-  }
-
-let drop k s =
-  if k < 0 then invalid_arg "Series.drop";
-  {
-    name = Printf.sprintf "drop(%d,%s)" k s.name;
-    term = (fun i -> s.term (i + k));
-    tail = (fun n -> s.tail (n + k));
   }
 
 let partial_sum s n =

@@ -40,20 +40,8 @@ val log_slow : ?scale:float -> unit -> t
     [~ scale / ln n] decays so slowly that truncation budgets explode —
     the "series may converge arbitrarily slowly" remark of Section 6. *)
 
-val harmonic : ?scale:float -> unit -> t
-(** [a_i = scale / (i+1)]; divergent: [tail] is always [None]. *)
-
-val constant : value:float -> t
-(** [a_i = value] for all [i]; divergent unless [value = 0]. *)
-
 val of_list : float list -> t
 (** A finite series padded with zeros; exact tails. *)
-
-val map_scale : float -> t -> t
-(** Multiply every term (and tails) by a nonnegative constant. *)
-
-val drop : int -> t -> t
-(** [drop k s] is the series of terms [k, k+1, ...] of [s]. *)
 
 (** {1 Sums} *)
 

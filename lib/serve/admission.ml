@@ -36,6 +36,7 @@ let default_config =
 let shed_at = 0.5
 let reject_at = 0.9
 
+(* The pure admission ladder: no clocks. *)
 let decide cfg ~queue_len ~pressure =
   let queue_fill =
     float_of_int queue_len /. float_of_int (max 1 cfg.queue_bound)

@@ -11,11 +11,11 @@
     cap trips starves (soundly: best-so-far enclosures) rather than
     overruns.
 
-    Pressure in [[0, 1]] is the epoch's worst cap utilisation.  The
-    {!decide} ladder maps (queue occupancy, pressure) to a shed level:
-    full ladder → degraded ladder (skip compilation, reduced sampling)
-    from pressure or queue fill 0.5 → reject, with a retry-after hint
-    pointing at the next epoch, from pressure 0.9. *)
+    Pressure in [[0, 1]] is the epoch's worst cap utilisation.
+    {!admit} maps (queue occupancy, pressure) to a shed level: full
+    ladder → degraded ladder (skip compilation, reduced sampling) from
+    pressure or queue fill 0.5 → reject, with a retry-after hint
+    pointing at the next epoch, from pressure 0.9 or a full queue. *)
 
 type level =
   | Full  (** run the whole {!Robust_eval} ladder *)
@@ -35,11 +35,6 @@ type config = {
 val default_config : config
 (** queue 64, 1 s windows, caps unset. *)
 
-val decide : config -> queue_len:int -> pressure:float -> level
-(** The pure admission ladder (no clocks, unit-testable): a full queue
-    rejects outright; pressure ≥ 0.9 rejects; pressure or queue fill
-    ≥ 0.5 degrades; otherwise full service. *)
-
 type t
 
 val create : config -> t
@@ -54,7 +49,9 @@ val pressure : t -> float
 type ticket = { budget : Budget.t; level : level }
 
 val admit : t -> queue_len:int -> deadline_s:float option -> (ticket, float) result
-(** Run {!decide} against live pressure.  On admission the ticket's
+(** Run the admission ladder against live pressure: a full queue
+    rejects outright; pressure ≥ 0.9 rejects; pressure or queue fill
+    ≥ 0.5 degrades; otherwise full service.  On admission the ticket's
     budget is a child of the current epoch with the request deadline as
     its wall timeout — created {e now}, so queue wait burns the deadline
     (deadline propagation starts at admission, not at evaluation).

@@ -2,7 +2,7 @@
     carrying a small line-based request/response language.
 
     Framing: each message is a 4-byte big-endian payload length followed
-    by the payload, capped at {!max_frame} — a peer can never make the
+    by the payload, capped at 1 MiB — a peer can never make the
     server buffer an unbounded message.  Payloads are one tag line
     followed by [key=value] lines; values are [String.escaped], so
     queries containing newlines or arbitrary bytes round-trip.
@@ -12,11 +12,8 @@
     accept loop.  The codec has no dependency on the server — the bench
     harness and the fault injector reuse it directly. *)
 
-val max_frame : int
-(** Maximum payload size in bytes (1 MiB). *)
-
 type frame_error =
-  | Oversized of int  (** declared length exceeded {!max_frame} *)
+  | Oversized of int  (** declared length exceeded the 1 MiB cap *)
   | Truncated  (** EOF in the middle of a frame *)
   | Closed  (** clean EOF before any byte of a frame *)
   | Malformed of string  (** payload did not parse *)
@@ -27,7 +24,7 @@ exception Frame_error of frame_error
 
 val write_frame : Unix.file_descr -> string -> unit
 (** Write one length-prefixed frame.  @raise Invalid_argument if the
-    payload exceeds {!max_frame}; @raise Unix.Unix_error on transport
+    payload exceeds the cap; @raise Unix.Unix_error on transport
     failure (classify with {!Errors.of_exn} at the call site). *)
 
 val read_frame : Unix.file_descr -> string

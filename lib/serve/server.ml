@@ -50,20 +50,6 @@ type config = {
          (static or open-world source) rejects updates. *)
 }
 
-let default_config make_source endpoint =
-  {
-    endpoint;
-    make_source;
-    domains = 2;
-    admission = Admission.default_config;
-    default_eps = 0.01;
-    default_samples = 20_000;
-    default_deadline_s = Some 1.0;
-    cache_capacity = 256;
-    warm_cache = None;
-    updatable = None;
-  }
-
 type mailbox = {
   m_lock : Mutex.t;
   m_cond : Condition.t;
@@ -196,17 +182,7 @@ let snapshot_source t phi =
 (* Worker domains *)
 (* ------------------------------------------------------------------ *)
 
-let answer_of t item (a : Robust_eval.answer) ~shed ~cached ~epoch =
-  let budget_exhausted =
-    Budget.exhausted item.i_ticket.Admission.budget <> None
-  in
-  if budget_exhausted then Stats.incr c_deadline;
-  if
-    (not budget_exhausted)
-    && Interval.width a.Robust_eval.enclosure <= 2.0 *. item.i_eps
-    && not cached
-  then
-    Result_cache.store t.cache ~query:item.i_query ~epoch a;
+let answer (a : Robust_eval.answer) ~cached ~shed ~budget_exhausted =
   Protocol.Answer
     {
       lo = Interval.lo a.Robust_eval.enclosure;
@@ -217,6 +193,19 @@ let answer_of t item (a : Robust_eval.answer) ~shed ~cached ~epoch =
       cached;
       shed;
     }
+
+(* A fresh evaluation's answer; one tight enough for its eps and not cut
+   short by the budget is cached. *)
+let answer_of t item (a : Robust_eval.answer) ~shed ~epoch =
+  let budget_exhausted =
+    Budget.exhausted item.i_ticket.Admission.budget <> None
+  in
+  if budget_exhausted then Stats.incr c_deadline;
+  if
+    (not budget_exhausted)
+    && Interval.width a.Robust_eval.enclosure <= 2.0 *. item.i_eps
+  then Result_cache.store t.cache ~query:item.i_query ~epoch a;
+  answer a ~cached:false ~shed ~budget_exhausted
 
 let evaluate t item =
   let shed = item.i_ticket.Admission.level = Admission.Degraded in
@@ -230,7 +219,7 @@ let evaluate t item =
         ~mc_samples:item.i_samples ~seed:item.i_seed ?rungs src item.i_phi,
       epoch )
   with
-  | a, epoch -> answer_of t item a ~shed ~cached:false ~epoch
+  | a, epoch -> answer_of t item a ~shed ~epoch
   | exception exn ->
     (* Robust_eval only raises on caller errors, but a worker domain
        must survive anything an exotic source closure throws. *)
@@ -306,17 +295,7 @@ let handle_query t ~query ~eps ~deadline_ms ~mc_samples ~seed =
       with
       | Some a ->
         Stats.incr c_answers;
-        Protocol.Answer
-          {
-            lo = Interval.lo a.Robust_eval.enclosure;
-            hi = Interval.hi a.Robust_eval.enclosure;
-            estimate = a.Robust_eval.estimate;
-            provenance =
-              Robust_eval.provenance_to_string a.Robust_eval.provenance;
-            budget_exhausted = false;
-            cached = true;
-            shed = false;
-          }
+        answer a ~cached:true ~shed:false ~budget_exhausted:false
       | None -> (
         let deadline_s =
           match deadline_ms with

@@ -68,11 +68,6 @@ type config = {
           draining. *)
 }
 
-val default_config : (unit -> Fact_source.t) -> endpoint -> config
-(** 2 domains, {!Admission.default_config}, eps 0.01, 20k/2k samples,
-    1 s default deadline, cache of 256, no warm cache, no updatable
-    table. *)
-
 type t
 
 val start : config -> t

@@ -25,3 +25,17 @@ let check_failed_write ~write path =
     ((Unix.lstat path).st_kind = Unix.S_REG);
   Alcotest.(check bool) "old bytes kept" true (read () = before);
   Alcotest.(check bool) "no .tmp left" false (Sys.file_exists tmp)
+
+(* [load_case name lines] writes [lines] to a file [name] in a fresh
+   temporary directory and reads it back with [Fuzzer.load]. *)
+let load_case name lines =
+  let dir = Filename.temp_dir "iowpdb_case" "" in
+  let path = Filename.concat dir name in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Sys.remove path with Sys_error _ -> ());
+      Sys.rmdir dir)
+  @@ fun () ->
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+  Fuzzer.load path

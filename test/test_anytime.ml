@@ -181,10 +181,11 @@ let test_prefix_budget () =
 
 let test_step_after_stop_is_none () =
   let sess = Anytime.create ~eps:0.05 (geo_source ()) (parse "exists x. R(x)") in
-  let _ = Anytime.run sess in
-  Alcotest.(check bool) "no step after stop" true (Anytime.step sess = None);
-  Alcotest.(check bool) "stop reason recorded" true
-    (Anytime.stop_reason sess <> None)
+  let reason, steps = Anytime.run sess in
+  let reason', steps' = Anytime.run sess in
+  Alcotest.(check int) "no step after stop" (List.length steps)
+    (List.length steps');
+  Alcotest.(check bool) "stop reason recorded" true (reason' = reason)
 
 let test_create_validation () =
   Alcotest.check_raises "free variables"

@@ -249,6 +249,33 @@ let test_probability_one_policy () =
         (Helpers.contains text_err "bad policy"))
     [ "lambda:1:3"; "geometric:1:1/2" ]
 
+(* [serve] rejects four argument combinations before it listens (the
+   socket lies in a missing directory, so a server that booted anyway
+   could not listen either): each exits 2 with its one-line message. *)
+let test_serve_boot_errors () =
+  with_table good_table @@ fun t ->
+  let socket = [ "--socket"; "/nonexistent/iowpdb-cli-test.sock" ] in
+  List.iter
+    (fun (what, args, msg) ->
+      let code, err = run_capture (("serve" :: args) @ socket) in
+      Alcotest.(check int) (what ^ ": exits 2") 2 code;
+      Alcotest.(check string) (what ^ ": one line") ("iowpdb: serve: " ^ msg ^ "\n")
+        err)
+    [
+      ( "TABLE with --store",
+        [ t; "--store"; "missing.iow" ],
+        "give either a TABLE argument or --store, not both" );
+      ("neither TABLE nor --store", [], "a TABLE argument or --store is required");
+      ( "--updatable with --store",
+        [ "--store"; "missing.iow"; "--updatable" ],
+        "--updatable requires a text TABLE (a mmap'd pack cannot be mutated \
+         in place)" );
+      ( "--warm-cache without --store",
+        [ t; "--warm-cache"; "missing.cache" ],
+        "--warm-cache requires --store (the cache is validated against the \
+         pack checksum)" );
+    ]
+
 (* A pack holds one TI enumeration: there is no [--kind] to choose, and
    a block-independent-disjoint pack from an older writer
    (test/fixtures/bid_v1.iow) is a store rejection naming its kind. *)
@@ -300,6 +327,8 @@ let () =
         ] );
       ( "pack",
         [ Alcotest.test_case "TI only" `Quick test_pack_ti_only ] );
+      ( "serve",
+        [ Alcotest.test_case "boot argument errors" `Quick test_serve_boot_errors ] );
       ( "robust",
         [
           Alcotest.test_case "clean" `Quick test_robust_clean;

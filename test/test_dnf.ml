@@ -80,9 +80,11 @@ let test_to_expr_roundtrip () =
       Alcotest.(check bool) "semantics kept" (E.eval env e) (E.eval env e')
     done
 
+(* A clause's weight is the Karp-Luby estimate of a one-clause DNF,
+   which is exact. *)
 let test_clause_weight () =
-  let p = Dnf.clause_weight (fun _ -> 0.5) [ 0; 1; 2 ] in
-  Alcotest.(check (float 0.0)) "1/8" 0.125 p
+  let e = Dnf.karp_luby ~samples:1 ~weight:(fun _ -> 0.5) [ [ 0; 1; 2 ] ] in
+  Alcotest.(check (float 0.0)) "1/8" 0.125 e.Dnf.value
 
 let test_karp_luby_exact_cases () =
   (* single clause: estimator is exactly the clause weight, zero variance *)

@@ -8,7 +8,7 @@ let test_smoke_200 () =
   let r = Fuzzer.run ~seed:42 ~cases:200 () in
   Alcotest.(check int) "cases" 200 r.Fuzzer.cases_run;
   Alcotest.(check bool) "covers every engine" true
-    (List.length r.Fuzzer.engines_run = List.length Fuzzer.all_engines);
+    (Ok r.Fuzzer.engines_run = Fuzzer.engines_of_string "all");
   Alcotest.(check bool) "at least 1000 checks" true (r.Fuzzer.checks_run >= 1000);
   (match r.Fuzzer.failures with
   | [] -> ()
@@ -54,14 +54,16 @@ let test_distinct_seeds_distinct_cases () =
     || Ti_table.to_string c1.Fuzzer.table <> Ti_table.to_string c2.Fuzzer.table)
 
 let test_corpus_round_trip () =
-  (* to_lines / of_lines is a fixpoint on every generated kind. *)
+  (* to_lines / load is a fixpoint on every generated kind. *)
   for id = 0 to 11 do
     let c = Fuzzer.generate Oracle_gen.default ~seed:42 ~id in
     let cc =
       { Fuzzer.c_case = c; c_check = "law.complement"; c_detail = "round trip" }
     in
     let lines = Fuzzer.to_lines ~seed:42 cc in
-    let lines' = Fuzzer.to_lines ~seed:42 (Fuzzer.of_lines lines) in
+    let lines' =
+      Fuzzer.to_lines ~seed:42 (Helpers.load_case "round-trip.case" lines)
+    in
     Alcotest.(check (list string))
       (Printf.sprintf "case %d round-trips" id)
       lines lines'
@@ -91,18 +93,16 @@ let test_corpus_replay () =
 
 let test_engine_parsing () =
   Alcotest.(check bool) "all" true
-    (Fuzzer.engines_of_string "all" = Ok Fuzzer.all_engines);
+    (Fuzzer.engines_of_string "all"
+    = Ok
+        Fuzzer.[ Exact; Lifted; Approx; Anytime; Mc; Robust; Batch; Delta ]);
   Alcotest.(check bool) "subset" true
     (Fuzzer.engines_of_string "exact,mc" = Ok [ Fuzzer.Exact; Fuzzer.Mc ]);
   Alcotest.(check bool) "case-insensitive" true
     (Fuzzer.engines_of_string "Robust" = Ok [ Fuzzer.Robust ]);
-  (match Fuzzer.engines_of_string "exact,bogus" with
+  match Fuzzer.engines_of_string "exact,bogus" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bogus engine accepted");
-  Alcotest.(check bool) "check prefix -> engine" true
-    (Fuzzer.engine_of_check "mc.bounds" = Fuzzer.Mc
-    && Fuzzer.engine_of_check "approx.estimate" = Fuzzer.Approx
-    && Fuzzer.engine_of_check "law.complement" = Fuzzer.Exact)
+  | Ok _ -> Alcotest.fail "bogus engine accepted"
 
 let test_engine_subset_runs_fewer_checks () =
   let all = Fuzzer.run ~seed:11 ~cases:15 () in

@@ -204,8 +204,7 @@ let test_truncation_vs_rich_truncation () =
   (* Monte Carlo over the sampled countable PDB agrees with the estimate *)
   let plan = Countable_ti.sampler (Countable_ti.create src) in
   let est =
-    Sampler.estimate_event ~seed:17 ~samples:20_000 plan.Sampler.draw
-      (fun w -> not (Instance.is_empty w))
+    (Mc_eval.boolean ~seed:17 ~samples:20_000 plan phi).Mc_eval.estimate
   in
   Alcotest.(check bool) "sampled vs approximated" true
     (Float.abs (est -. Rational.to_float fine.Approx_eval.estimate) < 0.02)

@@ -623,13 +623,14 @@ let rec kcompile m = function
   | KIte (c, a, b) -> Bdd.ite m (kcompile m c) (kcompile m a) (kcompile m b)
   | KRestrict (a, v, b) -> Bdd.restrict m (kcompile m a) v b
 
-(* Same compilation, but every operand is protected and a full collection
-   runs after every operation; returns a protected diagram (the caller
+(* Same compilation, but every operand is protected and a collection
+   runs after every operation that allocated (the manager must have
+   [~gc_threshold:1]); returns a protected diagram (the caller
    releases). *)
 let rec kcompile_gc m e =
   let keep d =
     Bdd.protect d;
-    ignore (Bdd.gc m);
+    ignore (Bdd.maybe_gc m);
     d
   in
   let unop f a =
@@ -719,7 +720,7 @@ let differential_props =
         truth_tables_agree e (kcompile m e));
     QCheck.Test.make ~name:"kernel ops = truth table (gc between ops)"
       ~count:200 arb_kprog (fun (e, perm) ->
-        let m = Bdd.manager ~order:(fun v -> perm.(v)) () in
+        let m = Bdd.manager ~order:(fun v -> perm.(v)) ~gc_threshold:1 () in
         let d = kcompile_gc m e in
         let ok = truth_tables_agree e d in
         Bdd.release d;
@@ -729,7 +730,7 @@ let differential_props =
         (* Both compilations happen in one manager: the collected one must
            hand back the very node the straight one builds (canonicity
            survives sweeps and unique-table rebuilds). *)
-        let m = Bdd.manager ~order:(fun v -> perm.(v)) () in
+        let m = Bdd.manager ~order:(fun v -> perm.(v)) ~gc_threshold:1 () in
         let d1 = kcompile_gc m e in
         let d2 = kcompile m e in
         let ok = Bdd.equal d1 d2 in

@@ -15,44 +15,60 @@ let geo_source () =
 
 let geo_plan () = Countable_ti.sampler (Countable_ti.create (geo_source ()))
 
+(* A plan with no truncation that draws [R(0)] in exactly its first
+   [hits] worlds: on one domain the draws run in order, so the hit count
+   of a [R(0)] run is exact. *)
+let counted_plan ~hits =
+  let drawn = ref 0 in
+  {
+    Sampler.draw =
+      (fun _ ->
+        incr drawn;
+        if !drawn <= hits then Instance.singleton (r_fact 0) else Instance.empty);
+    tv = 0.0;
+    support = [ r_fact 0 ];
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Statistical primitives *)
 (* ------------------------------------------------------------------ *)
 
+(* The Clopper-Pearson interval of [hits] of [samples], as [boolean]
+   reports it. *)
+let binomial_interval ~confidence ~hits ~samples =
+  (Mc_eval.boolean ~domains:1 ~confidence ~seed:0 ~samples
+     (counted_plan ~hits) (parse "R(0)"))
+    .Mc_eval.binomial
+
 let test_binomial_interval () =
-  let iv = Mc_eval.binomial_interval ~confidence:0.95 ~hits:50 ~samples:100 in
+  let iv = binomial_interval ~confidence:0.95 ~hits:50 ~samples:100 in
   Alcotest.(check bool) "contains p-hat" true (Interval.contains iv 0.5);
   (* the textbook 95% Clopper-Pearson interval for 50/100 *)
   Alcotest.(check (float 1e-4)) "lo" 0.3983 (Interval.lo iv);
   Alcotest.(check (float 1e-4)) "hi" 0.6017 (Interval.hi iv);
   (* width shrinks with more samples at the same rate *)
   let iv10 =
-    Mc_eval.binomial_interval ~confidence:0.95 ~hits:5000 ~samples:10_000
+    binomial_interval ~confidence:0.95 ~hits:5000 ~samples:10_000
   in
   Alcotest.(check bool) "100x samples, ~10x narrower" true
     (Interval.width iv10 < Interval.width iv /. 5.0);
   (* extreme counts: one end pinned, the other closed-form,
      1 - (alpha/2)^(1/n) *)
-  let iv0 = Mc_eval.binomial_interval ~confidence:0.95 ~hits:0 ~samples:100 in
+  let iv0 = binomial_interval ~confidence:0.95 ~hits:0 ~samples:100 in
   Alcotest.(check bool) "0 hits: lo = 0" true (Interval.lo iv0 = 0.0);
   Alcotest.(check (float 1e-12)) "0 hits: hi"
     (1.0 -. (0.025 ** 0.01))
     (Interval.hi iv0);
   let iv1 =
-    Mc_eval.binomial_interval ~confidence:0.95 ~hits:100 ~samples:100
+    binomial_interval ~confidence:0.95 ~hits:100 ~samples:100
   in
   Alcotest.(check bool) "all hits: hi = 1" true (Interval.hi iv1 = 1.0);
   Alcotest.(check (float 1e-12)) "all hits: lo" (0.025 ** 0.01)
-    (Interval.lo iv1);
-  Alcotest.check_raises "hits out of range"
-    (Invalid_argument "Mc_eval.binomial_interval: hits outside [0, samples]")
-    (fun () ->
-      ignore
-        (Mc_eval.binomial_interval ~confidence:0.95 ~hits:101 ~samples:100))
+    (Interval.lo iv1)
 
 let test_binomial_confidence_levels () =
   let at confidence =
-    Mc_eval.binomial_interval ~confidence ~hits:50 ~samples:100
+    binomial_interval ~confidence ~hits:50 ~samples:100
   in
   (* higher confidence widens the interval, nested around p-hat *)
   let iv90 = at 0.9 and iv95 = at 0.95 and iv99 = at 0.99 and iv999 = at 0.999 in
@@ -69,10 +85,10 @@ let test_binomial_confidence_levels () =
     ];
   Alcotest.check_raises "confidence 1"
     (Invalid_argument "Mc_eval: confidence must lie in (0, 1)") (fun () ->
-      ignore (Mc_eval.binomial_interval ~confidence:1.0 ~hits:1 ~samples:2));
+      ignore (binomial_interval ~confidence:1.0 ~hits:1 ~samples:2));
   Alcotest.check_raises "confidence 0"
     (Invalid_argument "Mc_eval: confidence must lie in (0, 1)") (fun () ->
-      ignore (Mc_eval.binomial_interval ~confidence:0.0 ~hits:1 ~samples:2))
+      ignore (binomial_interval ~confidence:0.0 ~hits:1 ~samples:2))
 
 (* The Bin(n, p) masses, by the ratio recursion out of the mode (whose
    mass comes from a plain sum of logs). *)
@@ -109,7 +125,7 @@ let coverage ~confidence n p =
     (fun hits mass ->
       if
         Interval.contains
-          (Mc_eval.binomial_interval ~confidence ~hits ~samples:n)
+          (binomial_interval ~confidence ~hits ~samples:n)
           p
       then c := !c +. mass)
     masses;
@@ -171,19 +187,18 @@ let test_bit_identity_across_domains () =
 
 let test_result_accounting () =
   let r =
-    Mc_eval.boolean ~domains:2 ~batch_size:100 ~seed:5 ~samples:1050
-      (geo_plan ())
+    Mc_eval.boolean ~domains:2 ~seed:5 ~samples:2100 (geo_plan ())
       (parse "exists x. R(x)")
   in
-  Alcotest.(check int) "samples" 1050 r.Mc_eval.samples;
-  Alcotest.(check int) "batches = ceil(1050/100)" 11 r.Mc_eval.batches;
-  Alcotest.(check int) "batch size recorded" 100 r.Mc_eval.batch_size;
+  Alcotest.(check int) "samples" 2100 r.Mc_eval.samples;
+  Alcotest.(check int) "batches = ceil(2100/1024)" 3 r.Mc_eval.batches;
+  Alcotest.(check int) "batch size recorded" 1024 r.Mc_eval.batch_size;
   Alcotest.(check bool) "estimate = hits/samples" true
     (r.Mc_eval.estimate
     = float_of_int r.Mc_eval.hits /. float_of_int r.Mc_eval.samples);
   Alcotest.(check bool) "trajectory ends at the last sample" true
     (match List.rev r.Mc_eval.width_trajectory with
-    | (n, w) :: _ -> n = 1050 && w = Interval.width r.Mc_eval.bounds
+    | (n, w) :: _ -> n = 2100 && w = Interval.width r.Mc_eval.bounds
     | [] -> false);
   Alcotest.(check bool) "trajectory widths nonincreasing-ish" true
     (let ws = List.map snd r.Mc_eval.width_trajectory in
@@ -283,9 +298,7 @@ let test_limit_semantics_padding () =
   Alcotest.(check int) "no sampled world satisfies forall" 0 r.Mc_eval.hits
 
 let test_marginal_ti () =
-  let r =
-    Mc_eval.marginal ~seed:21 ~samples:40_000 (geo_plan ()) (r_fact 0)
-  in
+  let r = Mc_eval.boolean ~seed:21 ~samples:40_000 (geo_plan ()) (parse "R(0)") in
   Alcotest.(check bool) "R(0) marginal ~ 1/2" true
     (Float.abs (r.Mc_eval.estimate -. 0.5) < 0.02);
   Alcotest.(check bool) "interval contains 1/2" true
@@ -309,7 +322,7 @@ let test_bid_space () =
       ()
   in
   let plan = Countable_bid.sampler b in
-  let m = Mc_eval.marginal ~seed:6 ~samples:40_000 plan (fact "T" [ 0; 0 ]) in
+  let m = Mc_eval.boolean ~seed:6 ~samples:40_000 plan (parse "T(0, 0)") in
   Alcotest.(check bool) "T(0,0) ~ 1/4" true
     (Float.abs (m.Mc_eval.estimate -. 0.25) < 0.02);
   Alcotest.(check bool) "interval contains 1/4" true
@@ -348,20 +361,24 @@ let test_completion_space () =
     [ "exists x. N(x)"; "R(1) & !(exists x. N(x))" ]
 
 let test_estimate_event_generic () =
-  (* The raw engine on a plain coin: P(float < 0.5). *)
-  let r =
-    Mc_eval.estimate_event ~domains:2 ~seed:1 ~samples:20_000 Prng.float
-      (fun u -> u < 0.5)
+  (* The engine on a plan built by hand, a fair coin for R(0). *)
+  let coin tv =
+    {
+      Sampler.draw =
+        (fun g ->
+          if Prng.float g < 0.5 then Instance.singleton (r_fact 0)
+          else Instance.empty);
+      tv;
+      support = [ r_fact 0 ];
+    }
   in
+  let r = Mc_eval.boolean ~domains:2 ~seed:1 ~samples:20_000 (coin 0.0) (parse "R(0)") in
   Alcotest.(check bool) "fair coin" true
     (Float.abs (r.Mc_eval.estimate -. 0.5) < 0.02);
-  Alcotest.(check (float 0.0)) "no truncation tv by default" 0.0
+  Alcotest.(check (float 0.0)) "no truncation tv for an exact plan" 0.0
     r.Mc_eval.truncation_tv;
   (* the tv widening is folded into bounds but not binomial *)
-  let w =
-    Mc_eval.estimate_event ~truncation_tv:0.1 ~seed:1 ~samples:1000 Prng.float
-      (fun u -> u < 0.5)
-  in
+  let w = Mc_eval.boolean ~seed:1 ~samples:1000 (coin 0.1) (parse "R(0)") in
   Alcotest.(check bool) "bounds wider than binomial by 2*tv" true
     (Float.abs
        (Interval.width w.Mc_eval.bounds

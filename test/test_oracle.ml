@@ -282,7 +282,7 @@ let test_safe_plan_fallback () =
 
 let test_corpus_loader_errors () =
   let located lines expect_frag =
-    match Fuzzer.of_lines ~file:"bad.case" lines with
+    match Helpers.load_case "bad.case" lines with
     | exception Invalid_argument msg ->
       Alcotest.(check bool)
         (Printf.sprintf "%S in %S" expect_frag msg)

@@ -300,10 +300,19 @@ let test_bid_marginals_against_worlds () =
       check_q (Fact.to_string f) direct from_worlds)
     (Bid_table.support bid)
 
+(* Worlds of [bid] come from the BID sampling plan over its blocks. *)
 let test_bid_sampling_exclusivity () =
+  let plan =
+    Countable_bid.sampler
+      (Countable_bid.of_finite_blocks
+         (List.map
+            (fun (b : Bid_table.block) ->
+              Countable_bid.block_finite ~id:b.block_id b.alternatives)
+            (Bid_table.blocks bid)))
+  in
   let g = Prng.create ~seed:7 () in
-  for _ = 1 to 2000 do
-    let w = Bid_table.sample bid g in
+  for i = 1 to 2000 do
+    let w = plan.draw (Prng.substream g i) in
     if Instance.mem (fact "R" [ 1 ]) w && Instance.mem (fact "R" [ 2 ]) w then
       Alcotest.fail "sampled world violates block exclusivity"
   done

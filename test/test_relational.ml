@@ -36,28 +36,12 @@ let test_value_strings () =
 
 let take n seq = List.of_seq (Seq.take n seq)
 
-let test_value_enum_ints () =
-  Alcotest.(check bool) "0,1,-1,2,-2" true
-    (take 5 (Value.enum_ints ()) = [ i 0; i 1; i (-1); i 2; i (-2) ]);
-  (* injective on a prefix *)
-  let prefix = take 1000 (Value.enum_ints ()) in
-  Alcotest.(check int) "injective" 1000
-    (List.length (List.sort_uniq Value.compare prefix))
-
 let test_value_enum_strings () =
   let prefix = take 7 (Value.enum_strings ~alphabet:"ab" ()) in
   Alcotest.(check bool) "length-lex order" true
     (prefix = [ s ""; s "a"; s "b"; s "aa"; s "ab"; s "ba"; s "bb" ]);
   let prefix = take 500 (Value.enum_strings ()) in
   Alcotest.(check int) "injective" 500
-    (List.length (List.sort_uniq Value.compare prefix))
-
-let test_value_interleave () =
-  let m = Value.interleave (Value.enum_naturals ()) (Value.enum_strings ()) in
-  Alcotest.(check bool) "alternates" true
-    (take 4 m = [ i 1; s ""; i 2; s "a" ]);
-  let prefix = take 1000 m in
-  Alcotest.(check int) "injective" 1000
     (List.length (List.sort_uniq Value.compare prefix))
 
 (* ------------------------------------------------------------------ *)
@@ -80,15 +64,6 @@ let test_schema_basics () =
   Alcotest.check_raises "dup"
     (Invalid_argument "Schema.make: duplicate relation R") (fun () ->
       ignore (Schema.make [ Schema.relation "R" 1; Schema.relation "R" 2 ]))
-
-let test_schema_union () =
-  let s2 = Schema.make [ Schema.relation "Z" 3 ] in
-  let u = Schema.union schema s2 in
-  Alcotest.(check bool) "has both" true
-    (Schema.find u "R" <> None && Schema.find u "Z" <> None);
-  Alcotest.check_raises "conflict"
-    (Invalid_argument "Schema.add: conflicting declaration of R") (fun () ->
-      ignore (Schema.union schema (Schema.make [ Schema.relation "R" 3 ])))
 
 let test_fact_basics () =
   let f = Fact.make "R" [ i 1; i 2 ] in
@@ -134,17 +109,11 @@ let test_hash_covers_every_column () =
   let wide k = Fact.make "W" (List.init 12 (fun j -> i (if j = 11 then k else j))) in
   Alcotest.(check bool) "facts differing in column 12 hash apart" true
     (Fact.hash (wide 100) <> Fact.hash (wide 200));
-  let tup k : Tuple.t = Array.init 12 (fun j -> i (if j = 11 then k else j)) in
-  Alcotest.(check bool) "tuples differing in column 12 hash apart" true
-    (Tuple.hash (tup 100) <> Tuple.hash (tup 200));
   (* Equal values still hash equal, and the result is nonnegative (it
      feeds Hashtbl.Make functors). *)
   Alcotest.(check int) "fact hash is stable" (Fact.hash (wide 7))
     (Fact.hash (wide 7));
-  Alcotest.(check int) "tuple hash is stable" (Tuple.hash (tup 7))
-    (Tuple.hash (tup 7));
-  Alcotest.(check bool) "nonnegative" true
-    (Fact.hash (wide 3) >= 0 && Tuple.hash (tup 3) >= 0)
+  Alcotest.(check bool) "nonnegative" true (Fact.hash (wide 3) >= 0)
 
 (* ------------------------------------------------------------------ *)
 (* Instance *)
@@ -166,11 +135,9 @@ let test_instance_basics () =
 let test_instance_set_ops () =
   let a = Instance.of_list [ Fact.make "S" [ i 1 ]; Fact.make "S" [ i 2 ] ] in
   let b = Instance.of_list [ Fact.make "S" [ i 2 ]; Fact.make "S" [ i 3 ] ] in
-  Alcotest.(check int) "union" 3 (Instance.size (Instance.union a b));
-  Alcotest.(check int) "inter" 1 (Instance.size (Instance.inter a b));
-  Alcotest.(check int) "diff" 1 (Instance.size (Instance.diff a b));
   Alcotest.(check bool) "subset" true
-    (Instance.subset (Instance.singleton (Fact.make "S" [ i 1 ])) a)
+    (Instance.subset (Instance.singleton (Fact.make "S" [ i 1 ])) a);
+  Alcotest.(check bool) "not subset" false (Instance.subset b a)
 
 let test_instance_disjoint_union () =
   let a = Instance.singleton (Fact.make "S" [ i 1 ]) in
@@ -185,16 +152,6 @@ let test_instance_intersects () =
   Alcotest.(check bool) "E_F hit" true (Instance.intersects inst fs);
   let fs' = Fact.Set.singleton (Fact.make "S" [ i 9 ]) in
   Alcotest.(check bool) "E_F miss" false (Instance.intersects inst fs')
-
-let test_instance_subsets () =
-  let subs = List.of_seq (Instance.subsets inst) in
-  Alcotest.(check int) "2^3 subsets" 8 (List.length subs);
-  Alcotest.(check int) "unique" 8
-    (List.length (List.sort_uniq Instance.compare subs));
-  Alcotest.(check bool) "contains empty" true
-    (List.exists Instance.is_empty subs);
-  Alcotest.(check bool) "contains full" true
-    (List.exists (fun d -> Instance.equal d inst) subs)
 
 (* ------------------------------------------------------------------ *)
 (* Properties *)
@@ -219,17 +176,9 @@ let props =
   [
     QCheck.Test.make ~name:"fact to_string/of_string roundtrip" ~count:300
       arb_fact (fun f -> Fact.equal f (Fact.of_string (Fact.to_string f)));
-    QCheck.Test.make ~name:"instance union size bounds" ~count:300
-      QCheck.(pair arb_instance arb_instance)
-      (fun (a, b) ->
-        let u = Instance.size (Instance.union a b) in
-        u <= Instance.size a + Instance.size b
-        && u >= max (Instance.size a) (Instance.size b));
     QCheck.Test.make ~name:"adom bounded by arity * size (Fact 2.1 shape)"
       ~count:300 arb_instance (fun d ->
         List.length (Instance.active_domain d) <= 3 * Instance.size d);
-    QCheck.Test.make ~name:"subsets count" ~count:50 arb_instance (fun d ->
-        Seq.length (Instance.subsets d) = 1 lsl Instance.size d);
     QCheck.Test.make ~name:"tuple compare total" ~count:300
       QCheck.(pair (list (int_range 0 5)) (list (int_range 0 5)))
       (fun (a, b) ->
@@ -245,14 +194,11 @@ let () =
         [
           Alcotest.test_case "total order" `Quick test_value_order_total;
           Alcotest.test_case "strings" `Quick test_value_strings;
-          Alcotest.test_case "enum ints" `Quick test_value_enum_ints;
           Alcotest.test_case "enum strings" `Quick test_value_enum_strings;
-          Alcotest.test_case "interleave" `Quick test_value_interleave;
         ] );
       ( "schema+fact",
         [
           Alcotest.test_case "schema basics" `Quick test_schema_basics;
-          Alcotest.test_case "schema union" `Quick test_schema_union;
           Alcotest.test_case "fact basics" `Quick test_fact_basics;
           Alcotest.test_case "fact roundtrip" `Quick test_fact_roundtrip;
           Alcotest.test_case "fact order" `Quick test_fact_order;
@@ -265,7 +211,6 @@ let () =
           Alcotest.test_case "set ops" `Quick test_instance_set_ops;
           Alcotest.test_case "disjoint union" `Quick test_instance_disjoint_union;
           Alcotest.test_case "intersects (E_F)" `Quick test_instance_intersects;
-          Alcotest.test_case "subsets" `Quick test_instance_subsets;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest props);
     ]

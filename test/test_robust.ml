@@ -102,19 +102,6 @@ let test_budget_refund () =
     (Invalid_argument "Budget.refund: negative amount") (fun () ->
       Budget.refund child Budget.Bdd_nodes (-1))
 
-let test_budget_cancel () =
-  let b = Budget.unlimited () in
-  Alcotest.(check bool) "fresh" true (Budget.ok b);
-  Budget.cancel b;
-  (match Budget.exhausted b with
-  | Some Budget.Cancelled -> ()
-  | _ -> Alcotest.fail "expected Cancelled");
-  (* idempotent, and the first cause is sticky *)
-  Budget.cancel b;
-  (match Budget.exhausted b with
-  | Some Budget.Cancelled -> ()
-  | _ -> Alcotest.fail "cause must stay Cancelled")
-
 (* ------------------------------------------------------------------ *)
 (* Retry *)
 (* ------------------------------------------------------------------ *)
@@ -330,7 +317,7 @@ let test_mc_budget_clamp_deterministic () =
   let run domains =
     let cti = Countable_ti.create (geo_source ()) in
     let b = Budget.create ~max_samples:1_500 () in
-    Mc_eval.boolean ~budget:b ~domains ~batch_size:512 ~seed:42 ~samples:10_000
+    Mc_eval.boolean ~budget:b ~domains ~seed:42 ~samples:10_000
       (Countable_ti.sampler cti) phi
   in
   let r1 = run 1 and r3 = run 3 in
@@ -644,7 +631,6 @@ let () =
           Alcotest.test_case "virtual clock" `Quick test_budget_virtual_clock;
           Alcotest.test_case "child" `Quick test_budget_child;
           Alcotest.test_case "refund" `Quick test_budget_refund;
-          Alcotest.test_case "cancel" `Quick test_budget_cancel;
         ] );
       ( "retry",
         [

@@ -68,15 +68,6 @@ let test_log_slow_sound () =
       | None -> Alcotest.fail "log_slow must have tails")
     [ 1; 10; 100 ]
 
-let test_divergent () =
-  Alcotest.(check bool) "harmonic diverges" false (converges (S.harmonic ()));
-  Alcotest.(check bool) "constant diverges" false
-    (converges (S.constant ~value:0.25));
-  Alcotest.(check bool) "constant 0 converges" true
-    (converges (S.constant ~value:0.0));
-  Alcotest.(check bool) "no prefix for divergent" true
-    (prefix_for_tail (S.harmonic ()) 0.1 = None)
-
 let test_of_list () =
   let s = S.of_list [ 0.5; 0.25; 0.125 ] in
   checkf "term 1" 0.25 (S.term s 1);
@@ -87,15 +78,6 @@ let test_of_list () =
   (match S.tail s 3 with
    | Some t -> checkf "zero tail" 0.0 t
    | None -> Alcotest.fail "finite series has tails")
-
-let test_map_scale_drop () =
-  let s = S.map_scale 2.0 (S.geometric ~ratio:0.5 ()) in
-  checkf "scaled a1" 1.0 (S.term s 1);
-  (match S.tail s 1 with
-   | Some t -> checkf "scaled tail" 2.0 t
-   | None -> Alcotest.fail "tail expected");
-  let d = S.drop 2 (S.geometric ~ratio:0.5 ()) in
-  checkf "dropped a0" 0.25 (S.term d 0)
 
 let test_prefix_for_tail () =
   let s = S.geometric ~ratio:0.5 () in
@@ -139,9 +121,7 @@ let test_product_compl_bounds () =
      Alcotest.(check bool) "lo <= ref" true (lo <= reference +. 1e-12);
      Alcotest.(check bool) "ref <= hi" true (reference <= hi +. 1e-12);
      Alcotest.(check bool) "bracket tight-ish" true (hi -. lo < 0.01)
-   | None -> Alcotest.fail "bounds expected");
-  Alcotest.(check bool) "divergent: none" true
-    (S.product_compl_bounds (S.harmonic ()) 4 = None)
+   | None -> Alcotest.fail "bounds expected")
 
 let test_star_bound () =
   (* Claim (∗): prod (1-p_i) >= exp(-3/2 sum p_i) whenever p_i < 1/2,
@@ -216,9 +196,7 @@ let () =
           Alcotest.test_case "zeta2 sound" `Quick test_zeta2;
           Alcotest.test_case "basel probability" `Slow test_basel_is_probability;
           Alcotest.test_case "log_slow sound" `Slow test_log_slow_sound;
-          Alcotest.test_case "divergent" `Quick test_divergent;
           Alcotest.test_case "of_list" `Quick test_of_list;
-          Alcotest.test_case "map_scale/drop" `Quick test_map_scale_drop;
         ] );
       ( "truncation",
         [

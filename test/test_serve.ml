@@ -56,9 +56,12 @@ let prop_frame_roundtrip =
     QCheck.(string_of_size (Gen.int_bound 4096))
     (fun payload -> frame_roundtrip payload = payload)
 
+(* The frame cap is 1 MiB. *)
+let max_frame = 1 lsl 20
+
 let test_frame_max_size () =
-  let payload = String.make Protocol.max_frame 'x' in
-  Alcotest.(check int) "max-size frame round-trips" Protocol.max_frame
+  let payload = String.make max_frame 'x' in
+  Alcotest.(check int) "max-size frame round-trips" max_frame
     (String.length (frame_roundtrip payload));
   match frame_roundtrip (payload ^ "y") with
   | _ -> Alcotest.fail "oversized payload must be rejected at write"
@@ -77,7 +80,7 @@ let test_frame_truncated () =
 let test_frame_oversized_header () =
   with_frame_fd @@ fun fd ->
   let header = Bytes.create 4 in
-  Bytes.set_int32_be header 0 (Int32.of_int (Protocol.max_frame + 1));
+  Bytes.set_int32_be header 0 (Int32.of_int (max_frame + 1));
   ignore (Unix.write fd header 0 4);
   ignore (Unix.lseek fd 0 Unix.SEEK_SET);
   match Protocol.read_frame fd with
@@ -205,20 +208,38 @@ let lvl =
       | Reject -> "reject"))
     ( = )
 
+(* The ladder through [admit]: a first request spends [spent] of the
+   epoch's 100-sample cap, which sets the pressure (spent / 100) the
+   second request at [queue_len] is admitted under. *)
 let test_admission_decide () =
-  let cfg = { Admission.default_config with Admission.queue_bound = 4 } in
-  let d ~queue_len ~pressure = Admission.decide cfg ~queue_len ~pressure in
-  Alcotest.check lvl "idle" Admission.Full (d ~queue_len:0 ~pressure:0.0);
+  let d ~queue_len ~spent =
+    let adm =
+      Admission.create
+        {
+          Admission.default_config with
+          Admission.queue_bound = 4;
+          window_s = 60.0;
+          max_samples = Some 100;
+        }
+    in
+    (match Admission.admit adm ~queue_len:0 ~deadline_s:None with
+    | Ok t -> Budget.spend t.Admission.budget Budget.Samples spent
+    | Error _ -> Alcotest.fail "idle server must admit");
+    match Admission.admit adm ~queue_len ~deadline_s:None with
+    | Ok t -> t.Admission.level
+    | Error _ -> Admission.Reject
+  in
+  Alcotest.check lvl "idle" Admission.Full (d ~queue_len:0 ~spent:0);
   Alcotest.check lvl "full queue rejects" Admission.Reject
-    (d ~queue_len:4 ~pressure:0.0);
+    (d ~queue_len:4 ~spent:0);
   Alcotest.check lvl "high pressure rejects" Admission.Reject
-    (d ~queue_len:0 ~pressure:0.95);
+    (d ~queue_len:0 ~spent:95);
   Alcotest.check lvl "medium pressure sheds" Admission.Degraded
-    (d ~queue_len:0 ~pressure:0.6);
+    (d ~queue_len:0 ~spent:60);
   Alcotest.check lvl "queue fill sheds" Admission.Degraded
-    (d ~queue_len:2 ~pressure:0.0);
+    (d ~queue_len:2 ~spent:0);
   Alcotest.check lvl "light load full" Admission.Full
-    (d ~queue_len:1 ~pressure:0.1)
+    (d ~queue_len:1 ~spent:10)
 
 let test_admission_epoch_cap_rejects () =
   let adm =
@@ -652,9 +673,16 @@ let test_serve_drain () =
   let path = next_socket () in
   let cfg =
     {
-      (Server.default_config open_source (`Unix path)) with
-      Server.default_deadline_s = Some 2.0;
+      Server.endpoint = `Unix path;
+      make_source = open_source;
+      domains = 2;
+      admission = Admission.default_config;
       default_eps = 1e-6;
+      default_samples = 20_000;
+      default_deadline_s = Some 2.0;
+      cache_capacity = 256;
+      warm_cache = None;
+      updatable = None;
     }
   in
   let t = Server.start cfg in
